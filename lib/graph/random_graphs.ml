@@ -9,7 +9,11 @@ let gnp rng n ~p =
   let expected =
     int_of_float (p *. float_of_int n *. float_of_int (max 0 (n - 1)) /. 2.)
   in
-  let b = Graph.Builder.create ~size_hint:(expected + 16) n in
+  (* the drawn count is binomial, standard deviation below
+     sqrt expected: four of them of slack means the edge arrays
+     almost never regrow mid-build *)
+  let slack = 4 * int_of_float (Float.ceil (sqrt (float_of_int expected))) in
+  let b = Graph.Builder.create ~size_hint:(expected + slack + 16) n in
   if p >= 1. then
     for v = 1 to n - 1 do
       for w = 0 to v - 1 do

@@ -176,6 +176,11 @@ let pool_sweep_run () =
 
 let serve_socket_counter = ref 0
 
+(* Two client connections at once against two worker domains, so jobs
+   really overlap: both send the same sweep under different coalesce
+   keys (the [jobs] option differs, the work does not), which makes
+   two workers lease the same acceptance tables at the same moment,
+   and the same check under one key, which coalesces or queues. *)
 let serve_run () =
   Sweep.clear_cache ();
   incr serve_socket_counter;
@@ -197,32 +202,38 @@ let serve_run () =
          beat to log its End before the driver disarms *)
       Thread.delay 0.05)
     (fun () ->
-      Lcp_serve.Client.with_connection socket_path (fun c ->
-          let req kind = { Lcp_serve.Protocol.kind; opts = Lcp_serve.Protocol.default_opts } in
-          let sweep =
-            req
-              (Lcp_serve.Protocol.Sweep
-                 {
-                   decoder = "degree-one";
-                   n = 4;
-                   strategy = "orderly";
-                   early_exit = false;
-                   shards = 1;
-                 })
-          in
-          let ok r =
-            match r with
-            | Ok resp -> resp.Lcp_serve.Protocol.status = Lcp_serve.Protocol.Done
-            | Error _ -> false
-          in
-          if not (ok (Lcp_serve.Client.request c (req Lcp_serve.Protocol.Ping)))
-          then fail "serve: ping failed";
-          if not (ok (Lcp_serve.Client.request c sweep)) then
-            fail "serve: cold sweep failed";
-          if not (ok (Lcp_serve.Client.request c sweep)) then
-            fail "serve: warm sweep failed";
-          if not (ok (Lcp_serve.Client.request c (req Lcp_serve.Protocol.Metrics)))
-          then fail "serve: metrics failed"));
+      let module P = Lcp_serve.Protocol in
+      let client i () =
+        Lcp_serve.Client.with_connection socket_path (fun c ->
+            let req ?(opts = P.default_opts) kind = { P.kind; opts } in
+            let sweep =
+              req
+                ~opts:{ P.default_opts with P.jobs = Some (i + 1) }
+                (P.Sweep
+                   {
+                     decoder = "degree-one";
+                     n = 4;
+                     strategy = "orderly";
+                     early_exit = false;
+                     shards = 1;
+                   })
+            in
+            let check = req (P.Check { decoder = "degree-one"; graph = "cycle:5" }) in
+            let ask what r =
+              match Lcp_serve.Client.request c r with
+              | Ok resp when resp.P.status = P.Done -> ()
+              | _ -> fail "serve: connection %d: %s failed" i what
+            in
+            ask "ping" (req P.Ping);
+            ask "cold sweep" sweep;
+            ask "check" check;
+            ask "warm sweep" sweep;
+            ask "metrics" (req P.Metrics))
+      in
+      let hs = List.init 2 (fun i -> Sync.spawn "race/serve/client" (client i)) in
+      List.iter Sync.join hs;
+      let requests = Lcp_obs.Metrics.counter (Lcp_serve.Server.metrics t) "serve/requests" in
+      if requests <> 10 then fail "serve: %d responses counted, 10 sent" requests);
   Sweep.clear_cache ()
 
 (* ------------------------------------------------------------------ *)
@@ -290,7 +301,9 @@ let all =
     };
     {
       name = "serve";
-      descr = "full daemon: accept loop, workers, cold+warm sweep, metrics";
+      descr =
+        "full daemon, two connections on two worker domains: cold+warm \
+         sweeps, checks, metrics";
       defect = false;
       run = serve_run;
     };

@@ -1,5 +1,5 @@
 (* A bounded FIFO handoff between the connection threads (producers)
-   and the worker threads (consumers). Admission never blocks: a full
+   and the worker domains (consumers). Admission never blocks: a full
    queue refuses the push and the caller turns that into a structured
    [rejected: queue_full] response — backpressure is explicit and
    immediate instead of silent and unbounded.

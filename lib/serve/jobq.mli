@@ -3,7 +3,7 @@
     Producers (connection threads) call {!try_push}, which {e never
     blocks}: a full or closed queue refuses immediately, and the
     caller turns the refusal into a structured [rejected: queue_full]
-    response. Consumers (worker threads) call {!pop}, which blocks
+    response. Consumers (worker domains) call {!pop}, which blocks
     until an item arrives or the queue is closed and drained. All
     operations are thread-safe. *)
 

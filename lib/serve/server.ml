@@ -1,12 +1,20 @@
 (* The lcp daemon: a Unix-domain-socket accept loop, one reader thread
-   per connection, and a small worker crew draining a bounded Jobq.
+   per connection, and a crew of worker domains draining a bounded
+   Jobq.
 
-   Threads (not domains) do the plumbing — they block on sockets and
-   the queue, which is what threads are for. The actual certification
-   work inside a job still fans out over the Domain pool via the
-   request's Run_cfg, so one heavy sweep uses the machine while the
-   daemon stays responsive to control requests (which bypass the
-   queue entirely). *)
+   The plumbing — accept and per-connection readers — is systhreads on
+   the main domain: they block on sockets, which is what threads are
+   for, and control requests (which bypass the queue) are answered
+   right there. Each worker runs on its own domain, so W workers
+   execute W jobs in parallel rather than taking turns on one
+   runtime lock. Everything a worker touches is domain-safe: the Jobq
+   and flight table are under Sync locks, Metrics is locked, the
+   sweep class cache and the Eval_cache lease pool hand state across
+   domains under their own locks, and View.Trace lives in Domain.DLS.
+   A request asking for [jobs > 1] still fans out over the domain pool
+   on top of that, capped by the session's [max_jobs] — so W workers
+   can hold up to W × max_jobs domains, and [lcp serve] sizes the
+   auto [max_jobs] to keep that product at the core count. *)
 
 module Json = Lcp_obs.Json
 module Metrics = Lcp_obs.Metrics
@@ -16,7 +24,7 @@ module Sync = Lcp_obs.Sync
 (* connection writers                                                  *)
 
 (* Responses for one connection may be written by its reader thread
-   (control, rejections) and by any worker thread (job results), so
+   (control, rejections) and by any worker domain (job results), so
    every write of a line goes through the connection's mutex. A dead
    peer (EPIPE on write) marks the writer dead and further writes
    become no-ops — the job's result is simply dropped. [alive] is a
@@ -62,6 +70,11 @@ type config = {
   version : string;
 }
 
+(* Worker domains, the main domain and every worker's pool domains
+   share the runtime's fixed domain limit (128 on OCaml 5.1); half of
+   it for workers leaves room for the rest. *)
+let max_workers = 64
+
 let default_config ~socket_path =
   {
     socket_path;
@@ -84,7 +97,10 @@ type t = {
   shutting_down : bool Sync.A.t;
       (* written by the first shutdown, read at admission — an atomic,
          because the two sides hold different locks (or none) *)
-  mutable worker_threads : Sync.thread_handle list;
+  gauge_lock : Sync.mutex;
+      (* makes each queue-depth read and its gauge write one step, so a
+         stale depth can never overwrite a newer one *)
+  mutable worker_domains : unit Sync.domain_handle list;
   mutable accept_thread : Sync.thread_handle option;
 }
 
@@ -94,11 +110,14 @@ let metrics t = t.session.Session.metrics
 let fresh_id t = Sync.A.fetch_and_add t.next_id 1
 
 let gauge_depth t =
-  Metrics.set_gauge (metrics t) "serve/queue_depth" (Jobq.depth t.queue)
+  Sync.with_lock t.gauge_lock (fun () ->
+      Metrics.set_gauge (metrics t) "serve/queue_depth" (Jobq.depth t.queue))
 
+(* Counted before the write, so a client that has read its reply also
+   sees it in [serve/requests]. *)
 let respond t w (resp : Protocol.response) =
-  write_line w (Protocol.response_to_json resp);
-  Metrics.incr (metrics t) "serve/requests"
+  Metrics.incr (metrics t) "serve/requests";
+  write_line w (Protocol.response_to_json resp)
 
 (* ------------------------------------------------------------------ *)
 (* worker side                                                         *)
@@ -300,21 +319,22 @@ let start config =
       flight_lock = Sync.mutex "serve/flight";
       flight_guard = Sync.Var.make "serve/flight.table" ();
       shutting_down = Sync.A.make "serve/shutting_down" false;
-      worker_threads = [];
+      gauge_lock = Sync.mutex "serve/gauge";
+      worker_domains = [];
       accept_thread = None;
     }
   in
   (* share acceptance tables across requests for the daemon's lifetime *)
   Lcp_engine.Eval_cache.set_sharing true;
-  t.worker_threads <-
-    List.init (max 1 config.workers) (fun _ ->
-        Sync.spawn "serve/worker" (fun () -> worker_loop t));
+  t.worker_domains <-
+    List.init config.workers (fun _ ->
+        Sync.spawn_domain "serve/worker" (fun () -> worker_loop t));
   t.accept_thread <- Some (Sync.spawn "serve/accept" (fun () -> accept_loop t));
   t
 
 let wait t =
   Option.iter Sync.join t.accept_thread;
-  List.iter Sync.join t.worker_threads;
+  List.iter Sync.join_domain t.worker_domains;
   Lcp_engine.Eval_cache.set_sharing false;
   try Unix.unlink t.config.socket_path with Unix.Unix_error _ -> ()
 

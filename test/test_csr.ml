@@ -188,6 +188,29 @@ let test_random_graphs_deterministic () =
         (Graph.equal (mk 7) (mk 8)))
     [ "gnp"; "gnp:2.5"; "ba"; "ba:2"; "tree"; "grid" ]
 
+(* Pinned output of fixed seeds: the builder's size hint (or anything
+   else about how the edges are stored) must not change which edges a
+   seed draws. *)
+let test_gnp_pinned_edges () =
+  let g = Random_graphs.gnp (Random.State.make [| 5 |]) 12 ~p:0.3 in
+  check_bool "gnp n=12 p=0.3 seed 5: pinned edge set" true
+    (Graph.edges g
+    = [
+        (0, 2); (0, 4); (0, 6); (0, 10); (0, 11); (1, 2); (1, 6); (1, 7);
+        (1, 8); (1, 11); (2, 5); (2, 7); (3, 4); (4, 6); (4, 10); (5, 9);
+        (5, 11); (6, 8); (8, 9); (9, 10);
+      ]);
+  let big =
+    Random_graphs.gnp_avg_degree (Random.State.make [| 21 |]) 20_000
+      ~avg_degree:8.
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  Graph.iter_edges (fun u v -> Buffer.add_string buf (Printf.sprintf "%d-%d," u v)) big;
+  check_int "gnp n=20000 seed 21: edge count" 79_989 (Graph.size big);
+  Alcotest.(check string)
+    "gnp n=20000 seed 21: edge-set digest" "06aec1fde2bae364f70075416fbc8bb9"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_model_errors () =
   List.iter
     (fun spec ->
@@ -269,6 +292,7 @@ let suite =
     case "builder" test_builder;
     case "big build" test_big_build;
     case "random graphs deterministic" test_random_graphs_deterministic;
+    case "gnp pinned edges" test_gnp_pinned_edges;
     case "model errors" test_model_errors;
     case "double cover" test_double_cover;
     case "sampling jobs invariant" test_sampling_jobs_invariant;

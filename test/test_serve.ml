@@ -564,6 +564,83 @@ let test_coalescing () =
       check_bool "the daemon counted a coalesced request" true
         (Metrics.counter (Server.metrics t) "serve/coalesced" >= 1))
 
+(* Two worker domains, two connections sending at once: jobs really run
+   in parallel, yet every payload (less its cache counters and wall
+   time) equals an in-process Session.execute of the same request. The
+   degree-one n=5 sweep goes out from both connections under one key
+   (coalesced or queued) and under a second key that differs only in
+   its jobs option, so two workers want the same acceptance tables at
+   the same moment and one of them builds a private table. *)
+let test_parallel_workers_deterministic () =
+  let check decoder graph = job (Protocol.Check { decoder; graph }) in
+  let sweep_jobs1 =
+    sweep_req ~opts:{ Protocol.default_opts with Protocol.jobs = Some 1 }
+      "degree-one" 5
+  in
+  let conn_a =
+    [
+      sweep_req "degree-one" 5; check "degree-one" "cycle:5";
+      sweep_req "edge-bit" 5; check "union" "complete:4";
+      sweep_req "hidden-leaf2" 5; check "edge-bit" "cycle:7";
+      sweep_jobs1;
+    ]
+  in
+  let conn_b =
+    [
+      sweep_jobs1; check "hidden-leaf3" "cycle:5"; sweep_req "degree-one" 5;
+      check "degree-one" "cycle:5"; sweep_req "trivial2" 5;
+      check "even-cycle" "cycle:5"; sweep_req "hidden-leaf2" 5;
+    ]
+  in
+  let strip = function
+    | Json.Obj fields ->
+        Json.Obj (List.filter (fun (k, _) -> k <> "cache" && k <> "wall_ms") fields)
+    | j -> j
+  in
+  let expected =
+    let session = Session.create () in
+    List.map
+      (fun req ->
+        let cfg = Session.cfg_of_request session req ~emit:ignore in
+        match Session.execute session req cfg with
+        | Protocol.Done, _, payload -> Json.to_string (strip payload)
+        | _, reason, _ ->
+            Alcotest.fail
+              ("in-process run failed: " ^ Option.value reason ~default:"-"))
+  in
+  let want_a = expected conn_a and want_b = expected conn_b in
+  with_server ~workers:2 (fun socket t ->
+      (* Sync.join re-raises a failed check from the client thread *)
+      let drive reqs =
+        let got = ref [] in
+        let h =
+          Lcp_obs.Sync.spawn "test/serve/client" (fun () ->
+              got :=
+                Client.with_connection socket (fun c ->
+                    List.map
+                      (fun req -> Json.to_string (strip (expect_done (request_exn c req))))
+                      reqs))
+        in
+        fun () ->
+          Lcp_obs.Sync.join h;
+          !got
+      in
+      let join_a = drive conn_a in
+      let join_b = drive conn_b in
+      List.iter
+        (fun (name, want, got) ->
+          List.iteri
+            (fun i (want, got) ->
+              check_str (Printf.sprintf "connection %s, request %d = in-process" name i)
+                want got)
+            (List.combine want got))
+        [ ("a", want_a, join_a ()); ("b", want_b, join_b ()) ];
+      let m = Server.metrics t in
+      check_int "every request answered once"
+        (List.length conn_a + List.length conn_b)
+        (Metrics.counter m "serve/requests");
+      check_bool "queue drained" true (Metrics.gauge m "serve/queue_depth" = Some 0))
+
 let test_interim_events () =
   with_server (fun socket _t ->
       Client.with_connection socket (fun c ->
@@ -642,6 +719,8 @@ let suite =
     case "server: malformed line answered" test_malformed_line_gets_error_response;
     slow_case "server: warm caches, identical counters" test_warm_cache_hits;
     slow_case "server: identical in-flight requests coalesce" test_coalescing;
+    case "server: parallel workers match in-process runs"
+      test_parallel_workers_deterministic;
     case "server: interim events stream" test_interim_events;
     case "server: metrics and clean shutdown" test_server_metrics_and_shutdown;
   ]
