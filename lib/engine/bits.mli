@@ -3,9 +3,10 @@
     The engine spends most of its time on adjacency bitsets and edge
     masks, so population counts and set-bit iteration must not loop
     per bit. [popcount] is a 16-bit lookup table applied to the four
-    16-bit limbs of an [int] — one table shared by {!Canon}'s
-    refinement, {!Chunk}'s connectivity BFS and {!Orderly}'s
-    extension loop. *)
+    16-bit limbs of an [int], shared by {!Chunk}'s connectivity BFS
+    and {!Orderly}'s extension loop. {!Canon}'s kernel keeps its own
+    vertex-set table: calls across modules are not inlined in dev
+    builds, which compile with [-opaque]. *)
 
 val popcount : int -> int
 (** Number of set bits. Constant-time: four probes of a precomputed

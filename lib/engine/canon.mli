@@ -1,22 +1,32 @@
 (** Exact canonical forms for small graphs.
 
-    Isomorphism-class dedup used to be a pairwise [Graph.isomorphic]
-    filter — O(classes²) backtracking tests per bucket. Here each
-    graph is mapped once to a {e canonical mask}: the minimum edge
-    mask over all relabelings consistent with an iterative-refinement
-    (1-WL) partition of the nodes. Two graphs are isomorphic iff their
-    canonical masks (and orders) agree, so dedup becomes a single
-    hash-table probe and the cost is O(graphs · refinement),
-    independent of the number of classes.
+    Each graph is mapped once to a {e canonical mask}: the minimum
+    edge mask over all relabelings consistent with an
+    iterative-refinement (1-WL) partition of the nodes. Two graphs are
+    isomorphic iff their canonical masks (and orders) agree, so dedup
+    is a single hash-table probe, independent of the number of
+    classes.
 
     The refinement partition is isomorphism-invariant (colors are
-    re-ranked by integer signature each round), so minimizing only
-    over partition-respecting relabelings is exact. The bijection
-    search assigns labels from [n-1] downward with lexicographic
-    early-abort pruning: a partial permutation is abandoned as soon as
-    the mask bits it has emitted exceed the incumbent best on the same
-    slots, which collapses the [Π |cell|!] permutation budget to a
-    handful of explored branches on all but highly regular graphs.
+    re-ranked by integer signature each round, counting neighbors per
+    color as the popcount of a row against the color's vertex set),
+    so minimizing only over partition-respecting relabelings is exact.
+    Colors start as degrees and keep their order, so the highest cell,
+    which takes the top labels, holds maximum-degree vertices.
+
+    Every function below runs the same branch-and-bound kernel. It
+    assigns labels from [n-1] downward, each label drawing a vertex
+    from its cell (the refined partition for {!canonical_mask}, one
+    cell of all vertices otherwise), and keeps a label-space row per
+    unplaced vertex so that the edge bits a placement decides are one
+    shift of that row. A partial permutation is abandoned as soon as
+    those bits exceed the incumbent best on the same slots, which
+    collapses the [Π |cell|!] permutation budget to a handful of
+    explored branches on all but highly regular graphs. The kernel
+    works in per-domain scratch ([Domain.DLS]) and allocates nothing
+    but the witnesses it returns, so it is safe to call from pool
+    domains; a systhread that finds its domain's scratch in use gets
+    a fresh one.
 
     All functions require order [<= 11] (the 55-slot edge mask plus
     the 4 order bits of {!key} must fit an OCaml [int]) and raise
@@ -50,11 +60,12 @@ val min_witnesses : n:int -> int array -> int * int array list
     automorphism for every witness pair and the list is exactly
     [Aut(G) ∘ q] for any fixed witness [q]: the automorphism group
     falls out of the same branch-and-bound that computes the canonical
-    form (harvested by {!Auto}). Implemented as the regular
+    form (harvested by {!Auto}). Implemented as the kernel's
     minimization followed by a collecting pass with the incumbent
     pinned — the tie-keeping [<=] prune guarantees every min-achieving
     leaf is visited. The list has [|Aut(G)|] entries, in the
-    branch-and-bound's deterministic discovery order. *)
+    branch-and-bound's deterministic discovery order (labels from
+    [n-1] down, vertices ascending at each label). *)
 
 val key_adj : n:int -> int array -> int
 (** The canonical mask with the order packed into the low 4 bits —

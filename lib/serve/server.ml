@@ -301,6 +301,10 @@ let accept_loop t =
 (* lifecycle                                                           *)
 
 let start config =
+  if config.workers < 1 || config.workers > max_workers then
+    invalid_arg
+      (Printf.sprintf "Server.start: workers must be in 1..%d (got %d)"
+         max_workers config.workers);
   (match Unix.stat config.socket_path with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink config.socket_path
   | _ -> failwith (config.socket_path ^ " exists and is not a socket")

@@ -46,8 +46,10 @@ type t
 val start : config -> t
 (** Bind, listen, spawn the accept loop and [workers] worker domains,
     and return immediately. Replaces a stale socket file at
-    [socket_path]; raises [Failure] if the path exists and is not a
-    socket, [Unix.Unix_error] if it cannot bind. *)
+    [socket_path]. Raises [Invalid_argument] if [workers] is outside
+    [1..max_workers], before touching the socket path; [Failure] if
+    the path exists and is not a socket; [Unix.Unix_error] if it
+    cannot bind. *)
 
 val wait : t -> unit
 (** Block until the daemon shuts down (a [shutdown] request or

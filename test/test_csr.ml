@@ -209,6 +209,16 @@ let test_gnp_pinned_edges () =
   check_int "gnp n=20000 seed 21: edge count" 79_989 (Graph.size big);
   Alcotest.(check string)
     "gnp n=20000 seed 21: edge-set digest" "06aec1fde2bae364f70075416fbc8bb9"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  (* 2,015 edges drawn against an expected 1,990: past an
+     [expected + 16] hint, so a builder sized that way regrows its
+     edge arrays mid-build, which must not change the edges either *)
+  let over = Random_graphs.gnp (Random.State.make [| 4 |]) 200 ~p:0.1 in
+  Buffer.clear buf;
+  Graph.iter_edges (fun u v -> Buffer.add_string buf (Printf.sprintf "%d-%d," u v)) over;
+  check_int "gnp n=200 p=0.1 seed 4: edge count" 2_015 (Graph.size over);
+  Alcotest.(check string)
+    "gnp n=200 p=0.1 seed 4: edge-set digest" "ad2b348eef4a59f20086adbe56b8670e"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_model_errors () =

@@ -127,6 +127,73 @@ let test_min_mask_exact () =
     (Canon.min_mask ~init:(Chunk.mask_of_graph (Chunk.graph_of_mask 3 0b110)) ~n:3 p3)
 
 (* ------------------------------------------------------------------ *)
+(* Canon kernel vs the list-based oracle (Canon_ref)                   *)
+
+let relabel_adj n adj p =
+  let out = Array.make n 0 in
+  for v = 0 to n - 1 do
+    out.(p.(v)) <- Bits.fold_bits (fun u acc -> acc lor (1 lsl p.(u))) adj.(v) 0
+  done;
+  out
+
+let shuffle st n =
+  let p = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = p.(i) in
+    p.(i) <- p.(j);
+    p.(j) <- t
+  done;
+  p
+
+(* every class on [n] nodes, as listed and under [relabelings] seeded
+   random relabelings: the kernel's canonical_mask, min_mask (with and
+   without an [init] seed) and min_witnesses (same list, same order)
+   equal the oracle's *)
+let check_canon_against_ref ~relabelings n =
+  let st = Random.State.make [| 13; n |] in
+  let masks, _ = Orderly.generate ~connected:false n in
+  List.iter
+    (fun mask ->
+      let listed = Chunk.adj_of_mask n mask in
+      for r = 0 to relabelings do
+        let adj = if r = 0 then listed else relabel_adj n listed (shuffle st n) in
+        let what = Printf.sprintf "n=%d class %d relabeling %d" n mask r in
+        let cm = Canon_ref.canonical_mask ~n adj in
+        check_int ("canonical_mask, " ^ what) cm (Canon.canonical_mask ~n adj);
+        check_int ("min_mask, " ^ what) (Canon_ref.min_mask ~n adj)
+          (Canon.min_mask ~n adj);
+        check_int ("min_mask ~init, " ^ what)
+          (Canon_ref.min_mask ~init:cm ~n adj)
+          (Canon.min_mask ~init:cm ~n adj);
+        let ref_best, ref_wits = Canon_ref.min_witnesses ~n adj in
+        let best, wits = Canon.min_witnesses ~n adj in
+        check_int ("min_witnesses mask, " ^ what) ref_best best;
+        if wits <> ref_wits then
+          Alcotest.failf "min_witnesses list differs from the oracle, %s" what
+      done)
+    masks
+
+let test_canon_matches_ref () =
+  for n = 0 to 7 do
+    check_canon_against_ref ~relabelings:3 n
+  done
+
+let test_canon_matches_ref_n8 () =
+  if heavy_enabled then check_canon_against_ref ~relabelings:1 8
+
+let test_canon_scratch_per_domain () =
+  (* the kernel's scratch is per domain: concurrent calls on pool
+     domains agree with the sequential ones *)
+  let masks = Array.of_list (fst (Orderly.generate ~connected:false 6)) in
+  let run jobs =
+    Pool.run ~jobs (Array.length masks) (fun i ->
+        let adj = Chunk.adj_of_mask 6 masks.(i) in
+        (Canon.canonical_mask ~n:6 adj, Canon.min_witnesses ~n:6 adj))
+  in
+  check_bool "canon on 4 domains = sequential" true (run 1 = run 4)
+
+(* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 
 let test_pool_run_matches_sequential () =
@@ -210,6 +277,25 @@ let test_orderly_oeis_counts () =
         (List.length (classes_with Sweep.Orderly ~connected:false n)))
     all_counts;
   Sweep.clear_cache ()
+
+(* cumulative over the levels; the canonical-augmentation filters may
+   skip canonicalizations but never change what is counted *)
+let test_orderly_tallies () =
+  List.iter
+    (fun (n, candidates, dedup) ->
+      let _, t = Orderly.generate ~connected:true n in
+      check_int (Printf.sprintf "candidates n=%d" n) candidates
+        t.Orderly.candidates;
+      check_int (Printf.sprintf "dedup hits n=%d" n) dedup t.Orderly.dedup_hits)
+    [
+      (1, 0, 0);
+      (2, 2, 0);
+      (3, 10, 2);
+      (4, 42, 14);
+      (5, 218, 100);
+      (6, 1306, 644);
+      (7, 11_290, 5_532);
+    ]
 
 let test_orderly_deterministic_in_jobs () =
   let gen jobs =
@@ -502,14 +588,22 @@ let test_n7_classes () =
     Sweep.clear_cache ()
   end
 
+(* the orderly tallies an [iso_classes] call reported into [c] *)
+let check_enum_tallies c ~candidates ~dedup =
+  let counter = Lcp_obs.Metrics.counter c.Lcp_obs.Run_cfg.metrics in
+  check_int "orderly candidates" candidates (counter "candidates_generated");
+  check_int "orderly dedup hits" dedup (counter "dedup_hits")
+
 let test_n8_frontier () =
   (* the new frontier: out of reach for the mask scan (2^28 masks),
      directly generated by orderly augmentation *)
   if not heavy_enabled then ()
   else begin
     Sweep.clear_cache ();
+    let c = cfg 0 in
     check_int "11117 connected classes on 8 nodes" 11117
-      (List.length (Sweep.iso_classes ~cfg:(cfg 0) 8));
+      (List.length (Sweep.iso_classes ~cfg:c 8));
+    check_enum_tallies c ~candidates:144_922 ~dedup:59_944;
     check_int "12346 classes on 8 nodes" 12346
       (List.length (Sweep.iso_classes ~cfg:(cfg 0) ~connected:false 8));
     Sweep.clear_cache ()
@@ -522,8 +616,10 @@ let test_n9_frontier () =
   if not heavy_enabled then ()
   else begin
     Sweep.clear_cache ();
+    let c = cfg 0 in
     check_int "261080 connected classes on 9 nodes" 261_080
-      (List.length (Sweep.iso_classes ~cfg:(cfg 0) 9));
+      (List.length (Sweep.iso_classes ~cfg:c 9));
+    check_enum_tallies c ~candidates:3_305_498 ~dedup:1_012_362;
     Sweep.clear_cache ()
   end
 
@@ -558,4 +654,9 @@ let suite =
     slow_case "853 classes on n=7 (LCP_HEAVY)" test_n7_classes;
     slow_case "11117 classes on n=8 (LCP_HEAVY)" test_n8_frontier;
     slow_case "261080 classes on n=9 (LCP_HEAVY)" test_n9_frontier;
+    case "canon kernel = list-based oracle, n<=7" test_canon_matches_ref;
+    case "canon scratch is per domain" test_canon_scratch_per_domain;
+    case "orderly tallies pinned, n<=7" test_orderly_tallies;
+    slow_case "canon kernel = list-based oracle, n=8 (LCP_HEAVY)"
+      test_canon_matches_ref_n8;
   ]

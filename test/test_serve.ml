@@ -698,6 +698,35 @@ let test_server_metrics_and_shutdown () =
   check_bool "wait returned after shutdown request" true !finished;
   check_bool "socket file removed" false (Sys.file_exists socket_path)
 
+let test_server_rejects_worker_count () =
+  (* checked before the socket path is touched: no socket file is left
+     behind, and a file already at the path is neither stat-ed into a
+     Failure nor removed *)
+  List.iter
+    (fun workers ->
+      let rejected config =
+        match Server.start config with
+        | exception Invalid_argument _ -> true
+        | t ->
+            Server.stop t;
+            Server.wait t;
+            false
+      in
+      let socket_path = fresh_socket () in
+      let config = { (Server.default_config ~socket_path) with workers } in
+      check_bool
+        (Printf.sprintf "workers=%d rejected" workers)
+        true (rejected config);
+      check_bool "no socket file left behind" false
+        (Sys.file_exists socket_path);
+      Out_channel.with_open_text socket_path (fun _ -> ());
+      check_bool
+        (Printf.sprintf "workers=%d rejected before the stat" workers)
+        true (rejected config);
+      check_bool "existing file untouched" true (Sys.file_exists socket_path);
+      Sys.remove socket_path)
+    [ 0; -1; Server.max_workers + 1 ]
+
 let suite =
   [
     case "protocol: requests round-trip" test_request_roundtrip;
@@ -723,4 +752,5 @@ let suite =
       test_parallel_workers_deterministic;
     case "server: interim events stream" test_interim_events;
     case "server: metrics and clean shutdown" test_server_metrics_and_shutdown;
+    case "server: worker count range-checked" test_server_rejects_worker_count;
   ]
