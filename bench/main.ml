@@ -13,6 +13,7 @@
 open Lcp_graph
 open Lcp_local
 open Lcp
+module Oracle = Lcp_oracle.Oracle
 
 let rng = Random.State.make [| 424242 |]
 
@@ -444,8 +445,8 @@ let series_engine_sweep ~fast () =
     (if fast then [ 4; 5 ] else [ 4; 5; 6 ])
 
 (* The PR-5 tentpole series: certificate search with per-node
-   acceptance tables (the default) vs the direct view-extraction
-   oracle. Both runs are sequential over the same connected
+   acceptance tables (the production path) vs the direct
+   view-extraction oracle ([Lcp_oracle.Oracle]). Both runs are sequential over the same connected
    non-bipartite classes and must agree on every (witness, tally)
    pair; the row is a memoization comparison, not a parallelism one.
    Returns the rows for BENCH_search.json. *)
@@ -455,8 +456,7 @@ let series_search ~fast () =
      decoding (tentpole)\n";
   Printf.printf "%-12s %4s %8s %12s %12s %10s %10s\n" "decoder" "n" "classes"
     "memo(s)" "direct(s)" "speedup" "identical";
-  let memo_cfg = Run_cfg.sequential bench_cfg in
-  let direct_cfg = Run_cfg.with_eval_cache memo_cfg false in
+  let cfg = Run_cfg.sequential bench_cfg in
   let suites =
     [
       ("degree-one", D_degree_one.suite);
@@ -474,16 +474,17 @@ let series_search ~fast () =
           let classes =
             List.filter
               (fun g -> not (Coloring.is_bipartite g))
-              (Lcp_engine.Sweep.iso_classes ~cfg:memo_cfg n)
+              (Lcp_engine.Sweep.iso_classes ~cfg n)
           in
-          let search cfg g =
+          let search verdicts g =
             let inst = Instance.make g in
             let alphabet = suite.Decoder.adversary_alphabet inst in
-            Prover.search_accepted ~cfg suite.Decoder.dec ~alphabet inst
+            Oracle.search_accepted ~cfg ~verdicts ~quotient:true
+              suite.Decoder.dec ~alphabet inst
           in
-          let run cfg = time (fun () -> List.map (search cfg) classes) in
-          let memo_res, memo_s = run memo_cfg in
-          let direct_res, direct_s = run direct_cfg in
+          let run verdicts = time (fun () -> List.map (search verdicts) classes) in
+          let memo_res, memo_s = run Oracle.Tables in
+          let direct_res, direct_s = run Oracle.Direct in
           let identical =
             note_identical
               ~where:(Printf.sprintf "search %s n=%d" name n)
@@ -517,8 +518,7 @@ let series_orbit ~fast () =
     "\n== series: certificate search, orbit pruning vs direct (tentpole)\n";
   Printf.printf "%-12s %4s %8s %12s %12s %10s %10s\n" "decoder" "n" "classes"
     "orbit(s)" "direct(s)" "speedup" "identical";
-  let on_cfg = Run_cfg.sequential bench_cfg in
-  let off_cfg = Run_cfg.with_orbit_prune on_cfg false in
+  let cfg = Run_cfg.sequential bench_cfg in
   let suites =
     [
       ("degree-one", D_degree_one.suite);
@@ -536,24 +536,25 @@ let series_orbit ~fast () =
             let classes =
               List.filter
                 (fun g -> not (Coloring.is_bipartite g))
-                (Lcp_engine.Sweep.iso_classes ~cfg:on_cfg n)
+                (Lcp_engine.Sweep.iso_classes ~cfg n)
             in
             let reps = if n >= 7 then 3 else 20 in
-            let search cfg g =
+            let search quotient g =
               let inst = Instance.make g in
               let alphabet = suite.Decoder.adversary_alphabet inst in
               let t0 = Unix.gettimeofday () in
               let last = ref None in
               for _ = 1 to reps do
                 let witness, _ =
-                  Prover.search_accepted ~cfg suite.Decoder.dec ~alphabet inst
+                  Oracle.search_accepted ~cfg ~verdicts:Oracle.Tables ~quotient
+                    suite.Decoder.dec ~alphabet inst
                 in
                 last := Some witness
               done;
               (Option.get !last, Unix.gettimeofday () -. t0)
             in
             let per_class =
-              List.map (fun g -> (search on_cfg g, search off_cfg g)) classes
+              List.map (fun g -> (search true g, search false g)) classes
             in
             let identical =
               note_identical

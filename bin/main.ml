@@ -34,10 +34,9 @@ let parse_suite name = (parse_entry name).Registry.suite
    parallelism, seed, sink — instead of taking its own [?jobs] /
    [?heavy] optionals. [jobs = 0] (the flag default) is normalized by
    [Run_cfg.make] to the recommended domain count. *)
-let build_cfg ?(heavy = true) ?(eval_cache = true) ?(orbit_prune = true) ~jobs
-    ~seed ~progress ~metrics_out () =
+let build_cfg ?(heavy = true) ?deadline ~jobs ~seed ~progress ~metrics_out () =
   let sink = Lcp_obs.Sink.of_outputs ~progress ?metrics_out () in
-  Run_cfg.make ~jobs ~heavy ?seed ~eval_cache ~orbit_prune ~sink ()
+  Run_cfg.make ~jobs ~heavy ?seed ~sink ?deadline ()
 
 let write_file path content =
   let oc = open_out path in
@@ -47,12 +46,8 @@ let write_file path content =
       output_string oc content;
       output_string oc "\n")
 
-let run_experiments heavy markdown json jobs no_eval_cache no_orbit_prune seed
-    metrics_out progress =
-  let cfg =
-    build_cfg ~heavy ~eval_cache:(not no_eval_cache)
-      ~orbit_prune:(not no_orbit_prune) ~jobs ~seed ~progress ~metrics_out ()
-  in
+let run_experiments heavy markdown json jobs seed metrics_out progress =
+  let cfg = build_cfg ~heavy ~jobs ~seed ~progress ~metrics_out () in
   let reports = Experiments.run_all ~cfg () in
   Report.pp_all Format.std_formatter reports;
   (match markdown with
@@ -123,17 +118,14 @@ let run_check decoder_name graph_spec trials seed =
    10^5..10^6-node regime the exhaustive sweep cannot reach. The whole
    phase structure lives in [Lcp.Sampling]; this body only builds the
    graph, times the build, prints the summary and writes the report. *)
-let run_sample decoder_name model nodes eval_nodes trials pairs json jobs
-    no_eval_cache seed deadline_ms metrics_out progress =
+let run_sample decoder_name model nodes eval_nodes trials pairs json jobs seed
+    deadline_ms metrics_out progress =
   let suite = parse_suite decoder_name in
   if nodes < 1 then failwith "sample: need --nodes >= 1";
-  let sink = Lcp_obs.Sink.of_outputs ~progress ?metrics_out () in
   let deadline =
     Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms
   in
-  let cfg =
-    Run_cfg.make ~jobs ~eval_cache:(not no_eval_cache) ?seed ~sink ?deadline ()
-  in
+  let cfg = build_cfg ?deadline ~jobs ~seed ~progress ~metrics_out () in
   let t_build = Lcp_obs.Clock.now_ns () in
   let g =
     match Random_graphs.of_model (Run_cfg.rng cfg) ~nodes model with
@@ -294,7 +286,7 @@ let run_sweep_merge files out =
       (fun f ->
         match Lcp_engine.Checkpoint.load f with
         | Ok c -> c
-        | Error msg -> failwith (Printf.sprintf "--merge %s: %s" f msg))
+        | Error msg -> failwith ("--merge: " ^ msg))
       files
   in
   match Lcp_engine.Checkpoint.merge loaded with
@@ -334,16 +326,14 @@ let print_event ev =
 (* --coordinator: hand the whole sweep to a running daemon as one
    [sweep] request with [shards], and let it run the coordinator
    server-side; the response carries the merged report. *)
-let run_sweep_submit socket ~decoder_name ~n ~strategy_name ~shards ~jobs
-    ~no_eval_cache ~no_orbit_prune ~seed ~progress =
+let run_sweep_submit socket ~decoder_name ~n ~strategy_name ~shards ~jobs ~seed
+    ~progress =
   let opts =
     {
       Lcp_serve.Protocol.jobs = (if jobs = 0 then None else Some jobs);
       heavy = None;
       seed;
       deadline_ms = None;
-      eval_cache = (if no_eval_cache then Some false else None);
-      orbit_prune = (if no_orbit_prune then Some false else None);
       progress;
     }
   in
@@ -375,8 +365,8 @@ let run_sweep_submit socket ~decoder_name ~n ~strategy_name ~shards ~jobs
    farm out) supervised shard workers and render the merged report
    exactly as --merge would. *)
 let run_sweep_coordinated ~decoder_name ~n ~strategy ~jobs ~workers ~remotes
-    ~shards ~checkpoint_dir ~merge_out ~inject_kill ~stall_s ~max_restarts
-    ~no_eval_cache ~no_orbit_prune ~seed ~metrics_out ~progress =
+    ~shards ~checkpoint_dir ~merge_out ~inject_kill ~stall_s ~max_restarts ~seed
+    ~metrics_out ~progress =
   ignore (parse_suite decoder_name);
   let workers = if workers > 0 then workers else List.length remotes in
   let shards = if shards > 1 then shards else workers in
@@ -406,10 +396,7 @@ let run_sweep_coordinated ~decoder_name ~n ~strategy ~jobs ~workers ~remotes
               try Unix.rmdir d with Unix.Unix_error _ -> ()
             end )
   in
-  let cfg =
-    build_cfg ~eval_cache:(not no_eval_cache)
-      ~orbit_prune:(not no_orbit_prune) ~jobs ~seed ~progress ~metrics_out ()
-  in
+  let cfg = build_cfg ~jobs ~seed ~progress ~metrics_out () in
   let config =
     {
       (Lcp_serve.Coordinator.default_config ~decoder:decoder_name ~n ~shards
@@ -422,8 +409,6 @@ let run_sweep_coordinated ~decoder_name ~n ~strategy ~jobs ~workers ~remotes
         (match remotes with
         | [] -> Lcp_serve.Coordinator.Subprocess { bin = Sys.executable_name }
         | sockets -> Lcp_serve.Coordinator.Remote { sockets });
-      eval_cache = not no_eval_cache;
-      orbit_prune = not no_orbit_prune;
       inject_kill;
     }
   in
@@ -479,11 +464,10 @@ let run_sweep_coordinated ~decoder_name ~n ~strategy ~jobs ~workers ~remotes
    --shards/--shard slice the class stream; --checkpoint/--resume make
    the slice durable; --merge folds finished shard checkpoints back
    together. *)
-let run_sweep decoder_name n strategy_name jobs early_exit compare
-    no_eval_cache no_orbit_prune shards shard_ix checkpoint_path resume
-    merge_files merge_out workers remotes coordinator_addr stall_s
-    max_restarts inject_kill max_chunks checkpoint_dir seed metrics_out
-    progress =
+let run_sweep decoder_name n strategy_name jobs early_exit compare shards
+    shard_ix checkpoint_path resume merge_files merge_out workers remotes
+    coordinator_addr stall_s max_restarts inject_kill max_chunks
+    checkpoint_dir seed metrics_out progress =
   if merge_files <> [] then run_sweep_merge merge_files merge_out
   else begin
   let strategy =
@@ -540,11 +524,11 @@ let run_sweep decoder_name n strategy_name jobs early_exit compare
   match coordinator_addr with
   | Some socket ->
       run_sweep_submit socket ~decoder_name ~n ~strategy_name ~shards ~jobs
-        ~no_eval_cache ~no_orbit_prune ~seed ~progress
+        ~seed ~progress
   | _ when coordinated ->
       run_sweep_coordinated ~decoder_name ~n ~strategy ~jobs ~workers ~remotes
         ~shards ~checkpoint_dir ~merge_out ~inject_kill ~stall_s ~max_restarts
-        ~no_eval_cache ~no_orbit_prune ~seed ~metrics_out ~progress
+        ~seed ~metrics_out ~progress
   | None ->
   if shards < 1 || shard_ix < 0 || shard_ix >= shards then begin
     Format.eprintf
@@ -584,10 +568,7 @@ let run_sweep decoder_name n strategy_name jobs early_exit compare
       checkpoint_path
   in
   let suite = parse_suite decoder_name in
-  let cfg =
-    build_cfg ~eval_cache:(not no_eval_cache)
-      ~orbit_prune:(not no_orbit_prune) ~jobs ~seed ~progress ~metrics_out ()
-  in
+  let cfg = build_cfg ~jobs ~seed ~progress ~metrics_out () in
   let jobs = cfg.Run_cfg.jobs in
   let sweep_once cfg =
     Lcp_engine.Sweep.clear_cache ();
@@ -719,16 +700,14 @@ let run_serve socket capacity workers max_jobs max_n max_deadline_ms
 
 (* Build a protocol request from `lcp client KIND [ARGS...]` plus the
    shared flags; mirrors the JSON a scripted client would write. *)
-let client_request args ~jobs ~heavy ~seed ~deadline_ms ~no_eval_cache
-    ~no_orbit_prune ~progress ~n ~strategy ~early_exit ~shards ~max_n ~samples =
+let client_request args ~jobs ~heavy ~seed ~deadline_ms ~progress ~n ~strategy
+    ~early_exit ~shards ~max_n ~samples =
   let opts =
     {
       Lcp_serve.Protocol.jobs = (if jobs = 0 then None else Some jobs);
       heavy = (if heavy then Some true else None);
       seed;
       deadline_ms;
-      eval_cache = (if no_eval_cache then Some false else None);
-      orbit_prune = (if no_orbit_prune then Some false else None);
       progress;
     }
   in
@@ -752,8 +731,8 @@ let client_request args ~jobs ~heavy ~seed ~deadline_ms ~no_eval_cache
   in
   { Lcp_serve.Protocol.kind; opts }
 
-let run_client socket batch args jobs heavy seed deadline_ms no_eval_cache
-    no_orbit_prune progress n strategy early_exit shards max_n samples =
+let run_client socket batch args jobs heavy seed deadline_ms progress n strategy
+    early_exit shards max_n samples =
   if batch then begin
     (* newline-delimited raw JSON requests on stdin, responses on
        stdout — the CI smoke test's scripting surface *)
@@ -788,9 +767,8 @@ let run_client socket batch args jobs heavy seed deadline_ms no_eval_cache
   end
   else begin
     let req =
-      client_request args ~jobs ~heavy ~seed ~deadline_ms ~no_eval_cache
-        ~no_orbit_prune ~progress ~n ~strategy ~early_exit ~shards ~max_n
-        ~samples
+      client_request args ~jobs ~heavy ~seed ~deadline_ms ~progress ~n ~strategy
+        ~early_exit ~shards ~max_n ~samples
     in
     Lcp_serve.Client.with_connection socket (fun c ->
         match Lcp_serve.Client.request ~on_event:print_event c req with
@@ -841,27 +819,6 @@ let progress_arg =
     value & flag
     & info [ "progress" ] ~doc:"Stream span and progress events to stderr.")
 
-let no_eval_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-eval-cache" ]
-        ~doc:
-          "Disable the per-node acceptance tables and force the direct \
-           view-extraction path (the oracle the tables are validated \
-           against). Verdicts, witnesses and labelings_checked are identical \
-           either way; only speed and the eval_cache_* counters differ.")
-
-let no_orbit_prune_arg =
-  Arg.(
-    value & flag
-    & info [ "no-orbit-prune" ]
-        ~doc:
-          "Disable automorphism-orbit pruning and search the full labeling \
-           space (the oracle the quotient path is validated against). \
-           Verdicts and witnesses are identical either way; only speed and \
-           the work tallies (labelings_checked, orbit_pruned_branches) \
-           differ.")
-
 let experiments_cmd =
   let heavy =
     Arg.(value & flag & info [ "heavy" ] ~doc:"Run the larger exhaustive searches.")
@@ -882,9 +839,8 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc:"Run the full E1-E20 reproduction battery.")
     Term.(
-      const run_experiments $ heavy $ markdown $ json $ jobs_arg
-      $ no_eval_cache_arg $ no_orbit_prune_arg $ seed_arg $ metrics_out_arg
-      $ progress_arg)
+      const run_experiments $ heavy $ markdown $ json $ jobs_arg $ seed_arg
+      $ metrics_out_arg $ progress_arg)
 
 let sweep_cmd =
   let decoder =
@@ -1077,9 +1033,8 @@ let sweep_cmd =
           LCP_HEAVY=1 (it scans the full 2^28 mask space).")
     Term.(
       const run_sweep $ decoder $ n $ strategy $ jobs_arg $ early_exit
-      $ compare $ no_eval_cache_arg $ no_orbit_prune_arg $ shards $ shard
-      $ checkpoint $ resume $ merge $ merge_out $ workers $ remote
-      $ coordinator $ stall_s $ max_restarts $ inject_kill $ max_chunks
+      $ compare $ shards $ shard $ checkpoint $ resume $ merge $ merge_out
+      $ workers $ remote $ coordinator $ stall_s $ max_restarts $ inject_kill $ max_chunks
       $ checkpoint_dir $ seed_arg $ metrics_out_arg $ progress_arg)
 
 let lint_cmd =
@@ -1205,8 +1160,7 @@ let sample_cmd =
           sample.json). Deterministic in --seed, independent of -j.")
     Term.(
       const run_sample $ decoder $ model $ nodes $ eval_nodes $ trials $ pairs
-      $ json $ jobs_arg $ no_eval_cache_arg $ seed_arg $ deadline
-      $ metrics_out_arg $ progress_arg)
+      $ json $ jobs_arg $ seed_arg $ deadline $ metrics_out_arg $ progress_arg)
 
 let viewgraph_cmd =
   let decoder =
@@ -1395,8 +1349,7 @@ let client_cmd =
           violation or failure, 2 usage error.")
     Term.(
       const run_client $ socket_arg $ batch $ args $ jobs_arg $ heavy
-      $ seed_arg $ deadline $ no_eval_cache_arg $ no_orbit_prune_arg
-      $ progress $ n $ strategy $ early_exit $ shards $ max_n $ samples)
+      $ seed_arg $ deadline $ progress $ n $ strategy $ early_exit $ shards $ max_n $ samples)
 
 let run_race scenarios seed schedules period json_out list_only defects =
   if list_only then begin

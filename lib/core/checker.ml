@@ -108,13 +108,13 @@ let check_strong (suite : Decoder.suite) ~k inst lab =
       }
 
 (* Exhaustive strong soundness: every |Σ|^n labeling's verdict vector,
-   from per-node acceptance tables when the cfg allows them (one table
-   lookup per node instead of a full view-extraction pass), feeding
+   one [accepts] query per node (an acceptance-table lookup on the
+   production source instead of a full view-extraction pass), feeding
    the accepted-subgraph colorability check. The candidate instance is
    only materialized for the failure report.
 
-   When the cfg allows orbit pruning and the decoder's verdicts are
-   Aut-invariant (anonymous + port-invariant), the loop quotients the
+   When the quotient yields a group (the decoder's verdicts are
+   Aut-invariant and the graph is not rigid), the loop quotients the
    labeling space by Aut(G): symmetry-breaking constraints
    (Auto.lex_constraints along the identity order — the same order
    Labeling.iter_all uses) cut most non-orbit-minimal labelings
@@ -122,117 +122,103 @@ let check_strong (suite : Decoder.suite) ~k inst lab =
    group filters the survivors, and each true minimum is counted with
    its orbit size |Aut| / |Stab(L)|. The weights over the exact
    minima partition the space, so on passing runs [checked] equals
-   |Σ|^n exactly — bit-identical to the direct loop. The failing
+   |Σ|^n exactly — bit-identical to the full loop. The failing
    property is Aut-closed, so the lex-first failing labeling is an
    orbit minimum and the quotient path reports the identical failure
    instance; only a failing run's [checked] differs (the same caveat
    the jobs > 1 fold already carries). *)
-let strong_soundness_exhaustive ?cfg (suite : Decoder.suite) ~k instances =
+let strong_soundness_with ?cfg ~source ~quotient (suite : Decoder.suite) ~k
+    instances =
   fold_verdict ?cfg instances (fun inst ->
       let g = inst.Instance.graph in
+      let n = Graph.order g in
       let dec = suite.Decoder.dec in
       let alphabet = suite.Decoder.adversary_alphabet inst in
-      let lease =
-        if match cfg with Some c -> c.Run_cfg.eval_cache | None -> true then
-          Some (Prover.acquire_cache dec ~alphabet inst)
-        else None
-      in
-      let verdicts =
-        match Option.map Lcp_engine.Eval_cache.lease_cache lease with
-        | Some ec -> fun lab -> Lcp_engine.Eval_cache.verdicts ec lab
-        | None -> fun lab -> Decoder.run dec (Instance.with_labels inst lab)
-      in
-      let auto =
-        if
-          (match cfg with Some c -> c.Run_cfg.orbit_prune | None -> true)
-          && Prover.orbit_eligible dec inst
-        then
-          let a = Lcp_engine.Auto.of_graph g in
-          if Lcp_engine.Auto.is_trivial a then None else Some a
-        else None
-      in
-      let checked = ref 0 in
-      let exception Failed of failure in
-      let check_labeling ~weight lab =
-        checked := !checked + weight;
-        let accepting = ref [] in
-        Array.iteri
-          (fun v ok -> if ok then accepting := v :: !accepting)
-          (verdicts lab);
-        let sub, _ = Graph.induced g (List.rev !accepting) in
-        if not (Coloring.is_k_colorable sub ~k) then
-          raise
-            (Failed
-               {
-                 instance = Instance.with_labels inst (Array.copy lab);
-                 detail =
-                   Printf.sprintf
-                     "accepting nodes induce a non-%d-colorable subgraph" k;
-               })
-      in
-      let iterate () =
-        match auto with
-        | None ->
-            Labeling.iter_all ~alphabet g (fun lab ->
-                check_labeling ~weight:1 lab)
-        | Some auto ->
-            let n = Graph.order g in
-            let perms = Lcp_engine.Auto.perms auto in
-            let asize = Array.length perms in
-            let cs =
-              Lcp_engine.Auto.lex_constraints auto
-                ~order:(Array.init n Fun.id)
-            in
-            let rank : (string, int) Hashtbl.t = Hashtbl.create 8 in
-            List.iteri
-              (fun i s ->
-                if not (Hashtbl.mem rank s) then Hashtbl.add rank s i)
-              alphabet;
-            let rk = Array.make n 0 in
-            Labeling.iter_backtracking ~alphabet g
-              ~prune:(fun v lab ->
-                match cs.(v) with
-                | [] -> false
-                | es ->
-                    let rv = Hashtbl.find rank lab.(v) in
-                    List.exists
-                      (fun e -> rv < Hashtbl.find rank lab.(e))
-                      es)
-              (fun lab ->
-                (* exact minimality: the chain constraints leave a
-                   superset of the orbit minima, so verify L <= L.p
-                   for every p and count the stabilizer on the way *)
-                for v = 0 to n - 1 do
-                  rk.(v) <- Hashtbl.find rank lab.(v)
-                done;
-                let stab = ref 0 in
-                let minimal = ref true in
-                Array.iter
-                  (fun p ->
-                    if !minimal then begin
-                      let c = ref 0 in
-                      let v = ref 0 in
-                      while !c = 0 && !v < n do
-                        c := compare rk.(!v) rk.(p.(!v));
-                        incr v
-                      done;
-                      if !c = 0 then incr stab
-                      else if !c > 0 then minimal := false
-                    end)
-                  perms;
-                if !minimal then
-                  check_labeling ~weight:(asize / !stab) lab)
-      in
-      let result =
-        try
-          iterate ();
-          Ok !checked
-        with Failed failure -> Error failure
-      in
-      count_labelings cfg !checked;
-      Prover.count_eval_stats cfg lease;
-      Option.iter Lcp_engine.Eval_cache.release lease;
-      result)
+      let auto = quotient dec inst in
+      source.Prover.with_accepts dec ~alphabet inst (fun accepts ->
+          let checked = ref 0 in
+          let exception Failed of failure in
+          let check_labeling ~weight lab =
+            checked := !checked + weight;
+            let accepting = ref [] in
+            Array.iteri
+              (fun v ok -> if ok then accepting := v :: !accepting)
+              (Array.init n (accepts lab));
+            let sub, _ = Graph.induced g (List.rev !accepting) in
+            if not (Coloring.is_k_colorable sub ~k) then
+              raise
+                (Failed
+                   {
+                     instance = Instance.with_labels inst (Array.copy lab);
+                     detail =
+                       Printf.sprintf
+                         "accepting nodes induce a non-%d-colorable subgraph" k;
+                   })
+          in
+          let iterate () =
+            match auto with
+            | None ->
+                Labeling.iter_all ~alphabet g (fun lab ->
+                    check_labeling ~weight:1 lab)
+            | Some auto ->
+                let perms = Lcp_engine.Auto.perms auto in
+                let asize = Array.length perms in
+                let cs =
+                  Lcp_engine.Auto.lex_constraints auto
+                    ~order:(Array.init n Fun.id)
+                in
+                let rank : (string, int) Hashtbl.t = Hashtbl.create 8 in
+                List.iteri
+                  (fun i s ->
+                    if not (Hashtbl.mem rank s) then Hashtbl.add rank s i)
+                  alphabet;
+                let rk = Array.make n 0 in
+                Labeling.iter_backtracking ~alphabet g
+                  ~prune:(fun v lab ->
+                    match cs.(v) with
+                    | [] -> false
+                    | es ->
+                        let rv = Hashtbl.find rank lab.(v) in
+                        List.exists
+                          (fun e -> rv < Hashtbl.find rank lab.(e))
+                          es)
+                  (fun lab ->
+                    (* exact minimality: the chain constraints leave a
+                       superset of the orbit minima, so verify L <= L.p
+                       for every p and count the stabilizer on the way *)
+                    for v = 0 to n - 1 do
+                      rk.(v) <- Hashtbl.find rank lab.(v)
+                    done;
+                    let stab = ref 0 in
+                    let minimal = ref true in
+                    Array.iter
+                      (fun p ->
+                        if !minimal then begin
+                          let c = ref 0 in
+                          let v = ref 0 in
+                          while !c = 0 && !v < n do
+                            c := compare rk.(!v) rk.(p.(!v));
+                            incr v
+                          done;
+                          if !c = 0 then incr stab
+                          else if !c > 0 then minimal := false
+                        end)
+                      perms;
+                    if !minimal then
+                      check_labeling ~weight:(asize / !stab) lab)
+          in
+          let result =
+            try
+              iterate ();
+              Ok !checked
+            with Failed failure -> Error failure
+          in
+          count_labelings cfg !checked;
+          result))
+
+let strong_soundness_exhaustive ?cfg suite ~k instances =
+  strong_soundness_with ?cfg ~source:(Prover.tables ?cfg ())
+    ~quotient:Prover.orbit_group suite ~k instances
 
 let strong_soundness_random (suite : Decoder.suite) ~k ~trials rng instances =
   fold_verdict instances (fun inst ->
@@ -278,8 +264,9 @@ let invariance_check ~checker dec ~trials rng instances =
 (* ------------------------------------------------------------------ *)
 (* engine sweeps: soundness over the whole n-node graph space          *)
 
-let soundness_sweep ?cfg ?strategy ?shard ?checkpoint ?on_chunk ?max_chunks
-    ?(early_exit = false) (suite : Decoder.suite) ~n =
+let soundness_sweep_with ?cfg ?strategy ?shard ?checkpoint ?on_chunk
+    ?max_chunks ?(early_exit = false) ~source ~quotient (suite : Decoder.suite)
+    ~n =
   let mode =
     if early_exit then Lcp_engine.Sweep.Search_counterexample
     else Lcp_engine.Sweep.Exhaustive
@@ -294,13 +281,20 @@ let soundness_sweep ?cfg ?strategy ?shard ?checkpoint ?on_chunk ?max_chunks
       let inst = Instance.make g in
       let alphabet = suite.Decoder.adversary_alphabet inst in
       let witness, inspected =
-        Prover.search_accepted ?cfg suite.Decoder.dec ~alphabet inst
+        Prover.search_with ?cfg ~source ~quotient suite.Decoder.dec ~alphabet
+          inst
       in
       count_labelings cfg inspected;
       match witness with
       | None -> None
       | Some lab -> Some (Instance.with_labels inst lab))
     ()
+
+let soundness_sweep ?cfg ?strategy ?shard ?checkpoint ?on_chunk ?max_chunks
+    ?early_exit suite ~n =
+  soundness_sweep_with ?cfg ?strategy ?shard ?checkpoint ?on_chunk ?max_chunks
+    ?early_exit ~source:(Prover.tables ?cfg ()) ~quotient:Prover.orbit_group
+    suite ~n
 
 let verdict_of_sweep (s : Instance.t Lcp_engine.Sweep.summary) =
   match s.Lcp_engine.Sweep.counterexample with

@@ -36,9 +36,23 @@ val strong_soundness_exhaustive :
     {e each} given instance, the accepting-node-induced subgraph must be
     k-colorable. Cost is |alphabet|^n per instance (with acceptance
     pruning not applicable — every labeling must be inspected), so keep
-    instances small. [cfg] parallelizes over instances as in
-    {!soundness_exhaustive}; complete labelings inspected feed its
-    [labelings_checked] counter. *)
+    instances small. Verdicts come from the acceptance tables, and the
+    space is quotiented by Aut(G) whenever {!Prover.orbit_group} yields
+    a group: each orbit minimum is weighted by its orbit size, so a
+    passing run still counts exactly |alphabet|^n per instance. [cfg]
+    parallelizes over instances as in {!soundness_exhaustive}; complete
+    labelings inspected feed its [labelings_checked] counter. *)
+
+val strong_soundness_with :
+  ?cfg:Run_cfg.t ->
+  source:Prover.source ->
+  quotient:Prover.quotient ->
+  Decoder.suite ->
+  k:int ->
+  Instance.t list ->
+  verdict
+(** The driver behind {!strong_soundness_exhaustive}, with the verdict
+    source and the quotient as arguments (see {!Prover.search_with}). *)
 
 val soundness_sweep :
   ?cfg:Run_cfg.t ->
@@ -67,6 +81,23 @@ val soundness_sweep :
     (deterministic preemption). [cfg] supplies the domain count and
     collects the sweep's spans and counters, including
     [labelings_checked] from the per-class certificate searches. *)
+
+val soundness_sweep_with :
+  ?cfg:Run_cfg.t ->
+  ?strategy:Lcp_engine.Sweep.strategy ->
+  ?shard:int * int ->
+  ?checkpoint:Lcp_engine.Checkpoint.policy ->
+  ?on_chunk:(completed:int -> total:int -> unit) ->
+  ?max_chunks:int ->
+  ?early_exit:bool ->
+  source:Prover.source ->
+  quotient:Prover.quotient ->
+  Decoder.suite ->
+  n:int ->
+  Instance.t Lcp_engine.Sweep.summary
+(** The driver behind {!soundness_sweep}: each class's certificate
+    search runs {!Prover.search_with} on the given verdict source and
+    quotient. *)
 
 val verdict_of_sweep : Instance.t Lcp_engine.Sweep.summary -> verdict
 (** Collapse a {!soundness_sweep} summary into a {!verdict}. *)

@@ -60,59 +60,19 @@ let coverage_schedule g ~r ~order =
   Array.map List.rev newly_covered
 
 (* ------------------------------------------------------------------ *)
-(* the pruned iteration driver                                         *)
+(* verdict sources and the orbit quotient                              *)
 
-let count_eval_stats cfg lease =
-  match cfg with
-  | None -> ()
-  | Some c ->
-      (* materialize the counters so memoized, direct and warm runs
-         serialize the same key set *)
-      Run_cfg.count c ~by:0 "eval_cache_hits";
-      Run_cfg.count c ~by:0 "eval_cache_misses";
-      Run_cfg.count c ~by:0 "eval_cache_shared_hits";
-      (match lease with
-      | None -> ()
-      | Some l ->
-          (* the delta since acquire: independent of how warm a shared
-             cache already was when this search leased it *)
-          let hits, misses = Lcp_engine.Eval_cache.lease_stats l in
-          Run_cfg.count c ~by:hits "eval_cache_hits";
-          Run_cfg.count c ~by:misses "eval_cache_misses";
-          if Lcp_engine.Eval_cache.lease_warm l then
-            Run_cfg.count c "eval_cache_shared_hits")
+type source = {
+  with_accepts :
+    'a.
+    Decoder.t ->
+    alphabet:string list ->
+    Instance.t ->
+    ((Labeling.t -> int -> bool) -> 'a) ->
+    'a;
+}
 
-let use_eval_cache = function
-  | Some c -> c.Run_cfg.eval_cache
-  | None -> true
-
-let use_orbit_prune = function
-  | Some c -> c.Run_cfg.orbit_prune
-  | None -> true
-
-(* Orbit pruning is sound only for decoders whose per-node verdicts
-   are invariant under the graph's automorphisms: anonymous (no id
-   reads) and port-invariant (no port reads) — then the verdict
-   depends only on the labeled isomorphism type of the view, so
-   acceptance of [L] and [L . sigma] coincide for sigma in Aut(G). *)
-let orbit_eligible dec (inst : Instance.t) =
-  dec.Decoder.anonymous && dec.Decoder.port_invariant
-  && Instance.order inst <= Lcp_engine.Canon.max_order
-
-(* Prefix-minimality programs for [inst]'s graph along the
-   ball-completion order, or [None] when pruning is off, ineligible,
-   or the graph is rigid (the common case: no programs, no cost). *)
-let orbit_constraints ?cfg dec (inst : Instance.t) =
-  if not (use_orbit_prune cfg && orbit_eligible dec inst) then None
-  else
-    let g = inst.Instance.graph in
-    let auto = Lcp_engine.Auto.of_graph g in
-    if Lcp_engine.Auto.is_trivial auto then None
-    else
-      let order = ball_completion_order g ~r:dec.Decoder.radius in
-      match Lcp_engine.Auto.prefix_programs auto ~order with
-      | [||] -> None
-      | progs -> Some progs
+type quotient = Decoder.t -> Instance.t -> Lcp_engine.Auto.t option
 
 (* Everything a memoized verdict depends on besides the labels: the
    decoder (name + radius stand in for its identity — names are unique
@@ -165,12 +125,67 @@ let acquire_cache dec ~alphabet inst =
     ~key:(share_key dec ~alphabet inst)
     ~radius:dec.Decoder.radius ~accepts:dec.Decoder.accepts ~alphabet inst
 
-let iter_pruned ?tally ?sym ?cfg dec ~alphabet (inst : Instance.t)
-    ~reject_covered f =
+(* Report a lease's hit/miss delta. The three counters are
+   materialized (at 0) whenever a cfg is present, so cold and warm runs
+   serialize the same key set; the delta is taken since acquire, so it
+   is independent of how warm a shared cache already was. *)
+let count_eval_stats cfg lease =
+  match cfg with
+  | None -> ()
+  | Some c ->
+      let hits, misses = Lcp_engine.Eval_cache.lease_stats lease in
+      Run_cfg.count c ~by:hits "eval_cache_hits";
+      Run_cfg.count c ~by:misses "eval_cache_misses";
+      Run_cfg.count c ~by:0 "eval_cache_shared_hits";
+      if Lcp_engine.Eval_cache.lease_warm lease then
+        Run_cfg.count c "eval_cache_shared_hits"
+
+let tables ?cfg () =
+  {
+    with_accepts =
+      (fun dec ~alphabet inst k ->
+        let lease = acquire_cache dec ~alphabet inst in
+        let ec = Lcp_engine.Eval_cache.lease_cache lease in
+        Fun.protect
+          ~finally:(fun () ->
+            count_eval_stats cfg lease;
+            Lcp_engine.Eval_cache.release lease)
+          (fun () -> k (fun lab u -> Lcp_engine.Eval_cache.accepts ec lab u)));
+  }
+
+(* Orbit pruning is sound only for decoders whose per-node verdicts
+   are invariant under the graph's automorphisms: anonymous (no id
+   reads) and port-invariant (no port reads) — then the verdict
+   depends only on the labeled isomorphism type of the view, so
+   acceptance of [L] and [L . sigma] coincide for sigma in Aut(G). *)
+let orbit_eligible dec (inst : Instance.t) =
+  dec.Decoder.anonymous && dec.Decoder.port_invariant
+  && Instance.order inst <= Lcp_engine.Canon.max_order
+
+let orbit_group dec (inst : Instance.t) =
+  if not (orbit_eligible dec inst) then None
+  else
+    let auto = Lcp_engine.Auto.of_graph inst.Instance.graph in
+    if Lcp_engine.Auto.is_trivial auto then None else Some auto
+
+(* ------------------------------------------------------------------ *)
+(* the pruned iteration driver                                         *)
+
+let iter_with ?tally ?cfg ~accepts ~group dec ~alphabet (inst : Instance.t) f =
   let g = inst.Instance.graph in
   let r = dec.Decoder.radius in
   let order = ball_completion_order g ~r in
   let schedule = coverage_schedule g ~r ~order in
+  (* prefix-minimality programs along the ball-completion order; none
+     when there is no group to quotient by *)
+  let sym =
+    match group with
+    | None -> None
+    | Some auto -> (
+        match Lcp_engine.Auto.prefix_programs auto ~order with
+        | [||] -> None
+        | progs -> Some progs)
+  in
   (* symmetry breaking: cut a branch as soon as the just-assigned node
      violates one of its orbit constraints — every completion shares
      the violation, so only non-orbit-minimal labelings are lost.
@@ -226,30 +241,6 @@ let iter_pruned ?tally ?sym ?cfg dec ~alphabet (inst : Instance.t)
           done;
           !cut
   in
-  let lease =
-    if use_eval_cache cfg then Some (acquire_cache dec ~alphabet inst) else None
-  in
-  let branch_rejects =
-    match Option.map Lcp_engine.Eval_cache.lease_cache lease with
-    | Some ec ->
-        fun partial centers ->
-          List.exists
-            (fun u ->
-              reject_covered u
-              && not (Lcp_engine.Eval_cache.accepts ec partial u))
-            centers
-    | None ->
-        (* the direct oracle path: re-extract every covered view from a
-           candidate instance (the view snapshots the labels, so the
-           shared partial array needs no copy) *)
-        fun partial centers ->
-          let candidate = Instance.with_labels inst partial in
-          List.exists
-            (fun u ->
-              reject_covered u
-              && not (dec.Decoder.accepts (View.extract candidate ~r u)))
-            centers
-  in
   let prune i partial =
     (match tally with Some t -> incr t | None -> ());
     if sym_rejects i partial then begin
@@ -259,58 +250,54 @@ let iter_pruned ?tally ?sym ?cfg dec ~alphabet (inst : Instance.t)
     else
       match schedule.(i) with
       | [] -> false (* no newly covered ball: no verdict can change *)
-      | centers -> branch_rejects partial centers
+      | centers -> List.exists (fun u -> not (accepts partial u)) centers
   in
   let run () =
     Labeling.iter_backtracking_order ~alphabet ~order g ~prune (fun lab ->
         f (Array.copy lab))
   in
-  let finish () =
-    (* report cut/hit/miss tallies even when the search exits early,
-       then hand a pooled cache back *)
-    (match cfg with
-    | Some c when !sym_cuts > 0 ->
-        Run_cfg.count c ~by:!sym_cuts "orbit_pruned_branches"
-    | _ -> ());
-    count_eval_stats cfg lease;
-    Option.iter Lcp_engine.Eval_cache.release lease
-  in
-  match (cfg, lease) with
-  | None, None -> run ()
-  | _ -> Fun.protect ~finally:finish run
-
-let iter_labelings_pruned ?cfg dec ~alphabet inst ~reject_covered f =
-  iter_pruned ?cfg dec ~alphabet inst ~reject_covered f
-
-let iter_accepted ?cfg dec ~alphabet inst f =
-  iter_labelings_pruned ?cfg dec ~alphabet inst ~reject_covered:(fun _ -> true) f
+  match cfg with
+  | None -> run ()
+  | Some c ->
+      (* report the cuts even when the search exits early *)
+      Fun.protect run ~finally:(fun () ->
+          if !sym_cuts > 0 then
+            Run_cfg.count c ~by:!sym_cuts "orbit_pruned_branches")
 
 (* The search explores labelings in lexicographic order of the
    alphabet ranks along the ball-completion order, so its first
    accepted labeling is the lex-minimum of the (Aut-closed, for
    eligible decoders) accepted set — automatically minimal in its own
    orbit. Orbit constraints only ever cut non-minimal labelings, so
-   the pruned and direct paths return bit-identical witnesses (and
+   the pruned and full searches return bit-identical witnesses (and
    identical [None]s); only the tally shrinks. *)
-let search_accepted ?cfg dec ~alphabet inst =
+let search_with ?cfg ~source ~quotient dec ~alphabet inst =
   let tally = ref 0 in
-  let sym = orbit_constraints ?cfg dec inst in
+  let group = quotient dec inst in
   (match cfg with
   | Some c -> Run_cfg.count c ~by:0 "orbit_pruned_branches"
   | None -> ());
   let exception Found of Labeling.t in
   let witness =
-    try
-      iter_pruned ~tally ?sym ?cfg dec ~alphabet inst
-        ~reject_covered:(fun _ -> true)
-        (fun lab -> raise (Found lab));
-      None
-    with Found lab -> Some lab
+    source.with_accepts dec ~alphabet inst (fun accepts ->
+        try
+          iter_with ~tally ?cfg ~accepts ~group dec ~alphabet inst (fun lab ->
+              raise (Found lab));
+          None
+        with Found lab -> Some lab)
   in
   (witness, !tally)
 
+let search_accepted ?cfg dec ~alphabet inst =
+  search_with ?cfg ~source:(tables ?cfg ()) ~quotient:orbit_group dec
+    ~alphabet inst
+
 let find_accepted ?cfg dec ~alphabet inst =
   fst (search_accepted ?cfg dec ~alphabet inst)
+
+let iter_accepted ?cfg dec ~alphabet inst f =
+  (tables ?cfg ()).with_accepts dec ~alphabet inst (fun accepts ->
+      iter_with ?cfg ~accepts ~group:None dec ~alphabet inst f)
 
 let count_accepted ?cfg dec ~alphabet inst =
   let k = ref 0 in

@@ -13,31 +13,29 @@
     fully labeled as early as possible, and a branch is cut as soon as
     a covered node rejects. Covered verdicts come from per-node
     acceptance tables ({!Lcp_engine.Eval_cache}) — each (node,
-    ball-labeling) pair is decoded once and looked up thereafter. Every
-    entry point takes an optional {!Run_cfg.t}: [cfg.eval_cache =
-    false] forces the direct re-extraction path (the oracle the tables
-    are validated against — verdicts, witnesses and tallies are
-    identical), and when a cfg is present the search reports
-    [eval_cache_hits] / [eval_cache_misses] into its metrics. Searches
-    are sequential per instance, so both counters and tallies are
-    deterministic and independent of [cfg.jobs].
+    ball-labeling) pair is decoded once and looked up thereafter. When
+    a cfg is present the search reports [eval_cache_hits] /
+    [eval_cache_misses] into its metrics. Searches are sequential per
+    instance, so both counters and tallies are deterministic and
+    independent of [cfg.jobs].
 
     {!search_accepted} / {!find_accepted} additionally quotient the
-    space by the graph's automorphism group when [cfg.orbit_prune]
-    holds (the default) and the decoder's verdicts are Aut-invariant
-    (anonymous and port-invariant, order <= {!Lcp_engine.Canon.max_order}):
-    per-automorphism prefix-minimality programs from
-    {!Lcp_engine.Auto.prefix_programs} cut a branch as soon as some
-    automorphism provably sends every completion of the current
-    partial labeling to a lexicographically smaller one.
-    The search visits labelings in lex order, so its first accepted
-    labeling is automatically the minimum of its (Aut-closed) accepted
-    set — witnesses and verdicts are bit-identical to the direct path
-    ([cfg.orbit_prune = false], the oracle); only the work tally
-    shrinks, deterministically per setting, with the cut branches
-    reported as [orbit_pruned_branches]. {!iter_accepted} /
-    {!count_accepted} enumerate {e all} accepted labelings and are
-    never orbit-pruned. *)
+    space by the graph's automorphism group whenever the decoder's
+    verdicts are Aut-invariant ({!orbit_eligible}): per-automorphism
+    prefix-minimality programs from {!Lcp_engine.Auto.prefix_programs}
+    cut a branch as soon as some automorphism provably sends every
+    completion of the current partial labeling to a lexicographically
+    smaller one. The search visits labelings in lex order, so its first
+    accepted labeling is automatically the minimum of its (Aut-closed)
+    accepted set — witnesses and verdicts are bit-identical to the full
+    search; only the work tally shrinks, with the cut branches reported
+    as [orbit_pruned_branches]. {!iter_accepted} / {!count_accepted}
+    enumerate {e all} accepted labelings and are never orbit-pruned.
+
+    The reference paths the tables and the quotient are validated
+    against — direct view extraction and the unquotiented search — are
+    not reachable from here: they live in the test-and-bench library
+    [Lcp_oracle.Oracle], which plugs them into {!search_with}. *)
 
 open Lcp_local
 
@@ -62,11 +60,11 @@ val search_accepted :
     the backtracking search examined (prune invocations) before
     accepting or exhausting the space. The search is sequential per
     instance, so the tally is deterministic — it feeds the engine's
-    [labelings_checked] counter — and identical with the acceptance
-    tables on or off. Orbit pruning (see the module doc) shrinks the
-    tally on symmetric graphs: it is deterministic {e per
-    orbit-prune setting}, equal whenever the graph is rigid or the
-    decoder ineligible, and never changes the witness. *)
+    [labelings_checked] counter — and identical to the one a search
+    with direct decoding would report. Orbit pruning (see the module doc) shrinks the
+    tally on symmetric graphs — never at or above the full search's
+    tally, equal to it whenever the graph is rigid or the decoder
+    ineligible — and never changes the witness. *)
 
 val iter_accepted :
   ?cfg:Run_cfg.t ->
@@ -89,38 +87,54 @@ val orbit_eligible : Decoder.t -> Instance.t -> bool
     exceed {!Lcp_engine.Canon.max_order}. Shared with {!Checker}'s
     exhaustive strong-soundness quotient. *)
 
-val acquire_cache :
-  Decoder.t ->
-  alphabet:string list ->
-  Instance.t ->
-  Lcp_engine.Eval_cache.lease
-(** Lease an acceptance-table cache for this (decoder, alphabet,
-    instance) triple through {!Lcp_engine.Eval_cache.acquire}, keyed
-    by everything a verdict depends on besides the labels (decoder
-    name and radius, alphabet, graph, identifiers, ports). When the
-    process has enabled cache sharing (the serve daemon does), a
-    repeated search over the same triple reuses the already-populated
-    tables. Callers must {!Lcp_engine.Eval_cache.release} the lease. *)
+val orbit_group : Decoder.t -> Instance.t -> Lcp_engine.Auto.t option
+(** The automorphism group the production searches quotient by: [Some]
+    exactly when the instance is {!orbit_eligible} for the decoder and
+    its graph is not rigid. *)
 
-val count_eval_stats :
-  Run_cfg.t option -> Lcp_engine.Eval_cache.lease option -> unit
-(** Report a lease's [(hits, misses)] delta into the cfg's metrics as
-    [eval_cache_hits] / [eval_cache_misses] (plus
-    [eval_cache_shared_hits] when the lease was warm), materializing
-    all three counters (at 0) whenever a cfg is present so memoized,
-    direct and warm runs serialize the same key set. Shared with
-    {!Checker}'s exhaustive paths; no-op without a cfg. *)
+(** {1 The search driver}
 
-val iter_labelings_pruned :
+    {!search_accepted} is {!search_with} on the production settings:
+    acceptance tables ({!tables}) and the orbit quotient
+    ({!orbit_group}). Both are arguments here so the reference paths
+    in the oracle library run the identical search loop, and so
+    {!Checker}'s drivers can share them. *)
+
+type source = {
+  with_accepts :
+    'a.
+    Decoder.t ->
+    alphabet:string list ->
+    Instance.t ->
+    ((Labeling.t -> int -> bool) -> 'a) ->
+    'a;
+}
+(** A verdict source: [with_accepts dec ~alphabet inst k] runs [k]
+    with [accepts], where [accepts lab u] is node [u]'s verdict when
+    the instance carries [lab] (only asked for nodes whose whole
+    radius-r ball is labeled), and releases whatever backs it when [k]
+    returns or raises. *)
+
+type quotient = Decoder.t -> Instance.t -> Lcp_engine.Auto.t option
+(** The automorphism group to quotient a search by, if any. *)
+
+val tables : ?cfg:Run_cfg.t -> unit -> source
+(** The production verdict source: an acceptance-table lease from
+    {!Lcp_engine.Eval_cache.acquire}, keyed by everything a verdict
+    depends on besides the labels (decoder name and radius, alphabet,
+    graph, identifiers, ports), so a process that enabled cache sharing
+    (the serve daemon does) reuses already-populated tables. On
+    release, a cfg receives the lease's [eval_cache_hits] /
+    [eval_cache_misses] delta and [eval_cache_shared_hits] when the
+    lease was warm; all three counters are materialized (at 0) so cold
+    and warm runs serialize the same key set. *)
+
+val search_with :
   ?cfg:Run_cfg.t ->
+  source:source ->
+  quotient:quotient ->
   Decoder.t ->
   alphabet:string list ->
   Instance.t ->
-  reject_covered:(int -> bool) ->
-  (Labeling.t -> unit) ->
-  unit
-(** Lower-level driver: iterate complete labelings, cutting branches
-    according to covered-node verdicts. [reject_covered v] decides
-    whether a covered node [v] rejecting should cut the branch (pass
-    [fun _ -> true] for unanimous acceptance search, [fun _ -> false]
-    for full enumeration). *)
+  Labeling.t option * int
+(** {!search_accepted} with an explicit verdict source and quotient. *)

@@ -1,6 +1,6 @@
 module Json = Lcp_obs.Json
 
-let schema_version = 1
+let schema_version = 2
 
 type enum = {
   candidates : int;
@@ -49,29 +49,37 @@ let enum_json e =
       ("dedup_hits", Json.Int e.dedup_hits);
     ]
 
+(* The integrity digest: MD5 of the compact rendering of every other
+   member, in file order. It catches edits and corruption, not forgery. *)
+let digest members =
+  Digest.to_hex (Digest.string (Json.to_string (Json.Obj members)))
+
+let body t =
+  [
+    ("schema_version", Json.Int schema_version);
+    ("tag", Json.String t.tag);
+    ("n", Json.Int t.n);
+    ("strategy", Json.String t.strategy);
+    ("connected", Json.Bool t.connected_only);
+    ("shards", Json.Int t.shards);
+    ("shard", Json.Int t.shard);
+    ("enum", enum_json t.enum);
+    ("kept", Json.Int t.kept);
+    ("completed", Json.Int t.completed);
+    ("last_key", Json.Int t.last_key);
+    ("checked", Json.Int t.checked);
+    ("passed", Json.Int t.passed);
+    ("violations", Json.Int t.violations);
+    ( "violating_keys",
+      Json.List (List.map (fun k -> Json.Int k) t.violating_keys) );
+    ("labelings_checked", Json.Int t.labelings);
+    ("complete", Json.Bool t.complete);
+    ("saved_at", Json.Int t.saved_at);
+  ]
+
 let to_json t =
-  Json.Obj
-    [
-      ("schema_version", Json.Int schema_version);
-      ("tag", Json.String t.tag);
-      ("n", Json.Int t.n);
-      ("strategy", Json.String t.strategy);
-      ("connected", Json.Bool t.connected_only);
-      ("shards", Json.Int t.shards);
-      ("shard", Json.Int t.shard);
-      ("enum", enum_json t.enum);
-      ("kept", Json.Int t.kept);
-      ("completed", Json.Int t.completed);
-      ("last_key", Json.Int t.last_key);
-      ("checked", Json.Int t.checked);
-      ("passed", Json.Int t.passed);
-      ("violations", Json.Int t.violations);
-      ( "violating_keys",
-        Json.List (List.map (fun k -> Json.Int k) t.violating_keys) );
-      ("labelings_checked", Json.Int t.labelings);
-      ("complete", Json.Bool t.complete);
-      ("saved_at", Json.Int t.saved_at);
-    ]
+  let members = body t in
+  Json.Obj (members @ [ ("digest", Json.String (digest members)) ])
 
 let ( let* ) = Json.( let* )
 
@@ -94,11 +102,20 @@ let enum_of_json j =
   let* dedup_hits = field_int j "dedup_hits" in
   Ok { candidates; connected; classes; dedup_hits }
 
+let check_digest j =
+  let* stored = field_str j "digest" in
+  match j with
+  | Json.Obj members
+    when digest (List.filter (fun (k, _) -> k <> "digest") members) = stored ->
+      Ok ()
+  | _ -> Error "checkpoint digest mismatch: the file was edited or corrupted"
+
 let of_json j =
   let* v = field_int j "schema_version" in
   if v <> schema_version then
     Error (Printf.sprintf "checkpoint schema %d, expected %d" v schema_version)
   else
+    let* () = check_digest j in
     let* tag = field_str j "tag" in
     let* n = field_int j "n" in
     let* strategy = field_str j "strategy" in
@@ -118,13 +135,7 @@ let of_json j =
     let* violating_keys = Json.map_m Json.to_int vk in
     let* labelings = field_int j "labelings_checked" in
     let* complete = field_bool j "complete" in
-    (* Heartbeat added after schema 1 shipped: absent in older files,
-       tolerated as 0 ("unknown") rather than bumping the schema. *)
-    let* saved_at =
-      match Json.member "saved_at" j with
-      | Error _ -> Ok 0
-      | Ok v -> Json.to_int v
-    in
+    let* saved_at = field_int j "saved_at" in
     Ok
       {
         tag;
@@ -169,8 +180,10 @@ let load path =
   with
   | exception Sys_error msg -> Error msg
   | raw ->
-      let* j = Json.of_string raw in
-      of_json j
+      Result.map_error
+        (fun msg -> Printf.sprintf "%s: %s" path msg)
+        (let* j = Json.of_string raw in
+         of_json j)
 
 (* ------------------------------------------------------------------ *)
 (* shard merging                                                       *)

@@ -5,7 +5,11 @@
     break" and "an n = 8 sweep fits in whatever slices the machine
     grants you".
 
-    A checkpoint is a single schema-versioned JSON object. Its header
+    A checkpoint is a single schema-versioned JSON object, sealed by a
+    [digest] member: the MD5 of the compact rendering of every other
+    member. {!of_json} (and so {!load}) refuses a file whose digest is
+    missing or does not match, so a hand-edited or corrupted counter
+    cannot merge silently into a report. Its header
     (tag, order, strategy, connectivity filter, shard coordinates, and
     the shard-independent enumeration tallies) pins down {e which}
     sweep the counters belong to; {!Sweep} refuses to resume from a
@@ -20,14 +24,14 @@
     across shards, and the violating instance itself is deterministic,
     so the sweep rebuilds it from the smallest key on demand.
 
-    All counters are deterministic per (strategy, orbit-prune setting),
-    so per-shard checkpoints of a K-way sharded sweep {!merge} into
+    All counters are deterministic per strategy, so per-shard checkpoints of a K-way sharded sweep {!merge} into
     exactly the record an unsharded run would have written: that
     equality, rendered through {!report_json}, is the CI gate for the
     sharding layer. *)
 
 val schema_version : int
-(** Current on-disk schema: 1. {!load} rejects anything else. *)
+(** Current on-disk schema: 2 (schema 1 had no digest). {!load}
+    rejects anything else. *)
 
 type enum = {
   candidates : int;
@@ -62,8 +66,7 @@ type t = {
   saved_at : int;
       (** heartbeat: epoch seconds at the moment {!save} wrote the
           file, 0 when unknown (in-memory records that were never
-          saved, files written before the field existed, {!merge}
-          results). A supervisor watching the file treats a stale
+          saved, {!merge} results). A supervisor watching the file treats a stale
           [saved_at] on a live process as a stalled worker. *)
 }
 
@@ -73,7 +76,11 @@ type policy = { path : string; resume : bool; tag : string }
     from scratch otherwise), and the tag to stamp into the header. *)
 
 val to_json : t -> Lcp_obs.Json.t
+(** The record's members followed by their [digest]. *)
+
 val of_json : Lcp_obs.Json.t -> (t, string) result
+(** Decode, after checking the schema version and then the digest: a
+    missing or mismatching digest is an [Error]. *)
 
 val save : ?now:int -> path:string -> t -> unit
 (** Atomic write: serialize to [path ^ ".tmp"], then rename over
@@ -83,8 +90,8 @@ val save : ?now:int -> path:string -> t -> unit
     doubles as a liveness heartbeat. *)
 
 val load : string -> (t, string) result
-(** Read and decode; I/O, parse and schema errors all come back as
-    [Error] with a readable message. *)
+(** Read and decode; I/O, parse, schema and digest errors all come back
+    as [Error] with a readable message that names [path]. *)
 
 val header_mismatch : t -> t -> string option
 (** The first header field (tag, n, strategy, connectivity, shard

@@ -2,8 +2,6 @@ type t = {
   jobs : int;
   heavy : bool;
   seed : int;
-  eval_cache : bool;
-  orbit_prune : bool;
   sink : Sink.t;
   deadline : float option;
   metrics : Metrics.t;
@@ -18,14 +16,12 @@ let normalize_jobs = function
   | Some j when j > 0 -> j
   | _ -> Domain.recommended_domain_count ()
 
-let make ?jobs ?(heavy = true) ?(seed = default_seed) ?(eval_cache = true)
-    ?(orbit_prune = true) ?(sink = Sink.null) ?deadline () =
+let make ?jobs ?(heavy = true) ?(seed = default_seed) ?(sink = Sink.null)
+    ?deadline () =
   {
     jobs = normalize_jobs jobs;
     heavy;
     seed;
-    eval_cache;
-    orbit_prune;
     sink;
     deadline;
     metrics = Metrics.create ();
@@ -35,8 +31,6 @@ let make ?jobs ?(heavy = true) ?(seed = default_seed) ?(eval_cache = true)
 let default = make ()
 let with_jobs t jobs = { t with jobs = normalize_jobs (Some jobs) }
 let sequential t = { t with jobs = 1 }
-let with_eval_cache t eval_cache = { t with eval_cache }
-let with_orbit_prune t orbit_prune = { t with orbit_prune }
 let rng t = Random.State.make [| t.seed |]
 
 let span t name f =

@@ -15,27 +15,6 @@ type t = {
   jobs : int;  (** worker domains for engine fan-out; >= 1 *)
   heavy : bool;  (** run the expensive experiment variants *)
   seed : int;  (** root seed for every [rng] derived from this cfg *)
-  eval_cache : bool;
-      (** memoize per-node acceptance verdicts during exhaustive
-          certificate searches ([Lcp_engine.Eval_cache]); [false] forces
-          the direct view-extraction path, kept as the oracle the
-          memoized path is validated against. Verdicts, witnesses and
-          the [labelings_checked] counter are identical either way —
-          only wall time and the [eval_cache_hits] / [eval_cache_misses]
-          counters change. *)
-  orbit_prune : bool;
-      (** quotient exhaustive certificate searches by the graph's
-          automorphism group ({!Lcp_engine.Auto}): enumerate only
-          labelings that are lexicographically minimal in their
-          Aut-orbit. Applies only to decoders whose verdicts are
-          Aut-invariant (anonymous and port-invariant); [false] forces
-          the direct full enumeration, kept as the oracle the pruned
-          path is validated against. Verdicts, witnesses and
-          counterexamples are identical either way; the search-tally
-          component of [labelings_checked] shrinks under pruning
-          (deterministically per setting), while exhaustive
-          strong-soundness counts stay exactly identical on passing
-          runs via orbit weights. *)
   sink : Sink.t;  (** where spans / progress / the final flush go *)
   deadline : float option;  (** wall-clock budget in seconds, if any *)
   metrics : Metrics.t;  (** the aggregate registry for this run *)
@@ -46,8 +25,6 @@ val make :
   ?jobs:int ->
   ?heavy:bool ->
   ?seed:int ->
-  ?eval_cache:bool ->
-  ?orbit_prune:bool ->
   ?sink:Sink.t ->
   ?deadline:float ->
   unit ->
@@ -55,8 +32,7 @@ val make :
 (** Fresh cfg with a fresh metrics registry. [jobs] absent or [<= 0]
     means [Domain.recommended_domain_count ()]; [heavy] defaults to
     [true]; [seed] to the repo-wide experiment seed 20250706;
-    [eval_cache] and [orbit_prune] to [true]; [sink] to {!Sink.null};
-    no deadline. *)
+    [sink] to {!Sink.null}; no deadline. *)
 
 val default : t
 (** A shared cfg built once at module init with [make ()]. Callers that
@@ -69,15 +45,6 @@ val with_jobs : t -> int -> t
 val sequential : t -> t
 (** [with_jobs t 1] — for phases whose semantics require a single
     domain (shared RNG state, ordered folds). *)
-
-val with_eval_cache : t -> bool -> t
-(** Same run (same metrics, sink, seed, deadline), different
-    acceptance-table policy — the escape hatch behind the CLI's
-    [--no-eval-cache]. *)
-
-val with_orbit_prune : t -> bool -> t
-(** Same run, different automorphism-quotient policy — the escape
-    hatch behind the CLI's [--no-orbit-prune]. *)
 
 val rng : t -> Random.State.t
 (** A fresh PRNG seeded from [t.seed]. Every call returns an identical

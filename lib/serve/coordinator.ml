@@ -25,8 +25,6 @@ type config = {
   backoff_base_s : float;
   backoff_max_s : float;
   max_restarts : int;
-  eval_cache : bool;
-  orbit_prune : bool;
   inject_kill : int option;
   on_spawn : shard:int -> attempt:int -> pid:int -> unit;
 }
@@ -46,8 +44,6 @@ let default_config ~decoder ~n ~shards ~dir =
     backoff_base_s = 0.25;
     backoff_max_s = 8.;
     max_restarts = 5;
-    eval_cache = true;
-    orbit_prune = true;
     inject_kill = None;
     on_spawn = (fun ~shard:_ ~attempt:_ ~pid:_ -> ());
   }
@@ -84,21 +80,16 @@ type state =
   | Finished of Checkpoint.t
 
 let worker_argv c ~bin i =
-  let args =
-    [
-      bin; "sweep"; c.decoder;
-      "-n"; string_of_int c.n;
-      "-j"; string_of_int c.jobs;
-      "--strategy"; Sweep.strategy_name c.strategy;
-      "--shards"; string_of_int c.shards;
-      "--shard"; string_of_int i;
-      "--checkpoint"; shard_path ~dir:c.dir i;
-      "--resume";
-    ]
-    @ (if c.eval_cache then [] else [ "--no-eval-cache" ])
-    @ if c.orbit_prune then [] else [ "--no-orbit-prune" ]
-  in
-  Array.of_list args
+  [|
+    bin; "sweep"; c.decoder;
+    "-n"; string_of_int c.n;
+    "-j"; string_of_int c.jobs;
+    "--strategy"; Sweep.strategy_name c.strategy;
+    "--shards"; string_of_int c.shards;
+    "--shard"; string_of_int i;
+    "--checkpoint"; shard_path ~dir:c.dir i;
+    "--resume";
+  |]
 
 let spawn_child c ~devnull ~bin i ~attempt =
   let pid = Unix.create_process bin (worker_argv c ~bin i) devnull devnull devnull in
@@ -116,13 +107,7 @@ let remote_request c i =
           shards = c.shards;
           shard = i;
         };
-    opts =
-      {
-        Protocol.default_opts with
-        Protocol.jobs = Some c.jobs;
-        eval_cache = Some c.eval_cache;
-        orbit_prune = Some c.orbit_prune;
-      };
+    opts = { Protocol.default_opts with Protocol.jobs = Some c.jobs };
   }
 
 let spawn_farm c ~sockets i ~attempt ~socket =

@@ -80,8 +80,6 @@ type config = {
   backoff_base_s : float;
   backoff_max_s : float;
   max_restarts : int;  (** per-shard restart budget *)
-  eval_cache : bool;
-  orbit_prune : bool;
   inject_kill : int option;
       (** test/CI fault injection: SIGKILL this shard's first worker
           once its checkpoint file exists (subprocess executor only) *)
@@ -94,7 +92,7 @@ val default_config :
   decoder:string -> n:int -> shards:int -> dir:string -> config
 (** Subprocess executor on [Sys.executable_name], [workers = shards],
     [jobs = 1], 50ms poll, 120s stall, backoff 0.25s doubling to 8s,
-    5 restarts, caches on, no injection. *)
+    5 restarts, no injection. *)
 
 val backoff_s : config -> attempt:int -> float
 (** Delay before launching [attempt] (1-based): 0 for the first

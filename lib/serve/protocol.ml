@@ -10,8 +10,6 @@ type run_opts = {
   heavy : bool option;
   seed : int option;
   deadline_ms : int option;
-  eval_cache : bool option;
-  orbit_prune : bool option;
   progress : bool;
 }
 
@@ -21,8 +19,6 @@ let default_opts =
     heavy = None;
     seed = None;
     deadline_ms = None;
-    eval_cache = None;
-    orbit_prune = None;
     progress = false;
   }
 
@@ -66,7 +62,8 @@ let is_control = function
 
 (* Tolerant accessors: absent members become defaults, members of the
    wrong shape are errors. Unknown members are ignored throughout —
-   newer clients may send fields this server does not know about. *)
+   newer clients may send fields this server does not know about —
+   except the retired ones below. *)
 let opt_member name conv json ~default =
   match Json.member name json with
   | Error _ -> Ok default
@@ -84,16 +81,29 @@ let opt_bool name json =
 let opt_str name json ~default =
   opt_member name Json.to_str json ~default
 
+(* Options older clients could send to pick the reference search
+   paths. Ignoring them would quietly answer with production tallies
+   that differ from what the client asked for, so they are refused. *)
+let retired_opts = [ "eval_cache"; "orbit_prune" ]
+
 let opts_of_json json =
   let open Json in
+  let* () =
+    match List.find_opt (fun k -> Result.is_ok (member k json)) retired_opts with
+    | Some k ->
+        Error
+          (Printf.sprintf
+             "request member %S was removed: the server always uses the \
+              acceptance tables and the orbit quotient"
+             k)
+    | None -> Ok ()
+  in
   let* jobs = opt_int "jobs" json in
   let* heavy = opt_bool "heavy" json in
   let* seed = opt_int "seed" json in
   let* deadline_ms = opt_int "deadline_ms" json in
-  let* eval_cache = opt_bool "eval_cache" json in
-  let* orbit_prune = opt_bool "orbit_prune" json in
   let* progress = opt_member "progress" to_bool json ~default:false in
-  Ok { jobs; heavy; seed; deadline_ms; eval_cache; orbit_prune; progress }
+  Ok { jobs; heavy; seed; deadline_ms; progress }
 
 let request_of_json json =
   let open Json in
@@ -186,8 +196,6 @@ let request_to_json { kind; opts } =
     @ opt "heavy" (fun v -> Json.Bool v) opts.heavy
     @ opt "seed" (fun v -> Json.Int v) opts.seed
     @ opt "deadline_ms" (fun v -> Json.Int v) opts.deadline_ms
-    @ opt "eval_cache" (fun v -> Json.Bool v) opts.eval_cache
-    @ opt "orbit_prune" (fun v -> Json.Bool v) opts.orbit_prune
     @ (if opts.progress then [ ("progress", Json.Bool true) ] else [])
   in
   Json.Obj (base @ kind_fields @ opt_fields)

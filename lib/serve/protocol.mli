@@ -10,7 +10,11 @@
     Parsing is {e tolerant of unknown fields} (a newer client may send
     members this server ignores) and {e strict about the schema
     version}: a [schema_version] other than {!schema_version} is
-    rejected, an absent one is assumed current. *)
+    rejected, an absent one is assumed current. The one exception to
+    the tolerance: the retired options [eval_cache] and [orbit_prune],
+    which once selected the reference search paths, are rejected by
+    name — ignoring them would answer with different tallies than the
+    client asked for. *)
 
 module Json = Lcp_obs.Json
 
@@ -24,11 +28,6 @@ type run_opts = {
   seed : int option;
   deadline_ms : int option;
       (** budget from {e admission}: queue wait counts against it *)
-  eval_cache : bool option;
-  orbit_prune : bool option;
-      (** [Some false] selects the un-pruned certificate-search oracle;
-          coordinators must forward it so remote shards count the same
-          labelings as local ones *)
   progress : bool;  (** stream interim {!event}s before the response *)
 }
 

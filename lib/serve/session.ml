@@ -76,8 +76,6 @@ let cfg_of_request t (req : Protocol.request) ~emit =
   Run_cfg.make ~jobs
     ~heavy:(Option.value o.Protocol.heavy ~default:false)
     ?seed:o.Protocol.seed
-    ~eval_cache:(Option.value o.Protocol.eval_cache ~default:true)
-    ~orbit_prune:(Option.value o.Protocol.orbit_prune ~default:true)
     ~sink
     ?deadline:(Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms)
     ()
@@ -331,8 +329,6 @@ let run_sweep_coordinated t cfg ~decoder ~n ~strategy ~early_exit ~shards =
           Coordinator.strategy;
           jobs = cfg.Run_cfg.jobs;
           executor = Coordinator.Subprocess { bin = t.limits.shard_bin };
-          eval_cache = cfg.Run_cfg.eval_cache;
-          orbit_prune = cfg.Run_cfg.orbit_prune;
         }
       in
       match Coordinator.run ~cfg config with

@@ -14,6 +14,11 @@ let check_graph = Alcotest.check graph_testable
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  nl = 0 || go 0
+
 let view_testable =
   Alcotest.testable (fun ppf v -> View.pp ppf v) View.equal
 

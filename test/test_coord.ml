@@ -47,11 +47,6 @@ let with_dir f =
   let d = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 let suite_of key = (Option.get (Lcp.Registry.find key)).Lcp.Registry.suite
 
 (* The unsharded reference: the same sweep run in-process through one

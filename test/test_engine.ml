@@ -537,16 +537,54 @@ let test_checkpoint_rejects_search_mode () =
            ~checkpoint:{ Checkpoint.path = "/nonexistent"; resume = false; tag = "x" }
            ~n:4 ~check:(fun _ -> None) ()))
 
+(* Rewrite the checkpoint at [path] into [out] with its members passed
+   through [f], then load the result. *)
+let load_rewritten ~path ~out f =
+  let module Json = Lcp_obs.Json in
+  match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+  | Ok (Json.Obj members) ->
+      Out_channel.with_open_text out (fun oc ->
+          output_string oc (Json.to_string_pretty (Json.Obj (f members))));
+      Checkpoint.load out
+  | _ -> Alcotest.fail "checkpoint is not a JSON object"
+
+let add_to key d members =
+  List.map
+    (fun (k, v) ->
+      match v with
+      | Lcp_obs.Json.Int i when k = key -> (k, Lcp_obs.Json.Int (i + d))
+      | _ -> (k, v))
+    members
+
 let test_checkpoint_merge_validation () =
-  (* merge is picky: wrong shard sets and incomplete shards refuse *)
+  (* merge is picky: wrong shard sets and incomplete shards refuse;
+     load is picky too: a file whose digest no longer matches its
+     counters, or that has no digest, does not load *)
   let path = Filename.temp_file "lcp_ck" "_m.json" in
+  let out = Filename.temp_file "lcp_ck" "_t.json" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ path; out ])
     (fun () ->
       ignore
         (Sweep.run
            ~checkpoint:{ Checkpoint.path; resume = false; tag = "m" }
            ~shard:(0, 2) ~n:5 ~check:(fun _ -> None) ());
+      (match load_rewritten ~path ~out Fun.id with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail ("re-rendered checkpoint refused: " ^ msg));
+      List.iter
+        (fun (what, f) ->
+          match load_rewritten ~path ~out f with
+          | Ok _ -> Alcotest.fail (what ^ ": checkpoint loaded")
+          | Error msg ->
+              check_bool (what ^ ": error names the file") true
+                (contains ~needle:out msg))
+        [
+          ("passed + 1000", add_to "passed" 1000);
+          ("labelings_checked + 1", add_to "labelings_checked" 1);
+          ("digest removed", List.remove_assoc "digest");
+        ];
       match Checkpoint.load path with
       | Error msg -> Alcotest.fail msg
       | Ok c0 ->

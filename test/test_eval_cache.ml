@@ -1,6 +1,6 @@
 (* PR-5 acceptance tables: the memoized certificate-search path
    validated graph-for-graph against the direct view-extraction oracle
-   (cfg.eval_cache = false), plus the table's own invariants.
+   (Oracle.Direct), plus the table's own invariants.
 
    The expensive n = 6 / n = 7 cross-checks only run when LCP_HEAVY is
    set: `LCP_HEAVY=1 dune runtest`. *)
@@ -12,11 +12,10 @@ open Helpers
 module Run_cfg = Lcp_obs.Run_cfg
 module Metrics_obs = Lcp_obs.Metrics
 module Eval_cache = Lcp_engine.Eval_cache
+module Oracle = Lcp_oracle.Oracle
 
 let heavy_enabled = Sys.getenv_opt "LCP_HEAVY" <> None
-
-let memo_cfg () = Run_cfg.make ~jobs:1 ()
-let direct_cfg () = Run_cfg.make ~jobs:1 ~eval_cache:false ()
+let seq_cfg () = Run_cfg.make ~jobs:1 ()
 
 (* ------------------------------------------------------------------ *)
 (* table invariants                                                    *)
@@ -125,11 +124,14 @@ let cross_check_registry ~max_n ~budget () =
           let alphabet = suite.Decoder.adversary_alphabet inst in
           if Labeling.count ~alphabet g <= budget then begin
             incr covered;
-            let search cfg =
-              Prover.search_accepted ~cfg suite.Decoder.dec ~alphabet inst
+            let memo_witness, memo_tally =
+              Prover.search_accepted ~cfg:(seq_cfg ()) suite.Decoder.dec
+                ~alphabet inst
             in
-            let memo_witness, memo_tally = search (memo_cfg ()) in
-            let direct_witness, direct_tally = search (direct_cfg ()) in
+            let direct_witness, direct_tally =
+              Oracle.search_accepted ~cfg:(seq_cfg ()) ~verdicts:Oracle.Direct
+                ~quotient:true suite.Decoder.dec ~alphabet inst
+            in
             check_bool
               (Printf.sprintf "%s: witness identical (n=%d)" e.Registry.key
                  (Graph.order g))
@@ -162,32 +164,43 @@ let test_strong_soundness_paths_agree () =
       Instance.make (Builders.path 4);
     ]
   in
-  let run cfg =
-    let v =
-      Checker.strong_soundness_exhaustive ~cfg D_degree_one.suite ~k:2 instances
-    in
+  let run check =
+    let cfg = seq_cfg () in
+    let v = check ~cfg D_degree_one.suite ~k:2 instances in
     (Checker.is_pass v, Metrics_obs.counter cfg.Run_cfg.metrics "labelings_checked")
   in
-  let memo_pass, memo_checked = run (memo_cfg ()) in
-  let direct_pass, direct_checked = run (direct_cfg ()) in
+  let memo_pass, memo_checked =
+    run (fun ~cfg -> Checker.strong_soundness_exhaustive ~cfg)
+  in
+  let direct_pass, direct_checked =
+    run (fun ~cfg ->
+        Oracle.strong_soundness_exhaustive ~cfg ~verdicts:Oracle.Direct
+          ~quotient:true)
+  in
   check_bool "verdict identical" memo_pass direct_pass;
   check_int "labelings_checked identical" direct_checked memo_checked
 
-(* jobs=1 vs jobs=4, crossed with eval-cache on/off: the whole n=5
-   soundness sweep must report the same labelings_checked in all four
-   cells, and the eval counters must be jobs-invariant per setting. *)
+(* jobs=1 vs jobs=4, crossed with tables vs direct decoding: the whole
+   n=5 soundness sweep must report the same labelings_checked in all
+   four cells, and the eval counters must be jobs-invariant per
+   verdict source. *)
 let test_sweep_counters_crossed () =
-  let counters jobs eval_cache =
+  let counters jobs sweep =
     Lcp_engine.Sweep.clear_cache ();
-    let cfg = Run_cfg.make ~jobs ~eval_cache () in
-    ignore (Checker.soundness_sweep ~cfg D_degree_one.suite ~n:5);
+    let cfg = Run_cfg.make ~jobs () in
+    ignore (sweep cfg);
     let c name = Metrics_obs.counter cfg.Run_cfg.metrics name in
     (c "labelings_checked", c "eval_cache_hits", c "eval_cache_misses")
   in
-  let seq_on = counters 1 true in
-  let par_on = counters 4 true in
-  let seq_off = counters 1 false in
-  let par_off = counters 4 false in
+  let memoized cfg = Checker.soundness_sweep ~cfg D_degree_one.suite ~n:5 in
+  let direct cfg =
+    Oracle.soundness_sweep ~cfg ~verdicts:Oracle.Direct ~quotient:true
+      D_degree_one.suite ~n:5
+  in
+  let seq_on = counters 1 memoized in
+  let par_on = counters 4 memoized in
+  let seq_off = counters 1 direct in
+  let par_off = counters 4 direct in
   check_bool "cache on: jobs-invariant" true (seq_on = par_on);
   check_bool "cache off: jobs-invariant" true (seq_off = par_off);
   let checked (c, _, _) = c in
@@ -195,9 +208,7 @@ let test_sweep_counters_crossed () =
     (checked seq_on);
   let hits (_, h, _) = h and misses (_, _, m) = m in
   check_bool "cache on: table actually used" true (hits seq_on > 0);
-  check_bool "hits + misses cover some queries" true (misses seq_on > 0);
-  check_int "cache off: hits materialized at 0" 0 (hits seq_off);
-  check_int "cache off: misses materialized at 0" 0 (misses seq_off)
+  check_bool "hits + misses cover some queries" true (misses seq_on > 0)
 
 (* ------------------------------------------------------------------ *)
 (* heavy sweeps: n = 6 per-class equality, n = 7 memoized verdict      *)
@@ -205,15 +216,21 @@ let test_sweep_counters_crossed () =
 let test_n6_sweep_paths_agree () =
   if not heavy_enabled then ()
   else begin
-    let sweep eval_cache =
+    let sweep run =
       Lcp_engine.Sweep.clear_cache ();
-      let cfg = Run_cfg.make ~jobs:1 ~eval_cache () in
-      let s = Checker.soundness_sweep ~cfg D_degree_one.suite ~n:6 in
+      let cfg = seq_cfg () in
+      let s = run cfg in
       ( Checker.verdict_of_sweep s,
         Metrics_obs.counter cfg.Run_cfg.metrics "labelings_checked" )
     in
-    let memo_v, memo_c = sweep true in
-    let direct_v, direct_c = sweep false in
+    let memo_v, memo_c =
+      sweep (fun cfg -> Checker.soundness_sweep ~cfg D_degree_one.suite ~n:6)
+    in
+    let direct_v, direct_c =
+      sweep (fun cfg ->
+          Oracle.soundness_sweep ~cfg ~verdicts:Oracle.Direct ~quotient:true
+            D_degree_one.suite ~n:6)
+    in
     check_bool "n=6 verdicts identical" true (memo_v = direct_v);
     check_int "n=6 labelings_checked identical" direct_c memo_c;
     check_bool "n=6 sweep passes" true (Checker.is_pass memo_v)

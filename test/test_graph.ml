@@ -129,11 +129,6 @@ let test_fold_iter () =
   Graph.iter_edges (fun _ _ -> incr count) g;
   check_int "iter_edges" 4 !count
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let test_to_dot () =
   let dot = Graph.to_dot ~name:"T" (Builders.path 2) in
   check_bool "has header" true (contains ~needle:"graph T" dot);

@@ -1,7 +1,8 @@
 (* PR-9 orbit pruning: the automorphism-quotient certificate search
-   validated against the direct full-space oracle (cfg.orbit_prune =
-   false) exactly as the acceptance tables were in PR 5 — witnesses
-   bit-identical, tallies never larger, strong-soundness counts exact.
+   validated against the unquotiented full-space oracle
+   (Oracle ~quotient:false) exactly as the acceptance tables were in
+   PR 5 — witnesses bit-identical, tallies never larger,
+   strong-soundness counts exact.
 
    The expensive n = 6 cross-check only runs when LCP_HEAVY is set. *)
 
@@ -12,16 +13,17 @@ open Helpers
 module Run_cfg = Lcp_obs.Run_cfg
 module Metrics_obs = Lcp_obs.Metrics
 module Auto = Lcp_engine.Auto
+module Oracle = Lcp_oracle.Oracle
 
 let heavy_enabled = Sys.getenv_opt "LCP_HEAVY" <> None
-let orbit_cfg () = Run_cfg.make ~jobs:1 ()
-let no_orbit_cfg () = Run_cfg.make ~jobs:1 ~orbit_prune:false ()
+let seq_cfg () = Run_cfg.make ~jobs:1 ()
 
 (* ------------------------------------------------------------------ *)
 (* search_accepted: pruned vs direct, all registry decoders            *)
 
 (* Same corpus walk as test_eval_cache's cross_check_registry, but the
-   A/B axis is orbit_prune instead of eval_cache: witnesses must be
+   A/B axis is the orbit quotient instead of the verdict source:
+   witnesses must be
    bit-identical, the pruned tally never larger, and equal whenever
    the decoder is ineligible or the graph rigid. *)
 let cross_check_registry ~max_n ~budget () =
@@ -39,14 +41,19 @@ let cross_check_registry ~max_n ~budget () =
           let inst = Instance.make g in
           let alphabet = suite.Decoder.adversary_alphabet inst in
           if Labeling.count ~alphabet g <= budget then begin
-            let search cfg =
-              let w, t =
-                Prover.search_accepted ~cfg suite.Decoder.dec ~alphabet inst
-              in
+            let search run =
+              let cfg = seq_cfg () in
+              let w, t = run ~cfg suite.Decoder.dec ~alphabet inst in
               (w, t, Metrics_obs.counter cfg.Run_cfg.metrics "orbit_pruned_branches")
             in
-            let on_witness, on_tally, on_cuts = search (orbit_cfg ()) in
-            let off_witness, off_tally, off_cuts = search (no_orbit_cfg ()) in
+            let on_witness, on_tally, on_cuts =
+              search (fun ~cfg -> Prover.search_accepted ~cfg)
+            in
+            let off_witness, off_tally, off_cuts =
+              search (fun ~cfg ->
+                  Oracle.search_accepted ~cfg ~verdicts:Oracle.Tables
+                    ~quotient:false)
+            in
             check_bool
               (Printf.sprintf "%s: witness identical (n=%d)" e.Registry.key
                  (Graph.order g))
@@ -90,28 +97,33 @@ let test_registry_heavy_corpus () =
   else cross_check_registry ~max_n:6 ~budget:400_000 ()
 
 (* iter/count_accepted enumerate the full accepted set and must never
-   be quotiented, whatever the cfg says *)
+   be quotiented: the count equals a brute-force count over the whole
+   space *)
 let test_count_accepted_never_pruned () =
   List.iter
     (fun g ->
       let inst = Instance.make g in
       let suite = D_degree_one.suite in
       let alphabet = suite.Decoder.adversary_alphabet inst in
-      let count cfg =
-        Prover.count_accepted ~cfg suite.Decoder.dec ~alphabet inst
-      in
       check_int
-        (Printf.sprintf "count_accepted orbit-invariant on %s"
+        (Printf.sprintf "count_accepted = full-space count on %s"
            (Graph.to_string g))
-        (count (no_orbit_cfg ()))
-        (count (orbit_cfg ())))
+        (Oracle.count_accepted suite.Decoder.dec ~alphabet inst)
+        (Prover.count_accepted ~cfg:(seq_cfg ()) suite.Decoder.dec ~alphabet
+           inst))
     [ Builders.cycle 4; Builders.cycle 5; Builders.complete 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* strong soundness: quotient vs direct                                *)
 
-let run_strong cfg suite ~k instances =
-  let v = Checker.strong_soundness_exhaustive ~cfg suite ~k instances in
+let run_strong ~quotient suite ~k instances =
+  let cfg = seq_cfg () in
+  let v =
+    if quotient then Checker.strong_soundness_exhaustive ~cfg suite ~k instances
+    else
+      Oracle.strong_soundness_exhaustive ~cfg ~verdicts:Oracle.Tables
+        ~quotient:false suite ~k instances
+  in
   (v, Metrics_obs.counter cfg.Run_cfg.metrics "labelings_checked")
 
 (* on passing runs the orbit weights must partition the space: checked
@@ -124,8 +136,8 @@ let test_strong_soundness_exact_count () =
       let suite = D_degree_one.suite in
       let alphabet = suite.Decoder.adversary_alphabet inst in
       let space = Labeling.count ~alphabet g in
-      let on_v, on_c = run_strong (orbit_cfg ()) suite ~k:2 [ inst ] in
-      let off_v, off_c = run_strong (no_orbit_cfg ()) suite ~k:2 [ inst ] in
+      let on_v, on_c = run_strong ~quotient:true suite ~k:2 [ inst ] in
+      let off_v, off_c = run_strong ~quotient:false suite ~k:2 [ inst ] in
       check_bool "verdict identical" (Checker.is_pass off_v)
         (Checker.is_pass on_v);
       check_int
@@ -154,28 +166,32 @@ let test_failing_case_identical () =
     | Checker.Pass _ -> None
     | Checker.Fail f -> Some (f.Checker.instance, f.Checker.detail)
   in
-  let on_v, _ = run_strong (orbit_cfg ()) suite ~k:1 [ inst ] in
-  let off_v, _ = run_strong (no_orbit_cfg ()) suite ~k:1 [ inst ] in
+  let on_v, _ = run_strong ~quotient:true suite ~k:1 [ inst ] in
+  let off_v, _ = run_strong ~quotient:false suite ~k:1 [ inst ] in
   check_bool "both paths fail" true
     ((not (Checker.is_pass on_v)) && not (Checker.is_pass off_v));
   check_bool "failure instances identical" true (fail_of on_v = fail_of off_v)
 
-(* quotient path composes with both eval-cache settings *)
+(* quotient path composes with both verdict sources *)
 let test_strong_soundness_crossed () =
   let inst = Instance.make (Builders.cycle 5) in
   let suite = D_degree_one.suite in
-  let cell ~orbit_prune ~eval_cache =
-    let cfg = Run_cfg.make ~jobs:1 ~orbit_prune ~eval_cache () in
-    run_strong cfg suite ~k:2 [ inst ]
+  let cell ~quotient ~verdicts =
+    let cfg = seq_cfg () in
+    let v =
+      Oracle.strong_soundness_exhaustive ~cfg ~verdicts ~quotient suite ~k:2
+        [ inst ]
+    in
+    (v, Metrics_obs.counter cfg.Run_cfg.metrics "labelings_checked")
   in
-  let base = cell ~orbit_prune:false ~eval_cache:false in
+  let base = cell ~quotient:false ~verdicts:Oracle.Direct in
   List.iter
-    (fun (op, ec) ->
-      let v, c = cell ~orbit_prune:op ~eval_cache:ec in
+    (fun (quotient, verdicts) ->
+      let v, c = cell ~quotient ~verdicts in
       check_bool "verdict matches baseline" (Checker.is_pass (fst base))
         (Checker.is_pass v);
       check_int "checked matches baseline" (snd base) c)
-    [ (true, true); (true, false); (false, true) ]
+    [ (true, Oracle.Tables); (true, Oracle.Direct); (false, Oracle.Tables) ]
 
 let suite =
   [

@@ -21,18 +21,18 @@ let test_passed () =
 let test_pp () =
   let s = Format.asprintf "%a" Report.pp sample in
   check_bool "mentions FAIL" true
-    (Test_graph.contains ~needle:"FAIL" s);
-  check_bool "mentions MISMATCH" true (Test_graph.contains ~needle:"MISMATCH" s)
+    (Helpers.contains ~needle:"FAIL" s);
+  check_bool "mentions MISMATCH" true (Helpers.contains ~needle:"MISMATCH" s)
 
 let test_markdown () =
   let md = Report.to_markdown sample in
   check_bool "has table header" true
-    (Test_graph.contains ~needle:"| check | measured |" md);
-  check_bool "flags mismatch" true (Test_graph.contains ~needle:"**mismatch**" md)
+    (Helpers.contains ~needle:"| check | measured |" md);
+  check_bool "flags mismatch" true (Helpers.contains ~needle:"**mismatch**" md)
 
 let test_summary () =
   check_bool "summary line" true
-    (Test_graph.contains ~needle:"EX" (Report.summary_line sample))
+    (Helpers.contains ~needle:"EX" (Report.summary_line sample))
 
 let test_json () =
   let j = Report.to_json sample in

@@ -59,8 +59,6 @@ let sample_requests =
           heavy = Some true;
           seed = Some 7;
           deadline_ms = Some 1500;
-          eval_cache = Some false;
-          orbit_prune = Some false;
           progress = true;
         };
     };
@@ -189,6 +187,35 @@ let test_unknown_fields_tolerated () =
       check_bool "default early_exit" false early_exit;
       check_int "default shards" 1 shards
   | _ -> Alcotest.fail "parsed to the wrong kind"
+
+(* The options that once picked the reference search paths are refused
+   by name, with either value: ignoring them would hand an old client
+   production tallies it did not ask for. *)
+let test_retired_opts_rejected () =
+  List.iter
+    (fun (member, value) ->
+      let json =
+        Json.Obj
+          [
+            ("kind", Json.String "sweep");
+            ("n", Json.Int 5);
+            (member, Json.Bool value);
+          ]
+      in
+      match Protocol.request_of_json json with
+      | Ok _ ->
+          Alcotest.fail (Printf.sprintf "request with %S accepted" member)
+      | Error msg ->
+          check_bool
+            (Printf.sprintf "error names %S: %s" member msg)
+            true
+            (contains ~needle:member msg))
+    [
+      ("eval_cache", false);
+      ("eval_cache", true);
+      ("orbit_prune", false);
+      ("orbit_prune", true);
+    ]
 
 let test_schema_version_checked () =
   let mk v =
@@ -519,26 +546,14 @@ let test_warm_cache_hits () =
 (* Coalescing: with one worker pinned on a slow job, two further
    arrivals of one identical request share a single computation — the
    follower gets the same payload under its own id and the daemon
-   counts serve/coalesced. *)
+   counts serve/coalesced. The slow job is the even-cycle n=6 sweep on
+   cold tables (each test daemon starts with an empty table pool): its
+   reply reported wall_ms 1466-1802 over three cold runs on a 2-vCPU
+   x86-64 VM, several times the 0.2 s over which the other two
+   requests arrive. *)
 let test_coalescing () =
   with_server ~capacity:4 ~workers:1 (fun socket t ->
-      let slow_opts =
-        { Protocol.default_opts with Protocol.eval_cache = Some false }
-      in
-      let slow =
-        {
-          Protocol.kind =
-            Protocol.Sweep
-              {
-                decoder = "even-cycle";
-                n = 6;
-                strategy = "orderly";
-                early_exit = false;
-                shards = 1;
-              };
-          opts = slow_opts;
-        }
-      in
+      let slow = sweep_req "even-cycle" 6 in
       let shared = sweep_req "degree-one" 5 in
       let results = Array.make 3 None in
       let ask i req =
@@ -753,4 +768,5 @@ let suite =
     case "server: interim events stream" test_interim_events;
     case "server: metrics and clean shutdown" test_server_metrics_and_shutdown;
     case "server: worker count range-checked" test_server_rejects_worker_count;
+    case "protocol: retired run options rejected" test_retired_opts_rejected;
   ]
