@@ -1,24 +1,31 @@
 (* Benchmark harness: one bechamel micro-benchmark per experiment area
-   (DESIGN.md Sec. 3's bench-target column) plus the printed series the
-   paper's artifacts correspond to (neighborhood-graph sizes, check
-   times, certificate sizes vs n).
+   (DESIGN.md Sec. 3's bench-target column), the printed series the
+   paper's artifacts correspond to, and the A/B series behind each
+   speedup layer.
 
-   Run with: dune exec bench/main.exe            (full)
-             dune exec bench/main.exe -- --fast  (shorter quota)
+   Run with: dune exec bench/main.exe                  (full)
+             dune exec bench/main.exe -- --fast        (smaller sizes)
+             dune exec bench/main.exe -- --large       (large series only)
+             ... --out-dir DIR                         (default .)
 
-   The engine series run under one [Run_cfg.t]; the sweep series plus
-   the run's aggregate metrics land in a schema-versioned JSON file
-   (--metrics-out PATH, default BENCH_sweep.json). *)
+   Every series yields [row]s, printed by one table printer. The eight
+   recorded series (sweep, enumerate, search, orbit, serve, coord,
+   race, large) are also written by one writer to
+   DIR/BENCH_<series>.json. A row whose A/B sides disagree makes the
+   run exit 1. *)
 
 open Lcp_graph
 open Lcp_local
 open Lcp
+module Json = Lcp_obs.Json
+module Run_cfg = Lcp_obs.Run_cfg
 module Oracle = Lcp_oracle.Oracle
+module Sweep = Lcp_engine.Sweep
+module Protocol = Lcp_serve.Protocol
 
 let rng = Random.State.make [| 424242 |]
 
-(* One cfg for every engine-backed series below: recommended domain
-   count, shared metrics registry. *)
+(* The engine series' cfg: recommended domain count, fixed seed. *)
 let bench_cfg = Run_cfg.make ~seed:424242 ()
 
 (* ------------------------------------------------------------------ *)
@@ -207,577 +214,532 @@ let tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* bechamel driver                                                      *)
+(* rows: the one record every series yields                            *)
 
-let run_benchmarks ~fast () =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+(* One measured workload on one side of an A/B comparison. Walls are
+   per rep; [per_op_ns] divides the median by the op count recorded in
+   [params]. [counters] are deterministic tallies only. [identical] is
+   [Some ok] on every side of a gated workload, [ok] being whether all
+   sides agreed; [None] when the row carries no gate. *)
+type row = {
+  series : string;
+  workload : string;
+  layer : string;  (** the A/B side; [""] for a one-sided row *)
+  params : (string * Json.t) list;
+  reps : int;
+  median_s : float;
+  min_s : float;
+  max_s : float;
+  per_op_ns : float;
+  counters : (string * int) list;
+  identical : bool option;
+}
+
+let int_p k v = (k, Json.Int v)
+let str_p k v = (k, Json.String v)
+
+let row ~series ~workload ?(layer = "") ?(params = []) ?(counters = [])
+    ~op:(op, ops) walls =
+  let w = Array.copy walls in
+  Array.sort compare w;
+  let k = Array.length w in
+  let median =
+    if k mod 2 = 1 then w.(k / 2) else (w.((k / 2) - 1) +. w.(k / 2)) /. 2.
   in
-  let quota = Time.second (if fast then 0.05 else 0.5) in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 1000) () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  Printf.printf "%-42s %14s\n" "benchmark" "ns/run";
-  Printf.printf "%s\n" (String.make 58 '-');
+  {
+    series;
+    workload;
+    layer;
+    params = params @ [ str_p "op" op; int_p "ops" ops ];
+    reps = k;
+    median_s = median;
+    min_s = w.(0);
+    max_s = w.(k - 1);
+    per_op_ns = median *. 1e9 /. float_of_int (max 1 ops);
+    counters;
+    identical = None;
+  }
+
+(* A cfg's counters without the pool's per-worker task tallies, which
+   observe the schedule and so vary with [jobs] and between runs. *)
+let deterministic_counters cfg =
+  List.filter
+    (fun (k, _) -> not (String.starts_with ~prefix:"pool/" k))
+    (Lcp_obs.Metrics.counters cfg.Run_cfg.metrics)
+
+(* Run [f] [reps] times: the last result and the per-rep walls. *)
+let measure ~reps f =
+  let last = ref None in
+  let walls =
+    Array.init reps (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        last := Some (f ());
+        Unix.gettimeofday () -. t0)
+  in
+  (Option.get !last, walls)
+
+(* Every A/B series proves its sides agree before a ratio is quoted.
+   A divergence is recorded here instead of tripping an [assert]
+   mid-run: the remaining series still execute and report, and the
+   driver exits non-zero at the end, naming every divergent
+   workload. *)
+let divergences : string list ref = ref []
+
+let gate ok rows =
+  (match rows with
+  | r :: _ when not ok ->
+      divergences := Printf.sprintf "%s %s" r.series r.workload :: !divergences
+  | _ -> ());
+  List.map (fun r -> { r with identical = Some ok }) rows
+
+(* The one table printer. The ratio column is each row's median over
+   the median of its workload's first row; each later layer's ratios
+   are summarized by their geometric mean. *)
+let print_series title rows =
+  Printf.printf "\n== %s\n" title;
+  Printf.printf "%-34s %-10s %5s %11s %11s %11s %13s %8s %5s\n" "workload"
+    "layer" "reps" "median(s)" "min(s)" "max(s)" "per-op(ns)" "ratio" "same";
+  let first = Hashtbl.create 16 and ratios = Hashtbl.create 4 in
   List.iter
+    (fun r ->
+      let ratio =
+        match Hashtbl.find_opt first r.workload with
+        | None ->
+            Hashtbl.add first r.workload r.median_s;
+            "-"
+        | Some base ->
+            let x = r.median_s /. Float.max base 1e-12 in
+            Hashtbl.replace ratios r.layer
+              (x :: Option.value ~default:[] (Hashtbl.find_opt ratios r.layer));
+            Printf.sprintf "%.2fx" x
+      in
+      Printf.printf "%-34s %-10s %5d %11.6f %11.6f %11.6f %13.1f %8s %5s\n"
+        r.workload r.layer r.reps r.median_s r.min_s r.max_s r.per_op_ns ratio
+        (match r.identical with Some b -> string_of_bool b | None -> "-");
+      if r.counters <> [] then
+        Printf.printf "    %s\n"
+          (String.concat " "
+             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.counters)))
+    rows;
+  Hashtbl.iter
+    (fun layer xs ->
+      if List.length xs >= 2 then
+        Printf.printf "   geometric mean ratio, %s: %.2fx over %d workloads\n"
+          layer
+          (exp
+             (List.fold_left (fun a x -> a +. log x) 0. xs
+             /. float_of_int (List.length xs)))
+          (List.length xs))
+    ratios
+
+let schema_version = 2
+let out_dir = ref "."
+
+let row_json r =
+  let ns s = Json.Int (int_of_float (s *. 1e9)) in
+  Json.Obj
+    [
+      ("series", Json.String r.series);
+      ("workload", Json.String r.workload);
+      ("layer", Json.String r.layer);
+      ("params", Json.Obj r.params);
+      ("reps", Json.Int r.reps);
+      ("median_ns", ns r.median_s);
+      ("min_ns", ns r.min_s);
+      ("max_ns", ns r.max_s);
+      ("per_op_ns", Json.Int (int_of_float r.per_op_ns));
+      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.counters));
+      ( "identical",
+        match r.identical with Some b -> Json.Bool b | None -> Json.Null );
+    ]
+
+(* The one writer: DIR/BENCH_<series>.json, one row per line so that a
+   re-recorded file diffs row by row. *)
+let write_series ~fast series rows =
+  let path = Filename.concat !out_dir ("BENCH_" ^ series ^ ".json") in
+  let kv k v = Json.to_string (Json.String k) ^ ": " ^ Json.to_string v in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "{%s, %s, %s,\n \"rows\": [\n  %s\n ]}\n"
+        (kv "schema_version" (Json.Int schema_version))
+        (kv "series" (Json.String series))
+        (kv "fast" (Json.Bool fast))
+        (String.concat ",\n  "
+           (List.map (fun r -> Json.to_string (row_json r)) rows)));
+  Printf.printf "%s series written to %s\n" series path
+
+(* ------------------------------------------------------------------ *)
+(* bechamel micro-benchmarks: one rep per bechamel sample, its wall    *)
+(* divided by the sample's run count                                   *)
+
+let series_micro ~fast () =
+  let open Bechamel in
+  let clock = Toolkit.Instance.monotonic_clock in
+  let label = Measure.label clock in
+  let quota = Time.second (if fast then 0.05 else 0.5) in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:None () in
+  List.concat_map
     (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let stats = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let ns =
-            match Analyze.OLS.estimates ols_result with
-            | Some (e :: _) -> e
-            | _ -> nan
+      Hashtbl.fold
+        (fun name (b : Benchmark.t) acc ->
+          let per_call =
+            Array.map
+              (fun m ->
+                Measurement_raw.get ~label m /. Measurement_raw.run m *. 1e-9)
+              b.Benchmark.lr
           in
-          Printf.printf "%-42s %14.1f\n%!" name ns)
-        stats)
+          row ~series:"micro" ~workload:name ~op:("call", 1) per_call :: acc)
+        (Benchmark.all cfg [ clock ] test)
+        [])
     tests
 
 (* ------------------------------------------------------------------ *)
 (* printed series (the shape results the paper's artifacts map to)      *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Every A/B series proves its two paths agree before quoting a
-   speedup. Divergences are recorded here instead of tripping an
-   [assert] mid-run: the remaining series still execute and report,
-   and the driver exits non-zero at the end — a silent mismatch can
-   never hide inside a green bench run, and a CI log shows every
-   divergent row at once rather than the first. *)
-let divergences : string list ref = ref []
-
-let note_identical ~where identical =
-  if not identical then divergences := where :: !divergences;
-  identical
-
 let series_neighborhood () =
-  Printf.printf "\n== series: |V(D,n)| for the even-cycle decoder on C_n (E4/E8)\n";
-  Printf.printf "%6s %10s %10s %12s %10s\n" "n" "instances" "|V|" "edges" "secs";
-  List.iter
-    (fun n ->
-      let fam, secs =
-        time (fun () ->
-            Neighborhood.exhaustive_family D_even_cycle.suite
-              ~graphs:[ Builders.cycle n ] ~ports:`All ())
-      in
-      let nbhd, secs2 =
-        time (fun () -> Neighborhood.build D_even_cycle.decoder fam)
-      in
-      Printf.printf "%6d %10d %10d %12d %10.3f\n" n (List.length fam)
-        (Neighborhood.order nbhd) (Neighborhood.size nbhd) (secs +. secs2))
-    [ 4; 6; 8 ]
-
-let series_cert_sizes () =
-  Printf.printf "\n== series: honest certificate sizes in bits (E12)\n";
-  Printf.printf "%6s %10s %10s %10s %10s %10s\n" "n" "trivial" "deg-one"
-    "spanning" "shatter" "melon";
-  List.iter
-    (fun n ->
-      let bits suite g =
-        match Decoder.certify suite (Instance.make g) with
-        | Some i -> string_of_int (Labeling.max_bits i.Instance.labels)
-        | None -> "n/a" (* outside the promise class at this size *)
-      in
-      Printf.printf "%6d %10s %10s %10s %10s %10s\n" n
-        (bits (D_trivial.suite ~k:2) (Builders.path n))
-        (bits D_degree_one.suite (Builders.path n))
-        (bits D_spanning.suite (Builders.path n))
-        (bits D_shatter.suite (Builders.path n))
-        (bits D_watermelon.suite (Builders.watermelon [ n; n ])))
-    [ 4; 8; 16; 32 ]
-
-let series_strong_checks () =
-  Printf.printf
-    "\n== series: exhaustive strong-soundness cost, degree-one decoder (E3)\n";
-  Printf.printf "%6s %14s %10s\n" "n" "labelings" "secs";
-  List.iter
-    (fun n ->
-      let g = Builders.path n in
-      let inst = Instance.make g in
-      let labelings = Labeling.count ~alphabet:D_degree_one.alphabet g in
-      let verdict, secs =
-        time (fun () ->
-            Checker.strong_soundness_exhaustive D_degree_one.suite ~k:2 [ inst ])
-      in
-      assert (Checker.is_pass verdict);
-      Printf.printf "%6d %14d %10.3f\n" n labelings secs)
-    [ 3; 4; 5; 6 ]
-
-let series_scaling () =
-  Printf.printf "\n== series: decoder throughput on large rings (substrate scaling)\n";
-  Printf.printf "%8s %12s %12s %10s\n" "n" "prove(ms)" "decode(ms)" "accept";
-  List.iter
-    (fun n ->
-      let t0 = Unix.gettimeofday () in
-      let inst =
-        Option.get
-          (Decoder.certify D_even_cycle.suite (Instance.make (Builders.cycle n)))
-      in
-      let t1 = Unix.gettimeofday () in
-      let ok = Decoder.accepts_all D_even_cycle.decoder inst in
-      let t2 = Unix.gettimeofday () in
-      Printf.printf "%8d %12.1f %12.1f %10b\n" n
-        ((t1 -. t0) *. 1000.0)
-        ((t2 -. t1) *. 1000.0)
-        ok)
-    [ 100; 1000; 10000; 50000 ]
-
-let series_engine_dedup ~fast () =
-  Printf.printf
-    "\n== series: iso-class enumeration, engine canonical dedup vs pairwise \
-     Enumerate (tentpole)\n";
-  Printf.printf "%6s %10s %12s %14s %14s\n" "n" "classes" "engine(s)"
-    "enumerate(s)" "speedup";
-  List.iter
-    (fun n ->
-      Lcp_engine.Sweep.clear_cache ();
-      let engine_classes, engine_s =
-        time (fun () ->
-            Lcp_engine.Sweep.iso_classes ~cfg:(Run_cfg.sequential bench_cfg) n)
-      in
-      (* the pairwise path is O(classes * labeled graphs) brute-force
-         isomorphism; past n=6 it stops being measurable in a bench *)
-      if n <= 6 then begin
-        let old_classes, old_s =
-          time (fun () -> Enumerate.connected_up_to_iso n)
-        in
-        assert (List.length engine_classes = List.length old_classes);
-        Printf.printf "%6d %10d %12.3f %14.3f %13.1fx\n" n
-          (List.length engine_classes) engine_s old_s
-          (old_s /. Float.max engine_s 1e-9)
-      end
-      else
-        Printf.printf "%6d %10d %12.3f %14s %14s\n" n
-          (List.length engine_classes) engine_s "(skipped)" "-")
-    (if fast then [ 4; 5; 6 ] else [ 4; 5; 6; 7 ]);
-  let again, cached_s =
-    time (fun () ->
-        Lcp_engine.Sweep.iso_classes ~cfg:(Run_cfg.sequential bench_cfg) 6)
-  in
-  let hits, misses = Lcp_engine.Sweep.cache_stats () in
-  Printf.printf
-    "   cross-sweep cache: re-listing n=6 takes %.6fs (%d classes; %d hits / \
-     %d misses)\n"
-    cached_s (List.length again) hits misses
-
-(* The tentpole series: orderly generation vs the exhaustive mask
-   scan, both sequential so the row is a strategy comparison, not a
-   parallelism one. Returns the rows for BENCH_enumerate.json. *)
-let series_enumerate ~fast () =
-  Printf.printf
-    "\n== series: class enumeration, orderly generation vs mask scan \
-     (tentpole)\n";
-  Printf.printf "%6s %10s %12s %14s %10s %10s\n" "n" "classes" "orderly(s)"
-    "mask-scan(s)" "speedup" "identical";
-  let rows =
-    List.map
-      (fun n ->
-        let listing strategy =
-          Lcp_engine.Sweep.clear_cache ();
-          time (fun () ->
-              Lcp_engine.Sweep.iso_classes
-                ~cfg:(Run_cfg.sequential bench_cfg)
-                ~strategy n)
-        in
-        let o, o_s = listing Lcp_engine.Sweep.Orderly in
-        let m, m_s = listing Lcp_engine.Sweep.Mask_scan in
-        let identical =
-          note_identical
-            ~where:(Printf.sprintf "enumerate n=%d" n)
-            (List.length o = List.length m && List.for_all2 Graph.equal o m)
-        in
-        Printf.printf "%6d %10d %12.3f %14.3f %9.1fx %10b\n" n (List.length o)
-          o_s m_s
-          (m_s /. Float.max o_s 1e-9)
-          identical;
-        (n, List.length o, o_s, m_s, identical))
-      (if fast then [ 4; 5; 6 ] else [ 5; 6; 7 ])
-  in
-  (* the new frontier, reachable by orderly generation alone: the
-     n = 8 mask space (2^28) is ~128x the n = 7 one the scan already
-     needs seconds for, so no mask-scan column *)
-  if not fast then begin
-    Lcp_engine.Sweep.clear_cache ();
-    let o, o_s =
-      time (fun () -> Lcp_engine.Sweep.iso_classes ~cfg:bench_cfg 8)
-    in
-    Printf.printf "%6d %10d %12.3f %14s %10s %10s\n" 8 (List.length o) o_s
-      "(mask scan infeasible)" "-" "-"
-  end;
-  Lcp_engine.Sweep.clear_cache ();
-  rows
-
-(* Returns the printed rows so the driver can serialize them into
-   BENCH_sweep.json alongside the aggregate metrics. *)
-let series_engine_sweep ~fast () =
-  Printf.printf
-    "\n== series: engine soundness sweep, degree-one decoder, jobs=1 vs \
-     jobs=%d (E3)\n"
-    bench_cfg.Run_cfg.jobs;
-  Printf.printf "%6s %8s %12s %12s %10s %10s\n" "n" "kept" "seq(s)" "par(s)"
-    "speedup" "identical";
   List.map
     (fun n ->
-      let sweep cfg =
-        Lcp_engine.Sweep.clear_cache ();
-        Checker.soundness_sweep ~cfg D_degree_one.suite ~n
+      let (fam, nbhd), walls =
+        measure ~reps:1 (fun () ->
+            let fam =
+              Neighborhood.exhaustive_family D_even_cycle.suite
+                ~graphs:[ Builders.cycle n ] ~ports:`All ()
+            in
+            (fam, Neighborhood.build D_even_cycle.decoder fam))
       in
-      let seq = sweep (Run_cfg.sequential bench_cfg) in
-      let par = sweep bench_cfg in
-      let identical =
-        note_identical
-          ~where:(Printf.sprintf "sweep n=%d" n)
-          (Checker.verdict_of_sweep seq = Checker.verdict_of_sweep par
-          && seq.Lcp_engine.Sweep.counters = par.Lcp_engine.Sweep.counters)
-      in
-      Printf.printf "%6d %8d %12.3f %12.3f %9.2fx %10b\n" n
-        seq.Lcp_engine.Sweep.counters.Lcp_engine.Sweep.kept
-        seq.Lcp_engine.Sweep.wall_s par.Lcp_engine.Sweep.wall_s
-        (seq.Lcp_engine.Sweep.wall_s /. Float.max par.Lcp_engine.Sweep.wall_s 1e-9)
-        identical;
-      let kept = seq.Lcp_engine.Sweep.counters.Lcp_engine.Sweep.kept in
-      (n, kept, seq.Lcp_engine.Sweep.wall_s, par.Lcp_engine.Sweep.wall_s,
-       identical))
-    (if fast then [ 4; 5 ] else [ 4; 5; 6 ])
+      row ~series:"neighborhood"
+        ~workload:(Printf.sprintf "even-cycle C%d" n)
+        ~op:("instance", List.length fam)
+        ~counters:
+          [
+            ("instances", List.length fam);
+            ("order", Neighborhood.order nbhd);
+            ("size", Neighborhood.size nbhd);
+          ]
+        walls)
+    [ 4; 6; 8 ]
 
-(* The PR-5 tentpole series: certificate search with per-node
-   acceptance tables (the production path) vs the direct
-   view-extraction oracle ([Lcp_oracle.Oracle]). Both runs are sequential over the same connected
-   non-bipartite classes and must agree on every (witness, tally)
-   pair; the row is a memoization comparison, not a parallelism one.
-   Returns the rows for BENCH_search.json. *)
-let series_search ~fast () =
-  Printf.printf
-    "\n== series: soundness certificate search, acceptance tables vs direct \
-     decoding (tentpole)\n";
-  Printf.printf "%-12s %4s %8s %12s %12s %10s %10s\n" "decoder" "n" "classes"
-    "memo(s)" "direct(s)" "speedup" "identical";
+(* Honest certificate sizes in bits (E12); a decoder is absent from a
+   row when the graph is outside its promise class at that size. *)
+let series_cert_sizes () =
+  let decoders =
+    [
+      ("trivial", D_trivial.suite ~k:2, Builders.path);
+      ("degree-one", D_degree_one.suite, Builders.path);
+      ("spanning", D_spanning.suite, Builders.path);
+      ("shatter", D_shatter.suite, Builders.path);
+      ("watermelon", D_watermelon.suite, fun n -> Builders.watermelon [ n; n ]);
+    ]
+  in
+  List.map
+    (fun n ->
+      let bits, walls =
+        measure ~reps:1 (fun () ->
+            List.filter_map
+              (fun (name, suite, graph) ->
+                Option.map
+                  (fun i -> (name, Labeling.max_bits i.Instance.labels))
+                  (Decoder.certify suite (Instance.make (graph n))))
+              decoders)
+      in
+      row ~series:"cert-bits" ~workload:(Printf.sprintf "n=%d" n)
+        ~op:("certify", List.length decoders)
+        ~counters:bits walls)
+    [ 4; 8; 16; 32 ]
+
+(* Exhaustive strong soundness on paths (E3): the gate is the PASS
+   verdict the paper's Lemma 4.1 promises. *)
+let series_strong_checks () =
+  List.concat_map
+    (fun n ->
+      let g = Builders.path n in
+      let labelings = Labeling.count ~alphabet:D_degree_one.alphabet g in
+      let verdict, walls =
+        measure ~reps:1 (fun () ->
+            Checker.strong_soundness_exhaustive D_degree_one.suite ~k:2
+              [ Instance.make g ])
+      in
+      gate (Checker.is_pass verdict)
+        [
+          row ~series:"strong"
+            ~workload:(Printf.sprintf "degree-one P%d" n)
+            ~op:("labeling", labelings)
+            ~counters:[ ("labelings", labelings) ]
+            walls;
+        ])
+    [ 3; 4; 5; 6 ]
+
+(* Decoder throughput on large rings; the gate is completeness (the
+   honest certificate is accepted everywhere). *)
+let series_scaling () =
+  List.concat_map
+    (fun n ->
+      let inst, prove =
+        measure ~reps:1 (fun () ->
+            Option.get
+              (Decoder.certify D_even_cycle.suite
+                 (Instance.make (Builders.cycle n))))
+      in
+      let ok, decode =
+        measure ~reps:1 (fun () -> Decoder.accepts_all D_even_cycle.decoder inst)
+      in
+      let workload = Printf.sprintf "even-cycle C%d" n in
+      gate ok
+        [
+          row ~series:"scaling" ~workload ~layer:"prove" ~op:("node", n) prove;
+          row ~series:"scaling" ~workload ~layer:"decode" ~op:("node", n) decode;
+        ])
+    [ 100; 1000; 10000; 50000 ]
+
+(* Flooding vs View.extract on random connected graphs (E13): the gate
+   is that r rounds of flooding know exactly the radius-r view. The
+   graphs come from their own seed, not from [rng], which the
+   micro-benchmarks draw from a run-dependent number of times. *)
+let series_sync () =
+  let rng = Random.State.make [| 13 |] in
+  List.concat_map
+    (fun n ->
+      let g = Builders.random_connected rng n 0.2 in
+      let inst = Instance.random rng g in
+      List.concat_map
+        (fun r ->
+          let ok, walls =
+            measure ~reps:1 (fun () -> Sync_runner.knowledge_matches_view inst ~r)
+          in
+          gate ok
+            [
+              row ~series:"sync"
+                ~workload:(Printf.sprintf "random n=%d r=%d" n r)
+                ~op:("node", n)
+                ~counters:[ ("messages", Sync_runner.messages_sent g ~rounds:r) ]
+                walls;
+            ])
+        [ 1; 2 ])
+    [ 8; 16; 24 ]
+
+(* ------------------------------------------------------------------ *)
+(* BENCH_enumerate: class enumeration, orderly generation vs the       *)
+(* exhaustive mask scan vs the pairwise-isomorphism oracle, all        *)
+(* sequential so the rows compare strategies, not parallelism. The     *)
+(* mask scan stops at n = 7 (the n = 8 mask space is 2^28) and the     *)
+(* pairwise dedup at n = 6 (quadratic in the class count).            *)
+
+let series_enumerate ~fast () =
   let cfg = Run_cfg.sequential bench_cfg in
-  let suites =
+  List.concat_map
+    (fun n ->
+      let side layer list =
+        let reps = if n >= 7 && layer <> "orderly" then 1 else 3 in
+        let classes, walls =
+          measure ~reps (fun () ->
+              Sweep.clear_cache ();
+              list ())
+        in
+        let count = List.length classes in
+        ( classes,
+          row ~series:"enumerate" ~workload:(Printf.sprintf "n=%d" n) ~layer
+            ~params:[ int_p "n" n; int_p "jobs" 1 ]
+            ~op:("class", count)
+            ~counters:[ ("classes", count) ]
+            walls )
+      in
+      let sides =
+        side "orderly" (fun () -> Sweep.iso_classes ~cfg ~strategy:Sweep.Orderly n)
+        :: (if n <= 7 then
+              [
+                side "mask-scan" (fun () ->
+                    Sweep.iso_classes ~cfg ~strategy:Sweep.Mask_scan n);
+              ]
+            else [])
+        @
+        if n <= 6 then
+          [ side "pairwise" (fun () -> Enumerate.connected_up_to_iso n) ]
+        else []
+      in
+      let reference = fst (List.hd sides) in
+      let rows = List.map snd sides in
+      if List.length sides = 1 then rows
+      else
+        gate
+          (List.for_all
+             (fun (c, _) -> List.equal Graph.equal reference c)
+             sides)
+          rows)
+    (if fast then [ 4; 5; 6 ] else [ 4; 5; 6; 7; 8 ])
+
+(* A certificate-search A/B over every connected non-bipartite class on
+   [n] nodes, per decoder in [suites] and [n] in [sizes]. A side is
+   (layer, verdict source, quotient); one rep searches every class once,
+   sequentially. A row's [labelings] counter sums the tallies; [same]
+   compares the two sides' (witness, tally) lists. *)
+let search_ab ~series ~reps ~same ~a ~b suites sizes =
+  let cfg = Run_cfg.sequential bench_cfg in
+  List.concat_map
+    (fun (name, (suite : Decoder.suite)) ->
+      List.concat_map
+        (fun n ->
+          Sweep.clear_cache ();
+          let inputs =
+            List.filter_map
+              (fun g ->
+                if Coloring.is_bipartite g then None
+                else
+                  let inst = Instance.make g in
+                  Some (inst, suite.Decoder.adversary_alphabet inst))
+              (Sweep.iso_classes ~cfg n)
+          in
+          let side (layer, verdicts, quotient) =
+            let results, walls =
+              measure ~reps:(reps n) (fun () ->
+                  List.map
+                    (fun (inst, alphabet) ->
+                      Oracle.search_accepted ~cfg ~verdicts ~quotient
+                        suite.Decoder.dec ~alphabet inst)
+                    inputs)
+            in
+            ( results,
+              row ~series ~workload:(Printf.sprintf "%s n=%d" name n) ~layer
+                ~params:
+                  [
+                    str_p "decoder" name;
+                    int_p "n" n;
+                    int_p "classes" (List.length inputs);
+                    int_p "jobs" 1;
+                  ]
+                ~op:("class", List.length inputs)
+                ~counters:
+                  [ ("labelings", List.fold_left (fun a (_, t) -> a + t) 0 results) ]
+                walls )
+          in
+          let ra, row_a = side a in
+          let rb, row_b = side b in
+          gate (same ra rb) [ row_a; row_b ])
+        sizes)
+    suites
+
+(* ------------------------------------------------------------------ *)
+(* BENCH_search: certificate search with per-node acceptance tables    *)
+(* (the production source) vs direct view extraction (the oracle).     *)
+(* Both sides must agree on every (witness, tally) pair.               *)
+
+let series_search ~fast () =
+  search_ab ~series:"search"
+    ~reps:(fun _ -> 3)
+    ~same:( = )
+    ~a:("tables", Oracle.Tables, true)
+    ~b:("direct", Oracle.Direct, true)
     [
       ("degree-one", D_degree_one.suite);
       ("even-cycle", D_even_cycle.suite);
       ("trivial2", D_trivial.suite ~k:2);
       ("edge-bit", D_edge_bit.suite);
     ]
-  in
-  let sizes = if fast then [ 4; 5 ] else [ 4; 5; 6 ] in
-  List.concat_map
-    (fun (name, suite) ->
-      List.map
-        (fun n ->
-          Lcp_engine.Sweep.clear_cache ();
-          let classes =
-            List.filter
-              (fun g -> not (Coloring.is_bipartite g))
-              (Lcp_engine.Sweep.iso_classes ~cfg n)
-          in
-          let search verdicts g =
-            let inst = Instance.make g in
-            let alphabet = suite.Decoder.adversary_alphabet inst in
-            Oracle.search_accepted ~cfg ~verdicts ~quotient:true
-              suite.Decoder.dec ~alphabet inst
-          in
-          let run verdicts = time (fun () -> List.map (search verdicts) classes) in
-          let memo_res, memo_s = run Oracle.Tables in
-          let direct_res, direct_s = run Oracle.Direct in
-          let identical =
-            note_identical
-              ~where:(Printf.sprintf "search %s n=%d" name n)
-              (memo_res = direct_res)
-          in
-          Printf.printf "%-12s %4d %8d %12.3f %12.3f %9.1fx %10b\n" name n
-            (List.length classes) memo_s direct_s
-            (direct_s /. Float.max memo_s 1e-9)
-            identical;
-          (name, n, List.length classes, memo_s, direct_s, identical))
-        sizes)
-    suites
-
-(* The PR-9 tentpole series: certificate search quotiented by Aut(G)
-   node-orbits (the default) vs the direct full-space search. Both
-   paths run sequentially with the same acceptance-table setting and
-   must return bit-identical witnesses on every class (tallies
-   legitimately shrink under pruning, so only witnesses are compared).
-   Each row sums per-class searches over every connected non-bipartite
-   class at that order and quotes the aggregate wall ratio, exactly
-   like the acceptance-table series above; the cross-row geometric
-   mean is the headline BENCH_orbit.json records. The decoders are the
-   eligible ones with real per-class search volume — the trivial
-   family's whole space is |Σ|^n = 64–128 evaluations, over in well
-   under a millisecond, where the quotient has nothing to amortize
-   against (~1.0x; its correctness is still pinned classwise by
-   test/test_orbit.ml). Each class is searched [reps] times per path
-   so per-class walls clear timer resolution. *)
-let series_orbit ~fast () =
-  Printf.printf
-    "\n== series: certificate search, orbit pruning vs direct (tentpole)\n";
-  Printf.printf "%-12s %4s %8s %12s %12s %10s %10s\n" "decoder" "n" "classes"
-    "orbit(s)" "direct(s)" "speedup" "identical";
-  let cfg = Run_cfg.sequential bench_cfg in
-  let suites =
-    [
-      ("degree-one", D_degree_one.suite);
-      ("hidden-leaf2", D_hidden_leaf.suite ~k:2);
-      ("hidden-leaf3", D_hidden_leaf.suite ~k:3);
-    ]
-  in
-  let sizes = if fast then [ 5; 6 ] else [ 6; 7 ] in
-  let rows =
-    List.concat_map
-      (fun (name, suite) ->
-        List.map
-          (fun n ->
-            Lcp_engine.Sweep.clear_cache ();
-            let classes =
-              List.filter
-                (fun g -> not (Coloring.is_bipartite g))
-                (Lcp_engine.Sweep.iso_classes ~cfg n)
-            in
-            let reps = if n >= 7 then 3 else 20 in
-            let search quotient g =
-              let inst = Instance.make g in
-              let alphabet = suite.Decoder.adversary_alphabet inst in
-              let t0 = Unix.gettimeofday () in
-              let last = ref None in
-              for _ = 1 to reps do
-                let witness, _ =
-                  Oracle.search_accepted ~cfg ~verdicts:Oracle.Tables ~quotient
-                    suite.Decoder.dec ~alphabet inst
-                in
-                last := Some witness
-              done;
-              (Option.get !last, Unix.gettimeofday () -. t0)
-            in
-            let per_class =
-              List.map (fun g -> (search true g, search false g)) classes
-            in
-            let identical =
-              note_identical
-                ~where:(Printf.sprintf "orbit %s n=%d" name n)
-                (List.for_all
-                   (fun ((w_on, _), (w_off, _)) -> w_on = w_off)
-                   per_class)
-            in
-            let orbit_s =
-              List.fold_left (fun a ((_, s), _) -> a +. s) 0. per_class
-            in
-            let direct_s =
-              List.fold_left (fun a (_, (_, s)) -> a +. s) 0. per_class
-            in
-            let speedup = direct_s /. Float.max orbit_s 1e-9 in
-            Printf.printf "%-12s %4d %8d %12.3f %12.3f %9.2fx %10b\n" name n
-              (List.length classes) orbit_s direct_s speedup identical;
-            (name, n, List.length classes, orbit_s, direct_s, speedup, identical))
-          sizes)
-      suites
-  in
-  let geomean =
-    exp
-      (List.fold_left (fun a (_, _, _, _, _, s, _) -> a +. log s) 0. rows
-      /. float_of_int (max 1 (List.length rows)))
-  in
-  Printf.printf "   geometric mean across rows: %.2fx\n" geomean;
-  (rows, geomean)
-
-(* The sharded-sweep wall-clock figure: the full n=8 degree-one sweep
-   vs its two halves under [shard], whose kept counts must partition
-   the full run's and whose verdicts must agree. Skipped under --fast
-   (the full row alone is ~20s). *)
-let series_orbit_shards ~fast () =
-  if fast then None
-  else begin
-    Printf.printf
-      "\n== series: sharded n=8 soundness sweep, degree-one (tentpole)\n";
-    Printf.printf "%10s %8s %12s\n" "slice" "kept" "wall(s)";
-    let n = 8 in
-    let sweep ?shard () =
-      Lcp_engine.Sweep.clear_cache ();
-      Checker.soundness_sweep ~cfg:bench_cfg ?shard D_degree_one.suite ~n
-    in
-    let full = sweep () in
-    let s0 = sweep ~shard:(0, 2) () in
-    let s1 = sweep ~shard:(1, 2) () in
-    let kept s = s.Lcp_engine.Sweep.counters.Lcp_engine.Sweep.kept in
-    let wall s = s.Lcp_engine.Sweep.wall_s in
-    List.iter
-      (fun (slice, s) ->
-        Printf.printf "%10s %8d %12.3f\n" slice (kept s) (wall s))
-      [ ("full", full); ("shard 0/2", s0); ("shard 1/2", s1) ];
-    let identical =
-      note_identical ~where:"orbit shards n=8"
-        (kept s0 + kept s1 = kept full
-        && Checker.is_pass (Checker.verdict_of_sweep full)
-        && Checker.is_pass (Checker.verdict_of_sweep s0)
-        && Checker.is_pass (Checker.verdict_of_sweep s1))
-    in
-    Some (n, kept full, wall full, kept s0, wall s0, kept s1, wall s1, identical)
-  end
+    (if fast then [ 4; 5 ] else [ 4; 5; 6 ])
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_sweep.json: the sweep series plus the run's metrics            *)
+(* BENCH_orbit: certificate search quotiented by Aut(G) node orbits    *)
+(* (the default) vs the full-space search, both on acceptance tables.  *)
+(* Witnesses must be bit-identical; tallies legitimately shrink under  *)
+(* pruning, so they are counters, not compared. The decoders are the   *)
+(* eligible ones with real per-class search volume: the trivial        *)
+(* family's whole space is |Σ|^n = 64–128 evaluations, where the       *)
+(* quotient has nothing to amortize (its correctness is pinned by      *)
+(* test/test_orbit.ml). A pass over the n = 6 classes takes ~0.1 s, so *)
+(* it repeats 20 times. Outside --fast, the full n = 8 degree-one      *)
+(* sweep runs against its two shards, whose kept counts must partition *)
+(* the full run's and whose verdicts must all pass.                    *)
 
-let bench_schema_version = 1
+let series_orbit ~fast () =
+  let ab =
+    search_ab ~series:"orbit"
+      ~reps:(fun n -> if n >= 7 then 3 else 20)
+      ~same:(fun x y -> List.map fst x = List.map fst y)
+      ~a:("orbit", Oracle.Tables, true)
+      ~b:("direct", Oracle.Tables, false)
+      [
+        ("degree-one", D_degree_one.suite);
+        ("hidden-leaf2", D_hidden_leaf.suite ~k:2);
+        ("hidden-leaf3", D_hidden_leaf.suite ~k:3);
+      ]
+      (if fast then [ 5; 6 ] else [ 6; 7 ])
+  in
+  let shards =
+    if fast then []
+    else
+      let n = 8 in
+      let side layer shard =
+        let s, walls =
+          measure ~reps:1 (fun () ->
+              Sweep.clear_cache ();
+              Checker.soundness_sweep ~cfg:bench_cfg ?shard D_degree_one.suite ~n)
+        in
+        let kept = s.Sweep.counters.Sweep.kept in
+        ( (kept, Checker.is_pass (Checker.verdict_of_sweep s)),
+          row ~series:"orbit" ~workload:"degree-one n=8 sweep" ~layer
+            ~params:[ int_p "n" n; int_p "jobs" bench_cfg.Run_cfg.jobs ]
+            ~op:("class", kept) ~counters:[ ("kept", kept) ] walls )
+      in
+      let (kept, pass), full = side "full" None in
+      let (kept0, pass0), s0 = side "shard 0/2" (Some (0, 2)) in
+      let (kept1, pass1), s1 = side "shard 1/2" (Some (1, 2)) in
+      gate (kept0 + kept1 = kept && pass && pass0 && pass1) [ full; s0; s1 ]
+  in
+  ab @ shards
 
-let write_sweep_json path rows =
-  let ns s = int_of_float (s *. 1e9) in
-  let row (n, kept, seq_s, par_s, identical) =
-    Json.Obj
-      [
-        ("n", Json.Int n);
-        ("kept", Json.Int kept);
-        ("seq_wall_ns", Json.Int (ns seq_s));
-        ("par_wall_ns", Json.Int (ns par_s));
-        ("identical", Json.Bool identical);
-      ]
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema_version", Json.Int bench_schema_version);
-        ("jobs", Json.Int bench_cfg.Run_cfg.jobs);
-        ("sweep", Json.List (List.map row rows));
-        ("metrics", Lcp_obs.Metrics.to_json bench_cfg.Run_cfg.metrics);
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty doc);
-      output_string oc "\n");
-  Printf.printf "sweep series + metrics written to %s\n" path
+(* ------------------------------------------------------------------ *)
+(* BENCH_sweep: the engine soundness sweep at jobs=1 vs jobs>=2. The   *)
+(* parallel side never runs at one job, so the jobs-invariance gate    *)
+(* (same verdict, same counters) compares two schedules even on a      *)
+(* one-core host.                                                      *)
 
-let write_enumerate_json path rows =
-  let ns s = int_of_float (s *. 1e9) in
-  let row (n, classes, orderly_s, mask_s, identical) =
-    Json.Obj
-      [
-        ("n", Json.Int n);
-        ("classes", Json.Int classes);
-        ("orderly_wall_ns", Json.Int (ns orderly_s));
-        ("mask_scan_wall_ns", Json.Int (ns mask_s));
-        ("identical", Json.Bool identical);
-      ]
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema_version", Json.Int bench_schema_version);
-        ("jobs", Json.Int 1);
-        ("enumerate", Json.List (List.map row rows));
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty doc);
-      output_string oc "\n");
-  Printf.printf "enumerate series written to %s\n" path
+let series_sweep ~fast () =
+  let par_jobs = max 2 bench_cfg.Run_cfg.jobs in
+  List.concat_map
+    (fun n ->
+      let workload = Printf.sprintf "degree-one n=%d" n in
+      let side jobs =
+        let (s, counters), walls =
+          measure ~reps:3 (fun () ->
+              Sweep.clear_cache ();
+              let cfg = Run_cfg.make ~seed:424242 ~jobs () in
+              let s = Checker.soundness_sweep ~cfg D_degree_one.suite ~n in
+              (s, deterministic_counters cfg))
+        in
+        ( (Checker.verdict_of_sweep s, s.Sweep.counters, counters),
+          row ~series:"sweep" ~workload
+            ~layer:(Printf.sprintf "jobs=%d" jobs)
+            ~params:[ int_p "n" n; int_p "jobs" jobs ]
+            ~op:("class", s.Sweep.counters.Sweep.kept)
+            ~counters walls )
+      in
+      let seq, seq_row = side 1 in
+      let par, par_row = side par_jobs in
+      gate (seq = par) [ seq_row; par_row ])
+    (if fast then [ 4; 5 ] else [ 4; 5; 6 ])
 
-let write_search_json path rows =
-  let ns s = int_of_float (s *. 1e9) in
-  let row (decoder, n, classes, memo_s, direct_s, identical) =
-    Json.Obj
-      [
-        ("decoder", Json.String decoder);
-        ("n", Json.Int n);
-        ("classes", Json.Int classes);
-        ("memoized_wall_ns", Json.Int (ns memo_s));
-        ("direct_wall_ns", Json.Int (ns direct_s));
-        ("identical", Json.Bool identical);
-      ]
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema_version", Json.Int bench_schema_version);
-        ("jobs", Json.Int 1);
-        ("search", Json.List (List.map row rows));
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty doc);
-      output_string oc "\n");
-  Printf.printf "search series written to %s\n" path
+(* ------------------------------------------------------------------ *)
+(* BENCH_serve: request latency against a live lcp serve daemon on a   *)
+(* temp socket, cold (first request, caches empty) vs warm (repeats    *)
+(* against the daemon's persistent class and acceptance-table caches). *)
+(* The ping row is the protocol overhead. Every warm result must equal *)
+(* the cold one once cache-temperature and timing fields are dropped.  *)
 
-let write_orbit_json path ((rows, geomean), shard_row) =
-  let ns s = int_of_float (s *. 1e9) in
-  let row (decoder, n, classes, orbit_s, direct_s, speedup, identical) =
-    Json.Obj
-      [
-        ("decoder", Json.String decoder);
-        ("n", Json.Int n);
-        ("classes", Json.Int classes);
-        ("orbit_wall_ns", Json.Int (ns orbit_s));
-        ("direct_wall_ns", Json.Int (ns direct_s));
-        ("speedup_x100", Json.Int (int_of_float (speedup *. 100.)));
-        ("identical", Json.Bool identical);
-      ]
-  in
-  let shard_json =
-    match shard_row with
-    | None -> Json.Null
-    | Some (n, kept, full_s, kept0, s0_s, kept1, s1_s, identical) ->
-        Json.Obj
-          [
-            ("n", Json.Int n);
-            ("kept", Json.Int kept);
-            ("full_wall_ns", Json.Int (ns full_s));
-            ("shard0_kept", Json.Int kept0);
-            ("shard0_wall_ns", Json.Int (ns s0_s));
-            ("shard1_kept", Json.Int kept1);
-            ("shard1_wall_ns", Json.Int (ns s1_s));
-            ("identical", Json.Bool identical);
-          ]
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema_version", Json.Int bench_schema_version);
-        ("jobs", Json.Int bench_cfg.Run_cfg.jobs);
-        ("geomean_speedup_x100", Json.Int (int_of_float (geomean *. 100.)));
-        ("orbit", Json.List (List.map row rows));
-        ("shards", shard_json);
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty doc);
-      output_string oc "\n");
-  Printf.printf "orbit series written to %s\n" path
-
-(* The PR-6 tentpole series: request latency against a live lcp serve
-   daemon on a temp socket, cold (first request, caches empty) vs warm
-   (repeats against the daemon's persistent iso-class and acceptance-
-   table caches). The protocol overhead itself is the ping row.
-   Returns rows for BENCH_serve.json. *)
 let series_serve ~fast () =
-  Printf.printf "\n== series: lcp serve request latency, cold vs warm (tentpole)\n";
-  Printf.printf "%-22s %6s %10s %10s %10s %10s\n" "request" "count" "cold(ms)"
-    "p50(ms)" "p95(ms)" "req/s";
   let socket_path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "lcp-bench-%d.sock" (Unix.getpid ()))
   in
-  Lcp_engine.Sweep.clear_cache ();
+  Sweep.clear_cache ();
   let server =
-    Lcp_serve.Server.start
-      (Lcp_serve.Server.default_config ~socket_path)
+    Lcp_serve.Server.start (Lcp_serve.Server.default_config ~socket_path)
   in
-  let percentile sorted p =
-    let len = Array.length sorted in
-    sorted.(min (len - 1) (int_of_float (p *. float_of_int (len - 1) +. 0.5)))
+  let det = function
+    | Json.Obj fields ->
+        Json.to_string
+          (Json.Obj
+             (List.filter
+                (fun (k, _) -> not (List.mem k [ "cache"; "wall_ms"; "uptime_ms" ]))
+                fields))
+    | j -> Json.to_string j
   in
   let rows =
     Fun.protect
@@ -787,137 +749,83 @@ let series_serve ~fast () =
       (fun () ->
         Lcp_serve.Client.with_connection socket_path (fun c ->
             let one req =
-              let t0 = Unix.gettimeofday () in
-              (match Lcp_serve.Client.request c req with
-              | Ok { Lcp_serve.Protocol.status = Lcp_serve.Protocol.Done; _ } ->
-                  ()
+              match Lcp_serve.Client.request c req with
+              | Ok { Protocol.status = Protocol.Done; result; _ } -> det result
               | Ok r ->
                   failwith
-                    ("bench request failed: "
-                    ^ Lcp_serve.Protocol.status_name r.Lcp_serve.Protocol.status)
-              | Error e -> failwith e);
-              Unix.gettimeofday () -. t0
+                    ("bench request failed: " ^ Protocol.status_name r.Protocol.status)
+              | Error e -> failwith e
             in
-            let job kind =
-              { Lcp_serve.Protocol.kind; opts = Lcp_serve.Protocol.default_opts }
-            in
-            let series (name, req, count) =
-              let cold = one req in
-              let warm = Array.init count (fun _ -> one req) in
-              let total = cold +. Array.fold_left ( +. ) 0. warm in
-              Array.sort compare warm;
-              let p50 = percentile warm 0.50 and p95 = percentile warm 0.95 in
-              let rps = float_of_int (count + 1) /. total in
-              Printf.printf "%-22s %6d %10.3f %10.3f %10.3f %10.0f\n" name
-                (count + 1) (cold *. 1e3) (p50 *. 1e3) (p95 *. 1e3) rps;
-              (name, count + 1, cold, p50, p95, rps)
-            in
-            List.map series
+            List.concat_map
+              (fun (workload, kind, count) ->
+                let req = { Protocol.kind; opts = Protocol.default_opts } in
+                let cold, cold_walls = measure ~reps:1 (fun () -> one req) in
+                let same = ref true in
+                let (), warm_walls =
+                  measure ~reps:count (fun () ->
+                      if one req <> cold then same := false)
+                in
+                let side layer walls =
+                  row ~series:"serve" ~workload ~layer ~op:("request", 1) walls
+                in
+                gate !same [ side "cold" cold_walls; side "warm" warm_walls ])
               [
-                ("ping", job Lcp_serve.Protocol.Ping, if fast then 50 else 500);
-                ( "check-degree-one-C5",
-                  job
-                    (Lcp_serve.Protocol.Check
-                       { decoder = "degree-one"; graph = "cycle:5" }),
+                ("ping", Protocol.Ping, if fast then 50 else 500);
+                ( "check degree-one C5",
+                  Protocol.Check { decoder = "degree-one"; graph = "cycle:5" },
                   if fast then 10 else 50 );
-                ( "sweep-degree-one-n5",
-                  job
-                    (Lcp_serve.Protocol.Sweep
-                       {
-                         decoder = "degree-one";
-                         n = 5;
-                         strategy = "orderly";
-                         early_exit = false;
-                         shards = 1;
-                       }),
+                ( "sweep degree-one n=5",
+                  Protocol.Sweep
+                    {
+                      decoder = "degree-one";
+                      n = 5;
+                      strategy = "orderly";
+                      early_exit = false;
+                      shards = 1;
+                    },
                   if fast then 5 else 25 );
               ]))
   in
-  Lcp_engine.Sweep.clear_cache ();
+  Sweep.clear_cache ();
   rows
 
-let write_serve_json path rows =
-  let ns s = int_of_float (s *. 1e9) in
-  let row (name, requests, cold_s, p50_s, p95_s, rps) =
-    Json.Obj
-      [
-        ("request", Json.String name);
-        ("requests", Json.Int requests);
-        ("cold_wall_ns", Json.Int (ns cold_s));
-        ("warm_p50_ns", Json.Int (ns p50_s));
-        ("warm_p95_ns", Json.Int (ns p95_s));
-        ("requests_per_sec", Json.Int (int_of_float rps));
-      ]
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema_version", Json.Int bench_schema_version);
-        ("serve", Json.List (List.map row rows));
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty doc);
-      output_string oc "\n");
-  Printf.printf "serve series written to %s\n" path
+(* ------------------------------------------------------------------ *)
+(* BENCH_coord: the coordinator at one fixed partition (degree-one,    *)
+(* shards=4, n=8; n=6 under --fast). The raw row forks the four shard  *)
+(* subprocesses with no supervision (the manual recipe the coordinator *)
+(* replaces) and prices its overhead; supervised runs at 1 / 2 / 4     *)
+(* workers give the scaling curve; the recovery row SIGKILLs one       *)
+(* worker mid-sweep to price restart-from-checkpoint. Every merged     *)
+(* report must be byte-identical. Needs the sibling lcp binary.        *)
 
-(* The PR-10 tentpole series: the coordinator's scaling story at one
-   fixed partition (degree-one, shards=4, n=8; n=6 under --fast).
-   Three supervised runs at workers = 1 / 2 / 4 give the scaling
-   curve; a raw baseline forks the same four shard subprocesses with
-   no supervision (the manual shell recipe the coordinator replaces)
-   to price its overhead; and a recovery row SIGKILLs one worker
-   mid-sweep to price restart-from-checkpoint. Every run's merged
-   report must be byte-identical. Returns the BENCH_coord.json
-   document, or None when the sibling lcp binary is not built. *)
 let series_coord ~fast () =
   let bin =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/main.exe"
   in
   if not (Sys.file_exists bin) then begin
-    Printf.printf "\n== series: coordinated sweeps skipped (%s not built)\n"
-      bin;
-    None
+    Printf.printf "\n== coord series skipped (%s not built)\n" bin;
+    []
   end
   else begin
     let n = if fast then 6 else 8 in
     let shards = 4 in
-    Printf.printf
-      "\n== series: coordinated n=%d soundness sweep, degree-one, shards=%d \
-       (tentpole)\n"
-      n shards;
-    Printf.printf "%-28s %12s %10s %10s\n" "run" "wall(s)" "launched"
-      "restarts";
-    let fresh_dir =
-      let c = ref 0 in
-      fun () ->
-        incr c;
-        let d =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "lcp-bench-coord-%d-%d" (Unix.getpid ()) !c)
-        in
-        Unix.mkdir d 0o700;
-        d
+    let in_fresh_dir f =
+      let dir = Filename.temp_dir "lcp-bench-coord" "" in
+      Fun.protect
+        ~finally:(fun () ->
+          Array.iter
+            (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+            (Sys.readdir dir);
+          try Unix.rmdir dir with Unix.Unix_error _ -> ())
+        (fun () -> f dir)
     in
-    let rm_rf d =
-      if Sys.file_exists d then begin
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
-          (Sys.readdir d);
-        try Unix.rmdir d with Unix.Unix_error _ -> ()
-      end
-    in
+    let report j = Json.to_string_pretty j in
     let coord ?inject_kill ~workers () =
-      let dir = fresh_dir () in
-      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      in_fresh_dir @@ fun dir ->
       let config =
         {
-          (Lcp_serve.Coordinator.default_config ~decoder:"degree-one" ~n
-             ~shards ~dir)
+          (Lcp_serve.Coordinator.default_config ~decoder:"degree-one" ~n ~shards
+             ~dir)
           with
           Lcp_serve.Coordinator.workers;
           executor = Lcp_serve.Coordinator.Subprocess { bin };
@@ -928,17 +836,18 @@ let series_coord ~fast () =
       in
       match Lcp_serve.Coordinator.run config with
       | Error msg -> failwith ("bench coord: " ^ msg)
-      | Ok o -> o
+      | Ok o ->
+          ( report o.Lcp_serve.Coordinator.report,
+            [
+              ("launched", o.Lcp_serve.Coordinator.launched);
+              ("restarts", o.Lcp_serve.Coordinator.restarts);
+            ] )
     in
     (* the manual recipe: all four shard shells at once, no supervisor *)
     let raw () =
-      let dir = fresh_dir () in
-      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-      let shard_path i =
-        Filename.concat dir (Printf.sprintf "shard-%d.json" i)
-      in
+      in_fresh_dir @@ fun dir ->
+      let shard_path i = Filename.concat dir (Printf.sprintf "shard-%d.json" i) in
       let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-      let t0 = Unix.gettimeofday () in
       let pids =
         List.init shards (fun i ->
             Unix.create_process bin
@@ -953,7 +862,6 @@ let series_coord ~fast () =
               devnull devnull devnull)
       in
       List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-      let wall = Unix.gettimeofday () -. t0 in
       Unix.close devnull;
       let cks =
         List.init shards (fun i ->
@@ -964,136 +872,85 @@ let series_coord ~fast () =
       match Lcp_engine.Checkpoint.merge cks with
       | Error e -> failwith ("bench coord raw merge: " ^ e)
       | Ok merged ->
-          ( wall,
-            Json.to_string_pretty (Lcp_engine.Checkpoint.report_json merged) )
+          (report (Lcp_engine.Checkpoint.report_json merged), [ ("launched", shards) ])
     in
-    let runs = List.map (fun w -> (w, coord ~workers:w ())) [ 1; 2; 4 ] in
-    List.iter
-      (fun (w, o) ->
-        Printf.printf "%-28s %12.3f %10d %10d\n"
-          (Printf.sprintf "coordinator workers=%d" w)
-          o.Lcp_serve.Coordinator.wall_s o.Lcp_serve.Coordinator.launched
-          o.Lcp_serve.Coordinator.restarts)
-      runs;
-    let raw_wall, raw_report = raw () in
-    Printf.printf "%-28s %12.3f %10d %10s\n" "raw shard shells" raw_wall
-      shards "-";
-    let recovery = coord ~inject_kill:0 ~workers:4 () in
-    Printf.printf "%-28s %12.3f %10d %10d\n" "recovery (SIGKILL shard 0)"
-      recovery.Lcp_serve.Coordinator.wall_s
-      recovery.Lcp_serve.Coordinator.launched
-      recovery.Lcp_serve.Coordinator.restarts;
-    let report o = Json.to_string_pretty o.Lcp_serve.Coordinator.report in
-    let identical =
-      note_identical ~where:"coord merged reports"
-        (List.for_all
-           (fun r -> String.equal r raw_report)
-           (report recovery :: List.map (fun (_, o) -> report o) runs))
+    let side layer ~workers run =
+      let (report, counters), walls = measure ~reps:1 run in
+      ( report,
+        row ~series:"coord"
+          ~workload:(Printf.sprintf "degree-one n=%d shards=%d" n shards)
+          ~layer
+          ~params:[ int_p "n" n; int_p "shards" shards; int_p "workers" workers ]
+          ~op:("shard", shards) ~counters walls )
     in
-    Some
-      ( n,
-        shards,
-        List.map (fun (w, o) -> (w, o.Lcp_serve.Coordinator.wall_s)) runs,
-        raw_wall,
-        recovery.Lcp_serve.Coordinator.wall_s,
-        recovery.Lcp_serve.Coordinator.restarts,
-        identical )
+    let sides =
+      side "raw" ~workers:shards raw
+      :: List.map
+           (fun w ->
+             side (Printf.sprintf "workers=%d" w) ~workers:w (coord ~workers:w))
+           [ 1; 2; 4 ]
+      @ [ side "recovery" ~workers:4 (coord ~inject_kill:0 ~workers:4) ]
+    in
+    let raw_report = fst (List.hd sides) in
+    gate
+      (List.for_all (fun (r, _) -> String.equal r raw_report) sides)
+      (List.map snd sides)
   end
 
-let write_coord_json path doc =
-  match doc with
-  | None -> Printf.printf "coord series skipped; %s not written\n" path
-  | Some
-      (n, shards, worker_rows, raw_wall, recovery_wall, recovery_restarts,
-       identical) ->
-      let ns s = int_of_float (s *. 1e9) in
-      let full_width_wall =
-        match List.assoc_opt shards worker_rows with
-        | Some w -> w
-        | None -> raw_wall
-      in
-      let doc =
-        Json.Obj
-          [
-            ("schema_version", Json.Int bench_schema_version);
-            ("decoder", Json.String "degree-one");
-            ("n", Json.Int n);
-            ("shards", Json.Int shards);
-            ( "workers",
-              Json.List
-                (List.map
-                   (fun (w, wall) ->
-                     Json.Obj
-                       [
-                         ("workers", Json.Int w);
-                         ("wall_ns", Json.Int (ns wall));
-                       ])
-                   worker_rows) );
-            ("raw_shards_wall_ns", Json.Int (ns raw_wall));
-            ( "coordinator_overhead_ns",
-              Json.Int (ns (full_width_wall -. raw_wall)) );
-            ( "recovery",
-              Json.Obj
-                [
-                  ("wall_ns", Json.Int (ns recovery_wall));
-                  ("restarts", Json.Int recovery_restarts);
-                ] );
-            ("identical", Json.Bool identical);
-          ]
-      in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Json.to_string_pretty doc);
-          output_string oc "\n");
-      Printf.printf "coord series written to %s\n" path
+(* ------------------------------------------------------------------ *)
+(* BENCH_race: what the instrumented sync layer costs. The disarmed    *)
+(* side is the price every ordinary run pays for the tracing hooks     *)
+(* (one relaxed Atomic.get branch per operation); the armed side is    *)
+(* the price lcp race pays while recording (period 0: tracing without  *)
+(* perturbation pauses). Each armed rep is its own trace session, so   *)
+(* the recorded trace never outgrows one rep.                          *)
 
-let series_sync () =
-  Printf.printf
-    "\n== series: flooding vs View.extract, random connected graphs (E13)\n";
-  Printf.printf "%6s %8s %10s %10s\n" "n" "rounds" "messages" "match";
-  List.iter
-    (fun n ->
-      let g = Builders.random_connected rng n 0.2 in
-      let inst = Instance.random rng g in
-      List.iter
-        (fun r ->
-          Printf.printf "%6d %8d %10d %10b\n" n r
-            (Sync_runner.messages_sent g ~rounds:r)
-            (Sync_runner.knowledge_matches_view inst ~r))
-        [ 1; 2 ])
-    [ 8; 16; 24 ]
+let series_race ~fast () =
+  let module Sync = Lcp_obs.Sync in
+  let iters = if fast then 200_000 else 1_000_000 in
+  let reps = 3 in
+  (* the gate: one rep moves [read] by the same amount on both sides,
+     i.e. recording loses no operation *)
+  let ops name op read =
+    let loop () =
+      let before = read () in
+      for _ = 1 to iters do
+        op ()
+      done;
+      read () - before
+    in
+    let disarmed_delta, disarmed = measure ~reps loop in
+    let armed =
+      Array.init reps (fun _ ->
+          Sync.arm ~perturb:{ Sync.pseed = 0; period = 0 } ();
+          let delta, walls = measure ~reps:1 loop in
+          ignore (Sync.disarm ());
+          (delta, walls.(0)))
+    in
+    gate
+      (Array.for_all (fun (d, _) -> d = disarmed_delta) armed)
+      (List.map
+         (fun (layer, walls) ->
+           row ~series:"race" ~workload:name ~layer ~op:("op", iters) walls)
+         [ ("disarmed", disarmed); ("armed", Array.map snd armed) ])
+  in
+  let m = Sync.mutex "bench/race.lock" in
+  let held = ref 0 in
+  let a = Sync.A.make "bench/race.counter" 0 in
+  let v = Sync.Var.make "bench/race.var" 0 in
+  ops "with_lock" (fun () -> Sync.with_lock m (fun () -> incr held)) (fun () -> !held)
+  @ ops "atomic_incr" (fun () -> Sync.A.incr a) (fun () -> Sync.A.get a)
+  @ ops "var_set" (fun () -> Sync.Var.set v 1) (fun () -> Sync.Var.get v)
 
 (* ------------------------------------------------------------------ *)
-(* The PR-7 large series (opt-in via --large, out of the default run):
-   graph-build throughput, sampled certification throughput and the
-   CSR-vs-list traversal A/B on 10^5..10^6-node instances, written to
-   BENCH_large.json. The list side of the A/B materializes
-   [Graph.neighbors] per query — the seed representation's access
-   pattern — so the speedup column is the cross-PR baseline for
-   substrate changes.                                                   *)
+(* BENCH_large (--large only): graph-build throughput, sampled         *)
+(* certification throughput and the CSR-vs-list traversal A/B on       *)
+(* 10^5..10^6-node instances. The list side materializes               *)
+(* [Graph.neighbors] per query, the seed representation's access       *)
+(* pattern, so its ratio is the cross-change baseline for substrate    *)
+(* changes.                                                            *)
 
-let peak_rss_kb () =
-  (* VmHWM from /proc/self/status; absent off Linux *)
-  try
-    let ic = open_in "/proc/self/status" in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec scan () =
-          let line = input_line ic in
-          if String.length line >= 6 && String.sub line 0 6 = "VmHWM:" then
-            Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d kB"
-              (fun kb -> Some kb)
-          else scan ()
-        in
-        try scan () with End_of_file -> None)
-  with Sys_error _ -> None
-
-(* Traversal workload: sum of neighbor ids over every node. The CSR
-   side folds in place; the list side materializes the per-node list
-   first, as every pre-CSR hot loop did. *)
+(* Traversal workload: sum of neighbor ids over every node. *)
 let traverse_csr g =
   let acc = ref 0 in
   for v = 0 to Graph.order g - 1 do
@@ -1108,283 +965,140 @@ let traverse_list g =
   done;
   !acc
 
+(* One traversal A/B: list then CSR, [passes] passes over [graphs] per
+   rep; the gate is equal neighbor-id sums. *)
+let traversal_ab ~workload ~params ~reps ~passes graphs =
+  let nodes = passes * List.fold_left (fun a g -> a + Graph.order g) 0 graphs in
+  let side layer traverse =
+    let sum, walls =
+      measure ~reps (fun () ->
+          let acc = ref 0 in
+          for _ = 1 to passes do
+            List.iter (fun g -> acc := !acc + traverse g) graphs
+          done;
+          !acc)
+    in
+    (sum, row ~series:"large" ~workload ~layer ~params ~op:("node", nodes) walls)
+  in
+  let list_sum, list_row = side "list" traverse_list in
+  let csr_sum, csr_row = side "csr" traverse_csr in
+  gate (list_sum = csr_sum) [ list_row; csr_row ]
+
 let series_large ~fast () =
-  Printf.printf "\n== series: large sampled workload (CSR substrate)\n";
-  let build_rows =
-    let sizes = if fast then [ 100_000 ] else [ 100_000; 1_000_000 ] in
+  let sizes = if fast then [ 100_000 ] else [ 100_000; 1_000_000 ] in
+  let builds =
     List.concat_map
       (fun model ->
         List.map
           (fun nodes ->
-            let rng = Random.State.make [| 7; nodes |] in
-            let g, secs =
-              time (fun () ->
-                  match Random_graphs.of_model rng ~nodes model with
+            let g, walls =
+              measure ~reps:1 (fun () ->
+                  match
+                    Random_graphs.of_model (Random.State.make [| 7; nodes |])
+                      ~nodes model
+                  with
                   | Ok g -> g
                   | Error msg -> failwith msg)
             in
-            let n = Graph.order g and m = Graph.size g in
-            Printf.printf
-              "   build %-6s n=%8d m=%9d %8.3fs (%.2e nodes/s, %.2e edges/s)\n"
-              model n m secs
-              (float_of_int n /. secs)
-              (float_of_int m /. secs);
-            (model, g, secs))
+            ( (model, g),
+              row ~series:"large"
+                ~workload:(Printf.sprintf "build %s n=%d" model nodes)
+                ~params:[ str_p "model" model; int_p "nodes" nodes ]
+                ~op:("node", Graph.order g)
+                ~counters:[ ("nodes", Graph.order g); ("edges", Graph.size g) ]
+                walls ))
           sizes)
       [ "gnp"; "ba" ]
   in
-  (* traversal A/B on the largest gnp instance *)
   let g_big =
-    let pick (model, g, _) acc =
-      match acc with
-      | Some (_, h, _) when Graph.order h >= Graph.order g -> acc
-      | _ when model = "gnp" -> Some (model, g, 0.)
-      | _ -> acc
-    in
-    match List.fold_right pick build_rows None with
-    | Some (_, g, _) -> g
-    | None -> assert false
+    List.fold_left
+      (fun acc (model, g) ->
+        if model = "gnp" && Graph.order g > Graph.order acc then g else acc)
+      (Graph.empty 0)
+      (List.map fst builds)
   in
-  let sum_list, list_s = time (fun () -> traverse_list g_big) in
-  let sum_csr, csr_s = time (fun () -> traverse_csr g_big) in
-  assert (sum_list = sum_csr);
-  Printf.printf
-    "   traversal n=%d: list %.3fs vs csr %.3fs (%.1fx, identical sums)\n"
-    (Graph.order g_big) list_s csr_s
-    (list_s /. Float.max csr_s 1e-9);
-  (* sampled certification throughput through the standard phases *)
-  let sample_cfg = Run_cfg.make ~seed:7 () in
-  let eval_nodes = 50_000 in
-  let report, sample_s =
-    time (fun () ->
-        Sampling.run ~eval_nodes ~trials:4 ~pairs:1_000 ~cfg:sample_cfg
+  let big = Graph.order g_big in
+  let traversal =
+    traversal_ab
+      ~workload:(Printf.sprintf "traverse gnp n=%d" big)
+      ~params:[ int_p "nodes" big ] ~reps:5 ~passes:1 [ g_big ]
+  in
+  (* sampled certification through the standard phases *)
+  let cfg = Run_cfg.make ~seed:7 () in
+  let report, walls =
+    measure ~reps:1 (fun () ->
+        Sampling.run ~eval_nodes:50_000 ~trials:4 ~pairs:1_000 ~cfg
           ~decoder:"trivial2" ~model:"gnp" (D_trivial.suite ~k:2) g_big)
   in
-  let evaluated =
-    match report.Sampling.completeness with
-    | Some c -> c.Sampling.evaluated
-    | None -> 0
+  let sample =
+    row ~series:"large"
+      ~workload:(Printf.sprintf "sample trivial2 gnp n=%d" big)
+      ~params:[ int_p "nodes" big; int_p "jobs" cfg.Run_cfg.jobs ]
+      ~op:
+        ( "evaluated node",
+          match report.Sampling.completeness with
+          | Some c -> c.Sampling.evaluated
+          | None -> 0 )
+      ~counters:(deterministic_counters cfg)
+      walls
   in
-  Printf.printf "   sample trivial2 n=%d: %d evals in %.3fs (%.2e nodes/s)\n"
-    (Graph.order g_big) evaluated sample_s
-    (float_of_int evaluated /. Float.max sample_s 1e-9);
-  (* the small n=8 sweep A/B figure: same traversal workload over the
-     whole n=8 (n=7 under --fast) iso-class corpus *)
-  let n8 = if fast then 7 else 8 in
-  let classes, enum_s =
-    time (fun () ->
-        Lcp_engine.Sweep.iso_classes ~cfg:(Run_cfg.sequential sample_cfg) n8)
+  (* the same traversal over the whole n=8 (n=7 under --fast) class
+     corpus, 200 passes per rep *)
+  let n = if fast then 7 else 8 in
+  let classes = Sweep.iso_classes ~cfg:(Run_cfg.sequential cfg) n in
+  let corpus =
+    traversal_ab
+      ~workload:(Printf.sprintf "traverse n=%d classes x200" n)
+      ~params:[ int_p "n" n; int_p "classes" (List.length classes) ]
+      ~reps:3 ~passes:200 classes
   in
-  let reps = 200 in
-  let sweep_list, n8_list_s =
-    time (fun () ->
-        let acc = ref 0 in
-        for _ = 1 to reps do
-          List.iter (fun g -> acc := !acc + traverse_list g) classes
-        done;
-        !acc)
-  in
-  let sweep_csr, n8_csr_s =
-    time (fun () ->
-        let acc = ref 0 in
-        for _ = 1 to reps do
-          List.iter (fun g -> acc := !acc + traverse_csr g) classes
-        done;
-        !acc)
-  in
-  assert (sweep_list = sweep_csr);
-  Printf.printf
-    "   n=%d sweep corpus (%d classes, %d reps): list %.3fs vs csr %.3fs \
-     (%.1fx)\n"
-    n8 (List.length classes) reps n8_list_s n8_csr_s
-    (n8_list_s /. Float.max n8_csr_s 1e-9);
-  (match peak_rss_kb () with
-  | Some kb -> Printf.printf "   peak RSS: %d kB\n" kb
-  | None -> Printf.printf "   peak RSS: unavailable (no /proc)\n");
-  let ns s = int_of_float (s *. 1e9) in
-  Json.Obj
-    [
-      ("schema_version", Json.Int bench_schema_version);
-      ("jobs", Json.Int sample_cfg.Run_cfg.jobs);
-      ( "build",
-        Json.List
-          (List.map
-             (fun (model, g, secs) ->
-               let n = Graph.order g and m = Graph.size g in
-               Json.Obj
-                 [
-                   ("model", Json.String model);
-                   ("nodes", Json.Int n);
-                   ("edges", Json.Int m);
-                   ("wall_ns", Json.Int (ns secs));
-                   ("nodes_per_sec", Json.Int (int_of_float (float_of_int n /. Float.max secs 1e-9)));
-                   ("edges_per_sec", Json.Int (int_of_float (float_of_int m /. Float.max secs 1e-9)));
-                 ])
-             build_rows) );
-      ( "traversal",
-        Json.Obj
-          [
-            ("nodes", Json.Int (Graph.order g_big));
-            ("edges", Json.Int (Graph.size g_big));
-            ("list_wall_ns", Json.Int (ns list_s));
-            ("csr_wall_ns", Json.Int (ns csr_s));
-            ("speedup", Json.String (Printf.sprintf "%.2f" (list_s /. Float.max csr_s 1e-9)));
-          ] );
-      ( "sample",
-        Json.Obj
-          [
-            ("decoder", Json.String "trivial2");
-            ("nodes", Json.Int (Graph.order g_big));
-            ("evaluated", Json.Int evaluated);
-            ("wall_ns", Json.Int (ns sample_s));
-            ("nodes_per_sec", Json.Int (int_of_float (float_of_int evaluated /. Float.max sample_s 1e-9)));
-            ("violations", Json.Int report.Sampling.violations);
-          ] );
-      ( "sweep_n8_ab",
-        Json.Obj
-          [
-            ("n", Json.Int n8);
-            ("classes", Json.Int (List.length classes));
-            ("reps", Json.Int reps);
-            ("enumerate_wall_ns", Json.Int (ns enum_s));
-            ("list_wall_ns", Json.Int (ns n8_list_s));
-            ("csr_wall_ns", Json.Int (ns n8_csr_s));
-            ("speedup", Json.String (Printf.sprintf "%.2f" (n8_list_s /. Float.max n8_csr_s 1e-9)));
-          ] );
-      ( "peak_rss_kb",
-        match peak_rss_kb () with Some kb -> Json.Int kb | None -> Json.Null );
-    ]
-
-let write_large_json path doc =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty doc);
-      output_string oc "\n");
-  Printf.printf "large series written to %s\n" path
+  List.map snd builds @ traversal @ [ sample ] @ corpus
 
 (* ------------------------------------------------------------------ *)
-(* The PR-8 race series: what the instrumented sync layer costs. The
-   disarmed column is the price every ordinary run pays for the
-   tracing hooks (one relaxed Atomic.get branch per operation — the
-   zero-cost-when-off claim, measured); the armed column is the price
-   [lcp race] pays while recording (period 0: tracing without
-   perturbation pauses). Returns rows for BENCH_race.json.             *)
-
-let series_race ~fast () =
-  Printf.printf "\n== series: sync instrumentation overhead (armed vs disarmed)\n";
-  Printf.printf "%12s %10s %14s %14s %8s\n" "op" "iters" "disarmed_ns" "armed_ns"
-    "ratio";
-  let iters = if fast then 200_000 else 1_000_000 in
-  let module Sync = Lcp_obs.Sync in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let measure name op =
-    let disarmed = time (fun () -> for _ = 1 to iters do op () done) in
-    Sync.arm ~perturb:{ Sync.pseed = 0; period = 0 } ();
-    let armed = time (fun () -> for _ = 1 to iters do op () done) in
-    ignore (Sync.disarm ());
-    let per s = s /. float_of_int iters *. 1e9 in
-    let ratio = if disarmed > 0. then armed /. disarmed else 0. in
-    Printf.printf "%12s %10d %14.1f %14.1f %8.1f\n" name iters (per disarmed)
-      (per armed) ratio;
-    (name, iters, per disarmed, per armed, ratio)
-  in
-  let m = Sync.mutex "bench/race.lock" in
-  let a = Sync.A.make "bench/race.counter" 0 in
-  let v = Sync.Var.make "bench/race.var" 0 in
-  let r1 = measure "with_lock" (fun () -> Sync.with_lock m (fun () -> ())) in
-  let r2 = measure "atomic_incr" (fun () -> Sync.A.incr a) in
-  let r3 = measure "var_set" (fun () -> Sync.Var.set v 1) in
-  [ r1; r2; r3 ]
-
-let write_race_json path rows =
-  let row (name, iters, disarmed_ns, armed_ns, ratio) =
-    Json.Obj
-      [
-        ("op", Json.String name);
-        ("iters", Json.Int iters);
-        ("disarmed_ns_per_op", Json.Int (int_of_float disarmed_ns));
-        ("armed_ns_per_op", Json.Int (int_of_float armed_ns));
-        ("armed_over_disarmed_x100", Json.Int (int_of_float (ratio *. 100.)));
-      ]
-  in
-  let doc =
-    Json.Obj
-      [
-        ("schema_version", Json.Int bench_schema_version);
-        ("race", Json.List (List.map row rows));
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty doc);
-      output_string oc "\n");
-  Printf.printf "race series written to %s\n" path
 
 let () =
   let fast = Array.exists (fun a -> a = "--fast") Sys.argv in
   let large = Array.exists (fun a -> a = "--large") Sys.argv in
-  let metrics_out =
-    let out = ref "BENCH_sweep.json" in
-    Array.iteri
-      (fun i a ->
-        if a = "--metrics-out" && i + 1 < Array.length Sys.argv then
-          out := Sys.argv.(i + 1))
-      Sys.argv;
-    !out
+  Array.iteri
+    (fun i a ->
+      if a = "--out-dir" && i + 1 < Array.length Sys.argv then
+        out_dir := Sys.argv.(i + 1))
+    Sys.argv;
+  Printf.printf "LCP benchmark harness%s\n%!" (if fast then " [fast]" else "");
+  let report ?(write = true) title rows =
+    print_series title rows;
+    match rows with
+    | r :: _ when write -> write_series ~fast r.series rows
+    | _ -> ()
   in
-  Printf.printf "LCP benchmark harness (bechamel)%s\n\n"
-    (if fast then " [fast]" else "");
-  if large then begin
-    (* --large runs ONLY the large series: it is CI's large-smoke step,
-       not part of the default bench (tier-1 time unchanged). *)
-    let doc = series_large ~fast () in
-    write_large_json
-      (Filename.concat (Filename.dirname metrics_out) "BENCH_large.json")
-      doc;
-    exit 0
+  if large then
+    (* --large runs ONLY the large series: CI's large-smoke step, not
+       part of the default bench *)
+    report "large sampled workload (CSR substrate)" (series_large ~fast ())
+  else begin
+    let printed = report ~write:false in
+    printed "micro-benchmarks (bechamel)" (series_micro ~fast ());
+    printed "|V(D,n)| for the even-cycle decoder on C_n (E4/E8)"
+      (series_neighborhood ());
+    printed "honest certificate sizes in bits (E12)" (series_cert_sizes ());
+    printed "exhaustive strong-soundness cost, degree-one decoder (E3)"
+      (series_strong_checks ());
+    printed "decoder throughput on large rings" (series_scaling ());
+    printed "flooding vs View.extract, random connected graphs (E13)"
+      (series_sync ());
+    report "class enumeration: orderly vs mask scan vs pairwise"
+      (series_enumerate ~fast ());
+    report "certificate search: acceptance tables vs direct decoding"
+      (series_search ~fast ());
+    report "certificate search: orbit pruning vs direct; sharded n=8 sweep"
+      (series_orbit ~fast ());
+    report "engine soundness sweep, degree-one: jobs=1 vs jobs>=2"
+      (series_sweep ~fast ());
+    report "lcp serve request latency, cold vs warm" (series_serve ~fast ());
+    report "coordinated soundness sweep, degree-one" (series_coord ~fast ());
+    report "sync instrumentation overhead, disarmed vs armed"
+      (series_race ~fast ())
   end;
-  run_benchmarks ~fast ();
-  series_neighborhood ();
-  series_cert_sizes ();
-  series_strong_checks ();
-  series_scaling ();
-  series_engine_dedup ~fast ();
-  let enumerate_rows = series_enumerate ~fast () in
-  let search_rows = series_search ~fast () in
-  let orbit_rows = series_orbit ~fast () in
-  let orbit_shards = series_orbit_shards ~fast () in
-  let sweep_rows = series_engine_sweep ~fast () in
-  let serve_rows = series_serve ~fast () in
-  let coord_doc = series_coord ~fast () in
-  let race_rows = series_race ~fast () in
-  series_sync ();
-  write_sweep_json metrics_out sweep_rows;
-  write_coord_json
-    (Filename.concat (Filename.dirname metrics_out) "BENCH_coord.json")
-    coord_doc;
-  write_race_json
-    (Filename.concat (Filename.dirname metrics_out) "BENCH_race.json")
-    race_rows;
-  write_serve_json
-    (Filename.concat (Filename.dirname metrics_out) "BENCH_serve.json")
-    serve_rows;
-  write_enumerate_json
-    (Filename.concat (Filename.dirname metrics_out) "BENCH_enumerate.json")
-    enumerate_rows;
-  write_search_json
-    (Filename.concat (Filename.dirname metrics_out) "BENCH_search.json")
-    search_rows;
-  write_orbit_json
-    (Filename.concat (Filename.dirname metrics_out) "BENCH_orbit.json")
-    (orbit_rows, orbit_shards);
   match List.rev !divergences with
   | [] -> Printf.printf "\nbench done.\n"
   | ds ->

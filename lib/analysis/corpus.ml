@@ -1,4 +1,3 @@
-open Lcp_graph
 open Lcp_local
 
 type item = { inst : Instance.t; honest : bool }
@@ -21,6 +20,6 @@ let build ?(max_n = default_max_n) ?(samples = default_samples) ~rng
           let labels = Labeling.random rng ~alphabet g in
           items := { inst = Instance.with_labels base labels; honest = false } :: !items
         done)
-      (Enumerate.classes n)
+      (Lcp_engine.Sweep.iso_classes n)
   done;
   List.rev !items

@@ -1,4 +1,5 @@
 open Lcp
+module Run_cfg = Lcp_obs.Run_cfg
 
 let schema_version = 1
 

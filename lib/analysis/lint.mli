@@ -44,12 +44,12 @@ type report = {
 val schema_version : int
 
 val run :
-  ?cfg:Lcp.Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   ?max_n:int ->
   ?samples:int ->
   Lcp.Registry.entry list ->
   report
-(** Defaults: {!Lcp.Run_cfg.default}, {!Corpus.default_max_n},
+(** Defaults: {!Lcp_obs.Run_cfg.default}, {!Corpus.default_max_n},
     {!Corpus.default_samples}. *)
 
 val findings : report -> Finding.t list

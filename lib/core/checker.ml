@@ -18,7 +18,7 @@ let pp_verdict ppf = function
    cfg means strictly sequential: checks that share mutable state
    across instances (e.g. one RNG) rely on that. *)
 let fold_verdict ?cfg instances f =
-  let jobs = match cfg with Some c -> c.Run_cfg.jobs | None -> 1 in
+  let jobs = match cfg with Some c -> c.Lcp_obs.Run_cfg.jobs | None -> 1 in
   if jobs <= 1 then
     let rec go checked = function
       | [] -> Pass { checked }
@@ -29,7 +29,7 @@ let fold_verdict ?cfg instances f =
     in
     go 0 instances
   else
-    let metrics = Option.map (fun c -> c.Run_cfg.metrics) cfg in
+    let metrics = Option.map (fun c -> c.Lcp_obs.Run_cfg.metrics) cfg in
     let results =
       Lcp_engine.Pool.map ?metrics ~jobs f (Array.of_list instances)
     in
@@ -50,7 +50,7 @@ let fold_verdict ?cfg instances f =
 let count_labelings cfg by =
   match cfg with
   | None -> ()
-  | Some c -> Run_cfg.count c ~by "labelings_checked"
+  | Some c -> Lcp_obs.Run_cfg.count c ~by "labelings_checked"
 
 let completeness (suite : Decoder.suite) instances =
   fold_verdict instances (fun inst ->

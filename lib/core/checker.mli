@@ -21,7 +21,7 @@ val completeness : Decoder.suite -> Instance.t list -> verdict
     every node; instances outside the class are skipped. *)
 
 val soundness_exhaustive :
-  ?cfg:Run_cfg.t -> Decoder.suite -> Instance.t list -> verdict
+  ?cfg:Lcp_obs.Run_cfg.t -> Decoder.suite -> Instance.t list -> verdict
 (** For every instance whose graph is {e not} 2-colorable, no labeling
     over the adversary alphabet may be unanimously accepted. With a
     [cfg] whose [jobs > 1] the instances are checked on the
@@ -31,7 +31,7 @@ val soundness_exhaustive :
     [labelings_checked] counter. *)
 
 val strong_soundness_exhaustive :
-  ?cfg:Run_cfg.t -> Decoder.suite -> k:int -> Instance.t list -> verdict
+  ?cfg:Lcp_obs.Run_cfg.t -> Decoder.suite -> k:int -> Instance.t list -> verdict
 (** Strong (promise) soundness, literally: over {e all} labelings of
     {e each} given instance, the accepting-node-induced subgraph must be
     k-colorable. Cost is |alphabet|^n per instance (with acceptance
@@ -44,7 +44,7 @@ val strong_soundness_exhaustive :
     labelings inspected feed its [labelings_checked] counter. *)
 
 val strong_soundness_with :
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   source:Prover.source ->
   quotient:Prover.quotient ->
   Decoder.suite ->
@@ -55,7 +55,7 @@ val strong_soundness_with :
     source and the quotient as arguments (see {!Prover.search_with}). *)
 
 val soundness_sweep :
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   ?strategy:Lcp_engine.Sweep.strategy ->
   ?shard:int * int ->
   ?checkpoint:Lcp_engine.Checkpoint.policy ->
@@ -83,7 +83,7 @@ val soundness_sweep :
     [labelings_checked] from the per-class certificate searches. *)
 
 val soundness_sweep_with :
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   ?strategy:Lcp_engine.Sweep.strategy ->
   ?shard:int * int ->
   ?checkpoint:Lcp_engine.Checkpoint.policy ->

@@ -1,6 +1,6 @@
 open Lcp_graph
 open Lcp_local
-open Json
+open Lcp_obs.Json
 
 let graph_to_json g =
   Obj

@@ -6,17 +6,17 @@
 open Lcp_graph
 open Lcp_local
 
-val graph_to_json : Graph.t -> Json.t
-val graph_of_json : Json.t -> (Graph.t, string) result
+val graph_to_json : Graph.t -> Lcp_obs.Json.t
+val graph_of_json : Lcp_obs.Json.t -> (Graph.t, string) result
 
-val instance_to_json : Instance.t -> Json.t
-val instance_of_json : Json.t -> (Instance.t, string) result
+val instance_to_json : Instance.t -> Lcp_obs.Json.t
+val instance_of_json : Lcp_obs.Json.t -> (Instance.t, string) result
 
-val report_to_json : Report.t -> Json.t
+val report_to_json : Report.t -> Lcp_obs.Json.t
 
-val verdicts_to_json : Decoder.t -> Instance.t -> Json.t
+val verdicts_to_json : Decoder.t -> Instance.t -> Lcp_obs.Json.t
 (** A decoder's per-node verdicts on an instance, with metadata — the
     shape consumed by external dashboards. *)
 
-val save : string -> Json.t -> unit
-val load : string -> (Json.t, string) result
+val save : string -> Lcp_obs.Json.t -> unit
+val load : string -> (Lcp_obs.Json.t, string) result

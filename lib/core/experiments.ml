@@ -1,5 +1,6 @@
 open Lcp_graph
 open Lcp_local
+module Run_cfg = Lcp_obs.Run_cfg
 
 (* Every experiment takes one Run_cfg: its [jobs] drives the engine
    pool, [heavy] selects the expensive variants, [seed] feeds the
@@ -131,8 +132,7 @@ let e2_views ?(cfg = Run_cfg.default) () =
    the cross-sweep cache, so the many experiments that re-enumerate the
    same orders share one enumeration per process. The representatives
    (smallest edge mask per class) coincide with the ones the historical
-   [Enumerate.connected_up_to_iso] picked (and [Enumerate.classes]
-   serves, via the generator the engine registers). *)
+   [Enumerate.connected_up_to_iso] picked. *)
 let classes ?cfg n = Lcp_engine.Sweep.iso_classes ?cfg n
 
 let min_degree_one_family ?cfg ~max_n () =
@@ -598,7 +598,7 @@ let e7_watermelon ?(cfg = Run_cfg.default) () =
 let e8_extraction ?(cfg = Run_cfg.default) () =
   let trivial = D_trivial.suite ~k:2 in
   let graphs =
-    Enumerate.classes 4 @ Enumerate.classes 3 |> Enumerate.bipartite
+    classes 4 @ classes 3 |> Enumerate.bipartite
   in
   let fam =
     Neighborhood.exhaustive_family trivial ~graphs ~ports:`All
@@ -1112,7 +1112,7 @@ let e14_slocal ?(cfg = Run_cfg.default) () =
   (* (b) with revealing certificates, SLOCAL(1) solves Pi by extraction *)
   let trivial = D_trivial.suite ~k:2 in
   let graphs =
-    Enumerate.classes 4 @ Enumerate.classes 3 |> Enumerate.bipartite
+    classes 4 @ classes 3 |> Enumerate.bipartite
   in
   let fam =
     Neighborhood.exhaustive_family trivial ~graphs ~ports:`All
@@ -1280,7 +1280,7 @@ let e16_hidden_leaf ?(cfg = Run_cfg.default) () =
     let strong =
       let instances =
         List.map Instance.make
-          (List.concat_map Enumerate.classes [ 3; 4 ])
+          (List.concat_map (fun n -> classes n) [ 3; 4 ])
       in
       let ok =
         List.for_all

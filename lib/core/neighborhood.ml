@@ -104,7 +104,7 @@ let two_coloring t = if t.loops = [] then Coloring.two_color t.graph else None
 
 let exhaustive_family (suite : Decoder.suite) ~graphs ?(ports = `Canonical)
     ?(ids = `Canonical) ?cfg () =
-  let jobs = match cfg with Some c -> c.Run_cfg.jobs | None -> 1 in
+  let jobs = match cfg with Some c -> c.Lcp_obs.Run_cfg.jobs | None -> 1 in
   let dec = suite.Decoder.dec in
   (* one work unit per (graph, ports, ids) choice: coarse enough to
      amortize domain scheduling, fine enough to balance the `All
@@ -141,7 +141,7 @@ let exhaustive_family (suite : Decoder.suite) ~graphs ?(ports = `Canonical)
   in
   if jobs <= 1 then List.concat_map expand units
   else
-    let metrics = Option.map (fun c -> c.Run_cfg.metrics) cfg in
+    let metrics = Option.map (fun c -> c.Lcp_obs.Run_cfg.metrics) cfg in
     List.concat
       (Array.to_list
          (Lcp_engine.Pool.map ?metrics ~jobs expand (Array.of_list units)))

@@ -85,7 +85,7 @@ val exhaustive_family :
   graphs:Graph.t list ->
   ?ports:[ `Canonical | `All ] ->
   ?ids:[ `Canonical | `Canonical_bound of int | `All of int ] ->
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   unit ->
   Instance.t list
 (** All unanimously-accepted labeled yes-instances over the given

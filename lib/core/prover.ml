@@ -1,5 +1,6 @@
 open Lcp_graph
 open Lcp_local
+module Run_cfg = Lcp_obs.Run_cfg
 
 (* ------------------------------------------------------------------ *)
 (* assignment order and coverage schedule                              *)

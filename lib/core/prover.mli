@@ -40,7 +40,7 @@
 open Lcp_local
 
 val find_accepted :
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   Decoder.t ->
   alphabet:string list ->
   Instance.t ->
@@ -51,7 +51,7 @@ val find_accepted :
     labeled rejects. *)
 
 val search_accepted :
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   Decoder.t ->
   alphabet:string list ->
   Instance.t ->
@@ -67,7 +67,7 @@ val search_accepted :
     ineligible — and never changes the witness. *)
 
 val iter_accepted :
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   Decoder.t ->
   alphabet:string list ->
   Instance.t ->
@@ -77,7 +77,11 @@ val iter_accepted :
     copy each time), in ball-completion search order. *)
 
 val count_accepted :
-  ?cfg:Run_cfg.t -> Decoder.t -> alphabet:string list -> Instance.t -> int
+  ?cfg:Lcp_obs.Run_cfg.t ->
+  Decoder.t ->
+  alphabet:string list ->
+  Instance.t ->
+  int
 
 val orbit_eligible : Decoder.t -> Instance.t -> bool
 (** Whether the automorphism-orbit quotient is sound for this decoder
@@ -118,7 +122,7 @@ type source = {
 type quotient = Decoder.t -> Instance.t -> Lcp_engine.Auto.t option
 (** The automorphism group to quotient a search by, if any. *)
 
-val tables : ?cfg:Run_cfg.t -> unit -> source
+val tables : ?cfg:Lcp_obs.Run_cfg.t -> unit -> source
 (** The production verdict source: an acceptance-table lease from
     {!Lcp_engine.Eval_cache.acquire}, keyed by everything a verdict
     depends on besides the labels (decoder name and radius, alphabet,
@@ -130,7 +134,7 @@ val tables : ?cfg:Run_cfg.t -> unit -> source
     and warm runs serialize the same key set. *)
 
 val search_with :
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   source:source ->
   quotient:quotient ->
   Decoder.t ->

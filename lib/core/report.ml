@@ -1,3 +1,5 @@
+module Json = Lcp_obs.Json
+
 type row = { label : string; value : string; expected : string; ok : bool }
 type t = { id : string; title : string; rows : row list }
 

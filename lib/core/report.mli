@@ -31,13 +31,13 @@ val to_markdown : t -> string
 
 val summary_line : t -> string
 
-val to_json : t -> Json.t
+val to_json : t -> Lcp_obs.Json.t
 (** [{ "id"; "title"; "passed"; "rows": [{ "label"; "measured";
     "expected"; "ok" }] }]. *)
 
 val battery_schema_version : int
 
-val battery_to_json : t list -> Json.t
+val battery_to_json : t list -> Lcp_obs.Json.t
 (** The whole battery as one schema-versioned document:
     [{ "schema_version"; "total"; "passed"; "reports" }] — the payload
     of [lcp experiments --json]. *)

@@ -173,14 +173,6 @@ let clear_cache () =
   Sync.A.set hits 0;
   Sync.A.set misses 0
 
-(* Enumerate's streaming class API delegates here when the engine is
-   linked: same representatives, same order, but generated by orderly
-   augmentation and memoized across calls instead of re-running the
-   brute-force pairwise dedup. *)
-let () =
-  Enumerate.set_class_generator (fun ~connected n ->
-      iso_classes ~cfg:R.default ~connected n)
-
 (* ------------------------------------------------------------------ *)
 (* sharding                                                            *)
 

@@ -55,25 +55,7 @@ let bipartite graphs = List.filter Coloring.is_bipartite graphs
 
 let count_graphs n = 1 lsl (n * (n - 1) / 2)
 
-(* Class listings: generated by whoever registers a generator
-   (Lcp_engine.Sweep installs its cached orderly generator at module
-   init), falling back to the brute-force dedup above. The contract on
-   the generator is exact: same minimal-mask representatives, same
-   ascending order, as [brute_classes]. *)
-
-let class_generator : (connected:bool -> int -> Graph.t list) option ref =
-  ref None
-
-let set_class_generator f = class_generator := Some f
-
 let brute_classes ~connected n =
   let push, listing = dedup_iso () in
   (if connected then iter_connected else iter_graphs) n push;
   listing ()
-
-let classes ?(connected = true) n =
-  match !class_generator with
-  | Some f -> f ~connected n
-  | None -> brute_classes ~connected n
-
-let iter_classes ?connected n f = List.iter f (classes ?connected n)

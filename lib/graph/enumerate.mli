@@ -47,28 +47,11 @@ val connected_up_to_iso : int -> Graph.t list
 val non_bipartite : Graph.t list -> Graph.t list
 val bipartite : Graph.t list -> Graph.t list
 
-(** {1 Class listings (delegating)} *)
-
-val classes : ?connected:bool -> int -> Graph.t list
-(** One minimal-mask representative per isomorphism class on [n]
-    nodes, ascending mask order ([connected] defaults to [true]).
-    Served by the registered generator when one is installed —
-    [Lcp_engine.Sweep] registers its cached orderly generator at
-    module init, making this the cheap front door to class listings —
-    and by {!brute_classes} otherwise. Either way the listing is
-    bit-identical; only the cost differs. *)
-
-val iter_classes : ?connected:bool -> int -> (Graph.t -> unit) -> unit
-(** [List.iter] over {!classes} — streaming shape for symmetry with
-    {!iter_graphs}; the listing itself is small (one rep per class). *)
-
 val brute_classes : connected:bool -> int -> Graph.t list
-(** The generator-free fallback behind {!classes}: {!dedup_iso} over
-    the full mask-ordered labeled space. Exponential — keep [n <= 6].
-    Exposed (like {!connected_up_to_iso}) as the independent oracle
-    the engine's enumerators are cross-validated against. *)
-
-val set_class_generator : (connected:bool -> int -> Graph.t list) -> unit
-(** Install the generator behind {!classes}. The engine calls this at
-    init; the contract is exact equality with {!brute_classes} output
-    (same representatives, same order). Last registration wins. *)
+(** One minimal-mask representative per isomorphism class on [n]
+    nodes (connected graphs only when [connected]), ascending mask
+    order, by brute-force dedup over the labeled space. Exponential —
+    keep [n <= 6]; [Lcp_engine.Sweep.iso_classes] returns the
+    identical listing. Exposed (like {!connected_up_to_iso}) as the
+    independent oracle the engine's enumerators are cross-validated
+    against. *)

@@ -119,12 +119,9 @@ let spans t =
 
 (* v2: the engine's [masks_scanned] counter became
    [candidates_generated] when enumeration grew a second strategy
-   (orderly generation) whose candidates are not masks. The layout is
-   unchanged, so v1 files still parse — only the counter vocabulary
-   moved. *)
+   (orderly generation) whose candidates are not masks. Only v2 files
+   load: a v1 file's counters would mix the two vocabularies. *)
 let schema_version = 2
-
-let accepted_versions = [ 1; schema_version ]
 
 let to_json t =
   let ints l = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) l) in
@@ -150,7 +147,7 @@ let of_json json =
   let open Json in
   let* v = member "schema_version" json in
   let* v = to_int v in
-  if not (List.mem v accepted_versions) then
+  if v <> schema_version then
     Error (Printf.sprintf "metrics: unsupported schema_version %d" v)
   else
     let t = create () in

@@ -83,8 +83,8 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Inverse of {!to_json} (up to span-stack state, which is not
     serialized): [of_json (to_json t)] renders back to the same JSON.
-    Accepts v1 files as well (same layout, older counter names kept
-    verbatim). *)
+    Any [schema_version] other than {!schema_version} is an error
+    naming the version. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable dump (the stderr sink's flush format). *)

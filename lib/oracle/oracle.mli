@@ -23,7 +23,7 @@ type verdicts =
           counters. *)
 
 val search_accepted :
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   verdicts:verdicts ->
   quotient:bool ->
   Decoder.t ->
@@ -35,7 +35,7 @@ val search_accepted :
     search ([false]). [Tables] with [true] is the production search. *)
 
 val strong_soundness_exhaustive :
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   verdicts:verdicts ->
   quotient:bool ->
   Decoder.suite ->
@@ -45,7 +45,7 @@ val strong_soundness_exhaustive :
 (** {!Lcp.Checker.strong_soundness_exhaustive} on the chosen paths. *)
 
 val soundness_sweep :
-  ?cfg:Run_cfg.t ->
+  ?cfg:Lcp_obs.Run_cfg.t ->
   verdicts:verdicts ->
   quotient:bool ->
   Decoder.suite ->

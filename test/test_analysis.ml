@@ -14,7 +14,9 @@ let findings_of_kind kind report =
     (Lcp_analysis.Lint.findings report)
 
 let lint ?(max_n = 3) ?(samples = 3) entries =
-  Lcp_analysis.Lint.run ~cfg:(Run_cfg.make ~jobs:2 ()) ~max_n ~samples entries
+  Lcp_analysis.Lint.run
+    ~cfg:(Lcp_obs.Run_cfg.make ~jobs:2 ())
+    ~max_n ~samples entries
 
 (* ------------------------------------------------------------------ *)
 (* misbehaving decoders (the sanitizer's negative path)                *)
@@ -123,7 +125,7 @@ let test_probe_cert_bits () =
 
 let test_registry_is_clean () =
   let report =
-    Lcp_analysis.Lint.run ~cfg:(Run_cfg.make ~jobs:2 ()) Registry.all
+    Lcp_analysis.Lint.run ~cfg:(Lcp_obs.Run_cfg.make ~jobs:2 ()) Registry.all
   in
   Alcotest.(check (list string))
     "no findings at all" []
@@ -176,10 +178,10 @@ let test_distinct_kinds () =
 let test_report_json_roundtrip () =
   let report = lint [ deep_entry ] in
   let json = Lcp_analysis.Lint.report_to_json report in
-  match Json.of_string (Json.to_string_pretty json) with
+  match Lcp_obs.Json.of_string (Lcp_obs.Json.to_string_pretty json) with
   | Error e -> Alcotest.fail e
   | Ok parsed ->
-      let open Json in
+      let open Lcp_obs.Json in
       (match let* v = member "schema_version" parsed in to_int v with
       | Ok v -> check_int "schema version" Lcp_analysis.Lint.schema_version v
       | Error e -> Alcotest.fail e);
@@ -193,10 +195,10 @@ let test_report_json_roundtrip () =
 
 let test_report_deterministic_across_jobs () =
   let render jobs =
-    Json.to_string
+    Lcp_obs.Json.to_string
       (Lcp_analysis.Lint.report_to_json
          (Lcp_analysis.Lint.run
-            ~cfg:(Run_cfg.make ~jobs ())
+            ~cfg:(Lcp_obs.Run_cfg.make ~jobs ())
             ~max_n:3 ~samples:3 Registry.all))
   in
   Alcotest.(check string) "jobs=1 and jobs=4 render identically" (render 1)

@@ -42,7 +42,7 @@ let sorted_perms ps = List.sort compare (List.map Array.to_list ps)
 
 let corpus max_n =
   List.concat_map
-    (fun n -> Enumerate.classes ~connected:false n)
+    (fun n -> Lcp_engine.Sweep.iso_classes ~connected:false n)
     (List.init max_n (fun i -> i + 1))
 
 let check_group_equals_brute max_n () =

@@ -2,6 +2,7 @@ open Lcp_graph
 open Lcp_local
 open Lcp
 open Helpers
+module Json = Lcp_obs.Json
 
 let test_graph_roundtrip () =
   List.iter

@@ -337,7 +337,7 @@ let test_iso_classes_deterministic () =
 
 let test_iso_classes_agree_with_enumerate () =
   (* same classes as the brute-force path — representatives and order
-     included, which is the [Enumerate.classes] delegation contract *)
+     included *)
   let engine = Sweep.iso_classes ~cfg:(cfg 2) 4 in
   let brute = Enumerate.connected_up_to_iso 4 in
   check_int "class count vs Enumerate" (List.length brute) (List.length engine);

@@ -56,23 +56,25 @@ let test_streaming_matches_list_dedup () =
   check_bool "same representatives" true
     (List.for_all2 (fun a b -> Graph.equal a b) via_list streamed)
 
-let test_classes_delegation () =
-  (* this binary links Lcp_engine, so [classes] is served by the
-     registered orderly generator — its contract is exact equality
-     with the brute-force oracle, representatives and order included *)
-  let delegated = Enumerate.classes 5 in
-  let brute = Enumerate.connected_up_to_iso 5 in
-  check_int "same class count" (List.length brute) (List.length delegated);
-  check_bool "same representatives, same order" true
-    (List.for_all2 Graph.equal brute delegated);
-  let all = Enumerate.classes ~connected:false 4 in
-  check_bool "disconnected classes too" true
+let test_iso_classes_match_brute () =
+  (* the engine's cached orderly listing must equal the brute-force
+     oracle exactly, representatives and order included *)
+  for n = 1 to 5 do
+    List.iter
+      (fun connected ->
+        let engine = Lcp_engine.Sweep.iso_classes ~connected n in
+        let brute = Enumerate.brute_classes ~connected n in
+        let what = Printf.sprintf "n=%d connected=%b" n connected in
+        check_int (what ^ ": same class count") (List.length brute)
+          (List.length engine);
+        check_bool (what ^ ": same representatives, same order") true
+          (List.for_all2 Graph.equal brute engine))
+      [ true; false ]
+  done;
+  check_bool "brute_classes agrees with connected_up_to_iso" true
     (List.for_all2 Graph.equal
-       (Enumerate.brute_classes ~connected:false 4)
-       all);
-  let seen = ref 0 in
-  Enumerate.iter_classes 4 (fun _ -> incr seen);
-  check_int "iter_classes visits each class once" 6 !seen
+       (Enumerate.connected_up_to_iso 5)
+       (Enumerate.brute_classes ~connected:true 5))
 
 let suite =
   [
@@ -82,5 +84,5 @@ let suite =
     case "iso classes pairwise distinct" test_up_to_iso_distinct;
     case "bipartite split" test_bipartite_split;
     case "streaming dedup matches list dedup" test_streaming_matches_list_dedup;
-    case "classes delegates to the engine" test_classes_delegation;
+    case "iso_classes equals brute_classes" test_iso_classes_match_brute;
   ]

@@ -1,7 +1,7 @@
 open Lcp
 open Helpers
 
-let light () = Run_cfg.make ~heavy:false ()
+let light () = Lcp_obs.Run_cfg.make ~heavy:false ()
 
 (* The full battery (light mode) must reproduce every paper artifact. *)
 let test_battery () =

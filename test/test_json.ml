@@ -1,5 +1,5 @@
-open Lcp
 open Helpers
+module Json = Lcp_obs.Json
 
 let roundtrip j =
   match Json.of_string (Json.to_string j) with

@@ -63,27 +63,27 @@ let test_metrics_json_roundtrip () =
 let test_schema_versions () =
   check_int "schema_version bumped for the counter rename" 2
     Metrics.schema_version;
-  (* v1 files (pre-rename counter vocabulary, same layout) still load *)
-  let v1 =
-    {|{"schema_version": 1, "counters": {"masks_scanned": 64},
-       "gauges": {}, "spans": {}}|}
+  let rejected version =
+    match
+      Json.of_string
+        (Printf.sprintf
+           {|{"schema_version": %d, "counters": {"masks_scanned": 64},
+              "gauges": {}, "spans": {}}|}
+           version)
+    with
+    | Error e -> Alcotest.fail e
+    | Ok j -> (
+        match Metrics.of_json j with
+        | Ok _ -> Alcotest.failf "schema_version %d loaded" version
+        | Error e ->
+            check_bool
+              (Printf.sprintf "v%d is rejected with an error naming the version"
+                 version)
+              true
+              (contains ~needle:(Printf.sprintf "schema_version %d" version) e))
   in
-  (match Json.of_string v1 with
-  | Error e -> Alcotest.fail e
-  | Ok j -> (
-      match Metrics.of_json j with
-      | Error e -> Alcotest.fail e
-      | Ok m ->
-          check_int "v1 counters load verbatim" 64
-            (Metrics.counter m "masks_scanned")));
-  let v3 =
-    {|{"schema_version": 3, "counters": {}, "gauges": {}, "spans": {}}|}
-  in
-  match Json.of_string v3 with
-  | Error e -> Alcotest.fail e
-  | Ok j ->
-      check_bool "future versions rejected" true
-        (Result.is_error (Metrics.of_json j))
+  rejected 1;
+  rejected 3
 
 let test_run_cfg_semantics () =
   let cfg = Run_cfg.make () in
@@ -180,7 +180,7 @@ let suite =
     case "span recorded on exception" test_span_survives_exception;
     case "counters and gauges" test_counters_and_gauges;
     case "metrics JSON round-trip" test_metrics_json_roundtrip;
-    case "schema v2 accepts v1, rejects v3" test_schema_versions;
+    case "schema v2 only: rejects v1 and v3" test_schema_versions;
     case "run-cfg semantics" test_run_cfg_semantics;
     case "json sink writes parseable metrics" test_json_sink;
     case "json sink is live and atomic mid-run" test_json_sink_live;

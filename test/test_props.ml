@@ -252,8 +252,8 @@ let prop_json_string_roundtrip =
   QCheck2.Test.make ~name:"JSON string escaping roundtrips" ~count:200
     QCheck2.Gen.(string_size ~gen:(char_range '\000' '\127') (int_range 0 30))
     (fun s ->
-      match Json.of_string (Json.to_string (Json.String s)) with
-      | Ok (Json.String s') -> s = s'
+      match Lcp_obs.Json.of_string (Lcp_obs.Json.to_string (Lcp_obs.Json.String s)) with
+      | Ok (Lcp_obs.Json.String s') -> s = s'
       | _ -> false)
 
 let prop_async_matches_sync =

@@ -1,5 +1,6 @@
 open Lcp
 open Helpers
+module Json = Lcp_obs.Json
 
 let sample =
   {
