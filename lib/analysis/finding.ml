@@ -47,8 +47,3 @@ let to_json f =
       ("decoder", Lcp_obs.Json.String f.decoder);
       ("detail", Lcp_obs.Json.String f.detail);
     ]
-
-let pp ppf f =
-  Format.fprintf ppf "%s: [%s/%s] %s" f.decoder
-    (severity_to_string f.severity)
-    (kind_to_string f.kind) f.detail

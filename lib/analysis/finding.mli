@@ -36,4 +36,3 @@ val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
 val severity_to_string : severity -> string
 val to_json : t -> Lcp_obs.Json.t
-val pp : Format.formatter -> t -> unit

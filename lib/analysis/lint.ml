@@ -163,23 +163,3 @@ let report_to_json r =
       ("samples", Int r.samples);
       ("decoders", List (List.map decoder_report_to_json r.decoders));
     ]
-
-let pp_decoder_report ppf d =
-  Format.fprintf ppf "%-14s r=%d/%d observed=%d ids=%d ports=%d cert=%d/%db %s"
-    d.key d.contract.Decoder.declared_radius d.view_radius d.observed_radius
-    d.id_reads d.port_reads d.cert_bits_read d.cert_bits_declared
-    (if List.exists Finding.is_violation d.findings then "FAIL"
-     else if d.findings <> [] then "warn"
-     else "ok")
-
-let pp_report ppf r =
-  let viols = violations r in
-  Format.fprintf ppf "@[<v>lint: %d decoders, %d findings (%d violations)"
-    (List.length r.decoders)
-    (List.length (findings r))
-    (List.length viols);
-  List.iter (fun d -> Format.fprintf ppf "@,  %a" pp_decoder_report d) r.decoders;
-  List.iter
-    (fun f -> Format.fprintf ppf "@,  %a" Finding.pp f)
-    (findings r);
-  Format.fprintf ppf "@]"

@@ -57,5 +57,3 @@ val violations : report -> Finding.t list
 (** The findings that must fail a CI gate (severity [Error]). *)
 
 val report_to_json : report -> Lcp_obs.Json.t
-val pp_report : Format.formatter -> report -> unit
-val pp_decoder_report : Format.formatter -> decoder_report -> unit

@@ -144,7 +144,11 @@ let worker_loop t =
     | None -> ()
     | Some job ->
         gauge_depth t;
-        let status, reason, result = Session.execute t.session job.req job.cfg in
+        let status, reason, result =
+          let span = "serve/" ^ Protocol.kind_name job.req.Protocol.kind in
+          Lcp_obs.Run_cfg.span job.cfg span (fun () ->
+              Session.execute t.session job.req job.cfg)
+        in
         (match status with
         | Protocol.Expired -> Metrics.incr (metrics t) "serve/expired"
         | _ -> ());

@@ -346,6 +346,50 @@ let test_sweep_shard_protocol_round_trip () =
           check_int "shard survives" 2 shard
       | _ -> Alcotest.fail "round-tripped to the wrong kind")
 
+(* A worker that exits 2 (usage error) aborts the run instead of being
+   restarted: here every restart would resume the same foreign
+   checkpoint and fail the same way. The n=6 run finds an incomplete
+   n=7 checkpoint in shard 0's slot; its worker refuses it on --resume
+   as a usage error. *)
+let test_usage_error_worker_aborts () =
+  with_dir @@ fun dir ->
+  let path = Coordinator.shard_path ~dir 0 in
+  let code =
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid =
+      Unix.create_process lcp_bin
+        [|
+          lcp_bin; "sweep"; "degree-one"; "-n"; "7"; "-j"; "1"; "--shards"; "2";
+          "--shard"; "0"; "--checkpoint"; path; "--max-chunks"; "1";
+        |]
+        null null null
+    in
+    Unix.close null;
+    snd (Unix.waitpid [] pid)
+  in
+  check_bool "the preempted n=7 shard worker exited 0" true (code = Unix.WEXITED 0);
+  check_bool "it left an incomplete checkpoint" true
+    (match Checkpoint.load path with
+    | Ok ck -> not ck.Checkpoint.complete
+    | Error _ -> false);
+  let cfg = Run_cfg.make ~jobs:1 () in
+  let config =
+    {
+      (Coordinator.default_config ~decoder:"degree-one" ~n:6 ~shards:2 ~dir)
+      with
+      Coordinator.executor = Coordinator.Subprocess { bin = lcp_bin };
+      poll_s = 0.01;
+      backoff_base_s = 0.01;
+    }
+  in
+  (match Coordinator.run ~cfg config with
+  | Ok _ -> Alcotest.fail "a foreign checkpoint must abort the run"
+  | Error msg ->
+      check_bool "the abort names the usage error" true
+        (contains ~needle:"exited 2" msg));
+  check_int "the usage-error worker was not restarted" 0
+    (Lcp_obs.Metrics.counter cfg.Run_cfg.metrics "coord/restarts")
+
 let suite =
   [
     case "backoff: immediate first attempt, doubling, capped"
@@ -365,4 +409,6 @@ let suite =
       test_remote_shards_match_unsharded;
     slow_case "daemon runs a coordinated sweep server-side"
       test_daemon_runs_coordinated_sweep;
+    slow_case "a worker's usage error aborts the run, no restart"
+      test_usage_error_worker_aborts;
   ]
