@@ -138,12 +138,12 @@ let strong_soundness_with ?cfg ~source ~quotient (suite : Decoder.suite) ~k
       source.Prover.with_accepts dec ~alphabet inst (fun accepts ->
           let checked = ref 0 in
           let exception Failed of failure in
-          let check_labeling ~weight lab =
+          let check_labeling ~weight lab rk =
             checked := !checked + weight;
             let accepting = ref [] in
             Array.iteri
               (fun v ok -> if ok then accepting := v :: !accepting)
-              (Array.init n (accepts lab));
+              (Array.init n (accepts lab rk));
             let sub, _ = Graph.induced g (List.rev !accepting) in
             if not (Coloring.is_k_colorable sub ~k) then
               raise
@@ -155,40 +155,27 @@ let strong_soundness_with ?cfg ~source ~quotient (suite : Decoder.suite) ~k
                          "accepting nodes induce a non-%d-colorable subgraph" k;
                    })
           in
+          (* identity order: the order Labeling.iter_all uses *)
+          let order = Array.init n Fun.id in
           let iterate () =
             match auto with
             | None ->
-                Labeling.iter_all ~alphabet g (fun lab ->
-                    check_labeling ~weight:1 lab)
+                Labeling.iter_backtracking_ranked ~alphabet ~order g
+                  ~prune:(fun _ _ _ -> false)
+                  (check_labeling ~weight:1)
             | Some auto ->
                 let perms = Lcp_engine.Auto.perms auto in
                 let asize = Array.length perms in
-                let cs =
-                  Lcp_engine.Auto.lex_constraints auto
-                    ~order:(Array.init n Fun.id)
-                in
-                let rank : (string, int) Hashtbl.t = Hashtbl.create 8 in
-                List.iteri
-                  (fun i s ->
-                    if not (Hashtbl.mem rank s) then Hashtbl.add rank s i)
-                  alphabet;
-                let rk = Array.make n 0 in
-                Labeling.iter_backtracking ~alphabet g
-                  ~prune:(fun v lab ->
+                let cs = Lcp_engine.Auto.lex_constraints auto ~order in
+                Labeling.iter_backtracking_ranked ~alphabet ~order g
+                  ~prune:(fun v _ rk ->
                     match cs.(v) with
                     | [] -> false
-                    | es ->
-                        let rv = Hashtbl.find rank lab.(v) in
-                        List.exists
-                          (fun e -> rv < Hashtbl.find rank lab.(e))
-                          es)
-                  (fun lab ->
+                    | es -> List.exists (fun e -> rk.(v) < rk.(e)) es)
+                  (fun lab rk ->
                     (* exact minimality: the chain constraints leave a
                        superset of the orbit minima, so verify L <= L.p
                        for every p and count the stabilizer on the way *)
-                    for v = 0 to n - 1 do
-                      rk.(v) <- Hashtbl.find rank lab.(v)
-                    done;
                     let stab = ref 0 in
                     let minimal = ref true in
                     Array.iter
@@ -205,7 +192,7 @@ let strong_soundness_with ?cfg ~source ~quotient (suite : Decoder.suite) ~k
                         end)
                       perms;
                     if !minimal then
-                      check_labeling ~weight:(asize / !stab) lab)
+                      check_labeling ~weight:(asize / !stab) lab rk)
           in
           let result =
             try
@@ -274,6 +261,20 @@ let soundness_sweep_with ?cfg ?strategy ?shard ?checkpoint ?on_chunk
   (* materialize the counter: a sweep that keeps zero classes must
      still serialize the same key set *)
   count_labelings cfg 0;
+  let tables0, entries0 = Lcp_engine.Eval_cache.shape_stats () in
+  (* the shape tables this run built and the entries it filled: gauges,
+     because both depend on how many domains ran and what earlier runs
+     in the process already filled *)
+  let report_shapes () =
+    match cfg with
+    | None -> ()
+    | Some c ->
+        let tables, entries = Lcp_engine.Eval_cache.shape_stats () in
+        Lcp_obs.Run_cfg.set_gauge c "eval_cache/shape_tables" (tables - tables0);
+        Lcp_obs.Run_cfg.set_gauge c "eval_cache/shape_entries"
+          (entries - entries0)
+  in
+  Fun.protect ~finally:report_shapes @@ fun () ->
   Lcp_engine.Sweep.run ?cfg ?strategy ?shard ?checkpoint ?on_chunk ?max_chunks
     ~mode ~n
     ~keep:(fun g -> not (Coloring.is_bipartite g))

@@ -69,7 +69,7 @@ type source = {
     Decoder.t ->
     alphabet:string list ->
     Instance.t ->
-    ((Labeling.t -> int -> bool) -> 'a) ->
+    ((Labeling.t -> int array -> int -> bool) -> 'a) ->
     'a;
 }
 
@@ -121,11 +121,6 @@ let share_key dec ~alphabet (inst : Instance.t) =
     inst.Instance.ports;
   Buffer.contents b
 
-let acquire_cache dec ~alphabet inst =
-  Lcp_engine.Eval_cache.acquire
-    ~key:(share_key dec ~alphabet inst)
-    ~radius:dec.Decoder.radius ~accepts:dec.Decoder.accepts ~alphabet inst
-
 (* Report a lease's hit/miss delta. The three counters are
    materialized (at 0) whenever a cfg is present, so cold and warm runs
    serialize the same key set; the delta is taken since acquire, so it
@@ -141,19 +136,6 @@ let count_eval_stats cfg lease =
       if Lcp_engine.Eval_cache.lease_warm lease then
         Run_cfg.count c "eval_cache_shared_hits"
 
-let tables ?cfg () =
-  {
-    with_accepts =
-      (fun dec ~alphabet inst k ->
-        let lease = acquire_cache dec ~alphabet inst in
-        let ec = Lcp_engine.Eval_cache.lease_cache lease in
-        Fun.protect
-          ~finally:(fun () ->
-            count_eval_stats cfg lease;
-            Lcp_engine.Eval_cache.release lease)
-          (fun () -> k (fun lab u -> Lcp_engine.Eval_cache.accepts ec lab u)));
-  }
-
 (* Orbit pruning is sound only for decoders whose per-node verdicts
    are invariant under the graph's automorphisms: anonymous (no id
    reads) and port-invariant (no port reads) — then the verdict
@@ -162,6 +144,28 @@ let tables ?cfg () =
 let orbit_eligible dec (inst : Instance.t) =
   dec.Decoder.anonymous && dec.Decoder.port_invariant
   && Instance.order inst <= Lcp_engine.Canon.max_order
+
+(* Decoders whose verdicts are Aut-invariant for that reason also give
+   equal verdicts on equal view shapes, so their misses go through the
+   per-domain shape tables. *)
+let tables ?cfg () =
+  {
+    with_accepts =
+      (fun dec ~alphabet inst k ->
+        let lease =
+          Lcp_engine.Eval_cache.acquire
+            ~key:(share_key dec ~alphabet inst)
+            ~shapes:(orbit_eligible dec inst) ~radius:dec.Decoder.radius
+            ~accepts:dec.Decoder.accepts ~alphabet inst
+        in
+        let ec = Lcp_engine.Eval_cache.lease_cache lease in
+        Fun.protect
+          ~finally:(fun () ->
+            count_eval_stats cfg lease;
+            Lcp_engine.Eval_cache.release lease)
+          (fun () ->
+            k (fun lab rk u -> Lcp_engine.Eval_cache.accepts_ranked ec lab rk u)));
+  }
 
 let orbit_group dec (inst : Instance.t) =
   if not (orbit_eligible dec inst) then None
@@ -198,16 +202,6 @@ let iter_with ?tally ?cfg ~accepts ~group dec ~alphabet (inst : Instance.t) f =
     match sym with
     | None -> fun _ _ -> false
     | Some progs ->
-        let rank : (string, int) Hashtbl.t = Hashtbl.create 8 in
-        List.iteri
-          (fun i s -> if not (Hashtbl.mem rank s) then Hashtbl.add rank s i)
-          alphabet;
-        (* [rk.(e)] holds the rank of the symbol currently at step [e]:
-           the prune re-runs on every (re)assignment, so reads of
-           earlier steps always see the current value — one string
-           hash per assignment, none inside the program walks. *)
-        let steps = Array.length order in
-        let rk = Array.make (max steps 1) 0 in
         let np = Array.length progs in
         (* programs arrive sorted by activation step (the first step
            at which a walk can be conclusive), so the scan stops at
@@ -219,8 +213,8 @@ let iter_with ?tally ?cfg ~accepts ~group dec ~alphabet (inst : Instance.t) f =
               max s e)
             progs
         in
-        fun i (partial : Labeling.t) ->
-          rk.(i) <- Hashtbl.find rank partial.(order.(i));
+        (* walks name steps; the search's ranks are indexed by node *)
+        fun i (rk : int array) ->
           let cut = ref false in
           let pi = ref 0 in
           while (not !cut) && !pi < np && act.(!pi) <= i do
@@ -231,30 +225,40 @@ let iter_with ?tally ?cfg ~accepts ~group dec ~alphabet (inst : Instance.t) f =
             while !walking && !j < m do
               let s, e = prog.(!j) in
               if s > i || e > i then walking := false
-              else if rk.(s) > rk.(e) then begin
-                cut := true;
-                walking := false
-              end
-              else if rk.(s) < rk.(e) then walking := false
-              else incr j
+              else
+                let a = rk.(order.(s)) and b = rk.(order.(e)) in
+                if a > b then begin
+                  cut := true;
+                  walking := false
+                end
+                else if a < b then walking := false
+                else incr j
             done;
             incr pi
           done;
           !cut
   in
-  let prune i partial =
+  let schedule = Array.map Array.of_list schedule in
+  let prune i lab rk =
     (match tally with Some t -> incr t | None -> ());
-    if sym_rejects i partial then begin
+    if sym_rejects i rk then begin
       incr sym_cuts;
       true
     end
-    else
-      match schedule.(i) with
-      | [] -> false (* no newly covered ball: no verdict can change *)
-      | centers -> List.exists (fun u -> not (accepts partial u)) centers
+    else begin
+      (* a newly covered ball is the only thing that can change a
+         verdict *)
+      let centers = schedule.(i) in
+      let cut = ref false and j = ref 0 in
+      while (not !cut) && !j < Array.length centers do
+        if not (accepts lab rk centers.(!j)) then cut := true;
+        incr j
+      done;
+      !cut
+    end
   in
   let run () =
-    Labeling.iter_backtracking_order ~alphabet ~order g ~prune (fun lab ->
+    Labeling.iter_backtracking_ranked ~alphabet ~order g ~prune (fun lab _ ->
         f (Array.copy lab))
   in
   match cfg with

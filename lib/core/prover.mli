@@ -110,14 +110,16 @@ type source = {
     Decoder.t ->
     alphabet:string list ->
     Instance.t ->
-    ((Labeling.t -> int -> bool) -> 'a) ->
+    ((Labeling.t -> int array -> int -> bool) -> 'a) ->
     'a;
 }
 (** A verdict source: [with_accepts dec ~alphabet inst k] runs [k]
-    with [accepts], where [accepts lab u] is node [u]'s verdict when
-    the instance carries [lab] (only asked for nodes whose whole
-    radius-r ball is labeled), and releases whatever backs it when [k]
-    returns or raises. *)
+    with [accepts], where [accepts lab ranks u] is node [u]'s verdict
+    when the instance carries [lab] (only asked for nodes whose whole
+    radius-r ball is labeled), [ranks.(w)] being the
+    {!Lcp_local.Labeling.ranks} rank of [lab.(w)] in [alphabet] for
+    each node [w] of that ball; it releases whatever backs [accepts]
+    when [k] returns or raises. *)
 
 type quotient = Decoder.t -> Instance.t -> Lcp_engine.Auto.t option
 (** The automorphism group to quotient a search by, if any. *)
@@ -127,7 +129,11 @@ val tables : ?cfg:Lcp_obs.Run_cfg.t -> unit -> source
     {!Lcp_engine.Eval_cache.acquire}, keyed by everything a verdict
     depends on besides the labels (decoder name and radius, alphabet,
     graph, identifiers, ports), so a process that enabled cache sharing
-    (the serve daemon does) reuses already-populated tables. On
+    (the serve daemon does) reuses already-populated tables. Queries
+    are keyed by the ranks alone. For an {!orbit_eligible} decoder the
+    lease's misses go through the per-domain shape tables
+    ([~shapes:true]), which every instance of the same view shape
+    shares; the counters below are unchanged by them. On
     release, a cfg receives the lease's [eval_cache_hits] /
     [eval_cache_misses] delta and [eval_cache_shared_hits] when the
     lease was warm; all three counters are materialized (at 0) so cold

@@ -19,17 +19,36 @@
       on a textual key in the (pathological) regime where base-|Σ|
       packing overflows an int.
 
-    A query packs the ball's labels as a base-|Σ| integer and looks the
-    verdict up; a miss swaps the labels into the skeleton
+    A query packs the ball's label ranks as a base-|Σ| integer and
+    looks the verdict up; a miss swaps the labels into the skeleton
     ({!Lcp_local.View.mapi_labels} — no re-extraction) and runs the
     decoder once. Labels outside the alphabet bypass the table (the
     query is answered correctly but never cached).
 
+    {b Shape tables.} Created with [~shapes:true] (only for decoders
+    that are anonymous and port-invariant), a cache answers its misses
+    from a second level shared by every instance the domain sees: one
+    dense byte table of [|Σ|^m] entries per (verdict closure, radius,
+    alphabet, id bound, view shape), where the shape is the view's
+    order [m <= Canon.max_order] and its edge set in the
+    label-independent (dist, id) local order. Two nodes with the same
+    shape have views equal in local order apart from ids and ports, so
+    such a decoder gives them the same verdict on the same labels in
+    local order. Shape tables live in [Domain.DLS] and are resolved
+    from the querying domain on each miss, never stored in the cache
+    (which the pool may lease to another domain). A table larger than
+    [2^21] entries, or one that would take its domain past [2^24]
+    bytes of shape tables, is not built; those shapes stay
+    per-instance.
+
     Determinism: verdicts are by construction identical to the direct
     [accepts (View.extract inst ~r v)] path, and for a fixed query
-    sequence the hit/miss split is deterministic — caches are
-    per-instance and confined to whichever domain runs that instance,
-    so engine counters built from {!stats} are independent of [jobs].
+    sequence the hit/miss split is deterministic — per-instance tables
+    are confined to whichever domain runs that instance, and a
+    per-instance miss counts as a miss whether or not a shape table
+    answered it — so engine counters built from {!stats} are
+    independent of [jobs] and of what earlier searches left in the
+    shape tables.
 
     Not thread-safe: one cache belongs to one domain. *)
 
@@ -39,6 +58,7 @@ type t
 
 val create :
   ?dense_limit:int ->
+  ?shapes:bool ->
   radius:int ->
   accepts:(View.t -> bool) ->
   alphabet:string list ->
@@ -47,7 +67,9 @@ val create :
 (** Build the per-node skeletons and (empty) verdict tables for an
     instance. [dense_limit] (default [65536]) caps the per-node byte
     table; larger key spaces fall back to hashtables. Duplicate
-    alphabet symbols are collapsed.
+    alphabet symbols are collapsed. [shapes] (default [false]) turns
+    on the shape level described above; pass it only for a decoder
+    whose verdicts ignore ids and ports.
     @raise Invalid_argument if [radius < 1]. *)
 
 val accepts : t -> Labeling.t -> int -> bool
@@ -55,6 +77,18 @@ val accepts : t -> Labeling.t -> int -> bool
     (possibly partial) labeling [lab] — every node of [v]'s ball must
     carry a real label; slots outside the ball may hold anything
     (e.g. the search's ["?"] placeholder). Memoized. *)
+
+val accepts_ranked : t -> Labeling.t -> int array -> int -> bool
+(** [accepts_ranked t lab ranks v]: {!accepts} for a search that keeps
+    the {!Lcp_local.Labeling.ranks} of its labels, [ranks.(w)] for
+    every node [w] of [v]'s ball. The key is packed from [ranks], so a
+    query hashes no string; [lab] is read only to decode a miss. Every
+    rank must come from the alphabet the cache was built with. *)
+
+val shape_stats : unit -> int * int
+(** [(tables, entries)]: shape tables built and shape-table entries
+    filled so far, summed over every domain of the process. Both only
+    grow; a run reports its own share as the difference. *)
 
 val verdicts : t -> Labeling.t -> bool array
 (** All nodes' verdicts under a complete labeling — the memoized
@@ -104,6 +138,7 @@ val clear_shared : unit -> unit
 val acquire :
   key:string ->
   ?dense_limit:int ->
+  ?shapes:bool ->
   radius:int ->
   accepts:(View.t -> bool) ->
   alphabet:string list ->
@@ -112,7 +147,9 @@ val acquire :
 (** Obtain a cache for [key]: the pooled one when sharing is enabled,
     the key is present and not currently leased (a {e warm} lease);
     a freshly built one otherwise (pooled under [key] when sharing is
-    enabled and the key was absent, private otherwise). *)
+    enabled and the key was absent, private otherwise). A pooled cache
+    built for another [accepts] closure or another [shapes] setting is
+    never handed out: the acquire gets a private cache instead. *)
 
 val lease_cache : lease -> t
 val lease_warm : lease -> bool

@@ -9,7 +9,14 @@ let max_bits t = Array.fold_left (fun acc s -> max acc (8 * String.length s)) 0 
 
 let unassigned = "?"
 
-let iter_backtracking_order ~alphabet ~order g ~prune f =
+let ranks alphabet =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun s -> if not (Hashtbl.mem tbl s) then Hashtbl.add tbl s (Hashtbl.length tbl))
+    alphabet;
+  tbl
+
+let iter_backtracking_ranked ~alphabet ~order g ~prune f =
   let n = Graph.order g in
   if Array.length order <> n then
     invalid_arg "Labeling.iter_backtracking_order: order has wrong length";
@@ -20,20 +27,29 @@ let iter_backtracking_order ~alphabet ~order g ~prune f =
         invalid_arg "Labeling.iter_backtracking_order: order is not a permutation";
       seen.(v) <- true)
     order;
+  let syms = Array.of_list alphabet in
+  let rank_of = ranks alphabet in
+  let sym_rank = Array.map (Hashtbl.find rank_of) syms in
   let lab = Array.make n unassigned in
+  let rk = Array.make n 0 in
   let rec go i =
-    if i = n then f lab
-    else
+    if i = n then f lab rk
+    else begin
       let v = order.(i) in
-      List.iter
-        (fun sym ->
-          lab.(v) <- sym;
-          if not (prune i lab) then go (i + 1);
-          lab.(v) <- unassigned)
-        alphabet
+      for k = 0 to Array.length syms - 1 do
+        lab.(v) <- syms.(k);
+        rk.(v) <- sym_rank.(k);
+        if not (prune i lab rk) then go (i + 1)
+      done;
+      lab.(v) <- unassigned
+    end
   in
-  if alphabet = [] && n > 0 then ()
-  else go 0
+  if syms = [||] && n > 0 then () else go 0
+
+let iter_backtracking_order ~alphabet ~order g ~prune f =
+  iter_backtracking_ranked ~alphabet ~order g
+    ~prune:(fun i lab _ -> prune i lab)
+    (fun lab _ -> f lab)
 
 let iter_backtracking ~alphabet g ~prune f =
   (* identity order: step index = node index, so [prune] sees the node *)

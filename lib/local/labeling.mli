@@ -50,6 +50,26 @@ val iter_backtracking_order :
     @raise Invalid_argument if [order] is not a permutation of
     [0 .. order g - 1]. *)
 
+val ranks : string list -> (string, int) Hashtbl.t
+(** Each symbol's rank in an alphabet: its index among the alphabet's
+    distinct symbols in first-occurrence order. Rank order is alphabet
+    order, so comparing ranks compares the search's lex order. *)
+
+val iter_backtracking_ranked :
+  alphabet:string list ->
+  order:int array ->
+  Graph.t ->
+  prune:(int -> t -> int array -> bool) ->
+  (t -> int array -> unit) ->
+  unit
+(** {!iter_backtracking_order} that also maintains the {!ranks} of the
+    assigned symbols: [prune i lab rk] and the callback receive, next
+    to the labeling, an array indexed by node whose slot [v] holds the
+    rank of [lab.(v)] for every assigned node (other slots are stale).
+    Each rank is set once per assignment, so consumers that key on
+    symbols never hash a string. Both arrays are reused; copy them to
+    keep them. *)
+
 val random : Random.State.t -> alphabet:string list -> Graph.t -> t
 
 val count : alphabet:string list -> Graph.t -> int

@@ -9,7 +9,7 @@ let direct =
       (fun dec ~alphabet:_ inst k ->
         (* the view snapshots the labels, so the search's shared
            partial array needs no copy *)
-        k (fun lab u ->
+        k (fun lab _ u ->
             dec.Decoder.accepts
               (View.extract (Instance.with_labels inst lab)
                  ~r:dec.Decoder.radius u)));
