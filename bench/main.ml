@@ -518,8 +518,8 @@ let series_sync () =
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_enumerate: class enumeration, orderly generation vs the       *)
-(* exhaustive mask scan vs the pairwise-isomorphism oracle, all        *)
-(* sequential so the rows compare strategies, not parallelism. The     *)
+(* mask-scan oracle vs the pairwise-isomorphism oracle, all            *)
+(* sequential so the rows compare enumerators, not parallelism. The    *)
 (* mask scan stops at n = 7 (the n = 8 mask space is 2^28) and the     *)
 (* pairwise dedup at n = 6 (quadratic in the class count).            *)
 
@@ -543,11 +543,11 @@ let series_enumerate ~fast () =
             walls )
       in
       let sides =
-        side "orderly" (fun () -> Sweep.iso_classes ~cfg ~strategy:Sweep.Orderly n)
+        side "orderly" (fun () -> Sweep.iso_classes ~cfg n)
         :: (if n <= 7 then
               [
                 side "mask-scan" (fun () ->
-                    Sweep.iso_classes ~cfg ~strategy:Sweep.Mask_scan n);
+                    Lcp_oracle.Mask_scan.iso_classes ~cfg n);
               ]
             else [])
         @

@@ -251,9 +251,8 @@ let invariance_check ~checker dec ~trials rng instances =
 (* ------------------------------------------------------------------ *)
 (* engine sweeps: soundness over the whole n-node graph space          *)
 
-let soundness_sweep_with ?cfg ?strategy ?shard ?checkpoint ?on_chunk
-    ?max_chunks ?(early_exit = false) ~source ~quotient (suite : Decoder.suite)
-    ~n =
+let soundness_sweep_with ?cfg ?shard ?checkpoint ?on_chunk ?max_chunks
+    ?(early_exit = false) ~source ~quotient (suite : Decoder.suite) ~n =
   let mode =
     if early_exit then Lcp_engine.Sweep.Search_counterexample
     else Lcp_engine.Sweep.Exhaustive
@@ -275,7 +274,7 @@ let soundness_sweep_with ?cfg ?strategy ?shard ?checkpoint ?on_chunk
           (entries - entries0)
   in
   Fun.protect ~finally:report_shapes @@ fun () ->
-  Lcp_engine.Sweep.run ?cfg ?strategy ?shard ?checkpoint ?on_chunk ?max_chunks
+  Lcp_engine.Sweep.run ?cfg ?shard ?checkpoint ?on_chunk ?max_chunks
     ~mode ~n
     ~keep:(fun g -> not (Coloring.is_bipartite g))
     ~check:(fun g ->
@@ -291,9 +290,9 @@ let soundness_sweep_with ?cfg ?strategy ?shard ?checkpoint ?on_chunk
       | Some lab -> Some (Instance.with_labels inst lab))
     ()
 
-let soundness_sweep ?cfg ?strategy ?shard ?checkpoint ?on_chunk ?max_chunks
-    ?early_exit suite ~n =
-  soundness_sweep_with ?cfg ?strategy ?shard ?checkpoint ?on_chunk ?max_chunks
+let soundness_sweep ?cfg ?shard ?checkpoint ?on_chunk ?max_chunks ?early_exit
+    suite ~n =
+  soundness_sweep_with ?cfg ?shard ?checkpoint ?on_chunk ?max_chunks
     ?early_exit ~source:(Prover.tables ?cfg ()) ~quotient:Prover.orbit_group
     suite ~n
 

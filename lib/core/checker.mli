@@ -56,7 +56,6 @@ val strong_soundness_with :
 
 val soundness_sweep :
   ?cfg:Lcp_obs.Run_cfg.t ->
-  ?strategy:Lcp_engine.Sweep.strategy ->
   ?shard:int * int ->
   ?checkpoint:Lcp_engine.Checkpoint.policy ->
   ?on_chunk:(completed:int -> total:int -> unit) ->
@@ -69,11 +68,9 @@ val soundness_sweep :
     non-bipartite graph on exactly [n] nodes, one representative per
     isomorphism class (enumerated, deduplicated and cached by
     {!Lcp_engine.Sweep}), must admit no unanimously accepted labeling.
-    A counterexample carries the accepted instance. [strategy] selects
-    the enumeration path (default [Orderly]; [Mask_scan] is the
-    exhaustive oracle — both yield identical classes and verdicts).
-    [early_exit] cancels remaining classes once a violation is found
-    (the returned counterexample is still the minimal one). [shard]
+    A counterexample carries the accepted instance. [early_exit]
+    cancels remaining classes once a violation is found (the returned
+    counterexample is still the minimal one). [shard]
     and [checkpoint] pass through to {!Lcp_engine.Sweep.run}: slice
     the class stream K ways, and/or persist resumable progress
     (Exhaustive mode only), as do the checkpointed-run hooks
@@ -84,7 +81,6 @@ val soundness_sweep :
 
 val soundness_sweep_with :
   ?cfg:Lcp_obs.Run_cfg.t ->
-  ?strategy:Lcp_engine.Sweep.strategy ->
   ?shard:int * int ->
   ?checkpoint:Lcp_engine.Checkpoint.policy ->
   ?on_chunk:(completed:int -> total:int -> unit) ->

@@ -51,7 +51,7 @@ val min_mask : ?init:int -> n:int -> int array -> int
     seeds the incumbent with a known member's mask (e.g. the
     canonical mask) to tighten pruning. Unlike {!canonical_mask} it
     does not depend on the refinement's cell order, so it is the
-    stable cross-strategy representative. *)
+    stable representative. *)
 
 val min_witnesses : n:int -> int array -> int * int array list
 (** [min_witnesses ~n adj] is {!min_mask} together with {e every}

@@ -12,7 +12,6 @@ type enum = {
 type t = {
   tag : string;
   n : int;
-  strategy : string;
   connected_only : bool;
   shards : int;
   shard : int;
@@ -59,7 +58,6 @@ let body t =
     ("schema_version", Json.Int schema_version);
     ("tag", Json.String t.tag);
     ("n", Json.Int t.n);
-    ("strategy", Json.String t.strategy);
     ("connected", Json.Bool t.connected_only);
     ("shards", Json.Int t.shards);
     ("shard", Json.Int t.shard);
@@ -116,9 +114,16 @@ let of_json j =
     Error (Printf.sprintf "checkpoint schema %d, expected %d" v schema_version)
   else
     let* () = check_digest j in
+    (* files from before the header dropped [strategy] still carry it;
+       a mask-scan file's tallies are not an orderly sweep's *)
+    let* () =
+      match Json.member "strategy" j with
+      | Ok (Json.String s) when s <> "orderly" ->
+          Error (Printf.sprintf "checkpoint of a %s sweep; only orderly loads" s)
+      | _ -> Ok ()
+    in
     let* tag = field_str j "tag" in
     let* n = field_int j "n" in
-    let* strategy = field_str j "strategy" in
     let* connected_only = field_bool j "connected" in
     let* shards = field_int j "shards" in
     let* shard = field_int j "shard" in
@@ -140,7 +145,6 @@ let of_json j =
       {
         tag;
         n;
-        strategy;
         connected_only;
         shards;
         shard;
@@ -194,7 +198,6 @@ let load path =
 let header_mismatch a b =
   if a.tag <> b.tag then Some "tag"
   else if a.n <> b.n then Some "n"
-  else if a.strategy <> b.strategy then Some "strategy"
   else if a.connected_only <> b.connected_only then Some "connected"
   else if a.shards <> b.shards then Some "shards"
   else if a.enum <> b.enum then Some "enumeration tallies"
@@ -262,7 +265,6 @@ let report_json t =
       ("schema_version", Json.Int schema_version);
       ("tag", Json.String t.tag);
       ("n", Json.Int t.n);
-      ("strategy", Json.String t.strategy);
       ("connected", Json.Bool t.connected_only);
       ("enum", enum_json t.enum);
       ("kept", Json.Int t.kept);

@@ -10,7 +10,7 @@
     member. {!of_json} (and so {!load}) refuses a file whose digest is
     missing or does not match, so a hand-edited or corrupted counter
     cannot merge silently into a report. Its header
-    (tag, order, strategy, connectivity filter, shard coordinates, and
+    (tag, order, connectivity filter, shard coordinates, and
     the shard-independent enumeration tallies) pins down {e which}
     sweep the counters belong to; {!Sweep} refuses to resume from a
     checkpoint whose header or class stream disagrees with the run it
@@ -24,10 +24,10 @@
     across shards, and the violating instance itself is deterministic,
     so the sweep rebuilds it from the smallest key on demand.
 
-    All counters are deterministic per strategy, so per-shard checkpoints of a K-way sharded sweep {!merge} into
-    exactly the record an unsharded run would have written: that
-    equality, rendered through {!report_json}, is the CI gate for the
-    sharding layer. *)
+    All counters are deterministic, so per-shard checkpoints of a K-way
+    sharded sweep {!merge} into exactly the record an unsharded run
+    would have written: that equality, rendered through
+    {!report_json}, is the CI gate for the sharding layer. *)
 
 val schema_version : int
 (** Current on-disk schema: 2 (schema 1 had no digest). {!load}
@@ -47,7 +47,6 @@ type enum = {
 type t = {
   tag : string;  (** caller identity, e.g. the decoder key *)
   n : int;
-  strategy : string;  (** {!Sweep.strategy_name} *)
   connected_only : bool;
   shards : int;  (** total shard count; 1 = unsharded *)
   shard : int;  (** this run's shard index, [0 <= shard < shards] *)
@@ -80,7 +79,10 @@ val to_json : t -> Lcp_obs.Json.t
 
 val of_json : Lcp_obs.Json.t -> (t, string) result
 (** Decode, after checking the schema version and then the digest: a
-    missing or mismatching digest is an [Error]. *)
+    missing or mismatching digest is an [Error]. Members the record
+    does not carry are ignored once the digest covers them, so files
+    from before the header dropped its [strategy] member still load —
+    unless that member names an enumerator other than ["orderly"]. *)
 
 val save : ?now:int -> path:string -> t -> unit
 (** Atomic write: serialize to [path ^ ".tmp"], then rename over
@@ -94,7 +96,7 @@ val load : string -> (t, string) result
     as [Error] with a readable message that names [path]. *)
 
 val header_mismatch : t -> t -> string option
-(** The first header field (tag, n, strategy, connectivity, shard
+(** The first header field (tag, n, connectivity, shard
     count, enumeration tallies) on which the two checkpoints disagree,
     or [None] when they describe the same sweep. {!Sweep} uses it to
     refuse a foreign resume; {!merge} uses it across shards. *)

@@ -1,28 +1,6 @@
 open Lcp_graph
 
-type t = { n : int; lo : int; hi : int }
-
 let slots n = n * (n - 1) / 2
-
-let space n =
-  let m = slots n in
-  if m > 30 then invalid_arg "Chunk.space: order too large";
-  1 lsl m
-
-let plan ?(chunk_bits = 12) n =
-  if chunk_bits < 0 then invalid_arg "Chunk.plan: negative chunk_bits";
-  let total = space n in
-  let step = 1 lsl chunk_bits in
-  let rec go lo acc =
-    if lo >= total then List.rev acc
-    else go (lo + step) ({ n; lo; hi = min total (lo + step) } :: acc)
-  in
-  go 0 []
-
-let iter c f =
-  for mask = c.lo to c.hi - 1 do
-    f mask
-  done
 
 let adj_of_mask n mask =
   let adj = Array.make n 0 in
@@ -50,11 +28,6 @@ let adj_of_graph g =
 
 (* slot index of the pair (a, b) with a < b in lexicographic order *)
 let slot_index n a b = (a * ((2 * n) - a - 3) / 2) + b - 1
-
-let mask_of_graph g =
-  let n = Graph.order g in
-  if slots n > 30 then invalid_arg "Chunk.mask_of_graph: order too large";
-  Graph.fold_edges (fun u v m -> m lor (1 lsl slot_index n u v)) g 0
 
 let wide_mask_of_graph g =
   let n = Graph.order g in

@@ -1,54 +1,33 @@
-(** Streaming enumeration of the labeled-graph space.
+(** The edge-mask codec for graphs on at most {!Canon.max_order}
+    nodes.
 
-    The [2^(n choose 2)] labeled graphs on [n] nodes are indexed by an
-    integer edge mask (bit [i] set = edge slot [i] present, slots in
-    lexicographic [(u, v)], [u < v] order — the same order as
-    {!Lcp_graph.Enumerate.iter_graphs}). A sweep never materializes the
-    space: it is split into contiguous mask ranges ({e chunks}) that
-    workers consume independently, decoding each mask into a compact
-    adjacency-bitset form. *)
+    A graph on [n] nodes is an integer edge mask: bit [i] set = edge
+    slot [i] present, slots in lexicographic [(u, v)], [u < v] order
+    (the same order as {!Lcp_graph.Enumerate.iter_graphs}). Masks
+    convert to and from {!Graph.t} and to a compact adjacency-bitset
+    form that {!Canon}, {!Auto} and {!Orderly} work on without building
+    a graph. *)
 
 open Lcp_graph
-
-type t = { n : int; lo : int; hi : int }
-(** Masks [lo <= mask < hi] of the [n]-node space. *)
 
 val slots : int -> int
 (** [n choose 2]. *)
 
-val space : int -> int
-(** [2^(n choose 2)].
-    @raise Invalid_argument when the space exceeds [2^30] masks. *)
-
-val plan : ?chunk_bits:int -> int -> t list
-(** Split the [n]-node mask space into chunks of at most
-    [2^chunk_bits] masks (default [12]). Always at least one chunk;
-    chunks cover the space exactly, in ascending mask order. *)
-
-val iter : t -> (int -> unit) -> unit
-(** Apply a function to every mask of the chunk, ascending. *)
-
 (** {1 Mask decoding}
 
     Adjacency bitsets ([adj.(u)] has bit [v] set iff [{u,v}] is an
-    edge) avoid building a {!Graph.t} for the vast majority of masks
-    that are filtered out. *)
+    edge) avoid building a {!Graph.t} for the candidates that are
+    filtered out. *)
 
 val adj_of_mask : int -> int -> int array
 (** [adj_of_mask n mask]. *)
 
 val adj_of_graph : Graph.t -> int array
 
-val mask_of_graph : Graph.t -> int
-(** Inverse of {!graph_of_mask}; restricted to the scannable space.
-    @raise Invalid_argument when [slots n > 30]. *)
-
 val wide_mask_of_graph : Graph.t -> int
-(** The same edge mask without the scannable-space restriction: valid
-    as long as the slot count fits a native int (n <= 11 — the
-    {!Canon.max_order} regime), which the mask-space {e scan} never
-    could be. Class keys for sharded sweeps are built on this, so the
-    key contract survives past [n = 7].
+(** Inverse of {!graph_of_mask}: valid as long as the slot count fits
+    a native int (n <= 11 — the {!Canon.max_order} regime). Class keys
+    for sharded sweeps are built on this.
     @raise Invalid_argument when the slot count exceeds the int
     width. *)
 

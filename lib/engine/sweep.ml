@@ -4,99 +4,14 @@ module R = Lcp_obs.Run_cfg
 (* ------------------------------------------------------------------ *)
 (* enumeration + canonical dedup                                       *)
 
-type strategy = Orderly | Mask_scan
-
-let strategy_name = function Orderly -> "orderly" | Mask_scan -> "mask-scan"
-
-let strategy_of_string = function
-  | "orderly" -> Some Orderly
-  | "mask-scan" | "mask_scan" -> Some Mask_scan
-  | _ -> None
-
-type enum_tallies = {
-  e_candidates : int;
-  e_connected : int;
-  e_classes : int;
-  e_dedup_hits : int;
-}
-
-(* The historical exhaustive path, kept as a cross-validation oracle:
-   every mask of the labeled space is scanned and canonicalized. Each
-   chunk dedups locally (canonical mask -> smallest edge mask); the
-   sequential merge keeps the smallest mask per class, so the result
-   is independent of chunk scheduling and of [jobs]. *)
-let enumerate_mask_scan ~cfg ~connected n =
-  let chunk_bits = max 12 (Chunk.slots n - 6) in
-  let chunks = Array.of_list (Chunk.plan ~chunk_bits n) in
-  let per_chunk =
-    Pool.run ~metrics:cfg.R.metrics ~jobs:cfg.R.jobs (Array.length chunks)
-      (fun ci ->
-        let c = chunks.(ci) in
-        let tbl : (int, int) Hashtbl.t = Hashtbl.create 512 in
-        let scanned = ref 0 and conn = ref 0 in
-        Chunk.iter c (fun mask ->
-            incr scanned;
-            let adj = Chunk.adj_of_mask n mask in
-            if (not connected) || Chunk.is_connected_adj adj then begin
-              incr conn;
-              let key = Canon.canonical_mask ~n adj in
-              match Hashtbl.find_opt tbl key with
-              | Some m when m <= mask -> ()
-              | _ -> Hashtbl.replace tbl key mask
-            end);
-        (!scanned, !conn, tbl))
-  in
-  let global : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let scanned = ref 0 and conn = ref 0 in
-  Array.iter
-    (fun (s, c, tbl) ->
-      scanned := !scanned + s;
-      conn := !conn + c;
-      Hashtbl.iter
-        (fun key mask ->
-          match Hashtbl.find_opt global key with
-          | Some m when m <= mask -> ()
-          | _ -> Hashtbl.replace global key mask)
-        tbl)
-    per_chunk;
-  let masks =
-    Hashtbl.fold (fun _ mask acc -> mask :: acc) global []
-    |> List.sort Stdlib.compare
-  in
-  let reps = List.map (Chunk.graph_of_mask n) masks in
-  let tallies =
-    {
-      e_candidates = !scanned;
-      e_connected = !conn;
-      e_classes = List.length masks;
-      e_dedup_hits = !conn - List.length masks;
-    }
-  in
-  (reps, tallies)
-
 (* The orderly generator: work proportional to the class count, not
-   the mask space. Representatives are the same minimal-mask members
-   the scan keeps ({!Canon.min_mask}), so the two strategies return
-   bit-identical listings. *)
-let enumerate_orderly ~cfg ~connected n =
-  let masks, t =
+   the mask space. Representatives are the minimal-mask members of
+   their classes ({!Canon.min_mask}), ascending. *)
+let enumerate_classes ~cfg ~connected n =
+  let masks, tallies =
     Orderly.generate ~jobs:cfg.R.jobs ~metrics:cfg.R.metrics ~connected n
   in
-  let reps = List.map (Chunk.graph_of_mask n) masks in
-  let tallies =
-    {
-      e_candidates = t.Orderly.candidates;
-      e_connected = t.Orderly.connected_classes;
-      e_classes = t.Orderly.classes;
-      e_dedup_hits = t.Orderly.dedup_hits;
-    }
-  in
-  (reps, tallies)
-
-let enumerate_classes ~cfg ~strategy ~connected n =
-  match strategy with
-  | Orderly -> enumerate_orderly ~cfg ~connected n
-  | Mask_scan -> enumerate_mask_scan ~cfg ~connected n
+  (List.map (Chunk.graph_of_mask n) masks, tallies)
 
 (* ------------------------------------------------------------------ *)
 (* the cross-sweep class cache
@@ -113,7 +28,7 @@ let enumerate_classes ~cfg ~strategy ~connected n =
 
 module Sync = Lcp_obs.Sync
 
-let cache : (int * bool * strategy, Graph.t list * enum_tallies) Hashtbl.t =
+let cache : (int * bool, Graph.t list * Orderly.tallies) Hashtbl.t =
   Hashtbl.create 16
 
 let cache_lock = Sync.mutex "engine/sweep.cache"
@@ -125,12 +40,12 @@ let misses = Sync.A.make "engine/sweep.cache_misses" 0
    [cfg]: cache traffic, plus the enumeration tallies of the listing it
    returns — cached or not — so counters stay deterministic in [jobs]
    and in cache temperature alike. *)
-let classes_cached ~cfg ?(strategy = Orderly) ~connected n =
+let classes_cached ~cfg ~connected n =
   (* materialize both cache counters so an all-hit (or all-miss) run
      serializes the same key set as any other *)
   R.count cfg ~by:0 "cache_hits";
   R.count cfg ~by:0 "cache_misses";
-  let key = (n, connected, strategy) in
+  let key = (n, connected) in
   let cached =
     Sync.with_lock cache_lock (fun () ->
         Sync.Var.observe cache_guard;
@@ -148,21 +63,21 @@ let classes_cached ~cfg ?(strategy = Orderly) ~connected n =
            duplicated computation on a race is deterministic anyway *)
         let entry =
           R.span cfg "enumerate" (fun () ->
-              enumerate_classes ~cfg ~strategy ~connected n)
+              enumerate_classes ~cfg ~connected n)
         in
         Sync.with_lock cache_lock (fun () ->
             Sync.Var.touch cache_guard;
             if not (Hashtbl.mem cache key) then Hashtbl.replace cache key entry);
         entry
   in
-  R.count cfg ~by:e.e_candidates "candidates_generated";
-  R.count cfg ~by:e.e_connected "connected";
-  R.count cfg ~by:e.e_classes "classes";
-  R.count cfg ~by:e.e_dedup_hits "dedup_hits";
+  R.count cfg ~by:e.Orderly.candidates "candidates_generated";
+  R.count cfg ~by:e.Orderly.connected_classes "connected";
+  R.count cfg ~by:e.Orderly.classes "classes";
+  R.count cfg ~by:e.Orderly.dedup_hits "dedup_hits";
   entry
 
-let iso_classes ?(cfg = R.default) ?strategy ?(connected = true) n =
-  fst (classes_cached ~cfg ?strategy ~connected n)
+let iso_classes ?(cfg = R.default) ?(connected = true) n =
+  fst (classes_cached ~cfg ~connected n)
 
 let cache_stats () = (Sync.A.get hits, Sync.A.get misses)
 
@@ -176,17 +91,16 @@ let clear_cache () =
 (* ------------------------------------------------------------------ *)
 (* sharding                                                            *)
 
-(* The class key: the representative's edge mask, computed wide
-   (Chunk.wide_mask_of_graph) so the contract survives past the n = 7
-   scan limit. Representatives are the minimal-mask members of their
-   classes, listed ascending, so target order and key order agree. *)
+(* The class key: the representative's edge mask
+   (Chunk.wide_mask_of_graph). Representatives are the minimal-mask
+   members of their classes, listed ascending, so target order and key
+   order agree. *)
 let class_key = Chunk.wide_mask_of_graph
 
 (* splitmix64's output function on the key: shards must cut the class
    stream evenly even though minimal edge masks are anything but
-   uniform, and must depend on nothing except the key — not the
-   strategy that produced the listing, not [jobs], not the keep
-   filter's order of evaluation. *)
+   uniform, and must depend on nothing except the key — not [jobs],
+   not the keep filter's order of evaluation. *)
 let mix64 key =
   let open Int64 in
   let z = add (of_int key) 0x9E3779B97F4A7C15L in
@@ -221,7 +135,6 @@ type 'c summary = {
   n : int;
   jobs : int;
   mode : mode;
-  strategy : strategy;
   counters : counters;
   counterexample : (Graph.t * 'c) option;
   wall_s : float;
@@ -254,21 +167,20 @@ let mismatch fmt = Printf.ksprintf (fun msg -> raise (Checkpoint_mismatch msg)) 
    re-running [check] on the smallest violating key (that rerun lands
    in the metrics {e after} the final checkpoint write, so on-disk
    counters stay bit-identical to an uninterrupted run's). *)
-let run_checkpointed ~cfg ~jobs ~strategy ~connected ~n ~shards ~shard ~e
+let run_checkpointed ~cfg ~jobs ~connected ~n ~shards ~shard ~e
     ~targets ~kept ~check ~on_chunk ~max_chunks (policy : Checkpoint.policy) =
   let enum =
     {
-      Checkpoint.candidates = e.e_candidates;
-      connected = e.e_connected;
-      classes = e.e_classes;
-      dedup_hits = e.e_dedup_hits;
+      Checkpoint.candidates = e.Orderly.candidates;
+      connected = e.Orderly.connected_classes;
+      classes = e.Orderly.classes;
+      dedup_hits = e.Orderly.dedup_hits;
     }
   in
   let fresh =
     {
       Checkpoint.tag = policy.Checkpoint.tag;
       n;
-      strategy = strategy_name strategy;
       connected_only = connected;
       shards;
       shard;
@@ -385,7 +297,7 @@ let run_checkpointed ~cfg ~jobs ~strategy ~connected ~n ~shards ~shard ~e
   (s.Checkpoint.checked, s.Checkpoint.passed, s.Checkpoint.violations,
    counterexample)
 
-let run ?(cfg = R.default) ?(strategy = Orderly) ?(mode = Exhaustive)
+let run ?(cfg = R.default) ?(mode = Exhaustive)
     ?(connected = true) ?shard ?checkpoint
     ?(on_chunk = fun ~completed:_ ~total:_ -> ()) ?max_chunks
     ?(keep = fun _ -> true) ~n ~check () =
@@ -404,7 +316,7 @@ let run ?(cfg = R.default) ?(strategy = Orderly) ?(mode = Exhaustive)
   R.span cfg "sweep" (fun () ->
       let t0 = Lcp_obs.Clock.now_s () in
       let jobs = cfg.R.jobs in
-      let reps, e = classes_cached ~cfg ~strategy ~connected n in
+      let reps, e = classes_cached ~cfg ~connected n in
       let shards, shard_ix =
         match shard with None -> (1, 0) | Some (i, k) -> (k, i)
       in
@@ -424,7 +336,7 @@ let run ?(cfg = R.default) ?(strategy = Orderly) ?(mode = Exhaustive)
             | Exhaustive -> (
                 match checkpoint with
                 | Some policy ->
-                    run_checkpointed ~cfg ~jobs ~strategy ~connected ~n ~shards
+                    run_checkpointed ~cfg ~jobs ~connected ~n ~shards
                       ~shard:shard_ix ~e ~targets ~kept ~check ~on_chunk
                       ~max_chunks policy
                 | None ->
@@ -468,13 +380,12 @@ let run ?(cfg = R.default) ?(strategy = Orderly) ?(mode = Exhaustive)
         n;
         jobs;
         mode;
-        strategy;
         counters =
           {
-            candidates = e.e_candidates;
-            connected = e.e_connected;
-            classes = e.e_classes;
-            dedup_hits = e.e_dedup_hits;
+            candidates = e.Orderly.candidates;
+            connected = e.Orderly.connected_classes;
+            classes = e.Orderly.classes;
+            dedup_hits = e.Orderly.dedup_hits;
             kept;
             checked;
             passed;

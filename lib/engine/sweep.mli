@@ -9,13 +9,11 @@
     re-enumerate the same orders pay for enumeration once per
     process).
 
-    Class listings come from one of two {!type:strategy}s — the
-    default {!Orderly} canonical-augmentation generator ({!Orderly}),
-    whose work scales with the class count, or the historical
-    exhaustive {!Mask_scan} over the [2^(n choose 2)] labeled space,
-    kept as an escape hatch and cross-validation oracle. Both return
-    the identical listing: the minimal-edge-mask member of each class,
-    ascending.
+    Class listings come from the {!Orderly} canonical-augmentation
+    generator, whose work scales with the class count: the
+    minimal-edge-mask member of each class, ascending. The exhaustive
+    mask scan it is validated against lives in [Lcp_oracle], outside
+    the production path.
 
     Results are deterministic in [jobs]: class listings, summaries and
     counterexamples are bit-identical whether the sweep runs on one
@@ -29,45 +27,19 @@
     [cache_misses] (and, in [Exhaustive] mode, [checked] / [passed] /
     [violations]); and the [early_exit_round] gauge in
     [Search_counterexample] mode. [candidates_generated] (which
-    replaces the pre-schema-2 [masks_scanned]) and [connected] /
-    [dedup_hits] are deterministic {e per strategy}: each strategy
-    counts its own notion of candidate (scanned masks vs. extension
-    candidates; see {!type:counters}). *)
+    replaces the pre-schema-2 [masks_scanned]) counts {!Orderly}'s
+    extension candidates (see {!type:counters}). *)
 
 open Lcp_graph
-
-(** {1 Enumeration strategy} *)
-
-type strategy =
-  | Orderly
-      (** Canonical augmentation ({!Orderly.generate}): one candidate
-          per (parent class, neighborhood bitmask) pair — work
-          proportional to the number of classes. The default. *)
-  | Mask_scan
-      (** Exhaustive scan of all [2^(n choose 2)] edge masks with
-          canonical dedup. Infeasible past [n = 7]; kept as the
-          independent oracle the generator is validated against. *)
-
-val strategy_name : strategy -> string
-(** ["orderly"] / ["mask-scan"]. *)
-
-val strategy_of_string : string -> strategy option
-(** Inverse of {!strategy_name} (also accepts ["mask_scan"]). *)
 
 (** {1 Cached isomorphism classes} *)
 
 val iso_classes :
-  ?cfg:Lcp_obs.Run_cfg.t ->
-  ?strategy:strategy ->
-  ?connected:bool ->
-  int ->
-  Graph.t list
+  ?cfg:Lcp_obs.Run_cfg.t -> ?connected:bool -> int -> Graph.t list
 (** One representative (the one with the smallest edge mask) per
     isomorphism class of graphs on [n] nodes ([connected] defaults to
     [true]: connected graphs only), in ascending mask order, memoized
-    across calls per [(n, connected, strategy)]. Both strategies
-    return bit-identical listings; [strategy] (default {!Orderly})
-    only selects how they are produced. Reports cache traffic and the
+    across calls per [(n, connected)]. Reports cache traffic and the
     listing's enumeration tallies into [cfg] on every call, cached or
     not, so counters do not depend on cache temperature. *)
 
@@ -85,13 +57,13 @@ val clear_cache : unit -> unit
     processes (or machines) work through separately and whose
     checkpoints {!Checkpoint.merge} back into the unsharded totals.
     The cut is a pure function of each class's {e key} — nothing else:
-    not the strategy, not [jobs], not the keep filter — so any two
-    runs agree on which shard owns which class. *)
+    not [jobs], not the keep filter — so any two runs agree on which
+    shard owns which class. *)
 
 val class_key : Graph.t -> int
 (** The shard-key contract: a class is keyed by its representative's
-    wide edge mask ({!Chunk.wide_mask_of_graph}) — stable across
-    processes, strategies and orders up to {!Canon.max_order}, and
+    edge mask ({!Chunk.wide_mask_of_graph}) — stable across processes
+    and orders up to {!Canon.max_order}, and
     ascending along the listing (representatives are minimal-mask
     members, listed ascending). *)
 
@@ -125,13 +97,10 @@ type mode =
 
 type counters = {
   candidates : int;
-      (** enumeration candidates examined — labeled masks decoded
-          under {!Mask_scan}, (parent, neighborhood-bitmask) extension
-          pairs under {!Orderly}. Deterministic per strategy. *)
-  connected : int;
-      (** survivors of the connectivity filter — labeled graphs under
-          {!Mask_scan}, final-level classes under {!Orderly} *)
-  classes : int;  (** isomorphism classes (strategy-independent) *)
+      (** enumeration candidates examined: {!Orderly}'s (parent,
+          neighborhood-bitmask) extension pairs *)
+  connected : int;  (** connected classes at the final level *)
+  classes : int;  (** isomorphism classes listed *)
   dedup_hits : int;
       (** candidates folded into an already-seen canonical form *)
   kept : int;  (** classes surviving the [keep] filter *)
@@ -142,13 +111,12 @@ type counters = {
 (** Per-worker tallies merged into one record. In
     [Search_counterexample] mode [checked]/[passed] may vary with
     [jobs] (cancelled work is not checked); everything else is
-    deterministic given the strategy. *)
+    deterministic. *)
 
 type 'c summary = {
   n : int;
   jobs : int;
   mode : mode;
-  strategy : strategy;
   counters : counters;
   counterexample : (Graph.t * 'c) option;
       (** the violating class with the smallest edge mask *)
@@ -161,7 +129,6 @@ exception Checkpoint_mismatch of string
 
 val run :
   ?cfg:Lcp_obs.Run_cfg.t ->
-  ?strategy:strategy ->
   ?mode:mode ->
   ?connected:bool ->
   ?shard:int * int ->
@@ -174,7 +141,7 @@ val run :
   unit ->
   'c summary
 (** Sweep the [n]-node space: enumerate + dedup (cached, via
-    [strategy], default {!Orderly}), filter the representatives
+    {!iso_classes}), filter the representatives
     through [keep] (which must be isomorphism-invariant — it runs on
     one representative per class), and run [check] on each kept class
     in parallel on [cfg.jobs] domains ([Run_cfg.sequential cfg] for a

@@ -51,8 +51,8 @@ val soundness_sweep :
   Decoder.suite ->
   n:int ->
   Instance.t Lcp_engine.Sweep.summary
-(** {!Lcp.Checker.soundness_sweep} (exhaustive, default strategy) on
-    the chosen paths. *)
+(** {!Lcp.Checker.soundness_sweep} (exhaustive) on the chosen
+    paths. *)
 
 val count_accepted : Decoder.t -> alphabet:string list -> Instance.t -> int
 (** Brute force: the number of labelings in the full |alphabet|^n

@@ -2,7 +2,6 @@ module Json = Lcp_obs.Json
 module R = Lcp_obs.Run_cfg
 module Sync = Lcp_obs.Sync
 module Checkpoint = Lcp_engine.Checkpoint
-module Sweep = Lcp_engine.Sweep
 
 (* ------------------------------------------------------------------ *)
 (* configuration                                                       *)
@@ -14,7 +13,6 @@ type executor =
 type config = {
   decoder : string;
   n : int;
-  strategy : Sweep.strategy;
   shards : int;
   workers : int;
   jobs : int;
@@ -33,7 +31,6 @@ let default_config ~decoder ~n ~shards ~dir =
   {
     decoder;
     n;
-    strategy = Sweep.Orderly;
     shards;
     workers = shards;
     jobs = 1;
@@ -84,7 +81,6 @@ let worker_argv c ~bin i =
     bin; "sweep"; c.decoder;
     "-n"; string_of_int c.n;
     "-j"; string_of_int c.jobs;
-    "--strategy"; Sweep.strategy_name c.strategy;
     "--shards"; string_of_int c.shards;
     "--shard"; string_of_int i;
     "--checkpoint"; shard_path ~dir:c.dir i;
@@ -103,7 +99,7 @@ let remote_request c i =
         {
           decoder = c.decoder;
           n = c.n;
-          strategy = Sweep.strategy_name c.strategy;
+          strategy = "orderly";
           shards = c.shards;
           shard = i;
         };

@@ -65,7 +65,6 @@ type executor =
 type config = {
   decoder : string;
   n : int;
-  strategy : Lcp_engine.Sweep.strategy;
   shards : int;  (** partition width K *)
   workers : int;  (** max simultaneously running shard workers *)
   jobs : int;  (** domain-pool width inside each worker *)

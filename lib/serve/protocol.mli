@@ -46,6 +46,8 @@ type kind =
       decoder : string;
       n : int;
       strategy : string;
+          (** must be ["orderly"] (the default), the one enumerator;
+              {!Session} refuses anything else as a usage error *)
       early_exit : bool;
       shards : int;
           (** 1 = run in-process (the historical behaviour; the field
@@ -56,7 +58,7 @@ type kind =
   | Sweep_shard of {
       decoder : string;
       n : int;
-      strategy : string;
+      strategy : string;  (** as in [Sweep] *)
       shards : int;
       shard : int;
     }

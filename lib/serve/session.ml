@@ -232,18 +232,12 @@ let run_prove _t _cfg ~decoder ~graph =
           ("cert_bits", Json.Int (Labeling.max_bits certified.Instance.labels));
         ]
 
-let sweep_strategy name =
-  match Lcp_engine.Sweep.strategy_of_string name with
-  | Some s -> s
-  | None -> usage "unknown strategy %S (expected orderly or mask-scan)" name
-
-(* [mask-scan] walks every edge mask, so its space is capped at 2^30. *)
-let check_sweep_bounds t ~n ~strategy =
-  in_range "sweep n" ~lo:1 ~hi:t.limits.max_n n;
-  let bits = n * (n - 1) / 2 in
-  if strategy = Lcp_engine.Sweep.Mask_scan && bits > 30 then
-    usage "strategy mask-scan at n=%d scans 2^%d edge masks (cap 2^30); use orderly"
-      n bits
+(* The wire's [strategy] member (and the CLI's --strategy) name the
+   one enumerator; anything else is refused here, so no layer below
+   sees the value. *)
+let check_strategy = function
+  | "orderly" -> ()
+  | s -> usage "unknown strategy %S (orderly is the only enumerator)" s
 
 let check_shard t ~shards ~shard =
   in_range "shards" ~lo:1 ~hi:t.limits.max_shards shards;
@@ -256,11 +250,9 @@ let check_shard t ~shards ~shard =
    resumed is a usage error, so such a worker exits 2 and the
    coordinator aborts instead of restarting it; any later failure of
    the sweep stays a runtime failure. *)
-let run_sweep ?shard ?checkpoint ?max_chunks t cfg ~decoder ~n ~strategy
-    ~early_exit =
+let run_sweep ?shard ?checkpoint ?max_chunks t cfg ~decoder ~n ~early_exit =
   let suite = (find_suite decoder).Lcp.Registry.suite in
-  let strategy = sweep_strategy strategy in
-  check_sweep_bounds t ~n ~strategy;
+  in_range "sweep n" ~lo:1 ~hi:t.limits.max_n n;
   if early_exit && checkpoint <> None then
     usage "checkpointed sweeps are exhaustive; drop early_exit";
   if max_chunks <> None && checkpoint = None then usage "max_chunks needs a checkpoint";
@@ -272,8 +264,8 @@ let run_sweep ?shard ?checkpoint ?max_chunks t cfg ~decoder ~n ~strategy
   in
   let summary =
     try
-      Lcp.Checker.soundness_sweep ~cfg ~strategy ?shard ?checkpoint ~on_chunk
-        ?max_chunks ~early_exit suite ~n
+      Lcp.Checker.soundness_sweep ~cfg ?shard ?checkpoint ~on_chunk ?max_chunks
+        ~early_exit suite ~n
     with Lcp_engine.Sweep.Checkpoint_mismatch msg -> raise (Usage msg)
   in
   let checkpoint_json (c : Lcp_engine.Checkpoint.policy) =
@@ -288,7 +280,6 @@ let run_sweep ?shard ?checkpoint ?max_chunks t cfg ~decoder ~n ~strategy
        ("ok", Json.Bool ok);
        ("decoder", Json.String decoder);
        ("n", Json.Int n);
-       ("strategy", Json.String (Lcp_engine.Sweep.strategy_name strategy));
      ]
     @ (if shard = None then []
        else [ ("shards", Json.Int shards); ("shard", Json.Int shard_ix) ])
@@ -364,9 +355,6 @@ let run_coordinated cfg (config : Coordinator.config) =
           ("ok", Json.Bool ok);
           ("decoder", Json.String config.Coordinator.decoder);
           ("n", Json.Int config.Coordinator.n);
-          ( "strategy",
-            Json.String (Lcp_engine.Sweep.strategy_name config.Coordinator.strategy)
-          );
           ("shards", Json.Int config.Coordinator.shards);
           ("jobs", Json.Int config.Coordinator.jobs);
           ("verdict", Json.String (if ok then "pass" else "fail"));
@@ -391,19 +379,17 @@ type coordination = {
    removed afterwards; [local] is an in-process caller's own workers,
    executor, directory and supervision knobs. A caller's private
    directory outlives a failed run, so it can be resumed from. *)
-let run_sweep_coordinated ?local t cfg ~decoder ~n ~strategy ~early_exit ~shards =
+let run_sweep_coordinated ?local t cfg ~decoder ~n ~early_exit ~shards =
   if early_exit then usage "coordinated sweeps are exhaustive; drop early_exit";
   (* one coordinated shard is an in-process caller's choice; a daemon
      answers shards = 1 in-process *)
   in_range "shards" ~lo:(if local = None then 2 else 1) ~hi:t.limits.max_shards shards;
-  let strategy = sweep_strategy strategy in
-  check_sweep_bounds t ~n ~strategy;
+  in_range "sweep n" ~lo:1 ~hi:t.limits.max_n n;
   ignore (find_suite decoder);
   let config dir =
     {
       (Coordinator.default_config ~decoder ~n ~shards ~dir) with
-      Coordinator.strategy;
-      jobs = cfg.Run_cfg.jobs;
+      Coordinator.jobs = cfg.Run_cfg.jobs;
       executor = Coordinator.Subprocess { bin = t.limits.shard_bin };
     }
   in
@@ -513,23 +499,22 @@ type placement =
     }
   | Coordinate of coordination
 
-let sweep ?placement t cfg ~decoder ~n ~strategy ~early_exit ~shards =
+let sweep ?placement t cfg ~decoder ~n ~early_exit ~shards =
   match placement with
   | Some (Slice { shard; checkpoint; max_chunks }) ->
       check_shard t ~shards ~shard;
       let shard = if shards = 1 then None else Some (shard, shards) in
-      run_sweep ?shard ?checkpoint ?max_chunks t cfg ~decoder ~n ~strategy
-        ~early_exit
-  | None when shards = 1 -> run_sweep t cfg ~decoder ~n ~strategy ~early_exit
-  | None -> run_sweep_coordinated t cfg ~decoder ~n ~strategy ~early_exit ~shards
+      run_sweep ?shard ?checkpoint ?max_chunks t cfg ~decoder ~n ~early_exit
+  | None when shards = 1 -> run_sweep t cfg ~decoder ~n ~early_exit
+  | None -> run_sweep_coordinated t cfg ~decoder ~n ~early_exit ~shards
   | Some (Coordinate local) ->
-      run_sweep_coordinated ~local t cfg ~decoder ~n ~strategy ~early_exit ~shards
+      run_sweep_coordinated ~local t cfg ~decoder ~n ~early_exit ~shards
 
 (* One slice of someone else's sharded sweep, run to completion
    in-process: the remote half of the coordinator's [Remote] executor.
    The complete checkpoint rides back inside the payload — merging
    happens wherever the coordinator lives. *)
-let sweep_shard t cfg ~decoder ~n ~strategy ~shards ~shard =
+let sweep_shard t cfg ~decoder ~n ~shards ~shard =
   check_shard t ~shards ~shard;
   let path = Filename.temp_file "lcp-sweep-shard" ".json" in
   Fun.protect
@@ -537,7 +522,7 @@ let sweep_shard t cfg ~decoder ~n ~strategy ~shards ~shard =
     (fun () ->
       run_sweep ~shard:(shard, shards)
         ~checkpoint:{ Lcp_engine.Checkpoint.path; resume = false; tag = decoder }
-        t cfg ~decoder ~n ~strategy ~early_exit:false)
+        t cfg ~decoder ~n ~early_exit:false)
 
 (* Run one admitted job under its cfg. Returns (status, reason,
    payload); raises nothing. *)
@@ -550,9 +535,11 @@ let execute ?placement t (req : Protocol.request) cfg =
       | Protocol.Check { decoder; graph } -> run_check t cfg ~decoder ~graph
       | Protocol.Prove { decoder; graph } -> run_prove t cfg ~decoder ~graph
       | Protocol.Sweep { decoder; n; strategy; early_exit; shards } ->
-          sweep ?placement t cfg ~decoder ~n ~strategy ~early_exit ~shards
+          check_strategy strategy;
+          sweep ?placement t cfg ~decoder ~n ~early_exit ~shards
       | Protocol.Sweep_shard { decoder; n; strategy; shards; shard } ->
-          sweep_shard t cfg ~decoder ~n ~strategy ~shards ~shard
+          check_strategy strategy;
+          sweep_shard t cfg ~decoder ~n ~shards ~shard
       | Protocol.Lint { decoders; max_n; samples } ->
           run_lint t cfg ~decoders ~max_n ~samples
       | Protocol.Ping | Protocol.Metrics | Protocol.Shutdown ->

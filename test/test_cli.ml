@@ -62,6 +62,8 @@ let table =
     ([ "sweep"; "nosuch"; "-n"; "3" ], 2);
     ([ "sweep"; "degree-one"; "-n"; "12" ], 2);
     ([ "sweep"; "degree-one"; "-n"; "3"; "--strategy"; "bogus" ], 2);
+    ([ "sweep"; "degree-one"; "-n"; "5"; "--strategy"; "mask-scan" ], 2);
+    ([ "sweep"; "degree-one"; "-n"; "5"; "--strategy"; "orderly" ], 0);
     ([ "sweep"; "degree-one"; "-n"; "3"; "--shards"; "2"; "--shard"; "2" ], 2);
     ([ "sweep"; "degree-one"; "-n"; "3"; "--resume" ], 2);
     ([ "sweep"; "degree-one"; "-n"; "3"; "--max-chunks"; "1" ], 2);

@@ -1,6 +1,7 @@
 (* The Lcp_engine battery: bit kernels, canonical forms, the domain
-   pool, orderly generation cross-validated against the mask scan, and
-   sweep determinism across jobs counts.
+   pool, orderly generation cross-validated against the mask-scan
+   oracle ([Lcp_oracle.Mask_scan]), and sweep determinism across jobs
+   counts.
 
    The expensive n = 7 / n = 8 regressions (853 / 11,117 connected
    classes) only run when LCP_HEAVY is set: `LCP_HEAVY=1 dune runtest`. *)
@@ -8,6 +9,7 @@
 open Lcp_graph
 open Lcp_engine
 open Helpers
+module Mask_scan = Lcp_oracle.Mask_scan
 
 (* A fresh throwaway cfg at the given width — jobs is now carried by
    [Run_cfg.t] rather than a per-call optional. *)
@@ -47,22 +49,22 @@ let test_bits_ntz_fold () =
     (Bits.fold_bits (fun _ acc -> acc + 1) 0xdeadbeef 0)
 
 (* ------------------------------------------------------------------ *)
-(* Chunk                                                               *)
+(* Chunk and the mask-scan oracle's chunks                             *)
 
 let test_chunk_plan () =
-  check_int "space 4" 64 (Chunk.space 4);
-  let chunks = Chunk.plan ~chunk_bits:4 5 in
+  check_int "space 4" 64 (Mask_scan.space 4);
+  let chunks = Mask_scan.plan ~chunk_bits:4 5 in
   check_int "5-node space in 16-mask chunks" 64 (List.length chunks);
   let covered = ref 0 in
-  List.iter (fun c -> Chunk.iter c (fun _ -> incr covered)) chunks;
-  check_int "chunks cover the space exactly" (Chunk.space 5) !covered;
-  check_int "one chunk for tiny spaces" 1 (List.length (Chunk.plan 1))
+  List.iter (fun c -> Mask_scan.iter c (fun _ -> incr covered)) chunks;
+  check_int "chunks cover the space exactly" (Mask_scan.space 5) !covered;
+  check_int "one chunk for tiny spaces" 1 (List.length (Mask_scan.plan 1))
 
 let test_mask_roundtrip () =
   (* every mask on 4 nodes decodes to the graph that re-encodes to it *)
-  for mask = 0 to Chunk.space 4 - 1 do
+  for mask = 0 to Mask_scan.space 4 - 1 do
     let g = Chunk.graph_of_mask 4 mask in
-    check_int "mask roundtrip" mask (Chunk.mask_of_graph g);
+    check_int "mask roundtrip" mask (Chunk.wide_mask_of_graph g);
     let adj = Chunk.adj_of_mask 4 mask in
     check_bool "adj connectivity agrees with Graph.is_connected"
       (Graph.is_connected g)
@@ -109,11 +111,11 @@ let test_min_mask_exact () =
   (* min_mask is the least labeled mask of the class: verify against a
      literal scan of the whole 4-node space *)
   let least = Hashtbl.create 16 in
-  for mask = 0 to Chunk.space 4 - 1 do
+  for mask = 0 to Mask_scan.space 4 - 1 do
     let key = Canon.key_adj ~n:4 (Chunk.adj_of_mask 4 mask) in
     if not (Hashtbl.mem least key) then Hashtbl.replace least key mask
   done;
-  for mask = 0 to Chunk.space 4 - 1 do
+  for mask = 0 to Mask_scan.space 4 - 1 do
     let adj = Chunk.adj_of_mask 4 mask in
     let key = Canon.key_adj ~n:4 adj in
     check_int "min_mask = least member of the class"
@@ -124,7 +126,7 @@ let test_min_mask_exact () =
   let p3 = Chunk.adj_of_mask 3 (Canon.canonical_mask ~n:3 (Chunk.adj_of_mask 3 0b110)) in
   check_int "init seed is only a bound"
     (Canon.min_mask ~n:3 (Chunk.adj_of_mask 3 0b110))
-    (Canon.min_mask ~init:(Chunk.mask_of_graph (Chunk.graph_of_mask 3 0b110)) ~n:3 p3)
+    (Canon.min_mask ~init:(Chunk.wide_mask_of_graph (Chunk.graph_of_mask 3 0b110)) ~n:3 p3)
 
 (* ------------------------------------------------------------------ *)
 (* Canon kernel vs the list-based oracle (Canon_ref)                   *)
@@ -234,23 +236,23 @@ let test_pool_exception_propagates () =
     [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Orderly vs mask scan: the cross-validation core                     *)
+(* Orderly vs the mask-scan oracle: the cross-validation core          *)
 
 (* OEIS A001349 (connected) and A000088 (all) — the pins the
    reproduction's exhaustive frontier hangs on. *)
 let connected_counts = [ (1, 1); (2, 1); (3, 2); (4, 6); (5, 21); (6, 112) ]
 let all_counts = [ (1, 1); (2, 2); (3, 4); (4, 11); (5, 34); (6, 156) ]
 
-let classes_with strategy ~connected n =
+let classes_with ~connected n =
   Sweep.clear_cache ();
-  Sweep.iso_classes ~cfg:(cfg 2) ~strategy ~connected n
+  Sweep.iso_classes ~cfg:(cfg 2) ~connected n
 
-let test_strategies_agree () =
+let test_orderly_matches_mask_scan () =
   List.iter
     (fun connected ->
       for n = 1 to 6 do
-        let o = classes_with Sweep.Orderly ~connected n in
-        let m = classes_with Sweep.Mask_scan ~connected n in
+        let o = classes_with ~connected n in
+        let m = Mask_scan.iso_classes ~cfg:(cfg 2) ~connected n in
         check_int
           (Printf.sprintf "class count n=%d connected=%b" n connected)
           (List.length m) (List.length o);
@@ -267,14 +269,14 @@ let test_orderly_oeis_counts () =
       check_int
         (Printf.sprintf "A001349 n=%d" n)
         expected
-        (List.length (classes_with Sweep.Orderly ~connected:true n)))
+        (List.length (classes_with ~connected:true n)))
     connected_counts;
   List.iter
     (fun (n, expected) ->
       check_int
         (Printf.sprintf "A000088 n=%d" n)
         expected
-        (List.length (classes_with Sweep.Orderly ~connected:false n)))
+        (List.length (classes_with ~connected:false n)))
     all_counts;
   Sweep.clear_cache ()
 
@@ -354,10 +356,6 @@ let test_class_cache_hits () =
   let h1, m1 = Sweep.cache_stats () in
   check_int "repeat sweeps hit" 2 (h1 - h0);
   check_int "no recompute" m0 m1;
-  (* the two strategies are distinct cache entries *)
-  ignore (Sweep.iso_classes ~cfg:(cfg 1) ~strategy:Sweep.Mask_scan 5);
-  let _, m2 = Sweep.cache_stats () in
-  check_int "strategy is part of the cache key" (m1 + 1) m2;
   Sweep.clear_cache ()
 
 (* ------------------------------------------------------------------ *)
@@ -377,27 +375,24 @@ let has_triangle g =
 let violation_check g = if has_triangle g then Some (Graph.size g) else None
 
 let test_sweep_deterministic_across_jobs () =
-  let run jobs mode strategy =
-    Sweep.run ~cfg:(cfg jobs) ~strategy ~mode ~n:5 ~check:violation_check ()
+  let run jobs mode =
+    Sweep.run ~cfg:(cfg jobs) ~mode ~n:5 ~check:violation_check ()
   in
-  let base = run 1 Sweep.Exhaustive Sweep.Orderly in
+  let base = run 1 Sweep.Exhaustive in
   check_bool "violations exist on 5 nodes" true
     (base.Sweep.counterexample <> None);
   List.iter
     (fun jobs ->
       List.iter
         (fun mode ->
-          List.iter
-            (fun strategy ->
-              let s = run jobs mode strategy in
-              check_int "same classes" base.Sweep.counters.Sweep.classes
-                s.Sweep.counters.Sweep.classes;
-              match (base.Sweep.counterexample, s.Sweep.counterexample) with
-              | Some (g, c), Some (g', c') ->
-                  check_graph "identical counterexample graph" g g';
-                  check_int "identical counterexample payload" c c'
-              | _ -> Alcotest.fail "verdict flipped across jobs")
-            [ Sweep.Orderly; Sweep.Mask_scan ])
+          let s = run jobs mode in
+          check_int "same classes" base.Sweep.counters.Sweep.classes
+            s.Sweep.counters.Sweep.classes;
+          match (base.Sweep.counterexample, s.Sweep.counterexample) with
+          | Some (g, c), Some (g', c') ->
+              check_graph "identical counterexample graph" g g';
+              check_int "identical counterexample payload" c c'
+          | _ -> Alcotest.fail "verdict flipped across jobs")
         [ Sweep.Exhaustive; Sweep.Search_counterexample ])
     [ 1; 2; 4 ]
 
@@ -556,6 +551,21 @@ let add_to key d members =
       | _ -> (k, v))
     members
 
+(* A file as written before the header dropped its strategy: the
+   member after [n], sealed by a digest that covers it. *)
+let with_strategy name members =
+  let module Json = Lcp_obs.Json in
+  let members =
+    List.concat_map
+      (fun (k, v) ->
+        if k = "n" then [ (k, v); ("strategy", Json.String name) ]
+        else if k = "digest" then []
+        else [ (k, v) ])
+      members
+  in
+  let digest = Digest.to_hex (Digest.string (Json.to_string (Json.Obj members))) in
+  members @ [ ("digest", Json.String digest) ]
+
 let test_checkpoint_merge_validation () =
   (* merge is picky: wrong shard sets and incomplete shards refuse;
      load is picky too: a file whose digest no longer matches its
@@ -570,9 +580,15 @@ let test_checkpoint_merge_validation () =
         (Sweep.run
            ~checkpoint:{ Checkpoint.path; resume = false; tag = "m" }
            ~shard:(0, 2) ~n:5 ~check:(fun _ -> None) ());
-      (match load_rewritten ~path ~out Fun.id with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.fail ("re-rendered checkpoint refused: " ^ msg));
+      List.iter
+        (fun (what, f) ->
+          match load_rewritten ~path ~out f with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.fail (what ^ ": checkpoint refused: " ^ msg))
+        [
+          ("re-rendered", Fun.id);
+          ("old header with \"strategy\": \"orderly\"", with_strategy "orderly");
+        ];
       List.iter
         (fun (what, f) ->
           match load_rewritten ~path ~out f with
@@ -584,6 +600,7 @@ let test_checkpoint_merge_validation () =
           ("passed + 1000", add_to "passed" 1000);
           ("labelings_checked + 1", add_to "labelings_checked" 1);
           ("digest removed", List.remove_assoc "digest");
+          ("old header with \"strategy\": \"mask-scan\"", with_strategy "mask-scan");
         ];
       match Checkpoint.load path with
       | Error msg -> Alcotest.fail msg
@@ -610,18 +627,18 @@ let test_n7_classes () =
     let s = Sweep.run ~n:7 ~check:(fun _ -> None) () in
     check_int "853 connected classes on 7 nodes (orderly)" 853
       s.Sweep.counters.Sweep.classes;
-    let m =
-      Sweep.run ~strategy:Sweep.Mask_scan ~n:7 ~check:(fun _ -> None) ()
-    in
+    let c = cfg 0 in
+    let m7 = Mask_scan.iso_classes ~cfg:c 7 in
+    let counter = Lcp_obs.Metrics.counter c.Lcp_obs.Run_cfg.metrics in
     check_int "853 connected classes on 7 nodes (mask scan)" 853
-      m.Sweep.counters.Sweep.classes;
-    check_int "2^21 candidates under the mask scan" (Chunk.space 7)
-      m.Sweep.counters.Sweep.candidates;
+      (counter "classes");
+    check_int "2^21 candidates under the mask scan" (Mask_scan.space 7)
+      (counter "candidates_generated");
     check_bool "orderly examined far fewer candidates" true
-      (s.Sweep.counters.Sweep.candidates * 10 < m.Sweep.counters.Sweep.candidates);
+      (s.Sweep.counters.Sweep.candidates * 10 < counter "candidates_generated");
     (* identical listings at the old frontier *)
     let o7 = Sweep.iso_classes 7 in
-    let m7 = Sweep.iso_classes ~strategy:Sweep.Mask_scan 7 in
+    check_int "same n=7 listing length" (List.length m7) (List.length o7);
     List.iter2 (fun a b -> check_graph "identical n=7 representative" a b) o7 m7;
     Sweep.clear_cache ()
   end
@@ -633,8 +650,8 @@ let check_enum_tallies c ~candidates ~dedup =
   check_int "orderly dedup hits" dedup (counter "dedup_hits")
 
 let test_n8_frontier () =
-  (* the new frontier: out of reach for the mask scan (2^28 masks),
-     directly generated by orderly augmentation *)
+  (* out of reach for the mask-scan oracle (2^28 masks), directly
+     generated by orderly augmentation *)
   if not heavy_enabled then ()
   else begin
     Sweep.clear_cache ();
@@ -674,7 +691,7 @@ let suite =
     case "pool run = sequential" test_pool_run_matches_sequential;
     case "pool search returns minimal match" test_pool_search_minimal;
     case "pool propagates exceptions" test_pool_exception_propagates;
-    case "orderly = mask scan on n<=6" test_strategies_agree;
+    case "orderly = mask scan on n<=6" test_orderly_matches_mask_scan;
     case "orderly matches OEIS counts" test_orderly_oeis_counts;
     case "orderly deterministic in jobs" test_orderly_deterministic_in_jobs;
     case "iso-class counts n<=6" test_iso_classes_counts;

@@ -471,10 +471,38 @@ let test_deadline_expired () =
 let test_bad_requests_get_error_responses () =
   with_server (fun socket _t ->
       Client.with_connection socket (fun c ->
-          (* unknown decoder: runs, fails with a usage reason *)
-          let resp = request_exn c (sweep_req "no-such-decoder" 4) in
-          check_bool "unknown decoder is an error" true
-            (resp.Protocol.status = Protocol.Failed);
+          (* runs, fails with a usage reason: an unknown decoder, and
+             any enumerator but orderly (the mask scan is an oracle,
+             not a service) *)
+          List.iter
+            (fun (what, kind) ->
+              let resp = request_exn c (job kind) in
+              check_bool (what ^ " is an error") true
+                (resp.Protocol.status = Protocol.Failed);
+              check_bool (what ^ " is a usage error") true
+                (String.starts_with ~prefix:"usage:"
+                   (Option.value resp.Protocol.reason ~default:"")))
+            [
+              ("unknown decoder", (sweep_req "no-such-decoder" 4).Protocol.kind);
+              ( "sweep strategy mask-scan",
+                Protocol.Sweep
+                  {
+                    decoder = "degree-one";
+                    n = 4;
+                    strategy = "mask-scan";
+                    early_exit = false;
+                    shards = 1;
+                  } );
+              ( "sweep-shard strategy mask-scan",
+                Protocol.Sweep_shard
+                  {
+                    decoder = "degree-one";
+                    n = 4;
+                    strategy = "mask-scan";
+                    shards = 2;
+                    shard = 0;
+                  } );
+            ];
           (* future schema version: refused at the parse layer *)
           match
             Client.request_json c
