@@ -64,20 +64,6 @@ let generators t =
   done;
   List.rev !gens
 
-(* First-assignment symmetry breaking for a backtracking search that
-   assigns nodes in [order]: constraints whose satisfaction is
-   necessary for a labeling L to be lexicographically minimal in its
-   Aut-orbit, where labelings compare by the alphabet-rank sequence
-   along [order]. At chain level i, with H_i the pointwise stabilizer
-   of order.(0..i-1), any sigma in H_i sending order.(i) to u makes
-   L.sigma agree with L on the first i positions and hold L(u) at
-   position i — so minimality forces rank(L(u)) >= rank(L(order.(i)))
-   for every u in the H_i-orbit of order.(i). H_i cannot move a
-   stabilized point, so every such u sits at a strictly later
-   position and the constraint is checkable the moment u is assigned.
-   Result: [cs.(s)] lists earlier steps [e] such that
-   rank(L(order.(s))) >= rank(L(order.(e))) must hold at step [s].
-   Only labelings that are not orbit-minimal are ever cut. *)
 (* Full prefix-minimality programs: for each non-identity
    automorphism p, the pairs (s, e) — in increasing step order,
    restricted to the steps p moves — where e is the step assigned p's
@@ -115,6 +101,20 @@ let prefix_programs t ~order =
   |> List.stable_sort (fun a b -> compare (activation a) (activation b))
   |> Array.of_list
 
+(* First-assignment symmetry breaking for a backtracking search that
+   assigns nodes in [order]: constraints whose satisfaction is
+   necessary for a labeling L to be lexicographically minimal in its
+   Aut-orbit, where labelings compare by the alphabet-rank sequence
+   along [order]. At chain level i, with H_i the pointwise stabilizer
+   of order.(0..i-1), any sigma in H_i sending order.(i) to u makes
+   L.sigma agree with L on the first i positions and hold L(u) at
+   position i — so minimality forces rank(L(u)) >= rank(L(order.(i)))
+   for every u in the H_i-orbit of order.(i). H_i cannot move a
+   stabilized point, so every such u sits at a strictly later
+   position and the constraint is checkable the moment u is assigned.
+   Result: [cs.(s)] lists earlier steps [e] such that
+   rank(L(order.(s))) >= rank(L(order.(e))) must hold at step [s].
+   Only labelings that are not orbit-minimal are ever cut. *)
 let lex_constraints t ~order =
   let n = t.n in
   let pos = Array.make (max n 1) 0 in

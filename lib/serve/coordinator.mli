@@ -14,11 +14,11 @@
 
     {b Supervision state machine.} Each shard is [Pending] (waiting
     for a worker slot and its backoff deadline), [Running], or
-    [Finished]. A running worker is polled for exit (subprocess) or
-    result (remote). On any termination the checkpoint file is the
-    judgement: {e complete} checkpoint = shard done (even if the
-    worker was killed after its final chunk, and even if it exited 1
-    because the shard saw violations); anything else = crash, and the
+    [Finished]. A running worker is polled for exit. On any
+    termination the checkpoint file is the judgement: {e complete}
+    checkpoint = shard done (even if the worker was killed after its
+    final chunk, and even if it exited 1 because the shard saw
+    violations); anything else = crash, and the
     shard goes back to [Pending] with capped exponential backoff
     ({!backoff_s}) — the restarted worker [--resume]s from the last
     completed chunk, so work is lost only back to the previous
@@ -33,24 +33,18 @@
     path. Workers therefore need no extra liveness plumbing — durable
     progress {e is} the heartbeat.
 
-    {b Executors.} [Subprocess] forks [bin sweep DECODER --shards K
-    --shard I --checkpoint ... --resume] children (default: the
-    current executable). [Remote] farms each shard to one of a list of
-    [lcp serve] daemons as a [sweep-shard] request whose response
-    embeds the shard's complete checkpoint; the coordinator saves it
-    into the checkpoint directory so merging is uniform across
-    executors. Placement is round-robin; a retry moves to the next
-    socket (counted as a steal), so one dead daemon cannot pin a
-    shard.
+    {b Workers.} The one executor, [Subprocess], forks [bin sweep
+    DECODER --shards K --shard I --checkpoint ... --resume] children
+    (default: the current executable). A daemon that coordinates a
+    sweep forks the same children on its own host.
 
     {b Determinism.} The merged checkpoint — and [report], its
     {!Lcp_engine.Checkpoint.report_json} rendering — is byte-identical
-    to the unsharded run's, regardless of worker deaths, restarts, or
-    executor: that is the CI [cmp] gate, inherited from the sharding
-    layer.
+    to the unsharded run's, regardless of worker deaths or restarts:
+    that is the CI [cmp] gate, inherited from the sharding layer.
 
     Observability: counters [coord/shards_launched] /
-    [coord/restarts] / [coord/steals] (materialized at 0), gauges
+    [coord/restarts] (materialized at 0), gauges
     [coord/classes_done], [coord/shards_done],
     [coord/shard<i>/completed], [coord/shard<i>/attempts], span
     [coord], and progress lines for every supervision event, all into
@@ -59,8 +53,6 @@
 type executor =
   | Subprocess of { bin : string }
       (** fork shard workers as [bin sweep ...] children *)
-  | Remote of { sockets : string list }
-      (** farm shards to [lcp serve] daemons at these socket paths *)
 
 type config = {
   decoder : string;
@@ -81,10 +73,9 @@ type config = {
   max_restarts : int;  (** per-shard restart budget *)
   inject_kill : int option;
       (** test/CI fault injection: SIGKILL this shard's first worker
-          once its checkpoint file exists (subprocess executor only) *)
+          once its checkpoint file exists *)
   on_spawn : shard:int -> attempt:int -> pid:int -> unit;
-      (** observation hook, called after every worker launch (pid 0
-          for remote shards) *)
+      (** observation hook, called after every worker launch *)
 }
 
 val default_config :
@@ -115,7 +106,6 @@ type outcome = {
           that must equal the unsharded run's *)
   launched : int;
   restarts : int;
-  steals : int;
   shard_reports : shard_report list;
   wall_s : float;
 }
@@ -128,4 +118,4 @@ val run : ?cfg:Lcp_obs.Run_cfg.t -> config -> (outcome, string) result
     failures; partial shard checkpoints stay in [dir] so a rerun with
     the same config resumes instead of restarting.
     @raise Invalid_argument on a malformed config (non-positive
-    shards/workers/jobs, remote executor without sockets). *)
+    shards/workers/jobs). *)

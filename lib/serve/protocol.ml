@@ -35,13 +35,6 @@ type kind =
       early_exit : bool;
       shards : int;
     }
-  | Sweep_shard of {
-      decoder : string;
-      n : int;
-      strategy : string;
-      shards : int;
-      shard : int;
-    }
   | Lint of { decoders : string list; max_n : int option; samples : int option }
 
 type request = { kind : kind; opts : run_opts }
@@ -53,12 +46,11 @@ let kind_name = function
   | Check _ -> "check"
   | Prove _ -> "prove"
   | Sweep _ -> "sweep"
-  | Sweep_shard _ -> "sweep-shard"
   | Lint _ -> "lint"
 
 let is_control = function
   | Ping | Metrics | Shutdown -> true
-  | Check _ | Prove _ | Sweep _ | Sweep_shard _ | Lint _ -> false
+  | Check _ | Prove _ | Sweep _ | Lint _ -> false
 
 (* Tolerant accessors: absent members become defaults, members of the
    wrong shape are errors. Unknown members are ignored throughout —
@@ -135,13 +127,6 @@ let request_of_json json =
           in
           let* shards = opt_member "shards" to_int json ~default:1 in
           Ok (Sweep { decoder; n; strategy; early_exit; shards })
-      | "sweep-shard" ->
-          let* decoder = opt_str "decoder" json ~default:"degree-one" in
-          let* n = opt_member "n" to_int json ~default:6 in
-          let* strategy = opt_str "strategy" json ~default:"orderly" in
-          let* shards = opt_member "shards" to_int json ~default:1 in
-          let* shard = opt_member "shard" to_int json ~default:0 in
-          Ok (Sweep_shard { decoder; n; strategy; shards; shard })
       | "lint" ->
           let* decoders =
             opt_member "decoders"
@@ -178,14 +163,6 @@ let request_to_json { kind; opts } =
         (* emitted only when sharded: unsharded sweeps keep their
            pre-coordinator wire bytes (and coalesce keys) *)
         @ (if shards <> 1 then [ ("shards", Json.Int shards) ] else [])
-    | Sweep_shard { decoder; n; strategy; shards; shard } ->
-        [
-          ("decoder", Json.String decoder);
-          ("n", Json.Int n);
-          ("strategy", Json.String strategy);
-          ("shards", Json.Int shards);
-          ("shard", Json.Int shard);
-        ]
     | Lint { decoders; max_n; samples } ->
         (("decoders", Json.List (List.map (fun d -> Json.String d) decoders))
          :: opt "max_n" (fun v -> Json.Int v) max_n)

@@ -52,20 +52,10 @@ type kind =
       shards : int;
           (** 1 = run in-process (the historical behaviour; the field
               is omitted from the wire form so unsharded requests keep
-              their coalesce keys); K >= 2 = coordinate K shard
-              workers and respond with the merged report *)
+              their coalesce keys); K >= 2 = coordinate K forked shard
+              workers on the server's host and respond with the merged
+              report *)
     }
-  | Sweep_shard of {
-      decoder : string;
-      n : int;
-      strategy : string;  (** as in [Sweep] *)
-      shards : int;
-      shard : int;
-    }
-      (** one slice of a sharded sweep, run to completion in-process;
-          the response embeds the shard's complete checkpoint so a
-          remote coordinator can {!Lcp_engine.Checkpoint.merge} it.
-          Exhaustive only — early exit would break merge determinism. *)
   | Lint of { decoders : string list; max_n : int option; samples : int option }
 
 type request = { kind : kind; opts : run_opts }

@@ -239,14 +239,10 @@ let check_strategy = function
   | "orderly" -> ()
   | s -> usage "unknown strategy %S (orderly is the only enumerator)" s
 
-let check_shard t ~shards ~shard =
-  in_range "shards" ~lo:1 ~hi:t.limits.max_shards shards;
-  in_range "shard" ~lo:0 ~hi:(shards - 1) shard
-
 (* The one sweep body. Unsharded and uncheckpointed it answers a wire
-   [sweep]; with [shard] and a [checkpoint] it answers [sweep-shard] and
-   runs the CLI's [--shard]/[--checkpoint]/[--resume]/[--max-chunks]
-   (the coordinator's subprocess workers). A checkpoint that cannot be
+   [sweep]; with [shard] and a [checkpoint] it runs the CLI's
+   [--shard]/[--checkpoint]/[--resume]/[--max-chunks] (the
+   coordinator's shard workers). A checkpoint that cannot be
    resumed is a usage error, so such a worker exits 2 and the
    coordinator aborts instead of restarting it; any later failure of
    the sweep stays a runtime failure. *)
@@ -267,11 +263,6 @@ let run_sweep ?shard ?checkpoint ?max_chunks t cfg ~decoder ~n ~early_exit =
       Lcp.Checker.soundness_sweep ~cfg ?shard ?checkpoint ~on_chunk ?max_chunks
         ~early_exit suite ~n
     with Lcp_engine.Sweep.Checkpoint_mismatch msg -> raise (Usage msg)
-  in
-  let checkpoint_json (c : Lcp_engine.Checkpoint.policy) =
-    match Lcp_engine.Checkpoint.load c.Lcp_engine.Checkpoint.path with
-    | Ok ck -> [ ("checkpoint", Lcp_engine.Checkpoint.to_json ck) ]
-    | Error msg -> failwith ("sweep checkpoint: " ^ msg)
   in
   let ok = Lcp.Checker.is_pass (Lcp.Checker.verdict_of_sweep summary) in
   let c = summary.Lcp_engine.Sweep.counters in
@@ -309,7 +300,6 @@ let run_sweep ?shard ?checkpoint ?max_chunks t cfg ~decoder ~n ~early_exit =
               ("violations", Json.Int c.Lcp_engine.Sweep.violations);
             ] );
       ]
-    @ Option.fold ~none:[] ~some:checkpoint_json checkpoint
     @ [
         ("counters", counters_json cfg.Run_cfg.metrics work_counter_names);
         ("cache", counters_json cfg.Run_cfg.metrics cache_counter_names);
@@ -367,7 +357,6 @@ let run_coordinated cfg (config : Coordinator.config) =
 type coordination = {
   workers : int;
   jobs : int;
-  remotes : string list;
   dir : string option;
   stall_s : float option;
   max_restarts : int option;
@@ -377,7 +366,7 @@ type coordination = {
 (* A coordinated [sweep]: K shard workers forked from [shard_bin], each
    on the request's pool width, over a private checkpoint directory
    removed afterwards; [local] is an in-process caller's own workers,
-   executor, directory and supervision knobs. A caller's private
+   directory and supervision knobs. A caller's private
    directory outlives a failed run, so it can be resumed from. *)
 let run_sweep_coordinated ?local t cfg ~decoder ~n ~early_exit ~shards =
   if early_exit then usage "coordinated sweeps are exhaustive; drop early_exit";
@@ -409,10 +398,6 @@ let run_sweep_coordinated ?local t cfg ~decoder ~n ~early_exit ~shards =
             c with
             Coordinator.workers = l.workers;
             jobs = l.jobs;
-            executor =
-              (match l.remotes with
-              | [] -> c.Coordinator.executor
-              | sockets -> Coordinator.Remote { sockets });
             stall_s = Option.value l.stall_s ~default:c.Coordinator.stall_s;
             max_restarts =
               Option.value l.max_restarts ~default:c.Coordinator.max_restarts;
@@ -502,27 +487,14 @@ type placement =
 let sweep ?placement t cfg ~decoder ~n ~early_exit ~shards =
   match placement with
   | Some (Slice { shard; checkpoint; max_chunks }) ->
-      check_shard t ~shards ~shard;
+      in_range "shards" ~lo:1 ~hi:t.limits.max_shards shards;
+      in_range "shard" ~lo:0 ~hi:(shards - 1) shard;
       let shard = if shards = 1 then None else Some (shard, shards) in
       run_sweep ?shard ?checkpoint ?max_chunks t cfg ~decoder ~n ~early_exit
   | None when shards = 1 -> run_sweep t cfg ~decoder ~n ~early_exit
   | None -> run_sweep_coordinated t cfg ~decoder ~n ~early_exit ~shards
   | Some (Coordinate local) ->
       run_sweep_coordinated ~local t cfg ~decoder ~n ~early_exit ~shards
-
-(* One slice of someone else's sharded sweep, run to completion
-   in-process: the remote half of the coordinator's [Remote] executor.
-   The complete checkpoint rides back inside the payload — merging
-   happens wherever the coordinator lives. *)
-let sweep_shard t cfg ~decoder ~n ~shards ~shard =
-  check_shard t ~shards ~shard;
-  let path = Filename.temp_file "lcp-sweep-shard" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      run_sweep ~shard:(shard, shards)
-        ~checkpoint:{ Lcp_engine.Checkpoint.path; resume = false; tag = decoder }
-        t cfg ~decoder ~n ~early_exit:false)
 
 (* Run one admitted job under its cfg. Returns (status, reason,
    payload); raises nothing. *)
@@ -537,9 +509,6 @@ let execute ?placement t (req : Protocol.request) cfg =
       | Protocol.Sweep { decoder; n; strategy; early_exit; shards } ->
           check_strategy strategy;
           sweep ?placement t cfg ~decoder ~n ~early_exit ~shards
-      | Protocol.Sweep_shard { decoder; n; strategy; shards; shard } ->
-          check_strategy strategy;
-          sweep_shard t cfg ~decoder ~n ~shards ~shard
       | Protocol.Lint { decoders; max_n; samples } ->
           run_lint t cfg ~decoders ~max_n ~samples
       | Protocol.Ping | Protocol.Metrics | Protocol.Shutdown ->

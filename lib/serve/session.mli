@@ -23,9 +23,7 @@ type limits = {
   max_lint_n : int;
   max_samples : int;
   max_deadline_ms : int option;  (** cap on client deadlines, if any *)
-  max_shards : int;
-      (** cap on coordinated-sweep partition width (and on the
-          [shards] a [sweep-shard] request may claim) *)
+  max_shards : int;  (** cap on a sweep request's [shards] *)
   shard_bin : string;
       (** executable the coordinator forks shard workers from.
           Defaults to [Sys.executable_name] — right for the real
@@ -51,8 +49,10 @@ val create : ?limits:limits -> ?version:string -> unit -> t
 
 exception Usage of string
 (** A malformed request: unknown decoder or strategy, bad graph spec,
-    an argument outside [limits]. {!execute} answers it as
-    {!Protocol.Failed} with a reason starting ["usage: "]. *)
+    an argument outside [limits] or outside the request's shards, a
+    checkpoint that does not match its sweep on resume. {!execute}
+    answers it as {!Protocol.Failed} with a reason starting
+    ["usage: "]. *)
 
 val find_suite : string -> Lcp.Registry.entry
 (** The registry entry of a decoder key. @raise Usage on an unknown key. *)
@@ -85,9 +85,6 @@ val cache_counter_names : string list
 type coordination = {
   workers : int;  (** max simultaneously running workers *)
   jobs : int;  (** domain-pool width inside each worker *)
-  remotes : string list;
-      (** daemon sockets to farm the shards out to; [[]] forks
-          subprocess workers *)
   dir : string option;
       (** shard checkpoint directory, kept after the run; [None] makes
           a private one, removed after a run that answered and kept
@@ -106,10 +103,10 @@ type placement =
       max_chunks : int option;
     }
       (** sweep shard [shard] of the request's [shards] here (the whole
-          space when [shards = 1]), optionally checkpointed; with
-          [checkpoint] the payload carries the checkpoint as a
-          [sweep-shard] payload does. A checkpoint that does not match
-          the sweep on resume is a usage error. *)
+          space when [shards = 1]), optionally checkpointed; the
+          checkpoint file is the record, the payload does not carry
+          it. A checkpoint that does not match the sweep on resume is
+          a usage error. *)
   | Coordinate of coordination
       (** coordinate the request's [shards] (>= 1) shard workers as
           the caller describes them *)

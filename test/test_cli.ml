@@ -43,7 +43,8 @@ let socket = Filename.concat (Filename.get_temp_dir_name ()) "lcp-test-cli-serve
 
 (* argv -> exit code. The count-flag rows each exited 0 with a quiet
    PASS, ran at a silently changed setting, or raised an uncaught
-   Invalid_argument, before counts were checked at parse time. *)
+   Invalid_argument, before counts were checked at parse time; the
+   --stall-s rows killed every worker on each poll, or never. *)
 let table =
   [
     ([ "sample"; "--nodes"; "100"; "--trials=-1" ], 2);
@@ -55,6 +56,9 @@ let table =
     ([ "sweep"; "degree-one"; "-n"; "4"; "--jobs=-3" ], 2);
     ([ "sweep"; "degree-one"; "-n"; "4"; "--workers=-1" ], 2);
     ([ "sweep"; "degree-one"; "-n"; "4"; "--workers"; "2"; "--inject-kill"; "7" ], 2);
+    ([ "sweep"; "degree-one"; "-n"; "4"; "--workers"; "2"; "--stall-s=-1" ], 2);
+    ([ "sweep"; "degree-one"; "-n"; "4"; "--workers"; "2"; "--stall-s=0" ], 2);
+    ([ "sweep"; "degree-one"; "-n"; "4"; "--workers"; "2"; "--stall-s"; "nan" ], 2);
     ([ "serve"; "--socket"; socket; "--capacity=-1" ], 2);
     ([ "forgetful"; "cycle:6"; "--radius=-1" ], 2);
     (* the rest of the contract *)
@@ -68,6 +72,7 @@ let table =
     ([ "sweep"; "degree-one"; "-n"; "3"; "--resume" ], 2);
     ([ "sweep"; "degree-one"; "-n"; "3"; "--max-chunks"; "1" ], 2);
     ([ "sweep"; "degree-one"; "-n"; "3"; "--workers"; "2"; "--compare" ], 2);
+    ([ "sweep"; "degree-one"; "-n"; "4"; "--workers"; "2"; "--remote"; "/tmp/x.sock" ], 2);
     ([ "lint"; "trivial2"; "--max-n"; "3"; "--samples"; "1" ], 0);
     ([ "lint"; "nosuch" ], 2);
     ([ "check"; "degree-one"; "nonsense:9" ], 2);

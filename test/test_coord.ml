@@ -1,7 +1,7 @@
 (* The sweep coordinator: backoff policy, subprocess supervision with
-   injected worker kills, the incomplete-shard merge refusal, the
-   remote sweep-shard path against a live daemon, and the small-sweep
-   pool bypass. The load-bearing assertion throughout: the coordinated
+   injected worker kills, the incomplete-shard merge refusal, a live
+   daemon coordinating a sweep server-side, and the small-sweep pool
+   bypass. The load-bearing assertion throughout: the coordinated
    merged report is byte-identical to the unsharded run's, whatever
    happened to the workers along the way. *)
 
@@ -235,7 +235,7 @@ let test_preempted_checkpoint_resumes () =
         (Json.to_string_pretty (Checkpoint.report_json ck))
 
 (* ------------------------------------------------------------------ *)
-(* the remote executor and the daemon's coordinated path               *)
+(* the daemon's coordinated path                                      *)
 
 let fresh_socket =
   let counter = ref 0 in
@@ -260,24 +260,6 @@ let with_server f =
       Server.stop t;
       Server.wait t)
     (fun () -> f socket_path t)
-
-let test_remote_shards_match_unsharded () =
-  with_server @@ fun socket _t ->
-  with_dir @@ fun dir ->
-  let config =
-    {
-      (Coordinator.default_config ~decoder:"degree-one" ~n:6 ~shards:2 ~dir)
-      with
-      Coordinator.executor = Coordinator.Remote { sockets = [ socket ] };
-      poll_s = 0.01;
-    }
-  in
-  let o = run_exn config in
-  check_int "one remote launch per shard" 2 o.Coordinator.launched;
-  check_int "no steals when the daemon answers" 0 o.Coordinator.steals;
-  check_str "remotely merged report == unsharded report"
-    (reference_report ~decoder:"degree-one" ~n:6)
-    (Json.to_string_pretty o.Coordinator.report)
 
 let test_daemon_runs_coordinated_sweep () =
   with_server @@ fun socket _t ->
@@ -318,33 +300,6 @@ let test_daemon_runs_coordinated_sweep () =
         | Error e -> Alcotest.fail e
       in
       check_int "clean daemon run needs no restarts" 0 restarts
-
-let test_sweep_shard_protocol_round_trip () =
-  let req =
-    {
-      Protocol.kind =
-        Protocol.Sweep_shard
-          {
-            decoder = "even-cycle";
-            n = 6;
-            strategy = "orderly";
-            shards = 3;
-            shard = 2;
-          };
-      opts = Protocol.default_opts;
-    }
-  in
-  match Protocol.request_of_json (Protocol.request_to_json req) with
-  | Error e -> Alcotest.fail e
-  | Ok round -> (
-      match round.Protocol.kind with
-      | Protocol.Sweep_shard { decoder; n; strategy; shards; shard } ->
-          check_str "decoder survives" "even-cycle" decoder;
-          check_int "n survives" 6 n;
-          check_str "strategy survives" "orderly" strategy;
-          check_int "shards survives" 3 shards;
-          check_int "shard survives" 2 shard
-      | _ -> Alcotest.fail "round-tripped to the wrong kind")
 
 (* A worker that exits 2 (usage error) aborts the run instead of being
    restarted: here every restart would resume the same foreign
@@ -396,7 +351,6 @@ let suite =
       test_backoff_capped;
     case "small sweeps bypass the domain pool, counters invariant"
       test_small_sweep_bypass;
-    case "protocol: sweep-shard round-trips" test_sweep_shard_protocol_round_trip;
     slow_case "subprocess shards merge to the unsharded bytes"
       test_subprocess_matches_unsharded;
     slow_case "injected SIGKILL: restart from checkpoint, identical report"
@@ -405,8 +359,6 @@ let suite =
       test_merge_refuses_incomplete_shard;
     slow_case "a preempted checkpoint resumes to the identical report"
       test_preempted_checkpoint_resumes;
-    slow_case "remote sweep-shard executor merges to the unsharded bytes"
-      test_remote_shards_match_unsharded;
     slow_case "daemon runs a coordinated sweep server-side"
       test_daemon_runs_coordinated_sweep;
     slow_case "a worker's usage error aborts the run, no restart"

@@ -92,18 +92,6 @@ let sample_requests =
     };
     {
       Protocol.kind =
-        Protocol.Sweep_shard
-          {
-            decoder = "degree-one";
-            n = 6;
-            strategy = "orderly";
-            shards = 3;
-            shard = 2;
-          };
-      opts = Protocol.default_opts;
-    };
-    {
-      Protocol.kind =
         Protocol.Lint
           { decoders = [ "trivial2"; "edge-bit" ]; max_n = Some 4; samples = Some 3 };
       opts = Protocol.default_opts;
@@ -493,27 +481,30 @@ let test_bad_requests_get_error_responses () =
                     early_exit = false;
                     shards = 1;
                   } );
-              ( "sweep-shard strategy mask-scan",
-                Protocol.Sweep_shard
-                  {
-                    decoder = "degree-one";
-                    n = 4;
-                    strategy = "mask-scan";
-                    shards = 2;
-                    shard = 0;
-                  } );
             ];
-          (* future schema version: refused at the parse layer *)
-          match
-            Client.request_json c
-              (Json.Obj
-                 [ ("schema_version", Json.Int 99); ("kind", Json.String "ping") ])
-          with
-          | Error e -> Alcotest.fail e
-          | Ok j -> (
-              match Json.to_str (get j [ "status" ]) with
-              | Ok s -> check_str "future schema refused" "error" s
-              | Error e -> Alcotest.fail e)))
+          (* refused at the parse layer: a future schema version, and
+             the retired sweep-shard kind *)
+          List.iter
+            (fun (what, line) ->
+              match Client.request_json c (Json.Obj line) with
+              | Error e -> Alcotest.fail e
+              | Ok j -> (
+                  match Json.to_str (get j [ "status" ]) with
+                  | Ok s -> check_str (what ^ " refused") "error" s
+                  | Error e -> Alcotest.fail e))
+            [
+              ( "future schema",
+                [ ("schema_version", Json.Int 99); ("kind", Json.String "ping") ]
+              );
+              ( "sweep-shard kind",
+                [
+                  ("kind", Json.String "sweep-shard");
+                  ("decoder", Json.String "degree-one");
+                  ("n", Json.Int 4);
+                  ("shards", Json.Int 2);
+                  ("shard", Json.Int 0);
+                ] );
+            ]))
 
 let test_malformed_line_gets_error_response () =
   with_server (fun socket _t ->
