@@ -86,45 +86,56 @@ let yes_graph (suite : Decoder.suite) g =
     else None
   end
 
+(* The yes-instance certified once by the honest prover; the
+   completeness and hiding phases both read it. *)
+type yes_instance = { yg : Graph.t; label : string; certified : Instance.t }
+
+let certify_yes (suite : Decoder.suite) g =
+  match yes_graph suite g with
+  | None -> None
+  | Some (yg, label) -> (
+      let inst = Instance.make yg in
+      match suite.Decoder.prover inst with
+      | None -> None
+      | Some lab ->
+          Some { yg; label; certified = Instance.with_labels inst lab })
+
+(* The phase's tallies, paired with the certified yes-instance it
+   derives inside its span for the hiding phase to reuse. *)
 let completeness_phase ~cfg ~eval_nodes (suite : Decoder.suite) g =
   Run_cfg.span cfg "sample/completeness" (fun () ->
-      match yes_graph suite g with
+      match certify_yes suite g with
       | None -> None
-      | Some (yg, instance) -> (
-          let inst = Instance.make yg in
-          match suite.Decoder.prover inst with
-          | None -> None
-          | Some lab ->
-              let certified = Instance.with_labels inst lab in
-              let n = Graph.order yg in
-              let sample =
-                sample_nodes ~seed:cfg.Run_cfg.seed ~tag:0x5AC0 ~k:eval_nodes n
-              in
-              let k = Array.length sample in
-              let t0 = Clock.now_ns () in
-              let tallies =
-                Lcp_engine.Pool.run ~jobs:cfg.Run_cfg.jobs (chunks_of k)
-                  (fun c ->
-                    let lo, hi = chunk_bounds k c in
-                    let acc = ref 0 in
-                    for i = lo to hi - 1 do
-                      if accepts_node suite certified sample.(i) then incr acc
-                    done;
-                    !acc)
-              in
-              let accepted = Array.fold_left ( + ) 0 tallies in
-              let wall = Clock.now_ns () - t0 in
-              Run_cfg.count cfg ~by:k "sample/completeness_evals";
-              Run_cfg.count cfg ~by:accepted "sample/completeness_accepts";
-              Some
-                {
-                  instance;
-                  c_nodes = n;
-                  c_edges = Graph.size yg;
-                  evaluated = k;
-                  accepted;
-                  c_wall_ns = wall;
-                }))
+      | Some yes ->
+          let n = Graph.order yes.yg in
+          let sample =
+            sample_nodes ~seed:cfg.Run_cfg.seed ~tag:0x5AC0 ~k:eval_nodes n
+          in
+          let k = Array.length sample in
+          let t0 = Clock.now_ns () in
+          let tallies =
+            Lcp_engine.Pool.run ~jobs:cfg.Run_cfg.jobs (chunks_of k) (fun c ->
+                let lo, hi = chunk_bounds k c in
+                let acc = ref 0 in
+                for i = lo to hi - 1 do
+                  if accepts_node suite yes.certified sample.(i) then incr acc
+                done;
+                !acc)
+          in
+          let accepted = Array.fold_left ( + ) 0 tallies in
+          let wall = Clock.now_ns () - t0 in
+          Run_cfg.count cfg ~by:k "sample/completeness_evals";
+          Run_cfg.count cfg ~by:accepted "sample/completeness_accepts";
+          Some
+            ( {
+                instance = yes.label;
+                c_nodes = n;
+                c_edges = Graph.size yes.yg;
+                evaluated = k;
+                accepted;
+                c_wall_ns = wall;
+              },
+              yes ))
 
 (* ---- sampled adversarial soundness ------------------------------- *)
 
@@ -219,97 +230,89 @@ let soundness_phase ~cfg ~trials (suite : Decoder.suite) g =
      colors differ — the certified views themselves do not leak the
      coloring. A decoder whose certificates are the colors (trivial-k)
      scores 0 here: correctly reported as non-hiding. *)
-let hiding_phase ~cfg ~pairs (suite : Decoder.suite) yg =
+let hiding_phase ~cfg ~pairs (suite : Decoder.suite) yes =
   Run_cfg.span cfg "sample/hiding" (fun () ->
-      match Coloring.two_color yg with
+      match Coloring.two_color yes.yg with
       | None -> None
-      | Some colors -> (
-          let inst = Instance.make yg in
-          match suite.Decoder.prover inst with
-          | None -> None
-          | Some lab ->
-              let certified = Instance.with_labels inst lab in
-              let n = Graph.order yg in
-              let r = suite.Decoder.dec.Decoder.radius in
-              let t0 = Clock.now_ns () in
-              let tallies =
-                Lcp_engine.Pool.run ~jobs:cfg.Run_cfg.jobs (chunks_of pairs)
-                  (fun c ->
-                    let lo, hi = chunk_bounds pairs c in
-                    let rng =
-                      Random.State.make [| cfg.Run_cfg.seed; 0x51D1; c |]
+      | Some colors ->
+          let certified = yes.certified in
+          let n = Graph.order yes.yg in
+          let r = suite.Decoder.dec.Decoder.radius in
+          let t0 = Clock.now_ns () in
+          (* every chunk draws its full share of node pairs, so the
+             draw stream does not depend on which draws coincide; a
+             draw with u = w compares nothing and is not counted *)
+          let tallies =
+            Lcp_engine.Pool.run ~jobs:cfg.Run_cfg.jobs (chunks_of pairs)
+              (fun c ->
+                let lo, hi = chunk_bounds pairs c in
+                let rng = Random.State.make [| cfg.Run_cfg.seed; 0x51D1; c |] in
+                let compared = ref 0
+                and structural = ref 0
+                and matches = ref 0
+                and certified_c = ref 0 in
+                for _ = lo to hi - 1 do
+                  let u = Random.State.int rng n in
+                  let w = Random.State.int rng n in
+                  if u <> w then begin
+                    incr compared;
+                    let vu = View.extract certified ~r u in
+                    let vw = View.extract certified ~r w in
+                    let blank v = View.map_labels v (fun _ -> "") in
+                    let same_structure =
+                      View.key_anonymous (blank vu)
+                      = View.key_anonymous (blank vw)
                     in
-                    let structural = ref 0
-                    and matches = ref 0
-                    and certified_c = ref 0 in
-                    for _ = lo to hi - 1 do
-                      let u = Random.State.int rng n in
-                      let w = Random.State.int rng n in
-                      if u <> w then begin
-                        let vu = View.extract certified ~r u in
-                        let vw = View.extract certified ~r w in
-                        let blank v = View.map_labels v (fun _ -> "") in
-                        let same_structure =
-                          View.key_anonymous (blank vu)
-                          = View.key_anonymous (blank vw)
-                        in
-                        if same_structure then begin
-                          incr matches;
-                          if colors.(u) <> colors.(w) then begin
-                            incr structural;
-                            if View.key_anonymous vu = View.key_anonymous vw
-                            then incr certified_c
-                          end
-                        end
+                    if same_structure then begin
+                      incr matches;
+                      if colors.(u) <> colors.(w) then begin
+                        incr structural;
+                        if View.key_anonymous vu = View.key_anonymous vw then
+                          incr certified_c
                       end
-                    done;
-                    (!structural, !matches, !certified_c))
-              in
-              let wall = Clock.now_ns () - t0 in
-              let structural_collisions =
-                Array.fold_left (fun a (s, _, _) -> a + s) 0 tallies
-              in
-              let structural_matches =
-                Array.fold_left (fun a (_, m, _) -> a + m) 0 tallies
-              in
-              let certified_collisions =
-                Array.fold_left (fun a (_, _, c) -> a + c) 0 tallies
-              in
-              Run_cfg.count cfg ~by:pairs "sample/hiding_pairs";
-              Run_cfg.count cfg ~by:structural_collisions
-                "sample/hiding_structural_collisions";
-              Run_cfg.count cfg ~by:certified_collisions
-                "sample/hiding_certified_collisions";
-              Some
-                {
-                  pairs;
-                  structural_collisions;
-                  structural_matches;
-                  certified_collisions;
-                  h_wall_ns = wall;
-                }))
+                    end
+                  end
+                done;
+                (!compared, !structural, !matches, !certified_c))
+          in
+          let wall = Clock.now_ns () - t0 in
+          let sum f = Array.fold_left (fun a t -> a + f t) 0 tallies in
+          let pairs = sum (fun (p, _, _, _) -> p) in
+          let structural_collisions = sum (fun (_, s, _, _) -> s) in
+          let structural_matches = sum (fun (_, _, m, _) -> m) in
+          let certified_collisions = sum (fun (_, _, _, c) -> c) in
+          Run_cfg.count cfg ~by:pairs "sample/hiding_pairs";
+          Run_cfg.count cfg ~by:structural_collisions
+            "sample/hiding_structural_collisions";
+          Run_cfg.count cfg ~by:certified_collisions
+            "sample/hiding_certified_collisions";
+          Some
+            {
+              pairs;
+              structural_collisions;
+              structural_matches;
+              certified_collisions;
+              h_wall_ns = wall;
+            })
 
 (* ---- driver ------------------------------------------------------ *)
 
 let run ?(eval_nodes = 50_000) ?(trials = 8) ?(pairs = 2_000) ~cfg ~decoder
     ~model (suite : Decoder.suite) g =
   let nodes = Graph.order g and edges = Graph.size g in
-  let completeness =
+  let certified =
     if Run_cfg.expired cfg then None
     else completeness_phase ~cfg ~eval_nodes suite g
   in
+  let completeness = Option.map fst certified in
   let soundness =
     if Run_cfg.expired cfg then None else soundness_phase ~cfg ~trials suite g
   in
   let hiding =
     if Run_cfg.expired cfg then None
     else
-      match completeness with
-      | Some c when c.evaluated > 0 ->
-          let yg =
-            if c.instance = "model graph" then g else Builders.double_cover g
-          in
-          hiding_phase ~cfg ~pairs suite yg
+      match certified with
+      | Some (c, yes) when c.evaluated > 0 -> hiding_phase ~cfg ~pairs suite yes
       | _ -> None
   in
   let violations =

@@ -8,6 +8,11 @@
     standard {!Lcp_local.View.extract} observation path and
     {!Lcp_obs.Run_cfg} observability.
 
+    The yes-instance is certified once per {!run}: inside the
+    [sample/completeness] span the model graph or its double cover is
+    built, made an instance and labeled by one [suite.prover] call,
+    and the hiding phase probes that same certified instance.
+
     Scale notes. The phases call [suite.promise], [suite.prover] and
     [suite.adversary_alphabet] on the full instance, so they are only
     as scalable as the decoder's own bundle: the k-coloring suites
@@ -48,6 +53,9 @@ type soundness = {
 
 type hiding = {
   pairs : int;
+      (** node pairs actually compared: of the [?pairs] seeded draws,
+          those with two distinct nodes (a draw of one node twice
+          compares nothing). 0 on a 1-node instance. *)
   structural_collisions : int;
       (** certificate-blanked anonymized keys equal, honest colors
           differ: structure alone cannot determine the color *)
@@ -88,8 +96,10 @@ val run :
 (** [run ~cfg ~decoder ~model suite g] samples the three phases on the
     seeded instance [g]. [eval_nodes] (default 50_000) bounds the
     completeness sample, [trials] (default 8) the adversarial
-    labelings, [pairs] (default 2_000) the hiding probes. Phases are
-    skipped (reported as [None]) once [cfg]'s deadline has expired;
+    labelings, [pairs] (default 2_000) the hiding probe's seeded node
+    pair draws (the report's [hiding.pairs] counts those compared).
+    Phases are skipped (reported as [None]) once [cfg]'s deadline has
+    expired;
     within a phase the tallies are deadline-independent. Counters:
     [sample/completeness_evals], [sample/completeness_accepts],
     [sample/soundness_trials], [sample/soundness_rejected],

@@ -136,17 +136,7 @@ let pendant g v =
   let n = Graph.order g in
   Graph.of_edges (n + 1) ((v, n) :: Graph.edges g)
 
-let double_cover g =
-  (* bipartite double cover G x K2: node (v, side) is v + side * n;
-     every edge {u,v} of G lifts to {u0,v1} and {v0,u1} *)
-  let n = Graph.order g in
-  let b = Graph.Builder.create ~size_hint:(2 * Graph.size g) (2 * n) in
-  Graph.iter_edges
-    (fun u v ->
-      Graph.Builder.add_edge b u (v + n);
-      Graph.Builder.add_edge b v (u + n))
-    g;
-  Graph.Builder.graph b
+let double_cover = Graph.double_cover
 
 let random_gnp rng n p =
   let es = ref [] in

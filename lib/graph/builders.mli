@@ -65,7 +65,8 @@ val double_cover : Graph.t -> Graph.t
     to [{u0,v1}] and [{v0,u1}]. Always bipartite; connected iff [g] is
     connected and non-bipartite. This is how the sampled workload
     derives a yes-instance for the 2-coloring decoders from an
-    arbitrary random graph. O(n + m). *)
+    arbitrary random graph. O(n + m): {!Graph.double_cover} writes the
+    CSR rows directly. *)
 
 val random_gnp : Random.State.t -> int -> float -> Graph.t
 (** Erdos-Renyi G(n, p). Quadratic pair scan; for large sparse

@@ -298,6 +298,23 @@ let disjoint_union g h =
   done;
   { n; offsets; adj = Array.sub adj 0 (mg + mh) }
 
+let double_cover g =
+  (* row [u] is N(u) + n and row [u + n] is N(u): both ascending, so
+     the CSR is written directly, O(n + m), with no arc buffer *)
+  let n = g.n in
+  let arcs = g.offsets.(n) in
+  let offsets = Array.make ((2 * n) + 1) 0 in
+  Array.blit g.offsets 0 offsets 0 (n + 1);
+  for v = 1 to n do
+    offsets.(n + v) <- arcs + g.offsets.(v)
+  done;
+  let adj = Array.make (2 * arcs) 0 in
+  for i = 0 to arcs - 1 do
+    adj.(i) <- g.adj.(i) + n
+  done;
+  Array.blit g.adj 0 adj arcs arcs;
+  { n = 2 * n; offsets; adj }
+
 let induced g node_list =
   List.iter (check_node g) node_list;
   let keep = List.sort_uniq Stdlib.compare node_list in

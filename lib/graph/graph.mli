@@ -70,6 +70,11 @@ val disjoint_union : t -> t -> t
 (** [disjoint_union g h] places [h] next to [g]; nodes of [h] are
     shifted by [order g]. O(n + m): rows are concatenated directly. *)
 
+val double_cover : t -> t
+(** Bipartite double cover [G x K2] (see {!Builders.double_cover}):
+    row [u] is [N(u) + order g] and row [u + order g] is [N(u)], both
+    already ascending, so the CSR is written straight from [g]'s. *)
+
 val induced : t -> int list -> t * int array
 (** [induced g nodes] is the subgraph of [g] induced by [nodes]
     (duplicates ignored, order preserved), together with the array

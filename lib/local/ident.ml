@@ -2,17 +2,26 @@ open Lcp_graph
 
 type t = { ids : int array; bound : int }
 
+(* A range pass, then an adjacent-duplicate scan of a sorted copy —
+   skipped when the range pass saw the ids strictly ascending, as
+   canonical ids are. Nothing of size [bound] is allocated, since
+   [bound] can come from outside input (a decoded instance). *)
 let validate ids bound =
-  let n = Array.length ids in
-  let seen = Hashtbl.create n in
-  Array.iter
-    (fun i ->
+  let ascending = ref true in
+  Array.iteri
+    (fun k i ->
       if i < 1 || i > bound then
         invalid_arg (Printf.sprintf "Ident: id %d out of range [1, %d]" i bound);
-      if Hashtbl.mem seen i then
-        invalid_arg (Printf.sprintf "Ident: duplicate id %d" i);
-      Hashtbl.replace seen i ())
-    ids
+      if k > 0 && ids.(k - 1) >= i then ascending := false)
+    ids;
+  if not !ascending then begin
+    let sorted = Array.copy ids in
+    Array.stable_sort Int.compare sorted;
+    for k = 1 to Array.length sorted - 1 do
+      if sorted.(k) = sorted.(k - 1) then
+        invalid_arg (Printf.sprintf "Ident: duplicate id %d" sorted.(k))
+    done
+  end
 
 let canonical ?bound g =
   let n = Graph.order g in

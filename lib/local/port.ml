@@ -19,16 +19,33 @@ let random rng g =
   Array.iter (shuffle rng) t;
   t
 
+(* Each row must be a permutation of the node's neighbors: stamp the
+   neighbors of [v] with [v] in [mark], then let every row entry
+   consume one stamp. A row of the right length whose entries are all
+   in range and each consume a distinct stamp is exactly a permutation
+   of the neighbor row. O(n + m), no per-row copy or sort. *)
 let is_valid g t =
-  Array.length t = Graph.order g
-  && Graph.fold_nodes
-       (fun v ok ->
-         ok
-         &&
-         let sorted = Array.copy t.(v) in
-         Array.sort Stdlib.compare sorted;
-         sorted = Graph.neighbors_array g v)
-       g true
+  let n = Graph.order g in
+  Array.length t = n
+  &&
+  let mark = Array.make n (-1) in
+  let row_ok v =
+    let row = t.(v) in
+    Array.length row = Graph.degree g v
+    && begin
+         Graph.iter_neighbors (fun w -> mark.(w) <- v) g v;
+         Array.for_all
+           (fun w ->
+             w >= 0 && w < n && mark.(w) = v
+             && begin
+                  mark.(w) <- -1;
+                  true
+                end)
+           row
+       end
+  in
+  let rec all v = v = n || (row_ok v && all (v + 1)) in
+  all 0
 
 let port_of t v w =
   let arr = t.(v) in

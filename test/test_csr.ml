@@ -242,6 +242,30 @@ let test_double_cover () =
   check_bool "bipartite input splits" false
     (Graph.is_connected (Builders.double_cover (c6 ())))
 
+(* The CSR-built cover equals the cover built from its definition:
+   every edge {u,v} lifts to {u, v+n} and {v, u+n}. Edgeless graphs,
+   isolated nodes (p = 0.05 at small n, and padded unions) and the
+   empty graph included. *)
+let test_double_cover_lifted_edges () =
+  let rng = Random.State.make [| 2024 |] in
+  let lifted g =
+    let n = Graph.order g in
+    Graph.of_edges (2 * n)
+      (List.concat_map (fun (u, v) -> [ (u, v + n); (v, u + n) ]) (Graph.edges g))
+  in
+  for n = 0 to 40 do
+    List.iter
+      (fun p ->
+        let g = Random_graphs.gnp rng n ~p in
+        List.iter
+          (fun g ->
+            check_graph
+              (Printf.sprintf "n=%d p=%g order %d" n p (Graph.order g))
+              (lifted g) (Builders.double_cover g))
+          [ g; Graph.disjoint_union g (Graph.empty 3) ])
+      [ 0.; 0.05; 0.3; 0.8 ]
+  done
+
 (* ------------------------------------------------------------------ *)
 (* sampled phases: jobs-invariance                                      *)
 
@@ -268,6 +292,48 @@ let test_sampling_jobs_invariant () =
   in
   let r1 = run 1 and r4 = run 4 in
   check_bool "jobs=1 = jobs=4" true (r1 = r4);
+  (* the tallies themselves, pinned *)
+  let open Lcp.Sampling in
+  check_bool "pinned report" true
+    (r1
+    = {
+        decoder = "trivial2";
+        model = "gnp";
+        seed = 13;
+        nodes = 400;
+        edges = 812;
+        build_wall_ns = 0;
+        completeness =
+          Some
+            {
+              instance = "bipartite double cover";
+              c_nodes = 800;
+              c_edges = 1624;
+              evaluated = 150;
+              accepted = 150;
+              c_wall_ns = 0;
+            };
+        soundness =
+          Some
+            {
+              applicable = true;
+              trials = 4;
+              rejected_trials = 4;
+              probes = 6;
+              accepting_trials = 0;
+              s_wall_ns = 0;
+            };
+        hiding =
+          Some
+            {
+              pairs = 60;
+              structural_collisions = 0;
+              structural_matches = 0;
+              certified_collisions = 0;
+              h_wall_ns = 0;
+            };
+        violations = 0;
+      });
   (* and the phases actually ran *)
   check_bool "completeness ran" true (r1.Lcp.Sampling.completeness <> None);
   (match r1.Lcp.Sampling.completeness with
@@ -290,6 +356,77 @@ let test_sampling_deterministic () =
   in
   check_bool "same seed, same report" true (run () = run ())
 
+let trivial2_run ?(jobs = 1) ?(seed = 5) ?(pairs = 50) ?(suite = Lcp.D_trivial.suite ~k:2)
+    ~model g =
+  let cfg = Lcp_obs.Run_cfg.make ~jobs ~seed () in
+  strip_report
+    (Lcp.Sampling.run ~eval_nodes:100 ~trials:3 ~pairs ~cfg ~decoder:"trivial2"
+       ~model suite g)
+
+(* The yes-instance is certified once per run: one honest prover call
+   serves both the completeness and the hiding phase. *)
+let test_sampling_one_prover_call () =
+  let base = Lcp.D_trivial.suite ~k:2 in
+  let calls = ref 0 in
+  let suite =
+    {
+      base with
+      Lcp.Decoder.prover =
+        (fun inst ->
+          incr calls;
+          base.Lcp.Decoder.prover inst);
+    }
+  in
+  List.iter
+    (fun (model, g) ->
+      calls := 0;
+      let r = trivial2_run ~suite ~model g in
+      check_bool (model ^ ": hiding ran") true (r.Lcp.Sampling.hiding <> None);
+      check_int (model ^ ": one prover call") 1 !calls)
+    [
+      ("gnp", Random_graphs.gnp_avg_degree (Random.State.make [| 3 |]) 300 ~avg_degree:4.);
+      ("tree", Random_graphs.tree (Random.State.make [| 3 |]) 300);
+    ]
+
+(* A bipartite model graph is its own yes-instance: soundness does not
+   apply, and the hiding phase probes the model graph itself. *)
+let test_sampling_model_graph () =
+  List.iter
+    (fun model ->
+      let g =
+        match Random_graphs.of_model (Random.State.make [| 5 |]) ~nodes:300 model with
+        | Ok g -> g
+        | Error msg -> Alcotest.fail msg
+      in
+      let r1 = trivial2_run ~model g and r4 = trivial2_run ~jobs:4 ~model g in
+      check_bool (model ^ ": jobs=1 = jobs=4") true (r1 = r4);
+      let open Lcp.Sampling in
+      (match r1.completeness with
+      | Some c ->
+          Alcotest.(check string) (model ^ ": instance") "model graph" c.instance;
+          check_int (model ^ ": yes-instance order") (Graph.order g) c.c_nodes;
+          check_int (model ^ ": all accept") c.evaluated c.accepted
+      | None -> Alcotest.fail "no completeness phase");
+      (match r1.soundness with
+      | Some s -> check_bool (model ^ ": soundness not applicable") false s.applicable
+      | None -> Alcotest.fail "no soundness phase");
+      match r1.hiding with
+      | Some h -> check_bool (model ^ ": pairs compared") true (h.pairs > 0)
+      | None -> Alcotest.fail "no hiding phase")
+    [ "tree"; "grid" ]
+
+(* Only draws of two distinct nodes count as compared pairs: none on a
+   1-node graph, about half of them on a 2-node graph. *)
+let test_sampling_hiding_pairs_compared () =
+  let pairs_of g =
+    match (trivial2_run ~pairs:200 ~model:"path" g).Lcp.Sampling.hiding with
+    | Some h -> h.Lcp.Sampling.pairs
+    | None -> Alcotest.fail "no hiding phase"
+  in
+  check_int "1 node: no pair compared" 0 (pairs_of (Graph.empty 1));
+  let two = pairs_of (Builders.path 2) in
+  check_bool "2 nodes: fewer pairs than draws" true (two > 0 && two < 200)
+
 let suite =
   [
     case "traversal agreement" test_traversal_agreement;
@@ -305,6 +442,10 @@ let suite =
     case "gnp pinned edges" test_gnp_pinned_edges;
     case "model errors" test_model_errors;
     case "double cover" test_double_cover;
+    case "double cover = lifted edges" test_double_cover_lifted_edges;
     case "sampling jobs invariant" test_sampling_jobs_invariant;
     case "sampling deterministic" test_sampling_deterministic;
+    case "sampling one prover call" test_sampling_one_prover_call;
+    case "sampling model graph" test_sampling_model_graph;
+    case "sampling hiding pairs compared" test_sampling_hiding_pairs_compared;
   ]
