@@ -644,9 +644,11 @@ let series_search ~fast () =
 (* family's whole space is |Σ|^n = 64–128 evaluations, where the       *)
 (* quotient has nothing to amortize (its correctness is pinned by      *)
 (* test/test_orbit.ml). A pass over the n = 6 classes takes ~0.1 s, so *)
-(* it repeats 20 times. Outside --fast, the full n = 8 degree-one      *)
-(* sweep runs against its two shards, whose kept counts must partition *)
-(* the full run's and whose verdicts must all pass.                    *)
+(* it repeats 20 times. The complete graphs K_n are each order's       *)
+(* largest group (n! automorphisms), so their degree-one rows put the  *)
+(* quotient's |Aut| scaling on record. Outside --fast, the full n = 8  *)
+(* degree-one sweep runs against its two shards, whose kept counts     *)
+(* must partition the full run's and whose verdicts must all pass.     *)
 
 let series_orbit ~fast () =
   let ab =
@@ -661,6 +663,38 @@ let series_orbit ~fast () =
         ("hidden-leaf3", D_hidden_leaf.suite ~k:3);
       ]
       (if fast then [ 5; 6 ] else [ 6; 7 ])
+  in
+  let complete =
+    let cfg = Run_cfg.sequential bench_cfg in
+    let suite = D_degree_one.suite in
+    List.concat_map
+      (fun n ->
+        let g = Builders.complete n in
+        let inst = Instance.make g in
+        let alphabet = suite.Decoder.adversary_alphabet inst in
+        let aut = Lcp_engine.Auto.size (Lcp_engine.Auto.of_graph g) in
+        let side (layer, quotient) =
+          let (witness, tally), walls =
+            measure ~reps:3 (fun () ->
+                Oracle.search_accepted ~cfg ~verdicts:Oracle.Tables ~quotient
+                  suite.Decoder.dec ~alphabet inst)
+          in
+          ( witness,
+            row ~series:"orbit" ~workload:(Printf.sprintf "degree-one K%d" n)
+              ~layer
+              ~params:
+                [
+                  str_p "decoder" "degree-one";
+                  int_p "n" n;
+                  int_p "aut" aut;
+                  int_p "jobs" 1;
+                ]
+              ~op:("class", 1) ~counters:[ ("labelings", tally) ] walls )
+        in
+        let wa, row_a = side ("orbit", true) in
+        let wb, row_b = side ("direct", false) in
+        gate (wa = wb) [ row_a; row_b ])
+      (if fast then [ 5; 6 ] else [ 7; 8; 9 ])
   in
   let shards =
     if fast then []
@@ -683,7 +717,7 @@ let series_orbit ~fast () =
       let (kept1, pass1), s1 = side "shard 1/2" (Some (1, 2)) in
       gate (kept0 + kept1 = kept && pass && pass0 && pass1) [ full; s0; s1 ]
   in
-  ab @ shards
+  ab @ complete @ shards
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_sweep: the engine soundness sweep at jobs=1 vs jobs>=2. The   *)

@@ -181,67 +181,26 @@ let iter_with ?tally ?cfg ~accepts ~group dec ~alphabet (inst : Instance.t) f =
   let r = dec.Decoder.radius in
   let order = ball_completion_order g ~r in
   let schedule = coverage_schedule g ~r ~order in
-  (* prefix-minimality programs along the ball-completion order; none
+  (* the prefix-minimality trie along the ball-completion order; none
      when there is no group to quotient by *)
   let sym =
-    match group with
-    | None -> None
-    | Some auto -> (
-        match Lcp_engine.Auto.prefix_programs auto ~order with
-        | [||] -> None
-        | progs -> Some progs)
+    Option.map (fun auto -> Lcp_engine.Auto.prefix auto ~order) group
   in
-  (* symmetry breaking: cut a branch as soon as the just-assigned node
-     violates one of its orbit constraints — every completion shares
-     the violation, so only non-orbit-minimal labelings are lost.
-     Cuts are tallied locally and flushed into the metrics in one
-     batch at the end: a per-cut [Run_cfg.count] would take the
-     registry lock inside the hottest loop of the search. *)
+  (* symmetry breaking: cut a branch as soon as some automorphism
+     provably maps every completion to a lex-smaller labeling — only
+     non-orbit-minimal labelings are lost. Cuts are tallied locally
+     and flushed into the metrics in one batch at the end: a per-cut
+     [Run_cfg.count] would take the registry lock inside the hottest
+     loop of the search. *)
   let sym_cuts = ref 0 in
-  let sym_rejects =
-    match sym with
-    | None -> fun _ _ -> false
-    | Some progs ->
-        let np = Array.length progs in
-        (* programs arrive sorted by activation step (the first step
-           at which a walk can be conclusive), so the scan stops at
-           the first not-yet-active program *)
-        let act =
-          Array.map
-            (fun prog ->
-              let s, e = prog.(0) in
-              max s e)
-            progs
-        in
-        (* walks name steps; the search's ranks are indexed by node *)
-        fun i (rk : int array) ->
-          let cut = ref false in
-          let pi = ref 0 in
-          while (not !cut) && !pi < np && act.(!pi) <= i do
-            let prog = progs.(!pi) in
-            let m = Array.length prog in
-            let j = ref 0 in
-            let walking = ref true in
-            while !walking && !j < m do
-              let s, e = prog.(!j) in
-              if s > i || e > i then walking := false
-              else
-                let a = rk.(order.(s)) and b = rk.(order.(e)) in
-                if a > b then begin
-                  cut := true;
-                  walking := false
-                end
-                else if a < b then walking := false
-                else incr j
-            done;
-            incr pi
-          done;
-          !cut
-  in
   let schedule = Array.map Array.of_list schedule in
   let prune i lab rk =
     (match tally with Some t -> incr t | None -> ());
-    if sym_rejects i rk then begin
+    if
+      match sym with
+      | Some trie -> Lcp_engine.Auto.cuts trie rk i
+      | None -> false
+    then begin
       incr sym_cuts;
       true
     end

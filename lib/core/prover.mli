@@ -21,11 +21,11 @@
 
     {!search_accepted} / {!find_accepted} additionally quotient the
     space by the graph's automorphism group whenever the decoder's
-    verdicts are Aut-invariant ({!orbit_eligible}): per-automorphism
-    prefix-minimality programs from {!Lcp_engine.Auto.prefix_programs}
-    cut a branch as soon as some automorphism provably sends every
-    completion of the current partial labeling to a lexicographically
-    smaller one. The search visits labelings in lex order, so its first
+    verdicts are Aut-invariant ({!orbit_eligible}): one prefix trie
+    over every automorphism's prefix-minimality test
+    ({!Lcp_engine.Auto.prefix}), walked at each step, cuts a branch as
+    soon as some automorphism provably sends every completion of the
+    current partial labeling to a lexicographically smaller one. The search visits labelings in lex order, so its first
     accepted labeling is automatically the minimum of its (Aut-closed)
     accepted set — witnesses and verdicts are bit-identical to the full
     search; only the work tally shrinks, with the cut branches reported
@@ -82,6 +82,13 @@ val count_accepted :
   alphabet:string list ->
   Instance.t ->
   int
+
+val ball_completion_order : Lcp_graph.Graph.t -> r:int -> int array
+(** The search's assignment order: [order.(i)] is the node assigned
+    at step [i]. Repeatedly picks the center whose radius-[r] ball has
+    the fewest unassigned nodes left (ties to the smallest center) and
+    assigns its missing nodes in ascending order, so some ball is fully
+    labeled, hence checkable, as early as possible. *)
 
 val orbit_eligible : Decoder.t -> Instance.t -> bool
 (** Whether the automorphism-orbit quotient is sound for this decoder

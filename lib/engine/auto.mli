@@ -8,7 +8,7 @@
 
     - {!orbits} / {!generators}: node orbits and a small (strong)
       generating set, for reporting and validation;
-    - {!lex_constraints} / {!prefix_programs}: symmetry breaking for a
+    - {!lex_constraints} / {!prefix}: symmetry breaking for a
       backtracking labeling search — per-step conditions that cut a
       partial labeling only if {e no} completion of it is
       lexicographically minimal in its Aut-orbit. Restricting a search
@@ -19,10 +19,13 @@
       [L∘σ] coincide and the lexicographically first accepted labeling
       is automatically minimal in its own orbit.
 
-    Orders are capped at {!Canon.max_order}; the group is stored in
-    full (the worst connected case at that cap, K9, has 362,880
-    elements — transient megabytes, and rigid graphs dominate every
-    real sweep). *)
+    Orders are capped at {!Canon.max_order} = 11 and the group is
+    stored in full, one permutation per element, so memory and
+    harvest time grow with [|Aut(G)| <= n!]: K8 has 40,320 elements
+    (a few MB), K9 362,880 (tens of MB), and the worst case at the
+    cap, K11, 39,916,800 (several GB, out of reach). Rigid graphs
+    dominate every real sweep; the complete graph is the one
+    maximal-group class of each order. *)
 
 type t
 
@@ -67,18 +70,37 @@ val lex_constraints : t -> order:int array -> int list array
     from the stabilizer chain along [order] (first-assignment
     symmetry breaking). *)
 
-val prefix_programs : t -> order:int array -> (int * int) array array
-(** Full lexicographic prefix-minimality tests, one program per
-    non-identity automorphism [p]: the pairs [(s, e)] in increasing
-    step order, restricted to the steps [p] moves, where [e] is the
-    step assigned [p]'s image of the node assigned at step [s]. A
-    search in [order] walks a program over the pairs whose steps are
-    both assigned: all ranks equal so far and [rank(s) > rank(e)]
-    proves [L∘p] lexicographically smaller on a fully decided prefix
-    — no completion of the current partial labeling is minimal in its
-    orbit, so the branch can be cut; [rank(s) < rank(e)] or an
-    unassigned step ends the walk inconclusively. Strictly stronger
-    than {!lex_constraints} (which keeps only the conditions the
-    stabilizer chain makes unconditional) at the price of a walk per
-    automorphism. Any prefix of the result prunes soundly, so callers
-    may truncate it. *)
+type prefix
+(** The prefix-minimality tests of every non-identity automorphism
+    along one search order, merged into one trie (see {!prefix}). *)
+
+val prefix : t -> order:int array -> prefix
+(** [prefix t ~order] for a backtracking search assigning node
+    [order.(i)] at step [i]. Each non-identity automorphism [p]
+    contributes its {e program}: the pairs [(s, e)] in increasing step
+    order, restricted to the steps [p] moves, where [e] is the step
+    assigned [p]'s image of the node assigned at step [s]. The programs
+    are the root-to-leaf paths of the trie; a node's children are
+    sorted by activation [max s e]. The trie is one int array, two
+    ints per node, with [order] already resolved into the nodes each
+    pair compares. It is built from {!perms} by sorting one flat
+    [|Aut(G)| * n] scratch array of packed pair keys, so no
+    per-automorphism array is allocated. *)
+
+val cuts : prefix -> int array -> int -> bool
+(** [cuts p ranks i] with steps [0..i] assigned and [ranks.(v)] the
+    alphabet rank of node [v]'s label (entries of unassigned nodes are
+    never read): whether some automorphism [p] provably sends every
+    completion of the partial labeling to a lexicographically smaller
+    one — walking [p]'s program over the pairs whose steps are both
+    assigned, all ranks equal so far and then [rank(s) > rank(e)].
+    [rank(s) < rank(e)] or an unassigned step ends that walk
+    inconclusively. The trie walks every program at once: it descends
+    only through pairs whose ranks compare equal, stops a sibling scan
+    at the first pair activated after [i], and answers [true] at the
+    first pair comparing greater — an existential over the group, so
+    the answer does not depend on the order of {!perms}. Cutting never
+    loses an orbit minimum, and once [i = n - 1] the answer is exactly
+    "the labeling is not minimal in its orbit". Strictly stronger than
+    {!lex_constraints} (which keeps only the conditions the stabilizer
+    chain makes unconditional). Allocates nothing. *)

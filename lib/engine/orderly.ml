@@ -118,12 +118,13 @@ let generate ?(jobs = 1) ?metrics ~connected n =
     let kept = if connected then List.filter is_conn all else all in
     (* representatives: the exact minimal mask of each class — the one
        the ascending mask scan keeps — seeded with the canonical mask
-       (a member, hence an upper bound) for pruning *)
+       (a member, hence an upper bound) for pruning; one pool task per
+       class, results in class order whatever [jobs] *)
     let reps =
-      List.map
-        (fun cmask ->
-          Canon.min_mask ~init:cmask ~n (Chunk.adj_of_mask n cmask))
-        kept
+      Pool.map ?metrics ~jobs
+        (fun cmask -> Canon.min_mask ~init:cmask ~n (Chunk.adj_of_mask n cmask))
+        (Array.of_list kept)
+      |> Array.to_list
       |> List.sort (fun (a : int) b -> compare a b)
     in
     ( reps,

@@ -72,6 +72,7 @@ val generate :
     isomorphism class on [n] nodes (restricted to connected classes
     when [connected]), in ascending mask order — bit-identical to the
     listing the exhaustive mask scan keeps, at a fraction of the work.
-    Each level's parents fan out over a {!Pool} of [jobs] domains
+    Each level's parents, and then the final level's classes (one
+    {!Canon.min_mask} each), fan out over a {!Pool} of [jobs] domains
     (default 1); results and tallies are independent of [jobs].
     @raise Invalid_argument when [n] exceeds {!max_order}. *)

@@ -186,13 +186,14 @@ let test_constraints_sound () =
         !orbits !minima)
     [ Builders.cycle 4; Builders.cycle 5; Builders.complete 4; Builders.path 5 ]
 
-(* prefix programs decide minimality exactly once the labeling is
-   complete: walking every program at i = n-1 cuts L iff some
-   automorphism sends L to a lexicographically smaller labeling, i.e.
-   iff L is not the minimum of its orbit. (On partial labelings the
-   walk is merely sound — it breaks off at the first undecided step —
-   which the prover-level A/B tests exercise; exactness at the leaves
-   is the property that pins the program construction itself.) *)
+(* prefix programs (the oracle scan in Lcp_oracle) decide minimality
+   exactly once the labeling is complete: walking every program at
+   i = n-1 cuts L iff some automorphism sends L to a lexicographically
+   smaller labeling, i.e. iff L is not the minimum of its orbit; so
+   does the production trie. (On partial labelings the walk is merely
+   sound — it breaks off at the first undecided step — and the trie
+   differential below holds the trie to the programs there;
+   exactness at the leaves pins the program construction itself.) *)
 let test_prefix_programs_exact () =
   let alphabet = [ "a"; "b" ] in
   List.iter
@@ -201,7 +202,8 @@ let test_prefix_programs_exact () =
       let auto = Auto.of_graph g in
       let perms = Auto.perms auto in
       let order = Array.init n Fun.id in
-      let progs = Auto.prefix_programs auto ~order in
+      let progs = Lcp_oracle.Prefix_programs.make auto ~order in
+      let trie = Auto.prefix auto ~order in
       (* sorted by activation step, as documented *)
       let act prog =
         let s, e = prog.(0) in
@@ -222,28 +224,82 @@ let test_prefix_programs_exact () =
                 compare rk (Array.init n (fun v -> rk.(p.(v)))) <= 0)
               perms
           in
-          let cut =
-            Array.exists
-              (fun prog ->
-                let m = Array.length prog in
-                let j = ref 0 and verdict = ref false and walking = ref true in
-                while !walking && !j < m do
-                  let s, e = prog.(!j) in
-                  if rk.(s) > rk.(e) then begin
-                    verdict := true;
-                    walking := false
-                  end
-                  else if rk.(s) < rk.(e) then walking := false
-                  else incr j
-                done;
-                !verdict)
-              progs
-          in
+          let cut = Lcp_oracle.Prefix_programs.cuts progs ~order rk (n - 1) in
           check_bool
             (Printf.sprintf "program cut = non-minimality on %s"
                (Graph.to_string g))
-            (not minimal) cut))
+            (not minimal) cut;
+          check_bool
+            (Printf.sprintf "trie cut = non-minimality on %s"
+               (Graph.to_string g))
+            (not minimal)
+            (Auto.cuts trie rk (n - 1))))
     [ Builders.cycle 4; Builders.cycle 5; Builders.complete 4; Builders.path 5 ]
+
+(* The trie must agree with the per-program scan on every partial
+   labeling, not just complete ones: the search asks at every step, and
+   any disagreement moves labelings_checked. Every prefix over a
+   3-symbol rank alphabet is visited depth-first, in the identity
+   order, the prover's ball-completion order and a seeded shuffle. Rank
+   entries of unassigned nodes keep whatever an earlier branch left
+   there, as in the search, so reading past step [i] shows up as a
+   mismatch. *)
+let orders g =
+  let n = Graph.order g in
+  let shuffled = Array.init n Fun.id in
+  let rng = Random.State.make [| n; Graph.size g |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- x
+  done;
+  [
+    ("identity", Array.init n Fun.id);
+    ("ball-completion", Lcp.Prover.ball_completion_order g ~r:1);
+    ("shuffled", shuffled);
+  ]
+
+let check_trie_matches_programs g =
+  let n = Graph.order g in
+  let auto = Auto.of_graph g in
+  List.iter
+    (fun (what, order) ->
+      let trie = Auto.prefix auto ~order in
+      let progs = Lcp_oracle.Prefix_programs.make auto ~order in
+      let rk = Array.init n (fun v -> 2 - (v mod 3)) in
+      let rec go i =
+        if i < n then
+          for r = 0 to 2 do
+            rk.(order.(i)) <- r;
+            let expect = Lcp_oracle.Prefix_programs.cuts progs ~order rk i in
+            if Auto.cuts trie rk i <> expect then
+              Alcotest.failf "%s, %s order, step %d, ranks [%s]: programs %b"
+                (Graph.to_string g) what i
+                (String.concat ";" (Array.to_list (Array.map string_of_int rk)))
+                expect;
+            go (i + 1)
+          done
+      in
+      go 0)
+    (orders g)
+
+let test_trie_small () =
+  List.iter check_trie_matches_programs
+    (List.concat_map
+       (fun n -> Lcp_engine.Sweep.iso_classes ~connected:true n)
+       [ 1; 2; 3; 4; 5; 6 ]
+    @ [
+        Builders.complete 7;
+        Builders.cycle 8;
+        Builders.complete_bipartite 3 3;
+        Builders.petersen ();
+      ])
+
+let test_trie_n7 () =
+  if heavy_enabled then
+    List.iter check_trie_matches_programs
+      (Lcp_engine.Sweep.iso_classes ~connected:true 7)
 
 let suite =
   [
@@ -256,4 +312,7 @@ let suite =
     case "prefix programs: exact minimality at complete labelings"
       test_prefix_programs_exact;
     slow_case "group = brute force, n = 6 (LCP_HEAVY)" test_group_n6;
+    case "prefix trie = program scan on every prefix, n <= 6 and named graphs"
+      test_trie_small;
+    slow_case "prefix trie = program scan, n = 7 (LCP_HEAVY)" test_trie_n7;
   ]

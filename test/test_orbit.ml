@@ -193,6 +193,27 @@ let test_strong_soundness_crossed () =
       check_int "checked matches baseline" (snd base) c)
     [ (true, Oracle.Tables); (true, Oracle.Direct); (false, Oracle.Tables) ]
 
+(* Complete graphs have the largest groups at each order (K8: 40,319
+   non-identity automorphisms), so they stress the prefix trie hardest.
+   Degree-one finds no certificate on K_n; the tallies are the values
+   the per-automorphism program scan produced, and must not move. *)
+let check_complete_pin n ~tally ~pruned =
+  let inst = Instance.make (Builders.complete n) in
+  let suite = D_degree_one.suite in
+  let alphabet = suite.Decoder.adversary_alphabet inst in
+  let cfg = seq_cfg () in
+  let w, t = Prover.search_accepted ~cfg suite.Decoder.dec ~alphabet inst in
+  let what = Printf.sprintf "degree-one on K%d" n in
+  check_bool (what ^ ": no witness") true (w = None);
+  check_int (what ^ ": tally") tally t;
+  check_int (what ^ ": orbit_pruned_branches") pruned
+    (Metrics_obs.counter cfg.Run_cfg.metrics "orbit_pruned_branches")
+
+let test_complete_8_pin () = check_complete_pin 8 ~tally:3_960 ~pruned:2_674
+
+let test_complete_9_pin () =
+  if heavy_enabled then check_complete_pin 9 ~tally:6_435 ~pruned:4_434
+
 let suite =
   [
     case "registry cross-check, n <= 5 corpus" test_registry_small_corpus;
@@ -205,4 +226,7 @@ let suite =
       test_strong_soundness_crossed;
     slow_case "registry cross-check, n = 6 (LCP_HEAVY)"
       test_registry_heavy_corpus;
+    case "degree-one on K8: tally and cuts pinned" test_complete_8_pin;
+    slow_case "degree-one on K9: tally and cuts pinned (LCP_HEAVY)"
+      test_complete_9_pin;
   ]
