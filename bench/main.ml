@@ -48,7 +48,7 @@ let d1_family =
     ~graphs:
       (List.filter
          (fun g -> Coloring.is_bipartite g && Graph.min_degree g = 1)
-         (Enumerate.connected_up_to_iso 4))
+         (Lcp_oracle.Enumerate.connected_up_to_iso 4))
     ()
 
 let extraction_family =
@@ -552,7 +552,10 @@ let series_enumerate ~fast () =
             else [])
         @
         if n <= 6 then
-          [ side "pairwise" (fun () -> Enumerate.connected_up_to_iso n) ]
+          [
+            side "pairwise" (fun () ->
+                Lcp_oracle.Enumerate.connected_up_to_iso n);
+          ]
         else []
       in
       let reference = fst (List.hd sides) in
@@ -979,10 +982,9 @@ let series_race ~fast () =
 (* ------------------------------------------------------------------ *)
 (* BENCH_large (--large only): graph-build throughput, sampled         *)
 (* certification throughput and the CSR-vs-list traversal A/B on       *)
-(* 10^5..10^6-node instances. The list side materializes               *)
-(* [Graph.neighbors] per query, the seed representation's access       *)
-(* pattern, so its ratio is the cross-change baseline for substrate    *)
-(* changes.                                                            *)
+(* 10^5..10^6-node instances. The list side materializes a fresh       *)
+(* neighbor list per query, the seed representation's access pattern, *)
+(* so its ratio is the cross-change baseline for substrate changes.    *)
 
 (* Traversal workload: sum of neighbor ids over every node. *)
 let traverse_csr g =
@@ -995,7 +997,7 @@ let traverse_csr g =
 let traverse_list g =
   let acc = ref 0 in
   for v = 0 to Graph.order g - 1 do
-    List.iter (fun w -> acc := !acc + w) (Graph.neighbors g v)
+    List.iter (fun w -> acc := !acc + w) (Graph.fold_neighbors List.cons g v [])
   done;
   !acc
 

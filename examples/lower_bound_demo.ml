@@ -57,7 +57,7 @@ let () =
      graph stays bipartite *)
   let suite = D_degree_one.suite in
   let graphs =
-    Enumerate.connected_up_to_iso 4 @ Enumerate.connected_up_to_iso 3
+    Lcp_engine.Sweep.iso_classes 4 @ Lcp_engine.Sweep.iso_classes 3
     |> List.filter (fun g -> Coloring.is_bipartite g && Graph.min_degree g = 1)
   in
   let fam = Neighborhood.exhaustive_family suite ~graphs () in

@@ -44,8 +44,7 @@ let () =
      min-degree-1 yes-instances with up to 4 nodes and find the odd
      cycle that makes extraction impossible (Lemma 3.2) *)
   let graphs =
-    Lcp_graph.Enumerate.connected_up_to_iso 4
-    @ Lcp_graph.Enumerate.connected_up_to_iso 3
+    Lcp_engine.Sweep.iso_classes 4 @ Lcp_engine.Sweep.iso_classes 3
     |> List.filter (fun g ->
            Coloring.is_bipartite g && Graph.min_degree g = 1)
   in

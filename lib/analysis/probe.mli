@@ -34,9 +34,6 @@ type measurement = {
           taint/tightness metric *)
 }
 
-val eval_node : Lcp.Decoder.t -> Instance.t -> int -> eval
-(** Trace one node's evaluation. *)
-
 val run : Lcp.Decoder.t -> Instance.t -> eval array
 (** Trace every node, in node order. *)
 

@@ -36,8 +36,6 @@ val run : t -> Instance.t -> bool array
 
 val accepts_all : t -> Instance.t -> bool
 
-val accepting_nodes : t -> Instance.t -> int list
-
 val accepted_subgraph : t -> Instance.t -> Graph.t * int array
 (** Subgraph induced by the accepting nodes (plus the map back to
     original node ids) — the object of strong soundness. *)

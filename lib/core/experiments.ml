@@ -27,7 +27,8 @@ let verdict_row label ~expect_pass verdict =
 (* ------------------------------------------------------------------ *)
 (* E1: r-forgetfulness                                                  *)
 
-let e1_forgetful ?(cfg = Run_cfg.default) () =
+(* Fig. 1 + Lemma 2.1: r-forgetful survey over graph families. *)
+let e1_forgetful cfg =
   ignore cfg;
   let families =
     [
@@ -76,7 +77,9 @@ let e1_forgetful ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E2: views and compatibility                                          *)
 
-let e2_views ?(cfg = Run_cfg.default) () =
+(* Fig. 2: view extraction and visibility of fringe edges;
+   yes-instance compatibility. *)
+let e2_views cfg =
   ignore cfg;
   (* the diamond: C4 plus a chord; at r = 1 the chord between two
      distance-1 nodes is invisible from the opposite node *)
@@ -131,8 +134,8 @@ let e2_views ?(cfg = Run_cfg.default) () =
 (* Iso-class listings come from the engine: canonical-form dedup plus
    the cross-sweep cache, so the many experiments that re-enumerate the
    same orders share one enumeration per process. The representatives
-   (smallest edge mask per class) coincide with the ones the historical
-   [Enumerate.connected_up_to_iso] picked. *)
+   (smallest edge mask per class) coincide with the ones the pairwise
+   oracle [Lcp_oracle.Enumerate.connected_up_to_iso] picks. *)
 let classes ?cfg n = Lcp_engine.Sweep.iso_classes ?cfg n
 
 let min_degree_one_family ?cfg ~max_n () =
@@ -142,13 +145,17 @@ let min_degree_one_family ?cfg ~max_n () =
   done;
   List.filter (fun g -> Graph.min_degree g = 1) !graphs
 
-let e3_degree_one ?(cfg = Run_cfg.default) () =
+(* Lemma 4.1 + Figs. 3–4: the degree-one decoder battery. The
+   soundness row sweeps every connected non-bipartite
+   isomorphism class on 6 nodes (5 when [cfg.heavy] is off) through
+   [Lcp_engine.Sweep]. *)
+let e3_degree_one cfg =
   let heavy = cfg.Run_cfg.heavy in
   let suite = D_degree_one.suite in
   let rng = Run_cfg.rng cfg in
   let yes_family =
     min_degree_one_family ~cfg ~max_n:(if heavy then 6 else 5) ()
-    |> Enumerate.bipartite
+    |> List.filter Coloring.is_bipartite
     |> List.map Instance.make
   in
   let completeness =
@@ -213,7 +220,9 @@ let e3_degree_one ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E4: even-cycle decoder (Lemma 4.2, Figs. 5-6)                        *)
 
-let e4_even_cycle ?(cfg = Run_cfg.default) () =
+(* Lemma 4.2 + Figs. 5–6: the even-cycle decoder battery, including
+   the hidden-everywhere property. *)
+let e4_even_cycle cfg =
   let heavy = cfg.Run_cfg.heavy in
   let suite = D_even_cycle.suite in
   let rng = Run_cfg.rng cfg in
@@ -299,7 +308,8 @@ let e4_even_cycle ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E5: the union decoder (Theorem 1.1)                                  *)
 
-let e5_union ?(cfg = Run_cfg.default) () =
+(* Theorem 1.1: the assembled anonymous union decoder. *)
+let e5_union cfg =
   let suite = D_union.suite in
   let rng = Run_cfg.rng cfg in
   let yes_family =
@@ -364,7 +374,8 @@ let spider legs len =
   done;
   !g
 
-let e6_shatter ?(cfg = Run_cfg.default) () =
+(* Theorem 1.3: the shatter-point decoder battery. *)
+let e6_shatter cfg =
   let heavy = cfg.Run_cfg.heavy in
   let suite = D_shatter.suite in
   let rng = Run_cfg.rng cfg in
@@ -495,7 +506,10 @@ let watermelon_path_instance ~ids ~flip =
   in
   Instance.with_labels inst lab
 
-let e7_watermelon ?(cfg = Run_cfg.default) () =
+(* Theorem 1.4: the watermelon decoder battery. [cfg.jobs]
+   parallelizes the strong-soundness row and the 8-path
+   certificate-family expansion over (identifier, port) choices. *)
+let e7_watermelon cfg =
   let heavy = cfg.Run_cfg.heavy in
   let suite = D_watermelon.suite in
   let rng = Run_cfg.rng cfg in
@@ -595,10 +609,13 @@ let e7_watermelon ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E8: Lemma 3.2, extraction direction                                  *)
 
-let e8_extraction ?(cfg = Run_cfg.default) () =
+(* Lemma 3.2: colorable neighborhood graphs yield working extraction
+   decoders for the two revealing baselines; the paper's decoders
+   yield odd cycles instead. *)
+let e8_extraction cfg =
   let trivial = D_trivial.suite ~k:2 in
   let graphs =
-    classes 4 @ classes 3 |> Enumerate.bipartite
+    classes 4 @ classes 3 |> List.filter Coloring.is_bipartite
   in
   let fam =
     Neighborhood.exhaustive_family trivial ~graphs ~ports:`All
@@ -687,7 +704,10 @@ let rotation_instances () =
       let ids = Array.init 5 (fun v -> 1 + ((k + v) mod 5)) in
       Instance.make g ~ids:(Ident.of_array ~bound:5 ids))
 
-let e9_realizability ?(cfg = Run_cfg.default) () =
+(* Sec. 5.1 + Lemma 5.1: compatibility, realizable odd view cycles,
+   and the [G_bad] gluing violating strong soundness for a
+   non-strongly-sound decoder. *)
+let e9_realizability cfg =
   let insts = rotation_instances () in
   let nbhd = Neighborhood.build accept_all insts in
   let odd = Neighborhood.odd_cycle nbhd in
@@ -782,7 +802,10 @@ let e9_realizability ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E10: walk surgery (Lemmas 5.4-5.5)                                   *)
 
-let e10_lower_bound ?(cfg = Run_cfg.default) () =
+(* Lemmas 5.4–5.5 / Theorem 1.5 machinery on r-forgetful instances:
+   edge expansions, walk repairs, and the contrapositive sanity check
+   on the paper's decoders. *)
+let e10_lower_bound cfg =
   ignore cfg;
   (* theta(4,4,4) is bipartite, 1-forgetful, min degree 2 and carries
      two cycles: precisely the Theorem 1.5 hypothesis class *)
@@ -912,7 +935,9 @@ let quirky =
   Decoder.make ~name:"quirky" ~radius:1 ~anonymous:false (fun view ->
       View.center_id view mod 5 = 0 || trivial.Decoder.accepts view)
 
-let e11_ramsey ?(cfg = Run_cfg.default) () =
+(* Lemma 6.2: decoder types, monochromatic identifier sets and the
+   induced order-invariant decoder. *)
+let e11_ramsey cfg =
   let ramsey_rows =
     [
       Report.check "R(3,3) = 6" (Ramsey.ramsey_number ~s:3 ~t:3 = 6)
@@ -972,7 +997,9 @@ let e11_ramsey ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E12: certificate sizes                                               *)
 
-let e12_cert_sizes ?(cfg = Run_cfg.default) () =
+(* Certificate-size series for all decoders against their stated
+   asymptotics. *)
+let e12_cert_sizes cfg =
   ignore cfg;
   let measure suite inst =
     match Decoder.certify suite inst with
@@ -1039,7 +1066,8 @@ let e12_cert_sizes ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E13: synchronous simulator                                           *)
 
-let e13_sync ?(cfg = Run_cfg.default) () =
+(* Sec. 2.2: the message-passing simulator agrees with View.extract. *)
+let e13_sync cfg =
   let rng = Run_cfg.rng cfg in
   let cases =
     List.init 6 (fun i ->
@@ -1090,7 +1118,10 @@ let e13_sync ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E14: the promise-free separation motivation (Sec. 1) in SLOCAL       *)
 
-let e14_slocal ?(cfg = Run_cfg.default) () =
+(* Sec. 1 motivation: the Pi problem (3-color the certified region) in
+   an SLOCAL simulator — revealing certificates admit an
+   extraction-based SLOCAL(1) solution, hiding ones strand it. *)
+let e14_slocal cfg =
   let rng = Run_cfg.rng cfg in
   (* (a) the online-LOCAL promise: under strongly sound certification,
      adversarial labelings always leave a bipartite accepted region *)
@@ -1112,7 +1143,7 @@ let e14_slocal ?(cfg = Run_cfg.default) () =
   (* (b) with revealing certificates, SLOCAL(1) solves Pi by extraction *)
   let trivial = D_trivial.suite ~k:2 in
   let graphs =
-    classes 4 @ classes 3 |> Enumerate.bipartite
+    classes 4 @ classes 3 |> List.filter Coloring.is_bipartite
   in
   let fam =
     Neighborhood.exhaustive_family trivial ~graphs ~ports:`All
@@ -1196,7 +1227,9 @@ let e14_slocal ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E15: quantified hiding (Sec. 2.4 future work)                        *)
 
-let e15_quantified ?(cfg = Run_cfg.default) () =
+(* Sec. 2.4 future work: quantified hiding levels via exhaustive
+   search over all radius-1 extractors. *)
+let e15_quantified cfg =
   (* even-cycle decoder on C4: every view lies on odd cycles, so even
      the best extractor must fail on a constant fraction of nodes *)
   let fam4 =
@@ -1253,7 +1286,8 @@ let e15_quantified ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E16: the k-coloring generalization of Lemma 4.1                      *)
 
-let e16_hidden_leaf ?(cfg = Run_cfg.default) () =
+(* Sec. 1.3 general k: the hidden-leaf decoder battery at k = 2, 3. *)
+let e16_hidden_leaf cfg =
   let rng = Run_cfg.rng cfg in
   let rows_for ~k =
     let suite = D_hidden_leaf.suite ~k in
@@ -1368,7 +1402,11 @@ let e16_hidden_leaf ?(cfg = Run_cfg.default) () =
 (* minimal-ish? No 1-bit port-oblivious anonymous decoder is a strong   *)
 (* and hiding LCP on even cycles.                                       *)
 
-let e17_decoder_space ?(cfg = Run_cfg.default) () =
+(* Exhaustive search over all 64 one-bit port-oblivious anonymous
+   decoders: none is simultaneously complete, strong and hiding on
+   even cycles — the Lemma 4.2 construction's use of ports is
+   essential. *)
+let e17_decoder_space cfg =
   (* a port-oblivious 1-bit decoder is determined by its accept-set over
      the 6 view classes (own bit, multiset of the two neighbor bits) *)
   let class_of view =
@@ -1463,7 +1501,9 @@ let e17_decoder_space ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E18: resilient labeling (Sec. 1.2 related work)                      *)
 
-let e18_resilient ?(cfg = Run_cfg.default) () =
+(* Sec. 1.2 related work: the resilient-labeling wrapper survives
+   certificate erasures and detects tampered backups. *)
+let e18_resilient cfg =
   let rng = Run_cfg.rng cfg in
   let base = D_trivial.suite ~k:2 in
   let res = Resilient.wrap base in
@@ -1534,7 +1574,10 @@ let e18_resilient ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E19: hiding against stronger extractors                              *)
 
-let e19_extractor_radius ?(cfg = Run_cfg.default) () =
+(* Hiding pitted against extractors with a larger radius than the
+   decoder: the even-cycle construction keeps hiding until the
+   extractor's ball nearly covers the ring. *)
+let e19_extractor_radius cfg =
   (* Hiding (Sec. 2.4) pits an r-round decoder against r-round
      extractors of the same kind (anonymous decoders against anonymous
      extractors). Handing the extractor a LARGER radius r' asks how
@@ -1616,7 +1659,10 @@ let e19_extractor_radius ?(cfg = Run_cfg.default) () =
 (* ------------------------------------------------------------------ *)
 (* E20: the round/size trade-off                                        *)
 
-let e20_edge_bit ?(cfg = Run_cfg.default) () =
+(* The round/size trade-off: one extra verification round admits a
+   strong and hiding LCP on even cycles with single-bit certificates,
+   which E17 proves impossible in one round. *)
+let e20_edge_bit cfg =
   let heavy = cfg.Run_cfg.heavy in
   (* E17 rules out 1-bit one-round decoders; D_edge_bit spends a second
      round instead of Lemma 4.2's six bits: each node publishes only the
@@ -1744,7 +1790,7 @@ let run_all ?(cfg = Run_cfg.default) () =
       else begin
         let r =
           Run_cfg.span cfg ("experiments/" ^ id) (fun () ->
-              experiment ?cfg:(Some cfg) ())
+              experiment cfg)
         in
         Run_cfg.count cfg "experiments_run";
         Run_cfg.progress cfg (Report.summary_line r);

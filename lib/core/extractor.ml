@@ -55,7 +55,3 @@ let success_fraction t inst =
   else
     let failures = List.length (failure_nodes t inst) in
     float_of_int (n - failures) /. float_of_int n
-
-let proper_on t inst g =
-  let colors = extract t inst in
-  Array.for_all (fun c -> c >= 0) colors && Coloring.is_proper g colors

@@ -6,7 +6,6 @@
     neighborhood graph, the outputs form a proper k-coloring — which is
     precisely why such a decoder refutes hiding. *)
 
-open Lcp_graph
 open Lcp_local
 
 type t = {
@@ -29,13 +28,8 @@ val extract : t -> Instance.t -> int array
 val extraction_succeeds : t -> Instance.t -> bool
 (** Did extraction produce a proper coloring with no [-1]s? *)
 
-val failure_nodes : t -> Instance.t -> int list
-(** Nodes where the output is [-1] or clashes with a neighbor — the
-    nodes where the witness stays hidden. *)
-
 val success_fraction : t -> Instance.t -> float
 (** Fraction of nodes that output a color consistent with all their
     neighbors (the quantified-hiding measure the paper raises as future
     work). *)
 
-val proper_on : t -> Instance.t -> Graph.t -> bool

@@ -100,8 +100,6 @@ let odd_cycle t =
   | i :: _ -> Some [ i ] (* a loop is an odd closed walk of length 1 *)
   | [] -> Coloring.odd_cycle t.graph
 
-let two_coloring t = if t.loops = [] then Coloring.two_color t.graph else None
-
 let exhaustive_family (suite : Decoder.suite) ~graphs ?(ports = `Canonical)
     ?(ids = `Canonical) ?cfg () =
   let jobs = match cfg with Some c -> c.Lcp_obs.Run_cfg.jobs | None -> 1 in

@@ -41,9 +41,6 @@ type t = {
 
 val key_of_mode : mode -> View.t -> string
 
-val default_mode : Decoder.t -> mode
-(** [Anonymous] for anonymous decoders, [Identified] otherwise. *)
-
 val build :
   ?mode:mode ->
   ?yes:(Graph.t -> bool) ->
@@ -77,8 +74,6 @@ val odd_cycle : t -> int list option
 (** An odd closed walk of view indices when the graph is not
     2-colorable: a single looped view (length 1) when one exists,
     otherwise an odd cycle. *)
-
-val two_coloring : t -> int array option
 
 val exhaustive_family :
   Decoder.suite ->

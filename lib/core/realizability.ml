@@ -17,12 +17,6 @@ let of_neighborhood (nbhd : Neighborhood.t) indices =
   in
   { views; edges }
 
-let walk_subgraph (nbhd : Neighborhood.t) walk =
-  let views = Array.of_list (List.map (Neighborhood.view nbhd) walk) in
-  let m = Array.length views in
-  let edges = List.init m (fun i -> (i, (i + 1) mod m)) in
-  { views; edges }
-
 let interior mu u = View.distance mu u < mu.View.radius
 
 let compatible mu1 u mu2 =

@@ -19,9 +19,6 @@ val of_neighborhood : Neighborhood.t -> int list -> subgraph
 (** Induced sub-structure of the neighborhood graph on the given view
     indices (e.g. an odd cycle returned by {!Hiding.check}). *)
 
-val walk_subgraph : Neighborhood.t -> int list -> subgraph
-(** A closed walk (possibly repeating views) as a subgraph-with-edges. *)
-
 val compatible : View.t -> int -> View.t -> bool
 (** [compatible mu1 u mu2]: is node [u] of [mu1] compatible with [mu2]
     (Sec. 5.1): same identifier as [mu2]'s center, and every interior

@@ -35,8 +35,6 @@ val to_json : t -> Lcp_obs.Json.t
 (** [{ "id"; "title"; "passed"; "rows": [{ "label"; "measured";
     "expected"; "ok" }] }]. *)
 
-val battery_schema_version : int
-
 val battery_to_json : t list -> Lcp_obs.Json.t
 (** The whole battery as one schema-versioned document:
     [{ "schema_version"; "total"; "passed"; "reports" }] — the payload

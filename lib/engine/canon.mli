@@ -74,6 +74,3 @@ val key_adj : n:int -> int array -> int
     allocating.) *)
 
 val key : Graph.t -> int
-
-val canonical_graph : Graph.t -> Graph.t
-(** The canonical representative of the graph's isomorphism class. *)

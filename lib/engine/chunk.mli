@@ -3,7 +3,7 @@
 
     A graph on [n] nodes is an integer edge mask: bit [i] set = edge
     slot [i] present, slots in lexicographic [(u, v)], [u < v] order
-    (the same order as {!Lcp_graph.Enumerate.iter_graphs}). Masks
+    (the same order as [Lcp_oracle.Enumerate.iter_graphs]). Masks
     convert to and from {!Graph.t} and to a compact adjacency-bitset
     form that {!Canon}, {!Auto} and {!Orderly} work on without building
     a graph. *)

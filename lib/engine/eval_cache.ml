@@ -404,8 +404,6 @@ let locked f =
       Sync.Var.touch pool_guard;
       f ())
 
-let sharing_enabled () = locked (fun () -> !sharing)
-
 let set_sharing on =
   locked (fun () ->
       sharing := on;

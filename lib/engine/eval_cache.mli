@@ -123,8 +123,6 @@ val stats : t -> int * int
 
 type lease
 
-val sharing_enabled : unit -> bool
-
 val set_sharing : bool -> unit
 (** Enable or disable the pool process-wide; disabling drops every
     pooled cache. *)

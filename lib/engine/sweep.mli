@@ -60,13 +60,6 @@ val clear_cache : unit -> unit
     not [jobs], not the keep filter — so any two runs agree on which
     shard owns which class. *)
 
-val class_key : Graph.t -> int
-(** The shard-key contract: a class is keyed by its representative's
-    edge mask ({!Chunk.wide_mask_of_graph}) — stable across processes
-    and orders up to {!Canon.max_order}, and
-    ascending along the listing (representatives are minimal-mask
-    members, listed ascending). *)
-
 val shard_of_key : shards:int -> int -> int
 (** Which of the [shards] slices owns a class key: a splitmix64-style
     bit mix of the key, reduced mod [shards] — minimal edge masks are
@@ -74,7 +67,11 @@ val shard_of_key : shards:int -> int -> int
     @raise Invalid_argument when [shards < 1]. *)
 
 val shard_of_class : shards:int -> Graph.t -> int
-(** [shard_of_key ~shards] of {!class_key}. *)
+(** [shard_of_key ~shards] of the class's key. The shard-key contract:
+    a class is keyed by its representative's edge mask
+    ({!Chunk.wide_mask_of_graph}) — stable across processes and orders
+    up to {!Canon.max_order}, and ascending along the listing
+    (representatives are minimal-mask members, listed ascending). *)
 
 (** {1 Sweeps} *)
 

@@ -51,6 +51,9 @@ let torus rows cols =
 
 let hypercube d =
   if d < 0 then invalid_arg "Builders.hypercube: negative dimension";
+  (* 2^d must fit in an int: [1 lsl d] wraps silently past that *)
+  if d > Sys.int_size - 2 then
+    invalid_arg "Builders.hypercube: 2^d nodes overflow an int";
   let n = 1 lsl d in
   let es = ref [] in
   for v = 0 to n - 1 do
@@ -63,6 +66,8 @@ let hypercube d =
 
 let binary_tree depth =
   if depth < 0 then invalid_arg "Builders.binary_tree: negative depth";
+  if depth > Sys.int_size - 2 then
+    invalid_arg "Builders.binary_tree: 2^(depth+1) - 1 nodes overflow an int";
   let n = (1 lsl (depth + 1)) - 1 in
   let es = ref [] in
   for v = 0 to n - 1 do
@@ -106,13 +111,6 @@ let watermelon lengths =
 
 let theta a b c = watermelon [ a; b; c ]
 
-let book k =
-  let es = ref [ (0, 1) ] in
-  for i = 0 to k - 1 do
-    es := (0, 2 + i) :: (1, 2 + i) :: !es
-  done;
-  Graph.of_edges (k + 2) !es
-
 let friendship k =
   let es = ref [] in
   for i = 0 to k - 1 do
@@ -120,11 +118,6 @@ let friendship k =
     es := (0, a) :: (0, b) :: (a, b) :: !es
   done;
   Graph.of_edges ((2 * k) + 1) !es
-
-let barbell k =
-  if k < 3 then invalid_arg "Builders.barbell: need k >= 3";
-  let g = Graph.disjoint_union (complete k) (complete k) in
-  Graph.add_edge g (k - 1) k
 
 let petersen () =
   Graph.of_edges 10
@@ -146,15 +139,6 @@ let random_gnp rng n p =
     done
   done;
   Graph.of_edges n !es
-
-let random_bipartite rng a b p =
-  let es = ref [] in
-  for u = 0 to a - 1 do
-    for v = a to a + b - 1 do
-      if Random.State.float rng 1.0 < p then es := (u, v) :: !es
-    done
-  done;
-  Graph.of_edges (a + b) !es
 
 let random_tree rng n =
   let es = ref [] in

@@ -23,11 +23,14 @@ val torus : int -> int -> Graph.t
 (** [torus rows cols]: grid with wraparound; requires both >= 3. *)
 
 val hypercube : int -> Graph.t
-(** [hypercube d]: the d-dimensional hypercube on [2^d] nodes. *)
+(** [hypercube d]: the d-dimensional hypercube on [2^d] nodes.
+    @raise Invalid_argument if [d < 0] or [2^d] exceeds [max_int]. *)
 
 val binary_tree : int -> Graph.t
 (** [binary_tree depth]: complete binary tree of the given depth
-    (depth 0 = single node). *)
+    (depth 0 = single node) on [2^(depth+1) - 1] nodes.
+    @raise Invalid_argument if [depth < 0] or the node count exceeds
+    [max_int]. *)
 
 val caterpillar : int -> int -> Graph.t
 (** [caterpillar spine legs]: a path of [spine] nodes, each with [legs]
@@ -42,14 +45,8 @@ val watermelon : int list -> Graph.t
 val theta : int -> int -> int -> Graph.t
 (** [theta a b c]: the theta graph = watermelon with three paths. *)
 
-val book : int -> Graph.t
-(** [book k]: k triangles sharing a common edge (0,1). *)
-
 val friendship : int -> Graph.t
 (** [friendship k]: k triangles sharing the single node 0. *)
-
-val barbell : int -> Graph.t
-(** [barbell k]: two K_k cliques joined by a single edge. *)
 
 val petersen : unit -> Graph.t
 (** The Petersen graph (3-regular, girth 5, not bipartite). *)
@@ -72,21 +69,11 @@ val random_gnp : Random.State.t -> int -> float -> Graph.t
 (** Erdos-Renyi G(n, p). Quadratic pair scan; for large sparse
     instances use {!Random_graphs.gnp} (skip sampling, O(n + m)). *)
 
-val random_bipartite : Random.State.t -> int -> int -> float -> Graph.t
-(** Random bipartite graph with parts of the given sizes; each cross
-    edge present independently with probability [p]. *)
-
-val random_tree : Random.State.t -> int -> Graph.t
-(** Uniform random labeled tree (random attachment). *)
-
 val random_connected : Random.State.t -> int -> float -> Graph.t
 (** Random tree plus G(n,p) noise: connected by construction. *)
 
 val of_spec : string -> (Graph.t, string) result
 (** Parse the textual graph-spec grammar shared by the [lcp] CLI and
     the serve protocol — [FAMILY[:ARGS]], e.g. ["cycle:5"],
-    ["grid:3x4"], ["petersen"]; see {!spec_syntax} for the full
-    listing. The error carries a human-readable message. *)
-
-val spec_syntax : string
-(** One-line summary of every accepted spec form, for usage errors. *)
+    ["grid:3x4"], ["petersen"]. The error carries a human-readable
+    message (for an unknown family, every accepted form). *)

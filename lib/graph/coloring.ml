@@ -131,13 +131,6 @@ let k_color g ~k =
 
 let is_k_colorable g ~k = k_color g ~k <> None
 
-let chromatic_number g =
-  if Graph.order g = 0 then 0
-  else begin
-    let rec find k = if is_k_colorable g ~k then k else find (k + 1) in
-    find 1
-  end
-
 let greedy g =
   let n = Graph.order g in
   let colors = Array.make n (-1) in

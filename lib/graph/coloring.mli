@@ -29,9 +29,6 @@ val k_color : Graph.t -> k:int -> int array option
 
 val is_k_colorable : Graph.t -> k:int -> bool
 
-val chromatic_number : Graph.t -> int
-(** Exact chromatic number (0 for the empty graph); small graphs only. *)
-
 val greedy : Graph.t -> int array
 (** Greedy coloring in node order; uses at most [max_degree + 1]
     colors. *)

@@ -121,7 +121,6 @@ module Builder = struct
     b.dst.(b.len) <- v;
     b.len <- b.len + 1
 
-  let edge_count b = b.len
   let graph b = of_arcs b.bn b.src b.dst b.len
 end
 
@@ -160,16 +159,6 @@ let exists_neighbor p g v =
 
 let for_all_neighbors p g v = not (exists_neighbor (fun w -> not (p w)) g v)
 
-let find_neighbor p g v =
-  check_node g v;
-  let hi = g.offsets.(v + 1) in
-  let rec go i =
-    if i >= hi then None
-    else if p g.adj.(i) then Some g.adj.(i)
-    else go (i + 1)
-  in
-  go g.offsets.(v)
-
 let nth_neighbor g v i =
   check_node g v;
   let lo = g.offsets.(v) in
@@ -198,11 +187,6 @@ let neighbor_rank g v w =
   if !found < 0 then None else Some !found
 
 let mem_edge g u v = neighbor_rank g u v <> None
-
-let neighbors g v =
-  check_node g v;
-  let lo = g.offsets.(v) in
-  List.init (g.offsets.(v + 1) - lo) (fun i -> g.adj.(lo + i))
 
 let neighbors_array g v =
   check_node g v;
@@ -261,24 +245,6 @@ let add_edge g u v =
     src'.(m) <- u;
     dst'.(m) <- v;
     of_arcs g.n src' dst' (m + 1)
-  end
-
-let remove_edge g u v =
-  check_node g u;
-  check_node g v;
-  if not (mem_edge g u v) then g
-  else begin
-    let src, dst, m = arcs_of g in
-    let j = ref 0 in
-    for i = 0 to m - 1 do
-      let a = src.(i) and b = dst.(i) in
-      if not ((a = u && b = v) || (a = v && b = u)) then begin
-        src.(!j) <- a;
-        dst.(!j) <- b;
-        incr j
-      end
-    done;
-    of_arcs g.n src dst !j
   end
 
 let disjoint_union g h =
@@ -451,48 +417,6 @@ let compare g h =
       let eg = edges g and eh = edges h in
       Stdlib.compare eg eh
   | c -> c
-
-(* Brute-force isomorphism: backtracking on degree-compatible mappings.
-   Fine for the small graphs used in enumeration and tests. *)
-let isomorphic g h =
-  if g.n <> h.n || size g <> size h then false
-  else if List.sort Stdlib.compare (List.map snd (degree_counts g))
-          <> List.sort Stdlib.compare (List.map snd (degree_counts h))
-          || degree_counts g <> degree_counts h
-  then false
-  else begin
-    let n = g.n in
-    let image = Array.make n (-1) in
-    let used = Array.make n false in
-    let consistent u x =
-      (* mapping u -> x must preserve adjacency with already-mapped nodes *)
-      degree g u = degree h x
-      && List.for_all
-           (fun w ->
-             image.(w) = -1 || mem_edge h x image.(w) = mem_edge g u w)
-           (nodes g)
-    in
-    let rec go u =
-      if u = n then true
-      else
-        let rec try_images x =
-          if x = n then false
-          else if (not used.(x)) && consistent u x then begin
-            image.(u) <- x;
-            used.(x) <- true;
-            if go (u + 1) then true
-            else begin
-              image.(u) <- -1;
-              used.(x) <- false;
-              try_images (x + 1)
-            end
-          end
-          else try_images (x + 1)
-        in
-        try_images 0
-    in
-    go 0
-  end
 
 let pp ppf g =
   Format.fprintf ppf "@[<h>graph(n=%d; %a)@]" g.n

@@ -13,8 +13,7 @@
     {b port order = CSR row order = ascending neighbor id}. [View],
     [Port.canonical] and the lint machinery rely on that contract.
     Traversal goes through the allocation-free [iter_neighbors] /
-    [fold_neighbors] family; the list accessors remain as derived
-    conveniences for small graphs. *)
+    [fold_neighbors] family. *)
 
 type t
 (** An undirected graph. *)
@@ -50,9 +49,6 @@ module Builder : sig
       time. @raise Invalid_argument on out-of-range endpoints or
       self-loops. *)
 
-  val edge_count : t -> int
-  (** Number of edges recorded so far (before deduplication). *)
-
   val graph : t -> graph
   (** Freeze into a graph; the builder stays usable afterwards. *)
 end
@@ -61,10 +57,6 @@ val add_edge : t -> int -> int -> t
 (** [add_edge g u v] is [g] with the edge [{u,v}] added (no-op if the
     edge is already present).
     @raise Invalid_argument on out-of-range endpoints or [u = v]. *)
-
-val remove_edge : t -> int -> int -> t
-(** [remove_edge g u v] is [g] without the edge [{u,v}] (no-op if
-    absent). *)
 
 val disjoint_union : t -> t -> t
 (** [disjoint_union g h] places [h] next to [g]; nodes of [h] are
@@ -120,9 +112,6 @@ val for_all_neighbors : (int -> bool) -> t -> int -> bool
 (** [for_all_neighbors p g v] is [true] iff every neighbor of [v]
     satisfies [p]; short-circuits. *)
 
-val find_neighbor : (int -> bool) -> t -> int -> int option
-(** First neighbor (in ascending order) satisfying the predicate. *)
-
 val nth_neighbor : t -> int -> int -> int
 (** [nth_neighbor g v i] is the [i]-th neighbor of [v] in port order,
     [0 <= i < degree g v]. O(1).
@@ -135,15 +124,6 @@ val neighbor_rank : t -> int -> int -> int option
 
 val mem_edge : t -> int -> int -> bool
 (** O(log degree). *)
-
-val neighbors : t -> int -> int list
-(** Sorted list of neighbors, freshly allocated per call.
-
-    Deprecated as a traversal primitive: small-n convenience only.
-    Hot paths must use [iter_neighbors] / [fold_neighbors] /
-    [nth_neighbor] instead — this accessor materializes a list per
-    query and is kept only for tests, printing and small-graph
-    glue. *)
 
 val neighbors_array : t -> int -> int array
 (** Neighbors of [v] in port order as a fresh array (one [Array.sub]
@@ -178,9 +158,6 @@ val components : t -> int list list
 (** Connected components as sorted node lists, sorted by minimum
     element. *)
 
-val component_of : t -> int -> int list
-(** Sorted node list of the component containing the given node. *)
-
 val is_cycle : t -> bool
 (** Is [g] a single cycle (connected, 2-regular, n >= 3)? *)
 
@@ -195,9 +172,6 @@ val equal : t -> t -> bool
     the CSR form is canonical, so this is array equality. *)
 
 val compare : t -> t -> int
-
-val isomorphic : t -> t -> bool
-(** Brute-force isomorphism test; intended for small graphs only. *)
 
 (** {1 Printing} *)
 

@@ -14,10 +14,6 @@ val ball : Graph.t -> int -> int -> int list
 (** [ball g v r] is [N^r(v)]: the sorted nodes at distance at most [r]
     from [v] (the paper's closed r-neighborhood). *)
 
-val eccentricity : Graph.t -> int -> int
-(** Max distance from the node to any other node; [max_int] when the
-    graph is disconnected. *)
-
 val diameter : Graph.t -> int
 (** Max eccentricity; [0] for graphs with fewer than 2 nodes, [max_int]
     when disconnected. *)

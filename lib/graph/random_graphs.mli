@@ -11,9 +11,6 @@ val gnp : Random.State.t -> int -> p:float -> Graph.t
     proportional to the number of edges drawn, not to n^2.
     @raise Invalid_argument if [n < 0] or [p] is outside [0, 1]. *)
 
-val gnp_avg_degree : Random.State.t -> int -> avg_degree:float -> Graph.t
-(** [gnp] with [p = avg_degree / (n - 1)] (clamped to 1). *)
-
 val preferential_attachment : Random.State.t -> int -> m:int -> Graph.t
 (** Barabasi-Albert power-law graph: a seed clique on [m + 1] nodes,
     then each new node attaches to [m] distinct existing nodes drawn
@@ -23,11 +20,6 @@ val preferential_attachment : Random.State.t -> int -> m:int -> Graph.t
 val tree : Random.State.t -> int -> Graph.t
 (** Random attachment tree on [n] nodes (node [v] joins a uniform
     earlier node), built through {!Graph.Builder}. *)
-
-val grid_near : int -> Graph.t
-(** The [rows x cols] grid with [rows = floor (sqrt n)] and
-    [cols = n / rows]: the bipartite lattice closest to [n] nodes
-    (the actual order is [rows * cols <= n]). *)
 
 val of_model : Random.State.t -> nodes:int -> string -> (Graph.t, string) result
 (** Parse the textual model grammar used by [lcp sample] and the large

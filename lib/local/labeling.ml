@@ -19,12 +19,12 @@ let ranks alphabet =
 let iter_backtracking_ranked ~alphabet ~order g ~prune f =
   let n = Graph.order g in
   if Array.length order <> n then
-    invalid_arg "Labeling.iter_backtracking_order: order has wrong length";
+    invalid_arg "Labeling.iter_backtracking_ranked: order has wrong length";
   let seen = Array.make n false in
   Array.iter
     (fun v ->
       if v < 0 || v >= n || seen.(v) then
-        invalid_arg "Labeling.iter_backtracking_order: order is not a permutation";
+        invalid_arg "Labeling.iter_backtracking_ranked: order is not a permutation";
       seen.(v) <- true)
     order;
   let syms = Array.of_list alphabet in
@@ -46,25 +46,11 @@ let iter_backtracking_ranked ~alphabet ~order g ~prune f =
   in
   if syms = [||] && n > 0 then () else go 0
 
-let iter_backtracking_order ~alphabet ~order g ~prune f =
-  iter_backtracking_ranked ~alphabet ~order g
-    ~prune:(fun i lab _ -> prune i lab)
-    (fun lab _ -> f lab)
-
-let iter_backtracking ~alphabet g ~prune f =
-  (* identity order: step index = node index, so [prune] sees the node *)
-  let order = Array.init (Graph.order g) (fun i -> i) in
-  iter_backtracking_order ~alphabet ~order g ~prune f
-
 let iter_all ~alphabet g f =
-  iter_backtracking ~alphabet g ~prune:(fun _ _ -> false) f
-
-let exists_all ~alphabet g pred =
-  let exception Found in
-  try
-    iter_all ~alphabet g (fun lab -> if pred lab then raise Found);
-    false
-  with Found -> true
+  let order = Array.init (Graph.order g) Fun.id in
+  iter_backtracking_ranked ~alphabet ~order g
+    ~prune:(fun _ _ _ -> false)
+    (fun lab _ -> f lab)
 
 let random rng ~alphabet g =
   let arr = Array.of_list alphabet in

@@ -9,8 +9,6 @@ let make ~name ~radius run = { name; radius; run }
 let run_all t inst =
   Array.map t.run (View.extract_all inst ~r:t.radius)
 
-let outputs_as_coloring (t : int t) inst = run_all t inst
-
 let reidentify_random rng (inst : Instance.t) =
   let ids = Ident.random rng ~bound:inst.Instance.ids.Ident.bound inst.Instance.graph in
   Instance.with_ids inst ids

@@ -12,10 +12,6 @@ val make : name:string -> radius:int -> (View.t -> 'o) -> 'o t
 val run_all : 'o t -> Instance.t -> 'o array
 (** Outputs of all nodes (each on its own radius-[radius] view). *)
 
-val outputs_as_coloring : int t -> Instance.t -> int array
-(** Alias of [run_all] for integer-output algorithms used as coloring
-    extractors. *)
-
 val is_anonymous_on : 'o t -> Instance.t -> trials:int -> Random.State.t -> bool
 (** Re-identify the instance with [trials] random id assignments (same
     bound); outputs must be unchanged at every node. A sound refuter,

@@ -24,7 +24,7 @@ type t = private {
   labels : string array;
   ports : int array array;
       (** [ports.(u).(i)] is the port of [u] on the edge to the [i]-th
-          neighbor in [Graph.neighbors graph u] (sorted order) *)
+          neighbor of [u] in [graph] (ascending order) *)
 }
 
 (** {1 Access tracing}

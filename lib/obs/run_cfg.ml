@@ -29,7 +29,6 @@ let make ?jobs ?(heavy = true) ?(seed = default_seed) ?(sink = Sink.null)
   }
 
 let default = make ()
-let with_jobs t jobs = { t with jobs = normalize_jobs (Some jobs) }
 let sequential t = { t with jobs = 1 }
 let rng t = Random.State.make [| t.seed |]
 

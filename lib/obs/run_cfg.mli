@@ -7,7 +7,7 @@
     parallelism, its RNG seed, its deadline, and reports into its
     {!Metrics.t} / {!Sink.t}.
 
-    Copies made with [with_jobs] / [sequential] share the original's
+    Copies made with [sequential] share the original's
     metrics registry and sink, so a sub-phase forced sequential still
     reports into the same aggregate. *)
 
@@ -38,13 +38,10 @@ val default : t
 (** A shared cfg built once at module init with [make ()]. Callers that
     pass no cfg all report into this one registry. *)
 
-val with_jobs : t -> int -> t
-(** Same run (same metrics, sink, seed, deadline), different
-    parallelism. [<= 0] means the recommended domain count. *)
-
 val sequential : t -> t
-(** [with_jobs t 1] — for phases whose semantics require a single
-    domain (shared RNG state, ordered folds). *)
+(** The same run (same metrics, sink, seed, deadline) on one domain —
+    for phases whose semantics require it (shared RNG state, ordered
+    folds). *)
 
 val rng : t -> Random.State.t
 (** A fresh PRNG seeded from [t.seed]. Every call returns an identical
@@ -68,10 +65,6 @@ val flush : t -> unit
 (** Hand the aggregate metrics to the sink, once, at end of run. *)
 
 (** {1 Deadline} *)
-
-val remaining_s : t -> float option
-(** Seconds left before the deadline ([None] if no deadline). May be
-    negative once expired. *)
 
 val expired : t -> bool
 (** [true] iff a deadline is set and has passed. *)

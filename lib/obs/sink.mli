@@ -26,25 +26,14 @@ val null : t
 (** Drops everything — the default sink; instrumented code pays only
     the counter increments. *)
 
-val stderr_progress : t
-(** Prints [Progress] lines and span completions to stderr as they
-    happen, and a metrics dump on flush. *)
-
-val json_file : string -> t
-(** A {e live} metrics file: every event — and the final [flush] —
-    rewrites [path] with {!Metrics.to_json} (pretty, trailing newline)
-    of the current snapshot. Each write goes to [path ^ ".tmp"], is
-    flushed, and is renamed over [path], so a reader tailing the file
-    mid-run never observes a torn or buffered partial document. *)
-
-val write_atomic : string -> string -> unit
-(** [write_atomic path content] writes [content ^ "\n"] to [path] via
-    the flush-then-rename protocol {!json_file} uses. *)
-
-val tee : t -> t -> t
-(** Both sinks see every event and every flush, left first. *)
-
 val of_outputs : ?progress:bool -> ?metrics_out:string -> unit -> t
-(** The one constructor CLI front-ends need: [stderr_progress] when
-    [progress], composed with [json_file metrics_out] when a path is
-    given, {!null} otherwise. *)
+(** The one constructor front-ends need; {!null} when given neither
+    output. With [progress], [Progress] lines and span completions go
+    to stderr as they happen, and a metrics dump on flush. With
+    [metrics_out], a {e live} metrics file: every event — and the final
+    [flush] — rewrites the path with {!Metrics.to_json} (pretty,
+    trailing newline) of the current snapshot. Each write goes to
+    [path ^ ".tmp"], is flushed, and is renamed over the path, so a
+    reader tailing the file mid-run never observes a torn or buffered
+    partial document. With both, the stderr sink sees each event
+    first. *)

@@ -26,22 +26,6 @@ type op =
   | End
   | Join
 
-let op_name = function
-  | Acquire -> "acquire"
-  | Release -> "release"
-  | Wait_begin -> "wait-begin"
-  | Wait_end -> "wait-end"
-  | Signal -> "signal"
-  | Broadcast -> "broadcast"
-  | A_read -> "atomic-read"
-  | A_write -> "atomic-write"
-  | V_read -> "var-read"
-  | V_write -> "var-write"
-  | Spawn -> "spawn"
-  | Begin -> "begin"
-  | End -> "end"
-  | Join -> "join"
-
 type event = {
   seq : int;
   dom : int;

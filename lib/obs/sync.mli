@@ -41,8 +41,6 @@ type op =
   | End  (** [obj] = spawn token, last event of the child *)
   | Join  (** [obj] = spawn token, in the parent after join *)
 
-val op_name : op -> string
-
 type event = {
   seq : int;  (** position in the global trace *)
   dom : int;  (** [Domain.self] of the logging thread *)
@@ -60,9 +58,6 @@ type mutex
 val mutex : string -> mutex
 (** A labeled mutex. The label names the lock {e class} in findings and
     the lock-order graph; every instance still has a unique id. *)
-
-val lock : mutex -> unit
-val unlock : mutex -> unit
 
 val with_lock : mutex -> (unit -> 'a) -> 'a
 (** Exception-safe lock/unlock bracket ([Fun.protect]); the one helper

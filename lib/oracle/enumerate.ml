@@ -1,3 +1,5 @@
+open Lcp_graph
+
 let edge_slots n =
   let acc = ref [] in
   for u = n - 1 downto 0 do
@@ -22,6 +24,48 @@ let iter_graphs n f =
 let iter_connected n f =
   iter_graphs n (fun g -> if Graph.is_connected g then f g)
 
+(* Brute-force isomorphism: backtracking on degree-compatible mappings.
+   Fine for the small graphs enumerated here. *)
+let isomorphic g h =
+  if Graph.order g <> Graph.order h || Graph.size g <> Graph.size h then false
+  else if List.sort Stdlib.compare (List.map snd (Graph.degree_counts g))
+          <> List.sort Stdlib.compare (List.map snd (Graph.degree_counts h))
+          || Graph.degree_counts g <> Graph.degree_counts h
+  then false
+  else begin
+    let n = Graph.order g in
+    let image = Array.make n (-1) in
+    let used = Array.make n false in
+    let consistent u x =
+      (* mapping u -> x must preserve adjacency with already-mapped nodes *)
+      Graph.degree g u = Graph.degree h x
+      && List.for_all
+           (fun w ->
+             image.(w) = -1 || Graph.mem_edge h x image.(w) = Graph.mem_edge g u w)
+           (Graph.nodes g)
+    in
+    let rec go u =
+      if u = n then true
+      else
+        let rec try_images x =
+          if x = n then false
+          else if (not used.(x)) && consistent u x then begin
+            image.(u) <- x;
+            used.(x) <- true;
+            if go (u + 1) then true
+            else begin
+              image.(u) <- -1;
+              used.(x) <- false;
+              try_images (x + 1)
+            end
+          end
+          else try_images (x + 1)
+        in
+        try_images 0
+    in
+    go 0
+  end
+
 (* Streaming isomorphism dedup: bucket by cheap invariants first, then
    pairwise isomorphism within the bucket. First-seen wins, so on
    mask-ordered input the representative is the minimal-mask member. *)
@@ -32,7 +76,7 @@ let dedup_iso () =
   let push g =
     let key = invariant g in
     let reps = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
-    if not (List.exists (fun h -> Graph.isomorphic g h) reps) then begin
+    if not (List.exists (fun h -> isomorphic g h) reps) then begin
       Hashtbl.replace buckets key (g :: reps);
       out := g :: !out
     end
@@ -49,11 +93,6 @@ let connected_up_to_iso n =
   let push, listing = dedup_iso () in
   iter_connected n push;
   listing ()
-
-let non_bipartite graphs = List.filter (fun g -> not (Coloring.is_bipartite g)) graphs
-let bipartite graphs = List.filter Coloring.is_bipartite graphs
-
-let count_graphs n = 1 lsl (n * (n - 1) / 2)
 
 let brute_classes ~connected n =
   let push, listing = dedup_iso () in

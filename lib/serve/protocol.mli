@@ -85,7 +85,6 @@ type status =
   | Expired  (** ["expired"]: the deadline passed before completion *)
 
 val status_name : status -> string
-val status_of_name : string -> status option
 
 type response = {
   id : int;  (** server-assigned monotone request id *)

@@ -13,8 +13,8 @@
     {b Determinism contract}: for equal requests, every counter in
     {!work_counter_names} and every verdict/witness byte in the payload
     is identical whether the job runs one-shot or against a warm
-    daemon, and for any [jobs]. The counters in
-    {!cache_counter_names} are cache-temperature observations and are
+    daemon, and for any [jobs]. The class and evaluation cache counters
+    reported under ["cache"] are cache-temperature observations and are
     excluded from that contract. *)
 
 type limits = {
@@ -73,10 +73,6 @@ val cfg_of_request :
 val work_counter_names : string list
 (** The deterministic work counters (independent of [jobs] and of cache
     temperature) reported under ["counters"] in job payloads. *)
-
-val cache_counter_names : string list
-(** The temperature-dependent cache counters reported under
-    ["cache"]. *)
 
 (** An in-process caller's shard workers for a coordinated [sweep]:
     what differs from the daemon's own (a private directory, workers

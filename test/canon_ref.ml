@@ -208,7 +208,3 @@ let key_adj ~n adj = (canonical_mask ~n adj lsl 4) lor n
 let key g =
   let n = Graph.order g in
   key_adj ~n (Chunk.adj_of_graph g)
-
-let canonical_graph g =
-  let n = Graph.order g in
-  Chunk.graph_of_mask n (canonical_mask ~n (Chunk.adj_of_graph g))

@@ -76,6 +76,10 @@ let table =
     ([ "lint"; "trivial2"; "--max-n"; "3"; "--samples"; "1" ], 0);
     ([ "lint"; "nosuch" ], 2);
     ([ "check"; "degree-one"; "nonsense:9" ], 2);
+    (* node counts past max_int: [1 lsl d] wrapped to a 0- or 1-node graph *)
+    ([ "check"; "degree-one"; "hypercube:63" ], 2);
+    ([ "check"; "degree-one"; "tree:63" ], 2);
+    ([ "check"; "degree-one"; "tree:64" ], 2);
     ([ "serve"; "--socket"; socket; "--workers"; "65" ], 2);
     ([ "client"; "--socket"; "/nonexistent/lcp.sock"; "ping" ], 1);
   ]

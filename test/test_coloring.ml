@@ -82,14 +82,6 @@ let test_k_color_components () =
   | Some c -> check_bool "3-colors all" true (Coloring.is_proper_k g ~k:3 c)
   | None -> Alcotest.fail "3-colorable"
 
-let test_chromatic_number () =
-  check_int "empty" 0 (Coloring.chromatic_number (Graph.empty 0));
-  check_int "edgeless" 1 (Coloring.chromatic_number (Graph.empty 3));
-  check_int "P4" 2 (Coloring.chromatic_number (Builders.path 4));
-  check_int "C5" 3 (Coloring.chromatic_number (c5 ()));
-  check_int "K5" 5 (Coloring.chromatic_number (Builders.complete 5));
-  check_int "petersen" 3 (Coloring.chromatic_number (Builders.petersen ()))
-
 let test_greedy () =
   let g = Builders.petersen () in
   let c = Coloring.greedy g in
@@ -109,6 +101,5 @@ let suite =
     case "odd closed walk check" test_odd_closed_walk_check;
     case "k_color" test_k_color;
     case "k_color per component" test_k_color_components;
-    case "chromatic number" test_chromatic_number;
     case "greedy" test_greedy;
   ]

@@ -20,7 +20,8 @@ let test_accepts_all () =
 
 let test_accepting_nodes () =
   let i = Instance.make (Builders.path 4) in
-  Alcotest.(check int_list) "evens" [ 1; 3 ] (Decoder.accepting_nodes accept_even_id i)
+  Alcotest.(check int_list) "evens" [ 1; 3 ]
+    (Array.to_list (snd (Decoder.accepted_subgraph accept_even_id i)))
 
 let test_accepted_subgraph () =
   let i = Instance.make (Builders.cycle 4) in

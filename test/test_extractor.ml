@@ -23,8 +23,7 @@ let test_extract_proper () =
       check_bool "no failures" true (Array.for_all (fun c -> c >= 0) colors);
       check_bool "proper" true (Coloring.is_proper inst.Instance.graph colors);
       check_bool "succeeds" true (Extractor.extraction_succeeds ex inst);
-      check_bool "fraction 1.0" true (Extractor.success_fraction ex inst = 1.0);
-      check_bool "proper_on" true (Extractor.proper_on ex inst inst.Instance.graph))
+      check_bool "fraction 1.0" true (Extractor.success_fraction ex inst = 1.0))
     insts
 
 let test_unknown_views_fail () =
@@ -36,7 +35,6 @@ let test_unknown_views_fail () =
   let colors = Extractor.extract ex stranger in
   check_bool "all unknown" true (Array.for_all (fun c -> c = -1) colors);
   check_bool "fails" false (Extractor.extraction_succeeds ex stranger);
-  check_int "all nodes failing" 4 (List.length (Extractor.failure_nodes ex stranger));
   check_bool "fraction 0" true (Extractor.success_fraction ex stranger = 0.0)
 
 let test_of_coloring_validates () =

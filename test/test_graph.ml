@@ -1,5 +1,6 @@
 open Lcp_graph
 open Helpers
+module Enumerate = Lcp_oracle.Enumerate
 
 let test_empty () =
   let g = Graph.empty 5 in
@@ -39,14 +40,11 @@ let test_add_remove () =
   let g = Graph.add_edge g 0 2 in
   check_bool "added" true (Graph.mem_edge g 0 2);
   let g2 = Graph.add_edge g 0 2 in
-  check_graph "idempotent add" g g2;
-  let g3 = Graph.remove_edge g 0 2 in
-  check_bool "removed" false (Graph.mem_edge g3 0 2);
-  check_graph "remove absent is noop" g3 (Graph.remove_edge g3 0 1)
+  check_graph "idempotent add" g g2
 
 let test_neighbors_sorted () =
   let g = Graph.of_edges 4 [ (2, 0); (2, 3); (2, 1) ] in
-  Alcotest.(check int_list) "sorted" [ 0; 1; 3 ] (Graph.neighbors g 2);
+  Alcotest.(check (array int)) "sorted" [| 0; 1; 3 |] (Graph.neighbors_array g 2);
   check_int "degree" 3 (Graph.degree g 2)
 
 let test_degrees () =
@@ -88,8 +86,7 @@ let test_relabel_rejects () =
 let test_components () =
   let g = Graph.disjoint_union (Builders.path 2) (Builders.path 3) in
   Alcotest.(check (list int_list)) "components" [ [ 0; 1 ]; [ 2; 3; 4 ] ]
-    (Graph.components g);
-  Alcotest.(check int_list) "component_of" [ 2; 3; 4 ] (Graph.component_of g 3)
+    (Graph.components g)
 
 let test_predicates () =
   check_bool "C4 is cycle" true (Graph.is_cycle (c4 ()));
@@ -115,11 +112,11 @@ let test_equal_compare () =
 let test_isomorphic () =
   let g = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
   let h = Graph.of_edges 4 [ (3, 2); (2, 0); (0, 1) ] in
-  check_bool "paths isomorphic" true (Graph.isomorphic g h);
-  check_bool "P4 vs C4" false (Graph.isomorphic g (c4 ()));
-  check_bool "P4 vs star" false (Graph.isomorphic g (Builders.star 3));
+  check_bool "paths isomorphic" true (Enumerate.isomorphic g h);
+  check_bool "P4 vs C4" false (Enumerate.isomorphic g (c4 ()));
+  check_bool "P4 vs star" false (Enumerate.isomorphic g (Builders.star 3));
   check_bool "petersen self" true
-    (Graph.isomorphic (Builders.petersen ()) (Builders.petersen ()))
+    (Enumerate.isomorphic (Builders.petersen ()) (Builders.petersen ()))
 
 let test_fold_iter () =
   let g = c4 () in

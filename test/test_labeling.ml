@@ -29,9 +29,9 @@ let test_backtracking_prune () =
   let g = Builders.path 3 in
   (* prune any branch that assigns "1" to node 0 *)
   let count = ref 0 in
-  Labeling.iter_backtracking ~alphabet:[ "0"; "1" ] g
-    ~prune:(fun v lab -> v = 0 && lab.(0) = "1")
-    (fun _ -> incr count);
+  Labeling.iter_backtracking_ranked ~alphabet:[ "0"; "1" ] ~order:[| 0; 1; 2 |] g
+    ~prune:(fun v lab _ -> v = 0 && lab.(0) = "1")
+    (fun _ _ -> incr count);
   check_int "half the space" 4 !count
 
 let test_backtracking_order () =
@@ -39,25 +39,25 @@ let test_backtracking_order () =
   let alphabet = [ "0"; "1" ] in
   (* a reordered backtracking visit covers exactly the full space *)
   let seen = ref [] in
-  Labeling.iter_backtracking_order ~alphabet ~order:[| 2; 0; 1 |] g
-    ~prune:(fun _ _ -> false)
-    (fun lab -> seen := Array.copy lab :: !seen);
+  Labeling.iter_backtracking_ranked ~alphabet ~order:[| 2; 0; 1 |] g
+    ~prune:(fun _ _ _ -> false)
+    (fun lab _ -> seen := Array.copy lab :: !seen);
   let all = ref [] in
   Labeling.iter_all ~alphabet g (fun lab -> all := Array.copy lab :: !all);
   check_bool "same labeling set" true
     (List.sort_uniq Stdlib.compare !seen = List.sort_uniq Stdlib.compare !all);
   (* prune receives the step index, not the node: step 0 assigns node 2 *)
   let count = ref 0 in
-  Labeling.iter_backtracking_order ~alphabet ~order:[| 2; 0; 1 |] g
-    ~prune:(fun i lab -> i = 0 && lab.(2) = "1")
-    (fun _ -> incr count);
+  Labeling.iter_backtracking_ranked ~alphabet ~order:[| 2; 0; 1 |] g
+    ~prune:(fun i lab _ -> i = 0 && lab.(2) = "1")
+    (fun _ _ -> incr count);
   check_int "pruning on node 2 at step 0 halves the space" 4 !count;
   (* a non-permutation order is rejected *)
   check_bool "duplicate order rejected" true
     (try
-       Labeling.iter_backtracking_order ~alphabet ~order:[| 0; 0; 1 |] g
-         ~prune:(fun _ _ -> false)
-         (fun _ -> ());
+       Labeling.iter_backtracking_ranked ~alphabet ~order:[| 0; 0; 1 |] g
+         ~prune:(fun _ _ _ -> false)
+         (fun _ _ -> ());
        false
      with Invalid_argument _ -> true)
 
@@ -69,14 +69,6 @@ let test_count_saturates () =
   check_int "saturates at max_int" max_int (Labeling.count ~alphabet g);
   check_int "small spaces still exact" 8
     (Labeling.count ~alphabet:[ "0"; "1" ] (Builders.path 3))
-
-let test_exists_all () =
-  let g = Builders.path 2 in
-  check_bool "found" true
-    (Labeling.exists_all ~alphabet:[ "0"; "1" ] g (fun lab ->
-         lab.(0) = "1" && lab.(1) = "0"));
-  check_bool "not found" false
-    (Labeling.exists_all ~alphabet:[ "0" ] g (fun lab -> lab.(0) = "1"))
 
 let test_empty_alphabet () =
   let g = Builders.path 2 in
@@ -99,7 +91,6 @@ let suite =
     case "backtracking prune" test_backtracking_prune;
     case "backtracking with explicit order" test_backtracking_order;
     case "count saturates instead of overflowing" test_count_saturates;
-    case "exists_all" test_exists_all;
     case "empty alphabet" test_empty_alphabet;
     case "random" test_random;
   ]

@@ -50,7 +50,7 @@ let test_coloring_output () =
   let parity =
     Local_algo.make ~name:"id-parity" ~radius:1 (fun v -> View.center_id v mod 2)
   in
-  let colors = Local_algo.outputs_as_coloring parity i in
+  let colors = Local_algo.run_all parity i in
   check_bool "alternates on canonical path" true
     (Coloring.is_proper (Builders.path 4) colors)
 

@@ -26,8 +26,6 @@ let test_ball () =
 
 let test_eccentricity_diameter_radius () =
   let g = Builders.path 5 in
-  check_int "ecc of end" 4 (Metrics.eccentricity g 0);
-  check_int "ecc of middle" 2 (Metrics.eccentricity g 2);
   check_int "diameter" 4 (Metrics.diameter g);
   check_int "radius" 2 (Metrics.radius g);
   check_int "diameter of K1" 0 (Metrics.diameter (Graph.empty 1));

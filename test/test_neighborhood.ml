@@ -103,7 +103,7 @@ let test_odd_cycle_and_coloring () =
       check_bool "plain odd cycle too" true
         (Coloring.odd_closed_walk_check nbhd.Neighborhood.graph c)
   | None -> Alcotest.fail "expected a plain odd cycle as well");
-  check_bool "hence no 2-coloring" true (Neighborhood.two_coloring nbhd = None)
+  check_bool "hence no 2-coloring" false (Neighborhood.is_k_colorable nbhd ~k:2)
 
 let test_to_dot () =
   let i = certify_exn trivial (Builders.path 4) in
@@ -136,7 +136,7 @@ let test_loops_detected () =
   check_bool "never k-colorable" false (Neighborhood.is_k_colorable nbhd ~k:5);
   Alcotest.(check (option (list int))) "loop is the odd walk witness"
     (Some [ 0 ]) (Neighborhood.odd_cycle nbhd);
-  check_bool "no 2-coloring" true (Neighborhood.two_coloring nbhd = None)
+  check_bool "no 2-coloring" false (Neighborhood.is_k_colorable nbhd ~k:2)
 
 let test_no_loops_with_ids () =
   (* identified mode cannot loop: adjacent centers have distinct ids *)

@@ -98,7 +98,7 @@ let test_run_cfg_semantics () =
 
 let test_json_sink () =
   let path = Filename.temp_file "lcp_obs" ".json" in
-  let cfg = Run_cfg.make ~jobs:1 ~sink:(Sink.json_file path) () in
+  let cfg = Run_cfg.make ~jobs:1 ~sink:(Sink.of_outputs ~metrics_out:path ()) () in
   Run_cfg.count cfg ~by:2 "written";
   Run_cfg.span cfg "phase" (fun () -> ());
   Run_cfg.flush cfg;
@@ -119,7 +119,7 @@ let test_json_sink () =
    parseable JSON document, never a torn or buffered prefix. *)
 let test_json_sink_live () =
   let path = Filename.temp_file "lcp_obs_live" ".json" in
-  let cfg = Run_cfg.make ~jobs:1 ~sink:(Sink.json_file path) () in
+  let cfg = Run_cfg.make ~jobs:1 ~sink:(Sink.of_outputs ~metrics_out:path ()) () in
   let read_doc () =
     let ic = open_in path in
     let s = really_input_string ic (in_channel_length ic) in

@@ -14,6 +14,7 @@ module Run_cfg = Lcp_obs.Run_cfg
 module Metrics_obs = Lcp_obs.Metrics
 module Auto = Lcp_engine.Auto
 module Oracle = Lcp_oracle.Oracle
+module Enumerate = Lcp_oracle.Enumerate
 
 let heavy_enabled = Sys.getenv_opt "LCP_HEAVY" <> None
 let seq_cfg () = Run_cfg.make ~jobs:1 ()

@@ -171,7 +171,7 @@ let prop_escape_paths_valid =
                             let d = Metrics.bfs_dist g w in
                             d.(List.nth p 1) = d.(v) + 1)
                           (Metrics.ball g u 1))
-               (Graph.neighbors g v))
+               (Array.to_list (Graph.neighbors_array g v)))
         g true)
 
 let prop_port_random_valid =
@@ -185,7 +185,7 @@ let prop_isomorphic_relabel =
     ~print:print_graph gen_graph (fun g ->
       let n = Graph.order g in
       let perm = Array.init n (fun i -> (i + 1) mod n) in
-      Graph.isomorphic g (Graph.relabel g perm))
+      Lcp_oracle.Enumerate.isomorphic g (Graph.relabel g perm))
 
 let prop_splice_parity =
   QCheck2.Test.make ~name:"splicing an even detour preserves walk parity"

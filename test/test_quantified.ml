@@ -2,6 +2,7 @@ open Lcp_graph
 open Lcp_local
 open Lcp
 open Helpers
+module Enumerate = Lcp_oracle.Enumerate
 
 let even_cycle_setup () =
   let fam =

@@ -65,7 +65,7 @@ let test_spawn_join_edges () =
   let find op =
     match Array.find_opt (fun e -> e.Sync.op = op) trace with
     | Some e -> e.Sync.seq
-    | None -> Alcotest.fail ("missing " ^ Sync.op_name op)
+    | None -> Alcotest.fail "missing event"
   in
   check_bool "spawn before begin" true (find Sync.Spawn < find Sync.Begin);
   check_bool "begin before end" true (find Sync.Begin < find Sync.End);

@@ -2,6 +2,7 @@ open Lcp_graph
 open Lcp_local
 open Lcp
 open Helpers
+module Enumerate = Lcp_oracle.Enumerate
 
 let accept_all =
   Decoder.make ~name:"accept-all" ~radius:1 ~anonymous:false (fun _ -> true)
@@ -110,20 +111,12 @@ let test_realize_rejects_off_center () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "view centered at id 1 cannot stand for id 2"
 
-let test_walk_subgraph () =
-  let insts = rotation_instances () in
-  let nbhd = Neighborhood.build accept_all insts in
-  let cyc = Option.get (Neighborhood.odd_cycle nbhd) in
-  let h = Realizability.walk_subgraph nbhd cyc in
-  check_int "edges = walk length" (List.length cyc)
-    (List.length h.Realizability.edges)
-
 let test_paper_decoder_no_violation () =
   (* the degree-one decoder is strongly sound: its odd identified view
      cycles (if any) must never pass the full Lemma 5.1 pipeline *)
   let suite = D_degree_one.suite in
   let graphs =
-    Enumerate.connected_up_to_iso 4 |> Enumerate.bipartite
+    Enumerate.connected_up_to_iso 4 |> List.filter Coloring.is_bipartite
     |> List.filter (fun g -> Graph.min_degree g = 1)
   in
   let fam = Neighborhood.exhaustive_family suite ~graphs () in
@@ -150,6 +143,5 @@ let suite =
     case "Lemma 5.1 end to end" test_lemma_5_1_end_to_end;
     case "label conflicts detected" test_label_conflict_detected;
     case "off-center assignment rejected" test_realize_rejects_off_center;
-    case "walk subgraph" test_walk_subgraph;
     case "paper decoder yields no violation" test_paper_decoder_no_violation;
   ]

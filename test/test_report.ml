@@ -47,7 +47,7 @@ let test_battery_json_roundtrip () =
   let battery = Report.battery_to_json [ sample; sample ] in
   check_bool "schema versioned" true
     (Json.member "schema_version" battery
-    = Ok (Json.Int Report.battery_schema_version));
+    = Ok (Json.Int 1));
   check_bool "total" true (Json.member "total" battery = Ok (Json.Int 2));
   check_bool "passed count" true (Json.member "passed" battery = Ok (Json.Int 0));
   match Json.of_string (Json.to_string_pretty battery) with

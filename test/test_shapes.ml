@@ -117,7 +117,9 @@ let random_instances ~count ~seed =
         | 0 -> Random_graphs.tree rng n
         | 1 -> Random_graphs.gnp rng n ~p:0.3
         | 2 -> Random_graphs.preferential_attachment rng n ~m:2
-        | 3 -> Random_graphs.grid_near (10 + (i mod 2))
+        | 3 ->
+            Result.get_ok
+              (Random_graphs.of_model rng ~nodes:(10 + (i mod 2)) "grid")
         | _ -> Builders.double_cover (Random_graphs.gnp rng 5 ~p:0.5)
       in
       if i mod 2 = 0 then Instance.make g else Instance.random rng g)

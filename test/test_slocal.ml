@@ -59,7 +59,10 @@ let test_prev_outputs_visible () =
   let copycat =
     Slocal.make ~name:"copy" ~radius:1 (fun view prev ->
         let g = view.View.graph in
-        match List.filter_map (fun w -> prev.(w)) (Graph.neighbors g 0) with
+        match
+          List.filter_map (fun w -> prev.(w))
+            (Array.to_list (Graph.neighbors_array g 0))
+        with
         | c :: _ -> c + 1
         | [] -> 0)
   in
