@@ -1100,6 +1100,12 @@ let () =
       if a = "--out-dir" && i + 1 < Array.length Sys.argv then
         out_dir := Sys.argv.(i + 1))
     Sys.argv;
+  (* the records are written after their series run; a missing DIR
+     would otherwise surface only then, with nothing written *)
+  if not (Sys.file_exists !out_dir && Sys.is_directory !out_dir) then begin
+    Printf.eprintf "bench: --out-dir %s is not a directory\n" !out_dir;
+    exit 2
+  end;
   Printf.printf "LCP benchmark harness%s\n%!" (if fast then " [fast]" else "");
   let report ?(write = true) title rows =
     print_series title rows;

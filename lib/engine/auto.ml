@@ -11,12 +11,14 @@ type t = { n : int; perms : int array array }
 let of_adj ~n adj =
   if n <= 1 then { n; perms = [| Array.init n Fun.id |] }
   else
-    let _, wits = Canon.min_witnesses ~n adj in
+    let _, wits = Canon.witnesses ~n adj in
     match wits with
     | [] -> assert false (* at least one relabeling achieves the minimum *)
     | q :: _ ->
         (* q, p : label -> vertex; p . q^-1 : vertex -> vertex is an
-           automorphism, and witness list = Aut(G) . q (see Canon). *)
+           automorphism, and witness list = Aut(G) . q: every
+           automorphism keeps the refinement cells, so none is lost
+           by searching only cell-respecting relabelings (see Canon). *)
         let qinv = Array.make n 0 in
         Array.iteri (fun l v -> qinv.(v) <- l) q;
         let perms =

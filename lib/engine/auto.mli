@@ -1,10 +1,14 @@
 (** Automorphism groups of small graphs, harvested from {!Canon}.
 
-    {!Canon.min_witnesses} returns every relabeling that achieves the
-    minimal edge mask; composing each witness with a fixed witness's
-    inverse turns that list into the full automorphism group [Aut(G)]
-    as vertex permutations. This module packages the group together
-    with the two quotient operations the certificate searches need:
+    {!Canon.witnesses} returns every relabeling over the refined (1-WL)
+    cells that achieves the canonical mask; composing each witness
+    with a fixed witness's inverse turns that list into the full
+    automorphism group [Aut(G)] as vertex permutations. Every
+    automorphism maps each refinement cell onto itself, so searching
+    only cell-respecting relabelings loses none of them, and the
+    search visits [Π |cell|!] relabelings instead of [n!]. This module
+    packages the group together with the two quotient operations the
+    certificate searches need:
 
     - {!orbits} / {!generators}: node orbits and a small (strong)
       generating set, for reporting and validation;
@@ -46,9 +50,13 @@ val is_trivial : t -> bool
 (** The graph is rigid: only the identity automorphism. *)
 
 val perms : t -> int array array
-(** Every automorphism as a vertex→vertex permutation, in the
-    branch-and-bound's deterministic discovery order. The array and
-    its rows are owned by [t]: do not mutate. *)
+(** Every automorphism as a vertex→vertex permutation, each exactly
+    once, in a deterministic but unspecified order (the refined
+    search's discovery order). {!orbits}, {!lex_constraints} and
+    {!cuts} depend only on the group as a set; which transversal
+    representatives {!generators} returns follows this order, the
+    group they generate does not. The array and its rows are owned by
+    [t]: do not mutate. *)
 
 val orbits : t -> int array
 (** [orbits t] maps each node to the smallest node in its orbit under

@@ -227,12 +227,12 @@ let refined_cells s n adj =
     done
   done
 
-let min_witnesses ~n adj =
-  check_order ~who:"min_witnesses" n;
+let witnesses ~n adj =
+  check_order ~who:"witnesses" n;
   if n <= 1 then (0, [ Array.init n Fun.id ])
   else begin
     let s = acquire () in
-    one_cell s n;
+    refined_cells s n adj;
     let best = search s ~n adj ~collect:false ~init:max_int in
     ignore (search s ~n adj ~collect:true ~init:best);
     let wits = List.rev s.wits in

@@ -16,13 +16,14 @@
 
     Every function below runs the same branch-and-bound kernel. It
     assigns labels from [n-1] downward, each label drawing a vertex
-    from its cell (the refined partition for {!canonical_mask}, one
-    cell of all vertices otherwise), and keeps a label-space row per
-    unplaced vertex so that the edge bits a placement decides are one
-    shift of that row. A partial permutation is abandoned as soon as
-    those bits exceed the incumbent best on the same slots, which
-    collapses the [Π |cell|!] permutation budget to a handful of
-    explored branches on all but highly regular graphs. The kernel
+    from its cell (the refined partition for {!canonical_mask} and
+    {!witnesses}, one cell of all vertices for {!min_mask}), and
+    keeps a label-space row per unplaced vertex so that the edge bits
+    a placement decides are one shift of that row. A partial
+    permutation is abandoned as soon as those bits exceed the
+    incumbent best on the same slots, which collapses the
+    [Π |cell|!] permutation budget to a handful of explored branches
+    on all but highly regular graphs. The kernel
     works in per-domain scratch ([Domain.DLS]) and allocates nothing
     but the witnesses it returns, so it is safe to call from pool
     domains; a systhread that finds its domain's scratch in use gets
@@ -53,19 +54,23 @@ val min_mask : ?init:int -> n:int -> int array -> int
     does not depend on the refinement's cell order, so it is the
     stable representative. *)
 
-val min_witnesses : n:int -> int array -> int * int array list
-(** [min_witnesses ~n adj] is {!min_mask} together with {e every}
-    label→vertex bijection achieving it. Relabeling by any two
-    witnesses yields the same minimal graph, so [p ∘ q⁻¹] is an
-    automorphism for every witness pair and the list is exactly
-    [Aut(G) ∘ q] for any fixed witness [q]: the automorphism group
-    falls out of the same branch-and-bound that computes the canonical
-    form (harvested by {!Auto}). Implemented as the kernel's
-    minimization followed by a collecting pass with the incumbent
-    pinned — the tie-keeping [<=] prune guarantees every min-achieving
-    leaf is visited. The list has [|Aut(G)|] entries, in the
-    branch-and-bound's deterministic discovery order (labels from
-    [n-1] down, vertices ascending at each label). *)
+val witnesses : n:int -> int array -> int * int array list
+(** [witnesses ~n adj] is {!canonical_mask} together with {e every}
+    label→vertex bijection over the refined cells achieving it.
+    Relabeling by any two witnesses yields the same graph, so
+    [p ∘ q⁻¹] is an automorphism for every witness pair. Conversely
+    the refinement colouring is an isomorphism invariant, so every
+    automorphism [σ] maps each cell onto itself, and [σ ∘ q] is again
+    a cell-respecting bijection with the same mask. The list is
+    therefore exactly [Aut(G) ∘ q] for any fixed witness [q]: the
+    automorphism group falls out of the canonical-form search, over
+    [Π |cell|!] relabelings instead of [n!] (harvested by {!Auto}).
+    Implemented as the kernel's minimization followed by a collecting
+    pass with the incumbent pinned — the tie-keeping [<=] prune
+    guarantees every min-achieving leaf is visited. The list has
+    [|Aut(G)|] entries, in the branch-and-bound's deterministic
+    discovery order (labels from [n-1] down, vertices of the label's
+    cell ascending). *)
 
 val key_adj : n:int -> int array -> int
 (** The canonical mask with the order packed into the low 4 bits —

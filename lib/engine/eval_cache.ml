@@ -33,6 +33,10 @@ type node_tab = {
       (* the view's shape (order and local edge mask, packed); -1 when
          the shape level is off for this node *)
   space : int; (* |Σ|^m, the size of the node's shape table *)
+  mutable shared : Bytes.t option;
+      (* the node's shape table on the domain using the cache, resolved
+         at the node's first miss ([Some Bytes.empty]: none to use);
+         [None] until then, and again after each [acquire] *)
 }
 
 (* What a shape table is keyed by besides the decoder's verdict
@@ -102,13 +106,17 @@ let pow_opt base e =
    so [stats] (and every counter built from it) is unchanged; only the
    decode behind the miss is skipped when the shape table knows the
    entry. Tables are per domain ([Domain.DLS]): nothing is shared
-   between domains and nothing is locked. A cache can be leased to
-   another domain by the pool below, so it never holds a shape table;
-   each miss resolves one from the domain running it. Systhreads share
-   their domain's state and can be preempted inside a resolve, so a
-   resolve that finds the state busy skips the shape level (the same
-   rule as [Canon]'s scratch); there is no poll point between the
-   [busy] test and its set. *)
+   between domains and nothing is locked. A node resolves its table
+   from the domain running its first miss and keeps it in its
+   [shared] slot, so later misses skip the DLS read and the table
+   lookup. The pool below can lease a cache to another domain, so
+   [acquire] clears the slots of a pooled cache it hands out: a lease
+   only ever fills entries of its own domain's tables. Systhreads
+   share their domain's state and can be preempted inside a resolve,
+   so a resolve that finds the state busy skips the shape level for
+   that one miss and leaves the slot empty (the same rule as
+   [Canon]'s scratch); there is no poll point between the [busy] test
+   and its set. *)
 
 let shape_table_limit = 1 lsl 21
 (* entries per shape table (a quarter of that in bytes): |Σ| = 5 up to
@@ -184,21 +192,25 @@ let resolve d t tab =
       Hashtbl.replace s.tables tab.shape table;
       table
 
-(* This domain's shape table for the node, [Bytes.empty] when there is
-   none to use. *)
+(* The node's shape table on this domain, [Bytes.empty] when there is
+   none to use: the slot once resolved, else one resolve. *)
 let shape_table t tab =
-  let d = Domain.DLS.get shapes_key in
-  if d.busy then Bytes.empty
-  else begin
-    d.busy <- true;
-    match resolve d t tab with
-    | table ->
-        d.busy <- false;
-        table
-    | exception e ->
-        d.busy <- false;
-        raise e
-  end
+  match tab.shared with
+  | Some table -> table
+  | None ->
+      let d = Domain.DLS.get shapes_key in
+      if d.busy then Bytes.empty
+      else begin
+        d.busy <- true;
+        match resolve d t tab with
+        | table ->
+            d.busy <- false;
+            tab.shared <- Some table;
+            table
+        | exception e ->
+            d.busy <- false;
+            raise e
+      end
 
 (* ------------------------------------------------------------------ *)
 (* per-instance tables                                                 *)
@@ -253,7 +265,7 @@ let create ?(dense_limit = default_dense_limit) ?(shapes = false) ~radius
           then shape_of skeleton
           else -1
         in
-        { globals; skeleton; store; shape; space })
+        { globals; skeleton; store; shape; space; shared = None })
   in
   { accepts; sym; sigma; nodes; scope; hits = 0; misses = 0 }
 
@@ -442,6 +454,8 @@ let acquire ~key ?dense_limit ?(shapes = false) ~radius ~accepts ~alphabet inst
          touch happen outside the pool lock on purpose — the lease IS
          the synchronization, and [lcp race] checks exactly that *)
       Sync.Var.touch slot.guard;
+      (* the slots point into the previous holder's domain's tables *)
+      Array.iter (fun tab -> tab.shared <- None) slot.cached.nodes;
       let hits, misses = stats slot.cached in
       {
         cache = slot.cached;

@@ -34,12 +34,16 @@
     label-independent (dist, id) local order. Two nodes with the same
     shape have views equal in local order apart from ids and ports, so
     such a decoder gives them the same verdict on the same labels in
-    local order. Shape tables live in [Domain.DLS] and are resolved
-    from the querying domain on each miss, never stored in the cache
-    (which the pool may lease to another domain). A table larger than
-    [2^21] entries, or one that would take its domain past [2^24]
-    bytes of shape tables, is not built; those shapes stay
-    per-instance.
+    local order. Shape tables live in [Domain.DLS]. Each node resolves
+    its table once, from the domain running its first miss, and keeps
+    it for its later misses; {!acquire} clears these slots whenever it
+    hands out a pooled cache, so a lease that moves the cache to
+    another domain resolves against {e that} domain's tables. A
+    systhread that finds its domain in the middle of a resolve skips
+    the shape level for that miss and resolves again on the next
+    one. A table larger than [2^21] entries, or one that would take
+    its domain past [2^24] bytes of shape tables, is not built; those
+    shapes stay per-instance.
 
     Determinism: verdicts are by construction identical to the direct
     [accepts (View.extract inst ~r v)] path, and for a fixed query
@@ -50,7 +54,10 @@
     independent of [jobs] and of what earlier searches left in the
     shape tables.
 
-    Not thread-safe: one cache belongs to one domain. *)
+    Not thread-safe: one cache belongs to one domain. A cache from
+    {!create} stays on the domain it first missed on; only a lease
+    cycle ({!release}, then {!acquire}) moves a cache between
+    domains. *)
 
 open Lcp_local
 

@@ -156,9 +156,34 @@ let random_connected rng n p =
 (* the textual graph-spec grammar shared by the CLI and the serve
    protocol: FAMILY[:ARGS], e.g. "cycle:5", "grid:3x4", "petersen" *)
 
+(* The largest graph a spec may ask for. A spec is sized arithmetically
+   before anything is built, so one past the cap is a [bad graph spec]
+   error instead of an allocation failure or a build that never ends. *)
+let max_spec_nodes = 1 lsl 22
+let max_spec_edges = 1 lsl 24
+
 let spec_syntax =
-  "path:N cycle:N star:N complete:N grid:RxC torus:RxC hypercube:D tree:D \
-   watermelon:L1,L2,... theta:A,B,C petersen caterpillar:SxL"
+  Printf.sprintf
+    "path:N cycle:N star:N complete:N grid:RxC torus:RxC hypercube:D tree:D \
+     watermelon:L1,L2,... theta:A,B,C petersen caterpillar:SxL (at most %d \
+     nodes and %d edges)"
+    max_spec_nodes max_spec_edges
+
+(* Checked sizing over non-negative operands (a negative argument sizes
+   as 0 and is left to the builder to reject): any count past the cap,
+   or past [max_int] on the way, is "too large". *)
+let too_large () =
+  failwith
+    (Printf.sprintf "more than %d nodes or %d edges" max_spec_nodes
+       max_spec_edges)
+
+let nat x = max 0 x
+let add a b = if a > max_int - b then too_large () else a + b
+let mul a b = if a <> 0 && b > max_int / a then too_large () else a * b
+let pow2 e = if e > Sys.int_size - 2 then too_large () else 1 lsl e
+
+let check_size (nodes, edges) =
+  if nodes > max_spec_nodes || edges > max_spec_edges then too_large ()
 
 let of_spec spec =
   let dims s =
@@ -167,31 +192,67 @@ let of_spec spec =
     | _ -> failwith "expected ROWSxCOLS"
   in
   let ints s = List.map int_of_string (String.split_on_char ',' s) in
+  let sized nodes edges build = ((nodes, edges), build) in
+  let melon ls =
+    sized
+      (List.fold_left (fun a l -> add a (nat (l - 1))) 2 ls)
+      (List.fold_left (fun a l -> add a (nat l)) 0 ls)
+      (fun () -> watermelon ls)
+  in
   try
-    Ok
-      (match String.split_on_char ':' spec with
-      | [ "path"; n ] -> path (int_of_string n)
-      | [ "cycle"; n ] -> cycle (int_of_string n)
-      | [ "star"; n ] -> star (int_of_string n)
-      | [ "complete"; n ] -> complete (int_of_string n)
+    (* (nodes, edges) and the builder; where edges grow faster than
+       nodes, the node count is checked first, so the edge arithmetic
+       stays far below max_int *)
+    let size, build =
+      match String.split_on_char ':' spec with
+      | [ "path"; n ] ->
+          let n = int_of_string n in
+          sized (nat n) (nat (n - 1)) (fun () -> path n)
+      | [ "cycle"; n ] ->
+          let n = int_of_string n in
+          sized (nat n) (nat n) (fun () -> cycle n)
+      | [ "star"; n ] ->
+          let k = int_of_string n in
+          sized (add (nat k) 1) (nat k) (fun () -> star k)
+      | [ "complete"; n ] ->
+          let n = int_of_string n in
+          check_size (nat n, 0);
+          sized (nat n) (nat n * nat (n - 1) / 2) (fun () -> complete n)
       | [ "grid"; d ] ->
           let r, c = dims d in
-          grid r c
+          let nodes = mul (nat r) (nat c) in
+          check_size (nodes, 0);
+          sized nodes
+            ((nat r * nat (c - 1)) + (nat c * nat (r - 1)))
+            (fun () -> grid r c)
       | [ "torus"; d ] ->
           let r, c = dims d in
-          torus r c
-      | [ "hypercube"; d ] -> hypercube (int_of_string d)
-      | [ "tree"; d ] -> binary_tree (int_of_string d)
-      | [ "watermelon"; ls ] -> watermelon (ints ls)
+          let nodes = mul (nat r) (nat c) in
+          check_size (nodes, 0);
+          sized nodes (2 * nodes) (fun () -> torus r c)
+      | [ "hypercube"; d ] ->
+          let d = int_of_string d in
+          let nodes = pow2 (nat d) in
+          check_size (nodes, 0);
+          sized nodes (nat d * nodes / 2) (fun () -> hypercube d)
+      | [ "tree"; d ] ->
+          let d = int_of_string d in
+          let nodes = pow2 (add (nat d) 1) - 1 in
+          sized nodes (nodes - 1) (fun () -> binary_tree d)
+      | [ "watermelon"; ls ] -> melon (ints ls)
       | [ "theta"; ls ] -> (
           match ints ls with
-          | [ a; b; c ] -> theta a b c
+          | [ _; _; _ ] as ls -> melon ls
           | _ -> failwith "theta:A,B,C")
-      | [ "petersen" ] -> petersen ()
+      | [ "petersen" ] -> sized 10 15 petersen
       | [ "caterpillar"; d ] ->
           let s, l = dims d in
-          caterpillar s l
-      | _ -> failwith ("unknown graph family; try " ^ spec_syntax))
+          let nodes = mul (nat s) (add (nat l) 1) in
+          sized nodes (nodes - 1) (fun () -> caterpillar s l)
+      | _ -> failwith ("unknown graph family; try " ^ spec_syntax)
+    in
+    check_size size;
+    Ok (build ())
   with
   | Failure msg ->
       Error (Printf.sprintf "bad graph spec %S: %s" spec msg)

@@ -76,4 +76,6 @@ val of_spec : string -> (Graph.t, string) result
 (** Parse the textual graph-spec grammar shared by the [lcp] CLI and
     the serve protocol — [FAMILY[:ARGS]], e.g. ["cycle:5"],
     ["grid:3x4"], ["petersen"]. The error carries a human-readable
-    message (for an unknown family, every accepted form). *)
+    message (for an unknown family, every accepted form). A spec is
+    sized arithmetically before anything is built, and one asking for
+    more than [2^22] nodes or [2^24] edges is an error. *)

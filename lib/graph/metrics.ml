@@ -18,8 +18,6 @@ let bfs_dist g start =
 
 let dist g u v = (bfs_dist g u).(v)
 
-let all_pairs_dist g = Array.init (Graph.order g) (fun v -> bfs_dist g v)
-
 let ball g v r =
   let d = bfs_dist g v in
   Graph.fold_nodes (fun w acc -> if d.(w) <= r then w :: acc else acc) g []

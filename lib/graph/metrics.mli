@@ -7,9 +7,6 @@ val bfs_dist : Graph.t -> int -> int array
 val dist : Graph.t -> int -> int -> int
 (** Pairwise distance; [max_int] when disconnected. *)
 
-val all_pairs_dist : Graph.t -> int array array
-(** Full distance matrix (n BFS runs). *)
-
 val ball : Graph.t -> int -> int -> int list
 (** [ball g v r] is [N^r(v)]: the sorted nodes at distance at most [r]
     from [v] (the paper's closed r-neighborhood). *)

@@ -63,15 +63,6 @@ let non_backtracking_closed_walk g ~start ~len =
     with Found w -> Some w
   end
 
-let closed_walk_around_cycle _g cycle u =
-  let rec rotate c =
-    match c with
-    | x :: _ when x = u -> c
-    | x :: rest -> rotate (rest @ [ x ])
-    | [] -> invalid_arg "Walks.closed_walk_around_cycle: node not on cycle"
-  in
-  rotate cycle
-
 let splice walk pos insert =
   let arr = Array.of_list walk in
   if pos < 0 || pos >= Array.length arr then invalid_arg "Walks.splice: bad position";
@@ -88,8 +79,3 @@ let splice walk pos insert =
   | [] -> assert false
 
 let parity w = if List.length w mod 2 = 1 then `Odd else `Even
-
-let concat_path_walk p q =
-  match (List.rev p, q) with
-  | last :: _, qh :: qt when last = qh -> p @ qt
-  | _ -> invalid_arg "Walks.concat_path_walk: endpoints do not meet"

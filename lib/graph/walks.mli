@@ -22,11 +22,6 @@ val non_backtracking_closed_walk :
 (** Search (DFS) for a non-backtracking closed walk of exactly [len]
     edges starting at [start]. *)
 
-val closed_walk_around_cycle : Graph.t -> int list -> int -> int list
-(** [closed_walk_around_cycle g cycle u]: the closed walk that traverses
-    the given cycle once, starting and ending at [u] (which must lie on
-    the cycle). *)
-
 val splice : int list -> int -> int list -> int list
 (** [splice walk pos insert]: the closed walk obtained by inserting the
     closed walk [insert] (which must start at [List.nth walk pos]) at
@@ -34,7 +29,3 @@ val splice : int list -> int -> int list -> int list
 
 val parity : int list -> [ `Odd | `Even ]
 (** Parity of a closed walk's length. *)
-
-val concat_path_walk : int list -> int list -> int list
-(** [concat_path_walk p q] where [p] ends at the head of [q]:
-    concatenation without repeating the shared node. *)

@@ -95,11 +95,6 @@ let enumerate ~bound g =
   in
   List.map (fun ids -> { ids; bound }) (choose [] 0 [])
 
-let rank_in t nodes v =
-  if not (List.mem v nodes) then invalid_arg "Ident.rank_in: node not in list";
-  let my = t.ids.(v) in
-  List.fold_left (fun acc w -> if t.ids.(w) < my then acc + 1 else acc) 0 nodes
-
 let pp ppf t =
   Format.fprintf ppf "@[<h>ids[bound=%d]: %a@]" t.bound
     (Format.pp_print_list

@@ -35,8 +35,4 @@ val order_preserving_remap : t -> target:int list -> t
 val enumerate : bound:int -> Graph.t -> t list
 (** All injective assignments into [1 .. bound]; tiny graphs only. *)
 
-val rank_in : t -> int list -> int -> int
-(** [rank_in ids nodes v]: 0-based rank of [id v] among the ids of
-    [nodes] (which must contain [v]). *)
-
 val pp : Format.formatter -> t -> unit

@@ -1,8 +1,11 @@
 (* The list-based Canon kept as a test oracle: the implementation
    that preceded the single branch-and-bound kernel in
-   lib/engine/canon.ml, verbatim apart from this header and the opens.
+   lib/engine/canon.ml, verbatim apart from this header, the opens and
+   the cell argument of [collect_witnesses] (which gives [witnesses],
+   the refined-partition list, beside the one-cell [min_witnesses]).
    The differential tests in test_engine.ml check the kernel against
-   it value for value, witness order included. *)
+   it value for value, witness order included; test_auto checks the
+   refined harvest against the one-cell group. *)
 
 open Lcp_engine
 open Lcp_graph
@@ -146,16 +149,29 @@ let minimize ~n adj ~init cells =
   place 0 (cell_size 0) (n - 1) 0 0;
   !best
 
-(* Every label->vertex bijection achieving a known minimum mask. The
-   same branch-and-bound as [minimize] over the trivial one-cell
-   partition, but with the incumbent pinned at the true minimum: the
-   tie-keeping [<=] prune then visits exactly the min-achieving leaves
-   (nothing can beat the pinned incumbent, so every surviving leaf
-   ties). Relabeling by any two witnesses produces the same minimal
-   graph, so [p . q^-1] is an automorphism for every witness pair and
-   the witness list is [Aut(G) . q] for any fixed witness [q] — the
-   automorphism group falls out of the minimization (see {!Auto}). *)
-let collect_witnesses ~n adj ~best =
+(* Every label->vertex bijection achieving a known minimum mask over
+   [cells] (listed lowest labels first, as for [minimize]). The same
+   branch-and-bound as [minimize], but with the incumbent pinned at
+   the true minimum: the tie-keeping [<=] prune then visits exactly the
+   min-achieving leaves (nothing can beat the pinned incumbent, so
+   every surviving leaf ties). Relabeling by any two witnesses
+   produces the same graph, so [p . q^-1] is an automorphism for every
+   witness pair. Over the one-cell partition the witness list is
+   [Aut(G) . q] for any fixed witness [q]; over the refined cells it
+   is too, because every automorphism keeps the refinement colours
+   (see {!Auto}). *)
+let collect_witnesses ~n adj ~best cells =
+  (* label -> its cell's vertices, ascending; top cell on top labels *)
+  let pool = Array.make n [] in
+  let l = ref (n - 1) in
+  List.iter
+    (fun cell ->
+      List.iter
+        (fun _ ->
+          pool.(!l) <- cell;
+          decr l)
+        cell)
+    (List.rev cells);
   let vert_of = Array.make n 0 in
   let bases = Array.init n (fun l -> (l * ((2 * n) - l - 3) / 2) + l) in
   let acc = ref [] in
@@ -164,22 +180,23 @@ let collect_witnesses ~n adj ~best =
       if partial = best then acc := Array.copy vert_of :: !acc
     end
     else
-      for x = 0 to n - 1 do
-        if assigned land (1 lsl x) = 0 then begin
-          let base = bases.(label) in
-          let row = adj.(x) in
-          let blk = ref 0 in
-          for m = label + 1 to n - 1 do
-            if row land (1 lsl vert_of.(m)) <> 0 then
-              blk := !blk lor (1 lsl (base + m - label - 1))
-          done;
-          let partial = partial lor !blk in
-          if partial <= (best lsr base) lsl base then begin
-            vert_of.(label) <- x;
-            place (label - 1) (assigned lor (1 lsl x)) partial
-          end
-        end
-      done
+      List.iter
+        (fun x ->
+          if assigned land (1 lsl x) = 0 then begin
+            let base = bases.(label) in
+            let row = adj.(x) in
+            let blk = ref 0 in
+            for m = label + 1 to n - 1 do
+              if row land (1 lsl vert_of.(m)) <> 0 then
+                blk := !blk lor (1 lsl (base + m - label - 1))
+            done;
+            let partial = partial lor !blk in
+            if partial <= (best lsr base) lsl base then begin
+              vert_of.(label) <- x;
+              place (label - 1) (assigned lor (1 lsl x)) partial
+            end
+          end)
+        pool.(label)
   in
   place (n - 1) 0 0;
   List.rev !acc
@@ -188,8 +205,17 @@ let min_witnesses ~n adj =
   check_order ~who:"min_witnesses" n;
   if n <= 1 then (0, [ Array.init n Fun.id ])
   else
-    let best = minimize ~n adj ~init:max_int [ List.init n Fun.id ] in
-    (best, collect_witnesses ~n adj ~best)
+    let cells = [ List.init n Fun.id ] in
+    let best = minimize ~n adj ~init:max_int cells in
+    (best, collect_witnesses ~n adj ~best cells)
+
+let witnesses ~n adj =
+  check_order ~who:"witnesses" n;
+  if n <= 1 then (0, [ Array.init n Fun.id ])
+  else
+    let cells = cells_of_colors n (refine n adj) in
+    let best = minimize ~n adj ~init:max_int cells in
+    (best, collect_witnesses ~n adj ~best cells)
 
 let canonical_mask ~n adj =
   check_order ~who:"canonical_mask" n;

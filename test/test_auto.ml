@@ -1,7 +1,9 @@
 (* Automorphism harvesting (Lcp_engine.Auto): the group extracted from
-   Canon's branch-and-bound, validated against brute-force enumeration
-   of all n! vertex permutations on every class of every order up to 6
-   (connected and disconnected alike — Aut does not care). *)
+   Canon's branch-and-bound over the refined cells, validated against
+   brute-force enumeration of all n! vertex permutations on every class
+   of every order up to 6 (connected and disconnected alike — Aut does
+   not care), and against the one-cell witness list of the list-based
+   oracle up to n = 7 (n = 8 under LCP_HEAVY). *)
 
 open Lcp_graph
 open Helpers
@@ -301,6 +303,56 @@ let test_trie_n7 () =
     List.iter check_trie_matches_programs
       (Lcp_engine.Sweep.iso_classes ~connected:true 7)
 
+(* The refined harvest (Canon.witnesses over the 1-WL cells) against
+   the one-cell group: every relabeling achieving the one-cell minimum
+   from the list-based oracle, composed with one witness's inverse, is
+   Aut(G) over all n! relabelings. The two must agree as sets, each
+   element once. *)
+let one_cell_group ~n adj =
+  match snd (Canon_ref.min_witnesses ~n adj) with
+  | [] -> Alcotest.fail "one-cell oracle returned no witness"
+  | q :: _ as wits ->
+      let qinv = Array.make n 0 in
+      Array.iteri (fun l v -> qinv.(v) <- l) q;
+      List.map (fun p -> Array.init n (fun v -> p.(qinv.(v)))) wits
+
+let check_refined_group what ~n adj =
+  let auto = Auto.of_adj ~n adj in
+  let refined = Array.to_list (Auto.perms auto) in
+  let expect = sorted_perms (one_cell_group ~n adj) in
+  let got = sorted_perms refined in
+  check_int (Printf.sprintf "|Aut| on %s" what) (List.length expect)
+    (Auto.size auto);
+  if got <> expect then
+    Alcotest.failf "refined group differs from the one-cell group on %s" what
+
+let check_refined_classes n =
+  List.iter
+    (fun mask ->
+      check_refined_group
+        (Printf.sprintf "n=%d class %d" n mask)
+        ~n (Lcp_engine.Chunk.adj_of_mask n mask))
+    (fst (Lcp_engine.Orderly.generate ~connected:false n))
+
+let test_refined_group_small () =
+  for n = 0 to 7 do
+    check_refined_classes n
+  done;
+  List.iter
+    (fun (what, g) ->
+      check_refined_group what ~n:(Graph.order g) (Lcp_engine.Chunk.adj_of_graph g))
+    (List.map (fun n -> (Printf.sprintf "K%d" n, Builders.complete n)) [ 2; 5; 8 ]
+    @ List.map (fun n -> (Printf.sprintf "C%d" n, Builders.cycle n)) [ 3; 6; 9; 11 ]
+    @ [
+        ("petersen", Builders.petersen ());
+        ("hypercube:3", Builders.hypercube 3);
+        ("K3,3", Builders.complete_bipartite 3 3);
+        ("K2,5", Builders.complete_bipartite 2 5);
+        ("K4,5", Builders.complete_bipartite 4 5);
+      ])
+
+let test_refined_group_n8 () = if heavy_enabled then check_refined_classes 8
+
 let suite =
   [
     case "group = brute force, all classes n <= 5" test_group_small;
@@ -315,4 +367,8 @@ let suite =
     case "prefix trie = program scan on every prefix, n <= 6 and named graphs"
       test_trie_small;
     slow_case "prefix trie = program scan, n = 7 (LCP_HEAVY)" test_trie_n7;
+    case "refined group = one-cell group, n <= 7 and named graphs"
+      test_refined_group_small;
+    slow_case "refined group = one-cell group, n = 8 (LCP_HEAVY)"
+      test_refined_group_n8;
   ]

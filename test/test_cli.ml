@@ -80,6 +80,12 @@ let table =
     ([ "check"; "degree-one"; "hypercube:63" ], 2);
     ([ "check"; "degree-one"; "tree:63" ], 2);
     ([ "check"; "degree-one"; "tree:64" ], 2);
+    (* node or edge counts past the spec cap: built before, they
+       aborted with an allocation failure or never finished *)
+    ([ "check"; "degree-one"; "hypercube:30" ], 2);
+    ([ "check"; "degree-one"; "hypercube:61" ], 2);
+    ([ "check"; "degree-one"; "complete:100000" ], 2);
+    ([ "check"; "degree-one"; "grid:100000x100000" ], 2);
     ([ "serve"; "--socket"; socket; "--workers"; "65" ], 2);
     ([ "client"; "--socket"; "/nonexistent/lcp.sock"; "ping" ], 1);
   ]

@@ -154,7 +154,7 @@ let shuffle st n =
 
 (* every class on [n] nodes, as listed and under [relabelings] seeded
    random relabelings: the kernel's canonical_mask, min_mask (with and
-   without an [init] seed) and min_witnesses (same list, same order)
+   without an [init] seed) and witnesses (same list, same order)
    equal the oracle's *)
 let check_canon_against_ref ~relabelings n =
   let st = Random.State.make [| 13; n |] in
@@ -172,11 +172,12 @@ let check_canon_against_ref ~relabelings n =
         check_int ("min_mask ~init, " ^ what)
           (Canon_ref.min_mask ~init:cm ~n adj)
           (Canon.min_mask ~init:cm ~n adj);
-        let ref_best, ref_wits = Canon_ref.min_witnesses ~n adj in
-        let best, wits = Canon.min_witnesses ~n adj in
-        check_int ("min_witnesses mask, " ^ what) ref_best best;
+        let ref_best, ref_wits = Canon_ref.witnesses ~n adj in
+        let best, wits = Canon.witnesses ~n adj in
+        check_int ("witnesses mask, " ^ what) ref_best best;
+        check_int ("witnesses mask = canonical_mask, " ^ what) cm best;
         if wits <> ref_wits then
-          Alcotest.failf "min_witnesses list differs from the oracle, %s" what
+          Alcotest.failf "witnesses list differs from the oracle, %s" what
       done)
     masks
 
@@ -195,7 +196,7 @@ let test_canon_scratch_per_domain () =
   let run jobs =
     Pool.run ~jobs (Array.length masks) (fun i ->
         let adj = Chunk.adj_of_mask 6 masks.(i) in
-        (Canon.canonical_mask ~n:6 adj, Canon.min_witnesses ~n:6 adj))
+        (Canon.canonical_mask ~n:6 adj, Canon.witnesses ~n:6 adj))
   in
   check_bool "canon on 4 domains = sequential" true (run 1 = run 4)
 

@@ -52,12 +52,6 @@ let test_enumerate () =
   check_int "3*2 injections" 6 (List.length all);
   check_bool "all valid" true (List.for_all (Ident.is_valid g) all)
 
-let test_rank_in () =
-  let ids = Ident.of_array [| 5; 2; 9; 7 |] in
-  check_int "rank of node 0 among all" 1 (Ident.rank_in ids [ 0; 1; 2; 3 ] 0);
-  check_int "rank of node 2 among all" 3 (Ident.rank_in ids [ 0; 1; 2; 3 ] 2);
-  check_int "rank within subset" 0 (Ident.rank_in ids [ 0; 2 ] 0)
-
 (* Differential check against the Hashtbl oracle (Validate_ref): the
    same id arrays raise in both, or in neither. Seeded random graphs,
    n = 0..30, valid assignments and their mutants. *)
@@ -124,6 +118,5 @@ let suite =
     case "lookup" test_lookup;
     case "order-preserving remap" test_order_preserving_remap;
     case "enumerate" test_enumerate;
-    case "rank_in" test_rank_in;
     case "validate = Hashtbl oracle" test_validate_differential;
   ]

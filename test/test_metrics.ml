@@ -12,11 +12,6 @@ let test_dist () =
   check_int "cycle antipodal" 3 (Metrics.dist (Builders.cycle 6) 0 3);
   check_int "self" 0 (Metrics.dist (Builders.cycle 6) 2 2)
 
-let test_all_pairs () =
-  let m = Metrics.all_pairs_dist (Builders.cycle 4) in
-  check_int "0-2" 2 m.(0).(2);
-  check_int "symmetric" m.(1).(3) m.(3).(1)
-
 let test_ball () =
   let g = Builders.path 7 in
   Alcotest.(check int_list) "ball r=2 around 3" [ 1; 2; 3; 4; 5 ] (Metrics.ball g 3 2);
@@ -71,7 +66,6 @@ let suite =
   [
     case "bfs distances" test_bfs_dist;
     case "pairwise distance" test_dist;
-    case "all pairs" test_all_pairs;
     case "balls" test_ball;
     case "eccentricity / diameter / radius" test_eccentricity_diameter_radius;
     case "girth" test_girth;

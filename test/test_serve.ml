@@ -459,9 +459,10 @@ let test_deadline_expired () =
 let test_bad_requests_get_error_responses () =
   with_server (fun socket _t ->
       Client.with_connection socket (fun c ->
-          (* runs, fails with a usage reason: an unknown decoder, and
-             any enumerator but orderly (the mask scan is an oracle,
-             not a service) *)
+          (* runs, fails with a usage reason: an unknown decoder, any
+             enumerator but orderly (the mask scan is an oracle, not a
+             service), and a graph spec past the size cap, refused
+             before anything is built *)
           List.iter
             (fun (what, kind) ->
               let resp = request_exn c (job kind) in
@@ -481,6 +482,8 @@ let test_bad_requests_get_error_responses () =
                     early_exit = false;
                     shards = 1;
                   } );
+              ( "graph spec past the cap",
+                Protocol.Check { decoder = "degree-one"; graph = "hypercube:30" } );
             ];
           (* refused at the parse layer: a future schema version, and
              the retired sweep-shard kind *)

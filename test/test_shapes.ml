@@ -168,6 +168,56 @@ let test_differential_heavy () =
   if heavy_enabled then differential ~count:30 ~seed:23 ()
 
 (* ------------------------------------------------------------------ *)
+(* a lease crossing domains                                            *)
+
+(* One pooled cache, leased on domain A by the quotiented search, then
+   released and leased on domain B by the unquotiented one, which asks
+   for ball labelings the orbit cuts spared A. A node keeps the shape
+   table its first miss resolved, so B's misses must resolve again and
+   build B's own tables: answered from A's, B would build none. *)
+let test_lease_crosses_domains () =
+  let suite = D_degree_one.suite in
+  let dec = suite.Decoder.dec in
+  let on_domain f = Domain.join (Domain.spawn f) in
+  Lcp_engine.Eval_cache.set_sharing true;
+  Fun.protect ~finally:(fun () -> Lcp_engine.Eval_cache.set_sharing false)
+  @@ fun () ->
+  List.iter
+    (fun (what, g) ->
+      let inst = Instance.make g in
+      let alphabet = suite.Decoder.adversary_alphabet inst in
+      let direct, _ =
+        Oracle.search_accepted ~cfg:(seq_cfg ()) ~verdicts:Oracle.Direct
+          ~quotient:true dec ~alphabet inst
+      in
+      let search quotient =
+        let cfg = seq_cfg () in
+        let tables0, _ = Lcp_engine.Eval_cache.shape_stats () in
+        let witness, _ =
+          Prover.search_with ~cfg ~source:(Prover.tables ~cfg ()) ~quotient dec
+            ~alphabet inst
+        in
+        let tables1, _ = Lcp_engine.Eval_cache.shape_stats () in
+        let c = Metrics_obs.counter cfg.Run_cfg.metrics in
+        (witness, c "eval_cache_misses", c "eval_cache_shared_hits", tables1 - tables0)
+      in
+      let wa, _, warm_a, built_a =
+        on_domain (fun () -> search Prover.orbit_group)
+      in
+      let wb, misses_b, warm_b, built_b =
+        on_domain (fun () -> search (fun _ _ -> None))
+      in
+      check_bool (what ^ ": domain A witness = oracle") true (wa = direct);
+      check_bool (what ^ ": domain B witness = oracle") true (wb = direct);
+      check_int (what ^ ": domain A builds the cache") 0 warm_a;
+      check_int (what ^ ": domain B leases it warm") 1 warm_b;
+      check_bool (what ^ ": domain A builds shape tables") true (built_a > 0);
+      check_bool (what ^ ": domain B misses") true (misses_b > 0);
+      check_bool (what ^ ": domain B builds its own shape tables") true
+        (built_b > 0))
+    [ ("C6", Builders.cycle 6); ("K4", Builders.complete 4) ]
+
+(* ------------------------------------------------------------------ *)
 (* pins                                                                *)
 
 let test_n8_pins () =
@@ -206,4 +256,6 @@ let suite =
       test_differential;
     slow_case "differential: 30 instances (LCP_HEAVY)" test_differential_heavy;
     slow_case "degree-one n=8 pins, warm second sweep (LCP_HEAVY)" test_n8_pins;
+    case "lease crossing domains: each domain builds its own tables"
+      test_lease_crosses_domains;
   ]

@@ -44,10 +44,6 @@ let test_nb_search_theta () =
   | Some w -> check_bool "4-cycle found" true (Walks.is_non_backtracking g w)
   | None -> Alcotest.fail "theta(2,2,2) has 4-cycles"
 
-let test_closed_walk_around_cycle () =
-  let w = Walks.closed_walk_around_cycle (c5 ()) [ 0; 1; 2; 3; 4 ] 2 in
-  Alcotest.(check int_list) "rotated" [ 2; 3; 4; 0; 1 ] w
-
 let test_splice () =
   let g = c6 () in
   let tour = [ 0; 1; 2; 3; 4; 5 ] in
@@ -69,14 +65,6 @@ let test_parity () =
   check_bool "odd" true (Walks.parity [ 0; 1; 2 ] = `Odd);
   check_bool "even" true (Walks.parity [ 0; 1; 2; 3 ] = `Even)
 
-let test_concat () =
-  Alcotest.(check int_list) "joined" [ 0; 1; 2; 3 ]
-    (Walks.concat_path_walk [ 0; 1; 2 ] [ 2; 3 ]);
-  (try
-     ignore (Walks.concat_path_walk [ 0; 1 ] [ 2; 3 ]);
-     Alcotest.fail "expected mismatch failure"
-   with Invalid_argument _ -> ())
-
 let suite =
   [
     case "is_walk" test_is_walk;
@@ -84,9 +72,7 @@ let suite =
     case "non-backtracking predicate" test_non_backtracking;
     case "nb closed walk search" test_nb_search;
     case "nb search in theta" test_nb_search_theta;
-    case "closed walk around a cycle" test_closed_walk_around_cycle;
     case "splice" test_splice;
     case "splice rejects bad insert" test_splice_rejects;
     case "parity" test_parity;
-    case "concat path walk" test_concat;
   ]
