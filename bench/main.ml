@@ -521,14 +521,16 @@ let series_sync () =
 (* mask-scan oracle vs the pairwise-isomorphism oracle, all            *)
 (* sequential so the rows compare enumerators, not parallelism. The    *)
 (* mask scan stops at n = 7 (the n = 8 mask space is 2^28) and the     *)
-(* pairwise dedup at n = 6 (quadratic in the class count).            *)
+(* pairwise dedup at n = 6 (quadratic in the class count). The n = 9   *)
+(* orderly row (261,080 classes, seconds per rep) runs once, outside   *)
+(* --fast.                                                             *)
 
 let series_enumerate ~fast () =
   let cfg = Run_cfg.sequential bench_cfg in
   List.concat_map
     (fun n ->
       let side layer list =
-        let reps = if n >= 7 && layer <> "orderly" then 1 else 3 in
+        let reps = if n >= 9 || (n >= 7 && layer <> "orderly") then 1 else 3 in
         let classes, walls =
           measure ~reps (fun () ->
               Sweep.clear_cache ();
@@ -567,7 +569,7 @@ let series_enumerate ~fast () =
              (fun (c, _) -> List.equal Graph.equal reference c)
              sides)
           rows)
-    (if fast then [ 4; 5; 6 ] else [ 4; 5; 6; 7; 8 ])
+    (if fast then [ 4; 5; 6 ] else [ 4; 5; 6; 7; 8; 9 ])
 
 (* A certificate-search A/B over every connected non-bipartite class on
    [n] nodes, per decoder in [suites] and [n] in [sizes]. A side is

@@ -818,8 +818,10 @@ let sweep_cmd =
   let inject_kill =
     count_opt ~docv:"I" 0 [ "inject-kill" ]
       "Fault injection for tests and CI (coordinated subprocess mode): \
-       SIGKILL shard $(docv)'s first worker once its checkpoint file \
-       exists, then let supervision recover it."
+       run shard $(docv)'s first worker with --max-chunks 1 and SIGKILL \
+       it if it is still running once its checkpoint file exists, then \
+       let supervision restart it (once, for a shard of more than one \
+       chunk)."
   in
   let max_chunks =
     count_opt 1 [ "max-chunks" ]

@@ -44,6 +44,9 @@ type scratch = {
   lrow : int array;
       (* label-space rows: bit [m] of [lrow.(x)] iff [x] is adjacent to
          [vert_of.(m)]; kept for the unplaced vertices only *)
+  twin : int array;
+      (* [twin.(x)]: the vertices [y <> x] with N(x)\{y} = N(y)\{x};
+         all zero in the collecting pass *)
   mutable best : int;
   mutable collect : bool;
   mutable wits : int array list;
@@ -60,6 +63,7 @@ let make_scratch () =
     pool = a ();
     vert_of = a ();
     lrow = a ();
+    twin = a ();
     best = 0;
     collect = false;
     wits = [];
@@ -165,7 +169,16 @@ let bases =
    same slots cannot be completed into a smaller mask and is
    abandoned; the prune keeps ties, so with the incumbent pinned at
    the true minimum ([s.collect]) the leaves reached are exactly the
-   min-achieving bijections, recorded in discovery order. *)
+   min-achieving bijections, recorded in discovery order.
+
+   Twins are tried once per node: if [x] and [y] are unplaced twins,
+   the transposition (x y) is an automorphism fixing every placed
+   vertex, so it maps the subtree under [x] onto the subtree under [y]
+   leaf for leaf with equal masks (and [lrow.(x) = lrow.(y)], so the
+   bound treats both alike). Trying [x] — even when the bound prunes
+   it — therefore removes its twins from the candidates. The
+   collecting pass must reach every leaf and runs with [s.twin]
+   cleared. *)
 let rec place s ~n adj bases label assigned partial =
   if label < 0 then begin
     if s.collect then begin
@@ -181,6 +194,7 @@ let rec place s ~n adj bases label assigned partial =
       let b = !cand land - !cand in
       cand := !cand lxor b;
       let x = bit_index b in
+      cand := !cand land lnot s.twin.(x);
       let partial = partial lor ((lrow.(x) lsr shift) lsl base) in
       (* lsr/lsl are right-associative: parens required *)
       if partial <= (s.best lsr base) lsl base then begin
@@ -203,6 +217,23 @@ let rec place s ~n adj bases label assigned partial =
       end
     done
   end
+
+let clear_twins s n = Array.fill s.twin 0 n 0
+
+(* [s.twin.(x)] for every vertex, once per call: twinship depends on
+   the graph alone, not on what is placed *)
+let fill_twins s n adj =
+  clear_twins s n;
+  for x = 0 to n - 1 do
+    let bx = 1 lsl x in
+    for y = x + 1 to n - 1 do
+      let by = 1 lsl y in
+      if adj.(x) land lnot by = adj.(y) land lnot bx then begin
+        s.twin.(x) <- s.twin.(x) lor by;
+        s.twin.(y) <- s.twin.(y) lor bx
+      end
+    done
+  done
 
 (* [s.lrow] is all zero between searches: every placement is undone *)
 let search s ~n adj ~collect ~init =
@@ -233,7 +264,9 @@ let witnesses ~n adj =
   else begin
     let s = acquire () in
     refined_cells s n adj;
+    fill_twins s n adj;
     let best = search s ~n adj ~collect:false ~init:max_int in
+    clear_twins s n;
     ignore (search s ~n adj ~collect:true ~init:best);
     let wits = List.rev s.wits in
     release s;
@@ -246,6 +279,7 @@ let canonical_mask ~n adj =
   else begin
     let s = acquire () in
     refined_cells s n adj;
+    fill_twins s n adj;
     let best = search s ~n adj ~collect:false ~init:max_int in
     release s;
     best
@@ -257,6 +291,7 @@ let min_mask ?(init = max_int) ~n adj =
   else begin
     let s = acquire () in
     one_cell s n;
+    fill_twins s n adj;
     let best = search s ~n adj ~collect:false ~init in
     release s;
     best

@@ -23,7 +23,17 @@
     permutation is abandoned as soon as those bits exceed the
     incumbent best on the same slots, which collapses the
     [Π |cell|!] permutation budget to a handful of explored branches
-    on all but highly regular graphs. The kernel
+    on all but highly regular graphs.
+
+    Twins are tried once per search node: when unplaced [x] and [y]
+    have [N(x)∖{y} = N(y)∖{x}], the transposition [(x y)] is an
+    automorphism fixing every placed vertex, and both have the same
+    label-space row, so the subtrees under [x] and [y] reach the same
+    masks and only the first member of each twin set is tried (the
+    others are skipped even when the bound prunes the first). That
+    turns [K_n] and the empty graph from [n!] leaves into one path.
+    The pruning is off in the collecting pass of {!witnesses}, which
+    must reach every min-achieving leaf. The kernel
     works in per-domain scratch ([Domain.DLS]) and allocates nothing
     but the witnesses it returns, so it is safe to call from pool
     domains; a systhread that finds its domain's scratch in use gets

@@ -63,19 +63,33 @@ type state =
   | Running of { pid : int; attempt : int; started : float }
   | Finished of Checkpoint.t
 
-let worker_argv c ~bin i =
-  [|
-    bin; "sweep"; c.decoder;
-    "-n"; string_of_int c.n;
-    "-j"; string_of_int c.jobs;
-    "--shards"; string_of_int c.shards;
-    "--shard"; string_of_int i;
-    "--checkpoint"; shard_path ~dir:c.dir i;
-    "--resume";
-  |]
+(* The injected fault's target attempt stops after one chunk
+   ([--max-chunks 1]), so it cannot finish a shard of two or more
+   chunks however fast it runs: it exits with an incomplete checkpoint
+   unless the supervision loop SIGKILLs it first, and either way the
+   shard is restarted exactly once. *)
+let worker_argv c ~bin i ~attempt =
+  let preempt =
+    if c.inject_kill = Some i && attempt = 1 then [| "--max-chunks"; "1" |]
+    else [||]
+  in
+  Array.append
+    [|
+      bin; "sweep"; c.decoder;
+      "-n"; string_of_int c.n;
+      "-j"; string_of_int c.jobs;
+      "--shards"; string_of_int c.shards;
+      "--shard"; string_of_int i;
+      "--checkpoint"; shard_path ~dir:c.dir i;
+      "--resume";
+    |]
+    preempt
 
 let spawn_child c ~devnull ~bin i ~attempt =
-  let pid = Unix.create_process bin (worker_argv c ~bin i) devnull devnull devnull in
+  let pid =
+    Unix.create_process bin (worker_argv c ~bin i ~attempt) devnull devnull
+      devnull
+  in
   c.on_spawn ~shard:i ~attempt ~pid;
   pid
 
@@ -199,10 +213,12 @@ let run ?(cfg = R.default) c =
             | Running r -> (
                 match poll_handle r.pid paths.(i) with
                 | `Running -> (
-                    (* deterministic fault injection: SIGKILL the
-                       target shard's first attempt once its checkpoint
-                       exists (the worker writes one before its first
-                       chunk, so this fires early without racing) *)
+                    (* fault injection: SIGKILL the target shard's
+                       first attempt if a poll finds it running with
+                       its checkpoint on disk. A poll can miss a fast
+                       worker; its [--max-chunks 1] then makes it exit
+                       with an incomplete checkpoint, which the reap
+                       path restarts the same way *)
                     (match c.inject_kill with
                     | Some k
                       when k = i && r.attempt = 1 && (not !injected)

@@ -72,8 +72,13 @@ type config = {
   backoff_max_s : float;
   max_restarts : int;  (** per-shard restart budget *)
   inject_kill : int option;
-      (** test/CI fault injection: SIGKILL this shard's first worker
-          once its checkpoint file exists *)
+      (** test/CI fault injection: this shard's first worker runs with
+          [--max-chunks 1] and is SIGKILLed if a poll finds it running
+          with its checkpoint on disk. Either way it leaves an
+          incomplete checkpoint and the shard is restarted exactly
+          once — provided the shard spans more than one checkpoint
+          chunk (more than 32 classes at [jobs <= 8]); a one-chunk
+          shard can finish before any poll and is not restarted. *)
   on_spawn : shard:int -> attempt:int -> pid:int -> unit;
       (** observation hook, called after every worker launch *)
 }

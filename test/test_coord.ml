@@ -159,8 +159,8 @@ let test_kill_restart_recovers () =
     }
   in
   let o = run_exn config in
-  check_bool "the injected kill forced a restart" true
-    (o.Coordinator.restarts >= 1);
+  check_int "the injected kill forced exactly one restart" 1
+    o.Coordinator.restarts;
   check_bool "shard 0 was attempted at least twice" true
     (List.exists
        (fun r ->
@@ -170,6 +170,30 @@ let test_kill_restart_recovers () =
     (List.mem (0, 2) !spawns);
   check_str "merged report survives the kill byte-for-byte"
     (reference_report ~decoder:"degree-one" ~n:7)
+    (Json.to_string_pretty o.Coordinator.report)
+
+(* The injection cannot miss a worker that finishes between two polls:
+   here each n=6 shard worker runs well under one 0.5 s poll interval,
+   so no poll finds the target running, and its one-chunk budget
+   (every n=6 shard spans two 32-class chunks) still leaves an
+   incomplete checkpoint for the reap path to restart. *)
+let test_kill_restart_fast_shard () =
+  with_dir @@ fun dir ->
+  let config =
+    {
+      (Coordinator.default_config ~decoder:"degree-one" ~n:6 ~shards:2 ~dir)
+      with
+      Coordinator.executor = Coordinator.Subprocess { bin = lcp_bin };
+      poll_s = 0.5;
+      backoff_base_s = 0.01;
+      inject_kill = Some 1;
+    }
+  in
+  let o = run_exn config in
+  check_int "exactly one restart" 1 o.Coordinator.restarts;
+  check_int "two shard launches plus the restart" 3 o.Coordinator.launched;
+  check_str "merged report survives the injection byte-for-byte"
+    (reference_report ~decoder:"degree-one" ~n:6)
     (Json.to_string_pretty o.Coordinator.report)
 
 (* ------------------------------------------------------------------ *)
@@ -355,6 +379,8 @@ let suite =
       test_subprocess_matches_unsharded;
     slow_case "injected SIGKILL: restart from checkpoint, identical report"
       test_kill_restart_recovers;
+    slow_case "injected fault on a shard shorter than a poll: one restart"
+      test_kill_restart_fast_shard;
     slow_case "merge refuses an incomplete shard, naming its heartbeat"
       test_merge_refuses_incomplete_shard;
     slow_case "a preempted checkpoint resumes to the identical report"

@@ -152,10 +152,22 @@ let shuffle st n =
   done;
   p
 
+(* the kernel's canonical_mask and min_mask (with and without an
+   [init] seed) equal the oracle's on [adj]; returns the canonical
+   mask *)
+let check_masks_against_ref ~what ~n adj =
+  let cm = Canon_ref.canonical_mask ~n adj in
+  check_int ("canonical_mask, " ^ what) cm (Canon.canonical_mask ~n adj);
+  check_int ("min_mask, " ^ what) (Canon_ref.min_mask ~n adj)
+    (Canon.min_mask ~n adj);
+  check_int ("min_mask ~init, " ^ what)
+    (Canon_ref.min_mask ~init:cm ~n adj)
+    (Canon.min_mask ~init:cm ~n adj);
+  cm
+
 (* every class on [n] nodes, as listed and under [relabelings] seeded
-   random relabelings: the kernel's canonical_mask, min_mask (with and
-   without an [init] seed) and witnesses (same list, same order)
-   equal the oracle's *)
+   random relabelings: the masks above, and witnesses (same list, same
+   order) equal the oracle's *)
 let check_canon_against_ref ~relabelings n =
   let st = Random.State.make [| 13; n |] in
   let masks, _ = Orderly.generate ~connected:false n in
@@ -165,13 +177,7 @@ let check_canon_against_ref ~relabelings n =
       for r = 0 to relabelings do
         let adj = if r = 0 then listed else relabel_adj n listed (shuffle st n) in
         let what = Printf.sprintf "n=%d class %d relabeling %d" n mask r in
-        let cm = Canon_ref.canonical_mask ~n adj in
-        check_int ("canonical_mask, " ^ what) cm (Canon.canonical_mask ~n adj);
-        check_int ("min_mask, " ^ what) (Canon_ref.min_mask ~n adj)
-          (Canon.min_mask ~n adj);
-        check_int ("min_mask ~init, " ^ what)
-          (Canon_ref.min_mask ~init:cm ~n adj)
-          (Canon.min_mask ~init:cm ~n adj);
+        let cm = check_masks_against_ref ~what ~n adj in
         let ref_best, ref_wits = Canon_ref.witnesses ~n adj in
         let best, wits = Canon.witnesses ~n adj in
         check_int ("witnesses mask, " ^ what) ref_best best;
@@ -189,6 +195,56 @@ let test_canon_matches_ref () =
 let test_canon_matches_ref_n8 () =
   if heavy_enabled then check_canon_against_ref ~relabelings:1 8
 
+(* Twin-rich graphs, where the kernel's twin pruning cuts the most:
+   complete, complete bipartite and complete tripartite graphs, stars
+   and the empty graph, as built and under seeded relabelings. Against
+   the oracle up to order 8, where its unpruned search (every one of
+   the n! tying leaves of K_n) stays small; K_n and the empty graph
+   against their closed forms up to order 11. *)
+let twin_rich =
+  let k222 =
+    Graph.of_edges 6
+      (List.concat_map
+         (fun u ->
+           List.filter_map
+             (fun v -> if u < v && u / 2 <> v / 2 then Some (u, v) else None)
+             (List.init 6 Fun.id))
+         (List.init 6 Fun.id))
+  in
+  [ ("K_{2,2,2}", k222); ("empty 8", Graph.of_edges 8 []) ]
+  @ List.map (fun n -> (Printf.sprintf "K_%d" n, Builders.complete n)) [ 2; 5; 8 ]
+  @ List.map
+      (fun (a, b) ->
+        (Printf.sprintf "K_{%d,%d}" a b, Builders.complete_bipartite a b))
+      [ (1, 1); (2, 3); (3, 3); (2, 6); (4, 4) ]
+  @ List.map (fun n -> (Printf.sprintf "star %d" n, Builders.star n)) [ 3; 5; 7 ]
+
+let test_canon_twin_rich () =
+  let st = Random.State.make [| 29 |] in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.order g in
+      let listed = Chunk.adj_of_graph g in
+      for r = 0 to 2 do
+        let adj = if r = 0 then listed else relabel_adj n listed (shuffle st n) in
+        let what = Printf.sprintf "%s relabeling %d" name r in
+        ignore (check_masks_against_ref ~what ~n adj)
+      done)
+    twin_rich;
+  (* K_n has one edge mask and the empty graph another, whatever the
+     order: all slots set, no slot set *)
+  for n = 0 to Canon.max_order do
+    let full = (1 lsl Chunk.slots n) - 1 in
+    let kn = Chunk.adj_of_graph (Builders.complete n) in
+    check_int (Printf.sprintf "canonical_mask K_%d" n) full
+      (Canon.canonical_mask ~n kn);
+    check_int (Printf.sprintf "min_mask K_%d" n) full (Canon.min_mask ~n kn);
+    let empty = Array.make n 0 in
+    check_int (Printf.sprintf "canonical_mask, empty %d" n) 0
+      (Canon.canonical_mask ~n empty);
+    check_int (Printf.sprintf "min_mask, empty %d" n) 0 (Canon.min_mask ~n empty)
+  done
+
 let test_canon_scratch_per_domain () =
   (* the kernel's scratch is per domain: concurrent calls on pool
      domains agree with the sequential ones *)
@@ -199,6 +255,37 @@ let test_canon_scratch_per_domain () =
         (Canon.canonical_mask ~n:6 adj, Canon.witnesses ~n:6 adj))
   in
   check_bool "canon on 4 domains = sequential" true (run 1 = run 4)
+
+(* ------------------------------------------------------------------ *)
+(* Orderly vs the unscreened extension (Orderly_ref)                    *)
+
+(* same listing, same tallies, connected or not *)
+let check_orderly_against_ref n =
+  List.iter
+    (fun connected ->
+      let what = Printf.sprintf "n=%d connected=%b" n connected in
+      let masks, t = Orderly.generate ~connected n in
+      let ref_masks, ref_t = Orderly_ref.generate ~connected n in
+      if masks <> ref_masks then
+        Alcotest.failf "listing differs from the unscreened reference, %s" what;
+      check_int ("candidates, " ^ what) ref_t.Orderly.candidates
+        t.Orderly.candidates;
+      check_int ("dedup hits, " ^ what) ref_t.Orderly.dedup_hits
+        t.Orderly.dedup_hits;
+      check_int ("classes_all, " ^ what) ref_t.Orderly.classes_all
+        t.Orderly.classes_all;
+      check_int ("connected classes, " ^ what) ref_t.Orderly.connected_classes
+        t.Orderly.connected_classes;
+      check_int ("classes, " ^ what) ref_t.Orderly.classes t.Orderly.classes)
+    [ true; false ]
+
+let test_orderly_matches_ref () =
+  for n = 0 to 7 do
+    check_orderly_against_ref n
+  done
+
+let test_orderly_matches_ref_n8 () =
+  if heavy_enabled then check_orderly_against_ref 8
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
@@ -287,13 +374,16 @@ let test_orderly_oeis_counts () =
 
 (* cumulative over the levels; the canonical-augmentation filters may
    skip canonicalizations but never change what is counted *)
-let test_orderly_tallies () =
+let check_orderly_tallies =
   List.iter
     (fun (n, candidates, dedup) ->
       let _, t = Orderly.generate ~connected:true n in
       check_int (Printf.sprintf "candidates n=%d" n) candidates
         t.Orderly.candidates;
       check_int (Printf.sprintf "dedup hits n=%d" n) dedup t.Orderly.dedup_hits)
+
+let test_orderly_tallies () =
+  check_orderly_tallies
     [
       (1, 0, 0);
       (2, 2, 0);
@@ -303,6 +393,11 @@ let test_orderly_tallies () =
       (6, 1306, 644);
       (7, 11_290, 5_532);
     ]
+
+(* n = 8 is the first order where two sibling children from distinct
+   Aut(parent) orbits can be isomorphic, so this pin catches a screen
+   that counts a colliding child as a new class *)
+let test_orderly_tallies_n8 () = check_orderly_tallies [ (8, 144_922, 59_944) ]
 
 let test_orderly_deterministic_in_jobs () =
   let gen jobs =
@@ -715,8 +810,13 @@ let suite =
     slow_case "11117 classes on n=8 (LCP_HEAVY)" test_n8_frontier;
     slow_case "261080 classes on n=9 (LCP_HEAVY)" test_n9_frontier;
     case "canon kernel = list-based oracle, n<=7" test_canon_matches_ref;
+    case "canon kernel = list-based oracle, twin-rich graphs" test_canon_twin_rich;
     case "canon scratch is per domain" test_canon_scratch_per_domain;
+    case "orderly = unscreened reference, n<=7" test_orderly_matches_ref;
     case "orderly tallies pinned, n<=7" test_orderly_tallies;
+    case "orderly tallies pinned, n=8" test_orderly_tallies_n8;
     slow_case "canon kernel = list-based oracle, n=8 (LCP_HEAVY)"
       test_canon_matches_ref_n8;
+    slow_case "orderly = unscreened reference, n=8 (LCP_HEAVY)"
+      test_orderly_matches_ref_n8;
   ]
