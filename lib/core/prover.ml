@@ -5,21 +5,47 @@ module Run_cfg = Lcp_obs.Run_cfg
 (* ------------------------------------------------------------------ *)
 (* assignment order and coverage schedule                              *)
 
+(* Every node's radius-r ball, ascending: one bounded BFS per node
+   over an n-sized distance array and queue shared by all of them. *)
+let balls g ~r =
+  let n = Graph.order g in
+  let dist = Array.make n (-1) and queue = Array.make n 0 in
+  Array.init n (fun v ->
+      dist.(v) <- 0;
+      queue.(0) <- v;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let x = queue.(!head) in
+        incr head;
+        if dist.(x) < r then
+          Graph.iter_neighbors
+            (fun y ->
+              if dist.(y) < 0 then begin
+                dist.(y) <- dist.(x) + 1;
+                queue.(!tail) <- y;
+                incr tail
+              end)
+            g x
+      done;
+      let ball = Array.sub queue 0 !tail in
+      Array.iter (fun w -> dist.(w) <- -1) ball;
+      Array.sort Int.compare ball;
+      ball)
+
 (* Ball-completion order: repeatedly pick the center whose radius-r
    ball has the fewest unassigned nodes left (ties to the smallest
    center), then assign its missing nodes in ascending order. Coverage
    pruning can only fire once some ball is fully labeled, so finishing
    the cheapest ball first moves the first checkable node as high up
    the backtracking tree as possible. Deterministic by construction. *)
-let ball_completion_order g ~r =
-  let n = Graph.order g in
-  let balls = Array.init n (fun u -> Metrics.ball g u r) in
+let completion_order balls =
+  let n = Array.length balls in
   let assigned = Array.make n false in
   let completed = Array.make n false in
   let order = Array.make n 0 in
   let pos = ref 0 in
   let remaining c =
-    List.fold_left (fun k w -> if assigned.(w) then k else k + 1) 0 balls.(c)
+    Array.fold_left (fun k w -> if assigned.(w) then k else k + 1) 0 balls.(c)
   in
   for _ = 1 to n do
     let best = ref (-1) and best_rem = ref max_int in
@@ -33,7 +59,7 @@ let ball_completion_order g ~r =
       end
     done;
     let c = !best in
-    List.iter
+    Array.iter
       (fun w ->
         if not assigned.(w) then begin
           assigned.(w) <- true;
@@ -46,19 +72,20 @@ let ball_completion_order g ~r =
   assert (!pos = n);
   order
 
+let ball_completion_order g ~r = completion_order (balls g ~r)
+
 (* Nodes whose entire radius-r ball lies within the first [i + 1]
    assigned nodes become checkable at step [i] of the given order. *)
-let coverage_schedule g ~r ~order =
-  let n = Graph.order g in
+let coverage_schedule balls ~order =
+  let n = Array.length balls in
   let step_of = Array.make n 0 in
   Array.iteri (fun i v -> step_of.(v) <- i) order;
   let newly_covered = Array.make n [] in
-  for u = 0 to n - 1 do
-    let ball = Metrics.ball g u r in
-    let last = List.fold_left (fun acc w -> max acc step_of.(w)) 0 ball in
+  for u = n - 1 downto 0 do
+    let last = Array.fold_left (fun acc w -> max acc step_of.(w)) 0 balls.(u) in
     newly_covered.(last) <- u :: newly_covered.(last)
   done;
-  Array.map List.rev newly_covered
+  Array.map Array.of_list newly_covered
 
 (* ------------------------------------------------------------------ *)
 (* verdict sources and the orbit quotient                              *)
@@ -154,7 +181,7 @@ let tables ?cfg () =
       (fun dec ~alphabet inst k ->
         let lease =
           Lcp_engine.Eval_cache.acquire
-            ~key:(share_key dec ~alphabet inst)
+            ~key:(lazy (share_key dec ~alphabet inst))
             ~shapes:(orbit_eligible dec inst) ~radius:dec.Decoder.radius
             ~accepts:dec.Decoder.accepts ~alphabet inst
         in
@@ -179,8 +206,9 @@ let orbit_group dec (inst : Instance.t) =
 let iter_with ?tally ?cfg ~accepts ~group dec ~alphabet (inst : Instance.t) f =
   let g = inst.Instance.graph in
   let r = dec.Decoder.radius in
-  let order = ball_completion_order g ~r in
-  let schedule = coverage_schedule g ~r ~order in
+  let balls = balls g ~r in
+  let order = completion_order balls in
+  let schedule = coverage_schedule balls ~order in
   (* the prefix-minimality trie along the ball-completion order; none
      when there is no group to quotient by *)
   let sym =
@@ -193,7 +221,6 @@ let iter_with ?tally ?cfg ~accepts ~group dec ~alphabet (inst : Instance.t) f =
      [Run_cfg.count] would take the registry lock inside the hottest
      loop of the search. *)
   let sym_cuts = ref 0 in
-  let schedule = Array.map Array.of_list schedule in
   let prune i lab rk =
     (match tally with Some t -> incr t | None -> ());
     if

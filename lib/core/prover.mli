@@ -136,7 +136,8 @@ val tables : ?cfg:Lcp_obs.Run_cfg.t -> unit -> source
     {!Lcp_engine.Eval_cache.acquire}, keyed by everything a verdict
     depends on besides the labels (decoder name and radius, alphabet,
     graph, identifiers, ports), so a process that enabled cache sharing
-    (the serve daemon does) reuses already-populated tables. Queries
+    (the serve daemon does) reuses already-populated tables; the key
+    is built only when sharing is on. Queries
     are keyed by the ranks alone. For an {!orbit_eligible} decoder the
     lease's misses go through the per-domain shape tables
     ([~shapes:true]), which every instance of the same view shape

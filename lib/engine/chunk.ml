@@ -35,16 +35,7 @@ let wide_mask_of_graph g =
     invalid_arg "Chunk.wide_mask_of_graph: order too large";
   Graph.fold_edges (fun u v m -> m lor (1 lsl slot_index n u v)) g 0
 
-let graph_of_mask n mask =
-  let es = ref [] in
-  let i = ref 0 in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if mask land (1 lsl !i) <> 0 then es := (u, v) :: !es;
-      incr i
-    done
-  done;
-  Graph.of_edges n !es
+let graph_of_mask n mask = Graph.of_bitsets (adj_of_mask n mask)
 
 let is_connected_adj adj =
   let n = Array.length adj in

@@ -11,9 +11,10 @@ open Lcp_local
 
    is a finite function with |alphabet|^|ball v| entries. The table for
    node v memoizes it, keyed by the ranks of the ball labels packed as
-   a base-|Σ| integer. Misses are evaluated by swapping the candidate labels into a
-   view skeleton extracted once per node — no per-query BFS, sorting or
-   graph construction. *)
+   a base-|Σ| integer. Misses are evaluated by swapping the candidate
+   labels into a view skeleton extracted once per node, at its first
+   decode — no per-query BFS, sorting or graph construction. A node
+   whose misses the shape level answers never extracts one. *)
 
 type store =
   | Dense of Bytes.t
@@ -27,7 +28,8 @@ type store =
 type node_tab = {
   globals : int array;
       (* globals.(u) = instance node behind local view node u *)
-  skeleton : View.t; (* extracted once; labels swapped per miss *)
+  mutable skeleton : View.t option;
+      (* extracted at the node's first decode; labels swapped per miss *)
   store : store;
   shape : int;
       (* the view's shape (order and local edge mask, packed); -1 when
@@ -45,6 +47,8 @@ type scope = { radius : int; symbols : string; id_bound : int }
 
 type t = {
   accepts : View.t -> bool;
+  inst : Instance.t;
+  radius : int;
   sym : (string, int) Hashtbl.t;
   sigma : int;
   nodes : node_tab array;
@@ -89,7 +93,7 @@ let pow_opt base e =
 (* the shape level
 
    For a decoder that is anonymous and port-invariant, a node's verdict
-   is a function of its view up to ids and ports. [View.extract] lays
+   is a function of its view up to ids and ports. [View.layout] lays
    every view out in a label-independent (dist, id) local order, so two
    nodes whose views have the same order, the same edges in local
    order, the same radius and the same id bound have views that differ
@@ -150,12 +154,13 @@ let shape_stats () = (Sync.A.get tables_built, Sync.A.get entries_filled)
 (* The view's order and its edges as a bit mask over local pairs
    (a < b: bit b(b-1)/2 + a), packed into one int: 4 bits of order and
    at most 55 mask bits for an order <= [Canon.max_order]. *)
-let shape_of (v : View.t) =
-  let mask = ref 0 in
-  Graph.iter_edges
-    (fun a b -> mask := !mask lor (1 lsl ((b * (b - 1) / 2) + a)))
-    v.View.graph;
-  (!mask lsl 4) lor Graph.order v.View.graph
+let shape_of (lay : View.layout) =
+  let mask =
+    List.fold_left
+      (fun mask (a, b) -> mask lor (1 lsl ((b * (b - 1) / 2) + a)))
+      0 lay.View.edges
+  in
+  (mask lsl 4) lor Array.length lay.View.ball
 
 let same_scope t s =
   s.owner == t.accepts
@@ -237,18 +242,14 @@ let create ?(dense_limit = default_dense_limit) ?(shapes = false) ~radius
     end
   in
   let n = Graph.order inst.Instance.graph in
+  let scratch = Array.make n (-1) in
   let nodes =
     Array.init n (fun v ->
-        let skeleton = View.extract inst ~r:radius v in
-        let m = Graph.order skeleton.View.graph in
-        (* the view's canonical (dist, id) order is label-independent,
-           so the local -> global map is fixed for the instance *)
-        let globals =
-          Array.init m (fun u ->
-              match Ident.node_of_id inst.Instance.ids skeleton.View.ids.(u) with
-              | Some w -> w
-              | None -> assert false (* view ids come from the instance *))
-        in
+        (* the view's (dist, id) local order is label-independent, so
+           the local -> global map is fixed for the instance *)
+        let lay = View.layout ~scratch inst ~r:radius v in
+        let globals = lay.View.ball in
+        let m = Array.length globals in
         let space = pow_opt sigma m in
         let store =
           match space with
@@ -262,17 +263,25 @@ let create ?(dense_limit = default_dense_limit) ?(shapes = false) ~radius
           if
             scope <> None && m <= Canon.max_order && space > 0
             && space <= shape_table_limit
-          then shape_of skeleton
+          then shape_of lay
           else -1
         in
-        { globals; skeleton; store; shape; space; shared = None })
+        { globals; skeleton = None; store; shape; space; shared = None })
   in
-  { accepts; sym; sigma; nodes; scope; hits = 0; misses = 0 }
+  { accepts; inst; radius; sym; sigma; nodes; scope; hits = 0; misses = 0 }
 
 (* Evaluate by swapping the candidate ball labels into the skeleton:
    structure, ports and ids are reused, only the label array is fresh. *)
 let decode t tab (lab : Labeling.t) =
-  t.accepts (View.mapi_labels tab.skeleton (fun u _ -> lab.(tab.globals.(u))))
+  let skeleton =
+    match tab.skeleton with
+    | Some s -> s
+    | None ->
+        let s = View.extract t.inst ~r:t.radius tab.globals.(0) in
+        tab.skeleton <- Some s;
+        s
+  in
+  t.accepts (View.mapi_labels skeleton (fun u _ -> lab.(tab.globals.(u))))
 
 (* A per-instance miss: counted here whichever way it is answered, so
    the hit/miss split never depends on the shape level. [key] is the
@@ -409,7 +418,7 @@ type lease = {
 let pool : (string, slot) Hashtbl.t = Hashtbl.create 64
 let pool_lock = Sync.mutex "engine/eval_cache.pool"
 let pool_guard = Sync.Var.make "engine/eval_cache.pool.table" ()
-let sharing = ref false
+let sharing = Atomic.make false (* written under the pool lock *)
 
 let locked f =
   Sync.with_lock pool_lock (fun () ->
@@ -418,7 +427,7 @@ let locked f =
 
 let set_sharing on =
   locked (fun () ->
-      sharing := on;
+      Atomic.set sharing on;
       if not on then Hashtbl.reset pool)
 
 let shared_size () = locked (fun () -> Hashtbl.length pool)
@@ -436,58 +445,63 @@ let acquire ~key ?dense_limit ?(shapes = false) ~radius ~accepts ~alphabet inst
   let fits slot =
     slot.cached.accepts == accepts && Option.is_some slot.cached.scope = shapes
   in
-  let existing =
-    locked (fun () ->
-        if not !sharing then `Disabled
-        else
+  (* a one-shot run never pools, so it never builds the key *)
+  if not (Atomic.get sharing) then private_lease (build ())
+  else begin
+    let key = Lazy.force key in
+    (* sharing may be switched off from here on: that empties the pool,
+       so the lookup misses and the claim below fails *)
+    let existing =
+      locked (fun () ->
           match Hashtbl.find_opt pool key with
           | Some slot when (not slot.in_use) && fits slot ->
               slot.in_use <- true;
               `Leased slot
           | Some _ -> `Busy
           | None -> `Absent)
-  in
-  match existing with
-  | `Disabled | `Busy -> private_lease (build ())
-  | `Leased slot ->
-      (* we are the exclusive holder now: stats reads and the guard
-         touch happen outside the pool lock on purpose — the lease IS
-         the synchronization, and [lcp race] checks exactly that *)
-      Sync.Var.touch slot.guard;
-      (* the slots point into the previous holder's domain's tables *)
-      Array.iter (fun tab -> tab.shared <- None) slot.cached.nodes;
-      let hits, misses = stats slot.cached in
-      {
-        cache = slot.cached;
-        warm = true;
-        base_hits = hits;
-        base_misses = misses;
-        slot = Some slot;
-      }
-  | `Absent -> (
-      (* build outside the lock; on a race the loser keeps a private
-         cache, which is merely a missed reuse, never a shared mutation *)
-      let cache = build () in
-      let slot =
+    in
+    match existing with
+    | `Busy -> private_lease (build ())
+    | `Leased slot ->
+        (* we are the exclusive holder now: stats reads and the guard
+           touch happen outside the pool lock on purpose — the lease IS
+           the synchronization, and [lcp race] checks exactly that *)
+        Sync.Var.touch slot.guard;
+        (* the slots point into the previous holder's domain's tables *)
+        Array.iter (fun tab -> tab.shared <- None) slot.cached.nodes;
+        let hits, misses = stats slot.cached in
         {
-          in_use = true;
-          cached = cache;
-          guard = Sync.Var.make ("engine/eval_cache.slot/" ^ key) ();
+          cache = slot.cached;
+          warm = true;
+          base_hits = hits;
+          base_misses = misses;
+          slot = Some slot;
         }
-      in
-      let claimed =
-        locked (fun () ->
-            if !sharing && not (Hashtbl.mem pool key) then begin
-              Hashtbl.replace pool key slot;
-              true
-            end
-            else false)
-      in
-      match claimed with
-      | true ->
-          Sync.Var.touch slot.guard;
-          { cache; warm = false; base_hits = 0; base_misses = 0; slot = Some slot }
-      | false -> private_lease cache)
+    | `Absent -> (
+        (* build outside the lock; on a race the loser keeps a private
+           cache, which is merely a missed reuse, never a shared mutation *)
+        let cache = build () in
+        let slot =
+          {
+            in_use = true;
+            cached = cache;
+            guard = Sync.Var.make ("engine/eval_cache.slot/" ^ key) ();
+          }
+        in
+        let claimed =
+          locked (fun () ->
+              if Atomic.get sharing && not (Hashtbl.mem pool key) then begin
+                Hashtbl.replace pool key slot;
+                true
+              end
+              else false)
+        in
+        match claimed with
+        | true ->
+            Sync.Var.touch slot.guard;
+            { cache; warm = false; base_hits = 0; base_misses = 0; slot = Some slot }
+        | false -> private_lease cache)
+  end
 
 let lease_cache l = l.cache
 let lease_warm l = l.warm

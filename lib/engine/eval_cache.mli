@@ -9,10 +9,11 @@
     evaluates each pair once.
 
     Per node of the instance, [create]:
-    - extracts the radius-[r] view {e skeleton} once (the BFS, the
-      canonical (dist, id) node order, the ball graph and ports);
-    - records the local-to-global node map (label-independent, because
-      the canonical order ignores labels);
+    - lays out the radius-[r] ball ({!Lcp_local.View.layout}: the
+      bounded BFS, the (dist, id) local order, the visible edges) and
+      records the local-to-global node map (label-independent, because
+      the local order ignores labels) and, with [~shapes:true], the
+      node's view shape;
     - sizes a verdict table over the ball's labeling space: a dense
       byte table when [|alphabet|^|ball|] fits [dense_limit], a
       hashtable on a packed int key when it does not, and a hashtable
@@ -20,10 +21,12 @@
       packing overflows an int.
 
     A query packs the ball's label ranks as a base-|Σ| integer and
-    looks the verdict up; a miss swaps the labels into the skeleton
-    ({!Lcp_local.View.mapi_labels} — no re-extraction) and runs the
-    decoder once. Labels outside the alphabet bypass the table (the
-    query is answered correctly but never cached).
+    looks the verdict up; a miss swaps the labels into the node's view
+    {e skeleton} ({!Lcp_local.View.mapi_labels}) and runs the decoder
+    once. The skeleton (ball graph, ids, ports) is extracted at the
+    node's first decode and kept; a node whose misses the shape level
+    answers never extracts one. Labels outside the alphabet bypass the
+    table (the query is answered correctly but never cached).
 
     {b Shape tables.} Created with [~shapes:true] (only for decoders
     that are anonymous and port-invariant), a cache answers its misses
@@ -71,12 +74,14 @@ val create :
   alphabet:string list ->
   Instance.t ->
   t
-(** Build the per-node skeletons and (empty) verdict tables for an
-    instance. [dense_limit] (default [65536]) caps the per-node byte
-    table; larger key spaces fall back to hashtables. Duplicate
-    alphabet symbols are collapsed. [shapes] (default [false]) turns
-    on the shape level described above; pass it only for a decoder
-    whose verdicts ignore ids and ports.
+(** Lay out every node's ball and size its (empty) verdict table. No
+    view is built here: each node extracts its skeleton at its first
+    decode (a miss the shape level does not answer, or a query
+    bypassing the table). [dense_limit] (default [65536]) caps the
+    per-node byte table; larger key spaces fall back to hashtables.
+    Duplicate alphabet symbols are collapsed. [shapes] (default
+    [false]) turns on the shape level described above; pass it only
+    for a decoder whose verdicts ignore ids and ports.
     @raise Invalid_argument if [radius < 1]. *)
 
 val accepts : t -> Labeling.t -> int -> bool
@@ -111,13 +116,13 @@ val stats : t -> int * int
 
 (** {1 Cross-run sharing}
 
-    A long-running process (the [lcp serve] daemon) pays the skeleton
-    extraction and the table misses over and over if every certificate
-    search builds a fresh cache. The shared pool keeps built caches
-    across searches, keyed by an opaque caller-supplied string that
-    must determine the verdict function completely: decoder identity,
-    radius, alphabet, graph, identifiers and ports (labels excluded —
-    they are the table's key dimension).
+    A long-running process (the [lcp serve] daemon) pays the ball
+    layouts, the skeleton extractions and the table misses over and
+    over if every certificate search builds a fresh cache. The shared
+    pool keeps built caches across searches, keyed by an opaque
+    caller-supplied string that must determine the verdict function
+    completely: decoder identity, radius, alphabet, graph, identifiers
+    and ports (labels excluded — they are the table's key dimension).
 
     A cache is a single-domain object, so the pool hands it out under
     an {e exclusive lease}: {!acquire} checks a key out, {!release}
@@ -141,7 +146,7 @@ val clear_shared : unit -> unit
 (** Drop every pooled cache (sharing stays enabled). *)
 
 val acquire :
-  key:string ->
+  key:string Lazy.t ->
   ?dense_limit:int ->
   ?shapes:bool ->
   radius:int ->
@@ -154,7 +159,9 @@ val acquire :
     a freshly built one otherwise (pooled under [key] when sharing is
     enabled and the key was absent, private otherwise). A pooled cache
     built for another [accepts] closure or another [shapes] setting is
-    never handed out: the acquire gets a private cache instead. *)
+    never handed out: the acquire gets a private cache instead. [key]
+    is forced only when sharing is enabled, so a one-shot run never
+    builds it. *)
 
 val lease_cache : lease -> t
 val lease_warm : lease -> bool

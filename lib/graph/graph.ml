@@ -92,6 +92,43 @@ let of_edges n edge_list =
     edge_list;
   of_arcs n src dst m
 
+(* Rows given as neighbor bitsets are already in port order: bit [w]
+   of [rows.(v)] is the edge [{v, w}], read in ascending [w]. *)
+let of_bitsets rows =
+  let n = Array.length rows in
+  if n >= Sys.int_size then invalid_arg "Graph.of_bitsets: order too large";
+  let offsets = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    let row = rows.(v) in
+    if row lsr n <> 0 then
+      invalid_arg (Printf.sprintf "Graph.of_bitsets: row %d out of range" v);
+    if (row lsr v) land 1 = 1 then
+      invalid_arg (Printf.sprintf "Graph.of_bitsets: self-loop at %d" v);
+    (* popcount, one step per set bit *)
+    let rest = ref row and deg = ref 0 in
+    while !rest <> 0 do
+      rest := !rest land (!rest - 1);
+      incr deg
+    done;
+    offsets.(v + 1) <- offsets.(v) + !deg
+  done;
+  let adj = Array.make offsets.(n) 0 in
+  for v = 0 to n - 1 do
+    let rest = ref rows.(v) and w = ref 0 and k = ref offsets.(v) in
+    while !rest <> 0 do
+      if !rest land 1 = 1 then begin
+        if (rows.(!w) lsr v) land 1 = 0 then
+          invalid_arg
+            (Printf.sprintf "Graph.of_bitsets: edge (%d,%d) is one-sided" v !w);
+        adj.(!k) <- !w;
+        incr k
+      end;
+      rest := !rest lsr 1;
+      incr w
+    done
+  done;
+  { n; offsets; adj }
+
 (* Growable arc buffer for O(n + m) construction without intermediate
    tuple lists; the random-graph generators feed this. *)
 module Builder = struct

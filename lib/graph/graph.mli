@@ -30,6 +30,15 @@ val of_edges : int -> (int * int) list -> t
     build is O(n + m) (counting sort, no per-node list sorting).
     @raise Invalid_argument on out-of-range endpoints or self-loops. *)
 
+val of_bitsets : int array -> t
+(** [of_bitsets rows] builds the graph on [Array.length rows] nodes
+    whose node [v] is adjacent to [w] iff bit [w] of [rows.(v)] is set,
+    writing the CSR straight from the rows. Equal to [of_edges] on the
+    same edge set.
+    @raise Invalid_argument on a row with bits at or past the order, a
+    self-loop, an asymmetric pair of rows, or an order of
+    [Sys.int_size] or more. *)
+
 (** Incremental O(n + m) construction without intermediate edge lists;
     this is what the large random-graph generators feed. Arcs accumulate
     in growable int arrays and the CSR is built once by [graph]. *)

@@ -48,15 +48,18 @@ let note_id t u = Trace.note Trace.Id ~node:u ~dist:t.dist.(u) ~bits:0
 let note_port t u = Trace.note Trace.Port ~node:u ~dist:t.dist.(u) ~bits:0
 let note_structure t u = Trace.note Trace.Structure ~node:u ~dist:t.dist.(u) ~bits:0
 
+(* The local order: nodes by (distance from the center, identifier).
+   Every view is laid out in it, so it is label-independent and two
+   views of identified instances are equal iff structurally equal. *)
+let by_dist_id da ia db ib =
+  if da <> db then Int.compare da db else Int.compare ia ib
+
 (* Build a view from explicit pieces: the ball nodes (global), a
-   distance table, and lookup functions. Shared by [extract] and
-   [subview1]. Visible edges are supplied explicitly. *)
+   distance table, and lookup functions. Shared by [subview1],
+   [restrict] and [reidentify]. Visible edges are supplied explicitly. *)
 let build ~radius ~id_bound ~ball ~gdist ~gid ~glabel ~gport ~edges =
-  (* ball sorted by (dist, id) -> local indices *)
   let ball =
-    List.sort
-      (fun a b -> Stdlib.compare (gdist a, gid a) (gdist b, gid b))
-      ball
+    List.sort (fun a b -> by_dist_id (gdist a) (gid a) (gdist b) (gid b)) ball
   in
   let old_of_new = Array.of_list ball in
   let m = Array.length old_of_new in
@@ -80,52 +83,113 @@ let build ~radius ~id_bound ~ball ~gdist ~gid ~glabel ~gport ~edges =
   assert (dist.(0) = 0);
   { radius; graph; dist; ids; id_bound; labels; ports }
 
-let extract (inst : Instance.t) ~r v =
-  if r < 1 then invalid_arg "View.extract: radius must be >= 1";
+type layout = {
+  ball : int array;
+  ball_dist : int array;
+  edges : (int * int) list;
+}
+
+(* Where the layout keeps each instance node's position while it runs:
+   a caller's n-sized scratch array (all -1, and left so), or a
+   hashtable sized to the ball. *)
+type index = Scratch of int array | Table of (int, int) Hashtbl.t
+
+let index_get ix w =
+  match ix with
+  | Scratch a -> a.(w)
+  | Table h -> ( match Hashtbl.find h w with i -> i | exception Not_found -> -1)
+
+let index_set ix w i =
+  match ix with Scratch a -> a.(w) <- i | Table h -> Hashtbl.replace h w i
+
+let layout ?scratch (inst : Instance.t) ~r v =
+  if r < 1 then invalid_arg "View.layout: radius must be >= 1";
   let g = inst.Instance.graph in
-  (* bounded BFS: cost proportional to the ball, not the whole graph *)
-  let dist_tbl : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.replace dist_tbl v 0;
-  let queue = Queue.create () in
-  Queue.add v queue;
-  let ball = ref [ v ] in
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    let dx = Hashtbl.find dist_tbl x in
+  let ids = inst.Instance.ids.Ident.ids in
+  let ix =
+    match scratch with Some a -> Scratch a | None -> Table (Hashtbl.create 16)
+  in
+  (* bounded BFS: cost proportional to the ball, not the whole graph.
+     [bfs] lists the ball in visiting order, so distances are
+     nondecreasing along it *)
+  let bfs = ref (Array.make 16 0) and bd = ref (Array.make 16 0) in
+  let len = ref 0 in
+  let visit w d =
+    if !len = Array.length !bfs then begin
+      let grow a = Array.append a (Array.make !len 0) in
+      bfs := grow !bfs;
+      bd := grow !bd
+    end;
+    !bfs.(!len) <- w;
+    !bd.(!len) <- d;
+    index_set ix w !len;
+    incr len
+  in
+  visit v 0;
+  let head = ref 0 in
+  while !head < !len do
+    let x = !bfs.(!head) and dx = !bd.(!head) in
+    incr head;
     if dx < r then
       Graph.iter_neighbors
-        (fun y ->
-          if not (Hashtbl.mem dist_tbl y) then begin
-            Hashtbl.replace dist_tbl y (dx + 1);
-            ball := y :: !ball;
-            Queue.add y queue
-          end)
+        (fun y -> if index_get ix y < 0 then visit y (dx + 1))
         g x
   done;
-  let dist w = Hashtbl.find dist_tbl w in
-  (* visible edges: min endpoint distance <= r - 1; interior-interior
-     edges deduplicated by orientation, interior-fringe added once *)
-  let edges =
-    List.fold_left
-      (fun acc a ->
-        if dist a > r - 1 then acc
-        else
-          Graph.fold_neighbors
-            (fun b acc ->
-              let db = dist b in
-              if (db <= r - 1 && a < b) || db = r then (a, b) :: acc else acc)
-            g a acc)
-      [] !ball
+  let m = !len and bfs = !bfs and bd = !bd in
+  let perm = Array.init m Fun.id in
+  Array.sort
+    (fun i j -> by_dist_id bd.(i) ids.(bfs.(i)) bd.(j) ids.(bfs.(j)))
+    perm;
+  let ball = Array.map (fun i -> bfs.(i)) perm in
+  let ball_dist = Array.map (fun i -> bd.(i)) perm in
+  Array.iteri (fun u w -> index_set ix w u) ball;
+  (* visible edges: min endpoint distance <= r - 1. Every edge of an
+     interior node is visible; each is taken once, from its end that
+     comes first in the local order, which is the interior end of an
+     interior-fringe edge *)
+  let edges = ref [] in
+  for a = m - 1 downto 0 do
+    if ball_dist.(a) < r then
+      Graph.iter_neighbors
+        (fun w ->
+          let b = index_get ix w in
+          if a < b then edges := (a, b) :: !edges)
+        g ball.(a)
+  done;
+  (match ix with
+  | Scratch s -> Array.iter (fun w -> s.(w) <- -1) ball
+  | Table _ -> ());
+  { ball; ball_dist; edges = !edges }
+
+let of_layout (inst : Instance.t) ~r lay =
+  let ball = lay.ball in
+  let m = Array.length ball in
+  let graph = Graph.of_edges m lay.edges in
+  let ports =
+    Array.init m (fun u ->
+        Array.init (Graph.degree graph u) (fun i ->
+            Port.port_of inst.Instance.ports ball.(u)
+              ball.(Graph.nth_neighbor graph u i)))
   in
-  build ~radius:r ~id_bound:inst.Instance.ids.Ident.bound ~ball:!ball
-    ~gdist:dist
-    ~gid:(fun w -> Ident.id inst.Instance.ids w)
-    ~glabel:(fun w -> inst.Instance.labels.(w))
-    ~gport:(fun a b -> Port.port_of inst.Instance.ports a b)
-    ~edges
+  {
+    radius = r;
+    graph;
+    dist = lay.ball_dist;
+    ids = Array.map (Ident.id inst.Instance.ids) ball;
+    id_bound = inst.Instance.ids.Ident.bound;
+    labels = Array.map (fun w -> inst.Instance.labels.(w)) ball;
+    ports;
+  }
+
+let extract inst ~r v =
+  if r < 1 then invalid_arg "View.extract: radius must be >= 1";
+  of_layout inst ~r (layout inst ~r v)
 
 let extract_all inst ~r =
-  Array.init (Instance.order inst) (fun v -> extract inst ~r v)
+  if r < 1 then invalid_arg "View.extract: radius must be >= 1";
+  let scratch = Array.make (Instance.order inst) (-1) in
+  Array.init (Instance.order inst) (fun v ->
+      of_layout inst ~r (layout ~scratch inst ~r v))
 
 let center _ = 0
 

@@ -67,6 +67,30 @@ module Trace : sig
       ([8 * String.length]). *)
 end
 
+(** {1 Extraction} *)
+
+type layout = {
+  ball : int array;
+      (** the instance nodes of the ball in local order: [ball.(u)] is
+          behind local node [u], and [ball.(0)] is the center *)
+  ball_dist : int array;
+      (** [ball_dist.(u)]: distance of [ball.(u)] from the center *)
+  edges : (int * int) list;
+      (** the visible edges as local pairs [(a, b)], [a < b], in no
+          particular order *)
+}
+(** A view's label-independent skeleton in instance terms: which
+    nodes, in which local order, and which of their edges are visible.
+    {!extract} is built on it, so the local order and the visibility
+    rule are defined once. *)
+
+val layout : ?scratch:int array -> Instance.t -> r:int -> int -> layout
+(** [layout inst ~r v]: the layout of [v]'s radius-[r] view, at a cost
+    proportional to the ball. [scratch], an array of [-1]s with one
+    slot per instance node, replaces the internal hashtable; it holds
+    only [-1]s again on return, so one array serves every node of an
+    instance. @raise Invalid_argument if [r < 1]. *)
+
 val extract : Instance.t -> r:int -> int -> t
 (** The view of the given node. @raise Invalid_argument if [r < 1]. *)
 

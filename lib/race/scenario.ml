@@ -139,7 +139,7 @@ let lease_run () =
     for i = 1 to 8 do
       let key = Printf.sprintf "race/lease-%d" ((w + i) mod 2) in
       let l =
-        Eval_cache.acquire ~key ~radius:1
+        Eval_cache.acquire ~key:(Lazy.from_val key) ~radius:1
           ~accepts:(fun _ -> true)
           ~alphabet:[ "0"; "1" ] inst
       in

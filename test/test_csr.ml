@@ -140,6 +140,28 @@ let test_of_edges_validation () =
   let g = Graph.of_edges 3 [ (2, 1); (1, 2); (0, 2); (2, 0); (2, 1) ] in
   check_int "duplicates collapsed" 2 (Graph.size g)
 
+let test_of_bitsets () =
+  (* the rows of every agreement graph rebuild it exactly: same CSR,
+     so Graph.equal is array equality *)
+  List.iter
+    (fun g ->
+      let rows =
+        Array.init (Graph.order g) (fun v ->
+            Graph.fold_neighbors (fun w row -> row lor (1 lsl w)) g v 0)
+      in
+      check_graph "of_bitsets = of_edges" g (Graph.of_bitsets rows))
+    (agreement_graphs ());
+  List.iter
+    (fun (what, rows) ->
+      match Graph.of_bitsets rows with
+      | _ -> Alcotest.fail (what ^ ": accepted")
+      | exception Invalid_argument _ -> ())
+    [
+      ("self-loop", [| 0b01; 0b00 |]);
+      ("one-sided edge", [| 0b10; 0b00 |]);
+      ("bit past the order", [| 0b100; 0b000 |]);
+    ]
+
 let test_builder () =
   let b = Graph.Builder.create ~size_hint:1 4 in
   Graph.Builder.add_edge b 3 0;
@@ -447,4 +469,5 @@ let suite =
     case "sampling one prover call" test_sampling_one_prover_call;
     case "sampling model graph" test_sampling_model_graph;
     case "sampling hiding pairs compared" test_sampling_hiding_pairs_compared;
+    case "of_bitsets = of_edges, validation" test_of_bitsets;
   ]

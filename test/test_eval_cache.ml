@@ -17,28 +17,44 @@ module Enumerate = Lcp_oracle.Enumerate
 
 let heavy_enabled = Sys.getenv_opt "LCP_HEAVY" <> None
 let seq_cfg () = Run_cfg.make ~jobs:1 ()
+let degree_one = D_degree_one.decoder
+let edge_bit = D_edge_bit.decoder
 
 (* ------------------------------------------------------------------ *)
 (* table invariants                                                    *)
 
 let test_verdicts_match_decoder_run () =
-  (* every one of the 5^4 complete labelings of two 4-node shapes:
-     the table's verdict vector is Decoder.run's, bit for bit *)
-  let dec = D_degree_one.decoder in
-  let alphabet = D_degree_one.alphabet in
+  (* every complete labeling: the table's verdict vector is
+     Decoder.run's, bit for bit. degree-one on two 4-node shapes
+     (5^4 labelings each), with and without the shape level; edge-bit
+     is radius 2 and reads ports, so it has no shape level and every
+     miss decodes, the first one extracting the node's skeleton *)
+  let rng = Random.State.make [| 11 |] in
   List.iter
-    (fun g ->
-      let inst = Instance.make g in
-      let ec =
-        Eval_cache.create ~radius:dec.Decoder.radius
-          ~accepts:dec.Decoder.accepts ~alphabet inst
+    (fun (dec, alphabet, shapes, inst) ->
+      let decodes = ref 0 in
+      let accepts view =
+        incr decodes;
+        dec.Decoder.accepts view
       in
-      Labeling.iter_all ~alphabet g (fun lab ->
+      let ec =
+        Eval_cache.create ~shapes ~radius:dec.Decoder.radius ~accepts ~alphabet
+          inst
+      in
+      Labeling.iter_all ~alphabet inst.Instance.graph (fun lab ->
           let direct = Decoder.run dec (Instance.with_labels inst lab) in
           Alcotest.(check (array bool))
-            "memoized = direct" direct
-            (Eval_cache.verdicts ec lab)))
-    [ Builders.path 4; Builders.cycle 4 ]
+            (dec.Decoder.name ^ ": memoized = direct") direct
+            (Eval_cache.verdicts ec lab));
+      let _, misses = Eval_cache.stats ec in
+      if not shapes then
+        check_int (dec.Decoder.name ^ ": every miss decodes") misses !decodes)
+    [
+      (degree_one, D_degree_one.alphabet, false, Instance.make (Builders.path 4));
+      (degree_one, D_degree_one.alphabet, true, Instance.make (Builders.cycle 4));
+      (edge_bit, D_edge_bit.alphabet, false, Instance.random rng (Builders.cycle 6));
+      (edge_bit, D_edge_bit.alphabet, false, Instance.random rng (Builders.path 5));
+    ]
 
 let test_stats_accounting () =
   let dec = D_degree_one.decoder in
@@ -85,21 +101,162 @@ let test_dense_limit_variants_agree () =
 
 let test_out_of_alphabet_bypass () =
   (* the search's "?" placeholder outside the ball is fine; an
-     off-alphabet label inside the ball is answered but not cached *)
-  let dec = D_degree_one.decoder in
-  let alphabet = D_degree_one.alphabet in
-  let g = Builders.path 3 in
-  let inst = Instance.make g in
-  let ec =
-    Eval_cache.create ~radius:dec.Decoder.radius ~accepts:dec.Decoder.accepts
-      ~alphabet inst
+     off-alphabet label inside the ball is answered but not cached.
+     Each cache is fresh, so its first query takes the bypass and
+     extracts the skeletons the later table misses reuse; with the
+     shape level on, and for the radius-2 edge-bit decoder, which has
+     none *)
+  let rng = Random.State.make [| 13 |] in
+  List.iter
+    (fun (dec, alphabet, shapes, inst) ->
+      let what = Printf.sprintf "%s, shapes %b" dec.Decoder.name shapes in
+      let direct lab = Decoder.run dec (Instance.with_labels inst lab) in
+      let ec =
+        Eval_cache.create ~shapes ~radius:dec.Decoder.radius
+          ~accepts:dec.Decoder.accepts ~alphabet inst
+      in
+      let n = Instance.order inst in
+      let junk = Array.make n "junk-symbol" in
+      Alcotest.(check (array bool))
+        (what ^ ": bypass answers correctly")
+        (direct junk) (Eval_cache.verdicts ec junk);
+      let hits, misses = Eval_cache.stats ec in
+      check_int (what ^ ": bypass queries count neither hits nor misses") 0
+        (hits + misses);
+      let first = List.hd alphabet in
+      let mixed =
+        Array.init n (fun v -> if v = 0 then "junk-symbol" else first)
+      in
+      Alcotest.(check (array bool))
+        (what ^ ": partial bypass answers correctly")
+        (direct mixed) (Eval_cache.verdicts ec mixed);
+      Labeling.iter_all ~alphabet inst.Instance.graph (fun lab ->
+          Alcotest.(check (array bool))
+            (what ^ ": table after bypass = direct") (direct lab)
+            (Eval_cache.verdicts ec lab)))
+    [
+      (degree_one, D_degree_one.alphabet, false, Instance.make (Builders.path 3));
+      (degree_one, D_degree_one.alphabet, true, Instance.make (Builders.path 3));
+      (edge_bit, D_edge_bit.alphabet, false, Instance.random rng (Builders.cycle 6));
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* the ball layout against an independent reference                    *)
+
+(* The ball of [v] from whole-graph BFS distances, sorted by
+   (distance, id), and the visible edges (an endpoint at distance at
+   most r - 1) as ascending local pairs. *)
+let reference_layout (inst : Instance.t) ~r v =
+  let g = inst.Instance.graph in
+  let d = Metrics.bfs_dist g v in
+  let id = Ident.id inst.Instance.ids in
+  let ball =
+    List.filter (fun w -> d.(w) <= r) (Graph.nodes g)
+    |> List.sort (fun a b -> compare (d.(a), id a) (d.(b), id b))
+    |> Array.of_list
   in
-  let lab = [| "junk-symbol"; "junk-symbol"; "junk-symbol" |] in
-  let direct = Decoder.run dec (Instance.with_labels inst lab) in
-  Alcotest.(check (array bool))
-    "bypass answers correctly" direct (Eval_cache.verdicts ec lab);
-  let hits, misses = Eval_cache.stats ec in
-  check_int "bypass queries count neither hits nor misses" 0 (hits + misses)
+  let local = Hashtbl.create 16 in
+  Array.iteri (fun u w -> Hashtbl.replace local w u) ball;
+  let edges =
+    List.filter_map
+      (fun (a, b) ->
+        if min d.(a) d.(b) > r - 1 then None
+        else
+          let la = Hashtbl.find local a and lb = Hashtbl.find local b in
+          Some (min la lb, max la lb))
+      (Graph.edges g)
+    |> List.sort compare
+  in
+  (ball, Array.map (fun w -> d.(w)) ball, edges)
+
+(* The shape key's edge part, over ascending local pairs. *)
+let shape_mask edges =
+  List.fold_left (fun m (a, b) -> m lor (1 lsl ((b * (b - 1) / 2) + a))) 0 edges
+
+(* Every node of [inst] at radius [r]: the layout with and without a
+   scratch array, the extracted view mapped back to nodes, and the
+   acceptance table's ball all agree with the reference. *)
+let check_layouts ~what (inst : Instance.t) ~r =
+  let n = Instance.order inst in
+  let scratch = Array.make n (-1) in
+  let ec =
+    Eval_cache.create ~radius:r ~accepts:(fun _ -> true) ~alphabet:[ "0" ] inst
+  in
+  for v = 0 to n - 1 do
+    let what = Printf.sprintf "%s, r=%d, node %d" what r v in
+    let ball, dist, edges = reference_layout inst ~r v in
+    List.iter
+      (fun (how, (lay : View.layout)) ->
+        check_bool (what ^ ": " ^ how ^ " ball") true (lay.View.ball = ball);
+        check_bool (what ^ ": " ^ how ^ " dist") true
+          (lay.View.ball_dist = dist);
+        check_bool (what ^ ": " ^ how ^ " edges") true
+          (List.sort compare lay.View.edges = edges))
+      [
+        ("layout", View.layout inst ~r v);
+        ("scratch layout", View.layout ~scratch inst ~r v);
+      ];
+    check_bool (what ^ ": scratch left clean") true
+      (Array.for_all (fun x -> x = -1) scratch);
+    let view = View.extract inst ~r v in
+    let nodes =
+      Array.map
+        (fun i -> Option.get (Ident.node_of_id inst.Instance.ids i))
+        view.View.ids
+    in
+    check_bool (what ^ ": view order") true (nodes = ball);
+    check_bool (what ^ ": view dist") true (view.View.dist = dist);
+    (* shapes exist only for views of at most Canon.max_order nodes,
+       whose edge masks fit an int *)
+    if Array.length ball <= Lcp_engine.Canon.max_order then
+      check_int (what ^ ": shape key") (shape_mask edges)
+        (shape_mask (Graph.edges view.View.graph));
+    check_bool (what ^ ": Eval_cache.ball") true (Eval_cache.ball ec v = ball)
+  done
+
+(* Seeded instances of order 9..14 with random ids (bound n^2) and
+   ports: trees, G(n,p), preferential attachment, grids and bipartite
+   double covers. *)
+let layout_instances ~count ~seed =
+  let rng = Random.State.make [| seed |] in
+  List.init count (fun i ->
+      let n = 9 + (i mod 6) in
+      let g =
+        match i mod 5 with
+        | 0 -> Random_graphs.tree rng n
+        | 1 -> Random_graphs.gnp rng n ~p:0.3
+        | 2 -> Random_graphs.preferential_attachment rng n ~m:2
+        | 3 -> Result.get_ok (Random_graphs.of_model rng ~nodes:n "grid")
+        | _ -> Builders.double_cover (Random_graphs.gnp rng ((n + 1) / 2) ~p:0.5)
+      in
+      Instance.random rng g)
+
+let layout_differential ~count ~seed () =
+  let rng = Random.State.make [| seed |] in
+  let corpus =
+    List.concat_map Enumerate.connected_up_to_iso [ 1; 2; 3; 4; 5; 6 ]
+    |> List.map (fun g -> Instance.random rng g)
+  in
+  List.iteri
+    (fun i inst ->
+      List.iter
+        (fun r -> check_layouts ~what:(Printf.sprintf "corpus %d" i) inst ~r)
+        [ 1; 2; 3 ])
+    corpus;
+  List.iteri
+    (fun i inst ->
+      List.iter
+        (fun r ->
+          check_layouts
+            ~what:(Printf.sprintf "random %d (n=%d)" i (Instance.order inst))
+            inst ~r)
+        [ 1; 2; 3 ])
+    (layout_instances ~count ~seed)
+
+let test_layout_differential () = layout_differential ~count:10 ~seed:31 ()
+
+let test_layout_differential_heavy () =
+  if heavy_enabled then layout_differential ~count:50 ~seed:37 ()
 
 (* ------------------------------------------------------------------ *)
 (* memoized vs direct, all registry decoders, exhaustive small corpus  *)
@@ -264,4 +421,8 @@ let suite =
       test_n6_sweep_paths_agree;
     slow_case "n=7 memoized sweep passes (LCP_HEAVY)"
       test_n7_memoized_sweep_passes;
+    case "ball layout = reference, corpus and n=9..14, r=1..3"
+      test_layout_differential;
+    slow_case "ball layout = reference, 50 instances n=9..14 (LCP_HEAVY)"
+      test_layout_differential_heavy;
   ]
