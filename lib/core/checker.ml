@@ -115,17 +115,20 @@ let check_strong (suite : Decoder.suite) ~k inst lab =
 
    When the quotient yields a group (the decoder's verdicts are
    Aut-invariant and the graph is not rigid), the loop quotients the
-   labeling space by Aut(G): symmetry-breaking constraints
-   (Auto.lex_constraints along the identity order — the same order
-   Labeling.iter_all uses) cut most non-orbit-minimal labelings
-   during backtracking, an exact lex-minimality test against the full
-   group filters the survivors, and each true minimum is counted with
-   its orbit size |Aut| / |Stab(L)|. The weights over the exact
-   minima partition the space, so on passing runs [checked] equals
-   |Σ|^n exactly — bit-identical to the full loop. The failing
-   property is Aut-closed, so the lex-first failing labeling is an
-   orbit minimum and the quotient path reports the identical failure
-   instance; only a failing run's [checked] differs (the same caveat
+   labeling space by Aut(G) with the certificate search's own cut: the
+   prefix trie (Auto.prefix along the identity order, the order
+   Labeling.iter_all uses) cuts every partial labeling with no
+   orbit-minimal completion, and at the last step it cuts exactly the
+   labelings that are not orbit minima. Each surviving minimum is
+   counted with its orbit size |Aut| / |Stab(L)|, the stabilizer
+   counted by a walk of the same trie. The weights over the minima
+   partition the space, so on passing runs [checked] equals |Σ|^n
+   exactly — bit-identical to the full loop. The failing property is
+   Aut-closed, so the lex-first failing labeling is an orbit minimum
+   and the quotient path reports the identical failure instance; a
+   failing run's [checked] is the total orbit size of the minima up to
+   and including it, which depends only on the group, not on how the
+   cut is computed (it differs from the full loop's, the same caveat
    the jobs > 1 fold already carries). *)
 let strong_soundness_with ?cfg ~source ~quotient (suite : Decoder.suite) ~k
     instances =
@@ -164,35 +167,14 @@ let strong_soundness_with ?cfg ~source ~quotient (suite : Decoder.suite) ~k
                   ~prune:(fun _ _ _ -> false)
                   (check_labeling ~weight:1)
             | Some auto ->
-                let perms = Lcp_engine.Auto.perms auto in
-                let asize = Array.length perms in
-                let cs = Lcp_engine.Auto.lex_constraints auto ~order in
+                let size = Lcp_engine.Auto.size auto in
+                let trie = Lcp_engine.Auto.prefix auto ~order in
                 Labeling.iter_backtracking_ranked ~alphabet ~order g
-                  ~prune:(fun v _ rk ->
-                    match cs.(v) with
-                    | [] -> false
-                    | es -> List.exists (fun e -> rk.(v) < rk.(e)) es)
+                  ~prune:(fun i _ rk -> Lcp_engine.Auto.cuts trie rk i)
                   (fun lab rk ->
-                    (* exact minimality: the chain constraints leave a
-                       superset of the orbit minima, so verify L <= L.p
-                       for every p and count the stabilizer on the way *)
-                    let stab = ref 0 in
-                    let minimal = ref true in
-                    Array.iter
-                      (fun p ->
-                        if !minimal then begin
-                          let c = ref 0 in
-                          let v = ref 0 in
-                          while !c = 0 && !v < n do
-                            c := compare rk.(!v) rk.(p.(!v));
-                            incr v
-                          done;
-                          if !c = 0 then incr stab
-                          else if !c > 0 then minimal := false
-                        end)
-                      perms;
-                    if !minimal then
-                      check_labeling ~weight:(asize / !stab) lab rk)
+                    check_labeling
+                      ~weight:(size / Lcp_engine.Auto.stabilizer trie rk)
+                      lab rk)
           in
           let result =
             try

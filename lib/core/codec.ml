@@ -69,26 +69,6 @@ let instance_of_json j =
          ~labels:(Array.of_list labels))
   with Invalid_argument m -> Error m
 
-let report_to_json (r : Report.t) =
-  Obj
-    [
-      ("id", String r.Report.id);
-      ("title", String r.Report.title);
-      ("passed", Bool (Report.passed r));
-      ( "rows",
-        List
-          (List.map
-             (fun row ->
-               Obj
-                 [
-                   ("label", String row.Report.label);
-                   ("value", String row.Report.value);
-                   ("expected", String row.Report.expected);
-                   ("ok", Bool row.Report.ok);
-                 ])
-             r.Report.rows) );
-    ]
-
 let verdicts_to_json dec inst =
   let verdicts = Decoder.run dec inst in
   Obj

@@ -4,8 +4,9 @@ open Lcp_graph
    automorphism. Orders are capped at Canon.max_order = 11 and almost
    all graphs there are rigid, but the bound is n!: K9 holds 362,880
    permutations (tens of MB, transient per class) and K11 39,916,800.
-   Storing the full group keeps orbit weights and exact lex-minimality
-   tests (Checker's quotient) trivially correct. *)
+   Both quotients (the certificate search's and Checker's strong
+   soundness) read the group only through the prefix trie below,
+   which is built from the full list. *)
 type t = { n : int; perms : int array array }
 
 let of_adj ~n adj =
@@ -31,16 +32,6 @@ let order t = t.n
 let size t = Array.length t.perms
 let is_trivial t = Array.length t.perms <= 1
 let perms t = t.perms
-
-let orbits t =
-  let parent = Array.init t.n Fun.id in
-  let rec find x = if parent.(x) = x then x else find parent.(x) in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then parent.(max ra rb) <- min ra rb
-  in
-  Array.iter (fun p -> Array.iteri union p) t.perms;
-  Array.init t.n (fun v -> find v)
 
 (* Transversal representatives along the stabilizer chain with base
    0, 1, ..., n-1: at level v, one permutation per non-trivial image
@@ -78,14 +69,19 @@ let generators t =
    make the same decisions along it, so all of them are walked at
    once as root-to-leaf paths of a trie: descend through a node only
    on equal ranks, cut on the first node whose ranks compare greater.
+   The same descent on a complete labeling, counting the programs
+   whose every pair compares equal, counts the automorphisms that fix
+   the labeling.
 
    Layout: the nodes in preorder, two ints each — the packed pair
-   (activation max(s, e), then the two nodes the pair compares, four
-   bits apiece; orders are capped at Canon.max_order = 11) and the
-   index one past the node's subtree. A node's children start right
-   after it and follow each other by those subtree ends, sorted by
+   (activation max(s, e) from bit 9 up, bit 8 set on the last pair of
+   some program, then the two nodes the pair compares, four bits
+   apiece; orders are capped at Canon.max_order = 11) and the index
+   one past the node's subtree. A node's children start right after
+   it and follow each other by those subtree ends, sorted by
    (activation, s, e), so a sibling scan at step i stops at the first
-   child activated after i. *)
+   child activated after i. A program can end at an inner node: the
+   programs it is a prefix of hang below its last pair. *)
 type prefix = int array
 
 let prefix t ~order =
@@ -153,7 +149,8 @@ let prefix t ~order =
       for d = shared.(j) to len.(k) - 1 do
         let key = keys.((k * n) + d) in
         nodes.(2 * !next) <-
-          key land lnot 0xff
+          ((key lsr 8) lsl 9)
+          lor (if d = len.(k) - 1 then 0x100 else 0)
           lor (order.((key lsr 4) land 15) lsl 4)
           lor order.(key land 15);
         path.(d) <- !next;
@@ -172,7 +169,7 @@ let rec walk nodes rk i c stop =
   c < stop
   &&
   let key = Array.unsafe_get nodes (2 * c) in
-  key lsr 8 <= i
+  key lsr 9 <= i
   &&
   let a = rk.((key lsr 4) land 15) and b = rk.(key land 15) in
   a > b
@@ -182,39 +179,18 @@ let rec walk nodes rk i c stop =
 
 let cuts p rk i = walk p rk i 0 (Array.length p / 2)
 
-(* First-assignment symmetry breaking for a backtracking search that
-   assigns nodes in [order]: constraints whose satisfaction is
-   necessary for a labeling L to be lexicographically minimal in its
-   Aut-orbit, where labelings compare by the alphabet-rank sequence
-   along [order]. At chain level i, with H_i the pointwise stabilizer
-   of order.(0..i-1), any sigma in H_i sending order.(i) to u makes
-   L.sigma agree with L on the first i positions and hold L(u) at
-   position i — so minimality forces rank(L(u)) >= rank(L(order.(i)))
-   for every u in the H_i-orbit of order.(i). H_i cannot move a
-   stabilized point, so every such u sits at a strictly later
-   position and the constraint is checkable the moment u is assigned.
-   Result: [cs.(s)] lists earlier steps [e] such that
-   rank(L(order.(s))) >= rank(L(order.(e))) must hold at step [s].
-   Only labelings that are not orbit-minimal are ever cut. *)
-let lex_constraints t ~order =
-  let n = t.n in
-  let pos = Array.make (max n 1) 0 in
-  Array.iteri (fun i v -> pos.(v) <- i) order;
-  let cs = Array.make (max n 1) [] in
-  let h = ref (Array.to_list t.perms) in
-  for i = 0 to n - 1 do
-    if List.compare_length_with !h 1 > 0 then begin
-      let v = order.(i) in
-      let seen = Array.make n false in
-      List.iter
-        (fun p ->
-          let u = p.(v) in
-          if u <> v && not seen.(u) then begin
-            seen.(u) <- true;
-            cs.(pos.(u)) <- i :: cs.(pos.(u))
-          end)
-        !h;
-      h := List.filter (fun p -> p.(v) = v) !h
-    end
-  done;
-  Array.map List.rev cs
+(* Preorder walk of the sibling run [c, stop) adding up the programs
+   that end on a compare-equal path: every automorphism but the
+   identity, which has no program, so the count starts at one. *)
+let rec fixing nodes rk c stop acc =
+  if c >= stop then acc
+  else
+    let key = nodes.(2 * c) and past = nodes.((2 * c) + 1) in
+    let acc =
+      if rk.((key lsr 4) land 15) = rk.(key land 15) then
+        fixing nodes rk (c + 1) past (acc + ((key lsr 8) land 1))
+      else acc
+    in
+    fixing nodes rk past stop acc
+
+let stabilizer p rk = fixing p rk 0 (Array.length p / 2) 1

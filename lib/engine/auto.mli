@@ -7,21 +7,26 @@
     automorphism maps each refinement cell onto itself, so searching
     only cell-respecting relabelings loses none of them, and the
     search visits [Π |cell|!] relabelings instead of [n!]. This module
-    packages the group together with the two quotient operations the
-    certificate searches need:
+    packages the group together with the one symmetry cut both
+    quotiented searches use (the certificate search and exhaustive
+    strong soundness):
 
-    - {!orbits} / {!generators}: node orbits and a small (strong)
-      generating set, for reporting and validation;
-    - {!lex_constraints} / {!prefix}: symmetry breaking for a
-      backtracking labeling search — per-step conditions that cut a
-      partial labeling only if {e no} completion of it is
-      lexicographically minimal in its Aut-orbit. Restricting a search
-      to orbit minima is sound for any decoder whose per-node verdict
-      is invariant under the graph's automorphisms (anonymous {e and}
-      port-invariant decoders: the verdict depends only on the labeled
-      isomorphism type of the view), because acceptance of [L] and of
-      [L∘σ] coincide and the lexicographically first accepted labeling
-      is automatically minimal in its own orbit.
+    - {!prefix} / {!cuts}: symmetry breaking for a backtracking
+      labeling search — a per-step test that cuts a partial labeling
+      only if {e no} completion of it is lexicographically minimal in
+      its Aut-orbit, and that is exact on complete labelings.
+      Restricting a search to orbit minima is sound for any decoder
+      whose per-node verdict is invariant under the graph's
+      automorphisms (anonymous {e and} port-invariant decoders: the
+      verdict depends only on the labeled isomorphism type of the
+      view), because acceptance of [L] and of [L∘σ] coincide and the
+      lexicographically first accepted labeling is automatically
+      minimal in its own orbit;
+    - {!stabilizer}: how many automorphisms fix a complete labeling,
+      so that an orbit minimum can stand for its whole orbit, of size
+      [size / stabilizer];
+    - {!generators}: a small (strong) generating set, which
+      {!Orderly} acts with on the parent's masks.
 
     Orders are capped at {!Canon.max_order} = 11 and the group is
     stored in full, one permutation per element, so memory and
@@ -52,31 +57,16 @@ val is_trivial : t -> bool
 val perms : t -> int array array
 (** Every automorphism as a vertex→vertex permutation, each exactly
     once, in a deterministic but unspecified order (the refined
-    search's discovery order). {!orbits}, {!lex_constraints} and
-    {!cuts} depend only on the group as a set; which transversal
-    representatives {!generators} returns follows this order, the
-    group they generate does not. The array and its rows are owned by
-    [t]: do not mutate. *)
-
-val orbits : t -> int array
-(** [orbits t] maps each node to the smallest node in its orbit under
-    the full group — equal entries iff same orbit. *)
+    search's discovery order). {!cuts} and {!stabilizer} depend only
+    on the group as a set; which transversal representatives
+    {!generators} returns follows this order, the group they generate
+    does not. The array and its rows are owned by [t]: do not
+    mutate. *)
 
 val generators : t -> int array list
 (** A strong generating set: transversal representatives along the
     stabilizer chain with base [0, 1, ..., n-1]. Empty iff the group
     is trivial. Generates the full group. *)
-
-val lex_constraints : t -> order:int array -> int list array
-(** [lex_constraints t ~order] for a backtracking search assigning
-    node [order.(i)] at step [i]: [cs.(s)] lists the earlier steps [e]
-    such that a labeling can only be lexicographically minimal in its
-    Aut-orbit (comparing alphabet-rank sequences along [order]) if
-    [rank L(order.(s)) >= rank L(order.(e))]. Checking [cs.(s)] as
-    soon as step [s] assigns its node prunes whole subtrees of
-    non-minimal labelings and never cuts an orbit minimum. Derived
-    from the stabilizer chain along [order] (first-assignment
-    symmetry breaking). *)
 
 type prefix
 (** The prefix-minimality tests of every non-identity automorphism
@@ -88,8 +78,9 @@ val prefix : t -> order:int array -> prefix
     contributes its {e program}: the pairs [(s, e)] in increasing step
     order, restricted to the steps [p] moves, where [e] is the step
     assigned [p]'s image of the node assigned at step [s]. The programs
-    are the root-to-leaf paths of the trie; a node's children are
-    sorted by activation [max s e]. The trie is one int array, two
+    are root-to-node paths of the trie, each ending on a node marked
+    as a program's last pair; a node's children are sorted by
+    activation [max s e]. The trie is one int array, two
     ints per node, with [order] already resolved into the nodes each
     pair compares. It is built from {!perms} by sorting one flat
     [|Aut(G)| * n] scratch array of packed pair keys, so no
@@ -109,6 +100,12 @@ val cuts : prefix -> int array -> int -> bool
     first pair comparing greater — an existential over the group, so
     the answer does not depend on the order of {!perms}. Cutting never
     loses an orbit minimum, and once [i = n - 1] the answer is exactly
-    "the labeling is not minimal in its orbit". Strictly stronger than
-    {!lex_constraints} (which keeps only the conditions the stabilizer
-    chain makes unconditional). Allocates nothing. *)
+    "the labeling is not minimal in its orbit". Allocates nothing. *)
+
+val stabilizer : prefix -> int array -> int
+(** [stabilizer p ranks] with every node assigned: [|Stab(L)|], the
+    number of automorphisms [σ] with [ranks.(σ v) = ranks.(v)] for
+    every node [v] — the identity plus the programs of [p] whose every
+    pair compares equal, counted by one walk of the trie that descends
+    only through compare-equal pairs. The orbit of [L] has
+    [size t / stabilizer p ranks] labelings. Allocates nothing. *)

@@ -57,7 +57,8 @@ type t = {
   mutable misses : int;
 }
 
-let default_dense_limit = 1 lsl 16
+(* Bytes a node's dense table may take: 2^18 keys. *)
+let dense_limit = 1 lsl 16
 
 (* Verdict tables hold two bits per key, four keys a byte:
    0 = unknown, 1 = reject, 2 = accept. Most keys of a table are never
@@ -220,8 +221,7 @@ let shape_table t tab =
 (* ------------------------------------------------------------------ *)
 (* per-instance tables                                                 *)
 
-let create ?(dense_limit = default_dense_limit) ?(shapes = false) ~radius
-    ~accepts ~alphabet (inst : Instance.t) =
+let create ?(shapes = false) ~radius ~accepts ~alphabet (inst : Instance.t) =
   if radius < 1 then invalid_arg "Eval_cache.create: radius must be >= 1";
   let sym = Labeling.ranks alphabet in
   let sigma = Hashtbl.length sym in
@@ -436,9 +436,8 @@ let clear_shared () = locked (fun () -> Hashtbl.reset pool)
 let private_lease cache =
   { cache; warm = false; base_hits = 0; base_misses = 0; slot = None }
 
-let acquire ~key ?dense_limit ?(shapes = false) ~radius ~accepts ~alphabet inst
-    =
-  let build () = create ?dense_limit ~shapes ~radius ~accepts ~alphabet inst in
+let acquire ~key ?(shapes = false) ~radius ~accepts ~alphabet inst =
+  let build () = create ~shapes ~radius ~accepts ~alphabet inst in
   (* a key names the verdict function only as far as the caller can
      spell it; a pooled cache built for another closure, or with the
      other shape setting, is never handed out under it *)

@@ -15,7 +15,7 @@
       the local order ignores labels) and, with [~shapes:true], the
       node's view shape;
     - sizes a verdict table over the ball's labeling space: a dense
-      byte table when [|alphabet|^|ball|] fits [dense_limit], a
+      byte table when [|alphabet|^|ball|] is at most [2^18], a
       hashtable on a packed int key when it does not, and a hashtable
       on a textual key in the (pathological) regime where base-|Σ|
       packing overflows an int.
@@ -67,7 +67,6 @@ open Lcp_local
 type t
 
 val create :
-  ?dense_limit:int ->
   ?shapes:bool ->
   radius:int ->
   accepts:(View.t -> bool) ->
@@ -77,8 +76,8 @@ val create :
 (** Lay out every node's ball and size its (empty) verdict table. No
     view is built here: each node extracts its skeleton at its first
     decode (a miss the shape level does not answer, or a query
-    bypassing the table). [dense_limit] (default [65536]) caps the
-    per-node byte table; larger key spaces fall back to hashtables.
+    bypassing the table). A node's dense table holds at most [2^18]
+    keys (64 KiB); larger key spaces fall back to hashtables.
     Duplicate alphabet symbols are collapsed. [shapes] (default
     [false]) turns on the shape level described above; pass it only
     for a decoder whose verdicts ignore ids and ports.
@@ -147,7 +146,6 @@ val clear_shared : unit -> unit
 
 val acquire :
   key:string Lazy.t ->
-  ?dense_limit:int ->
   ?shapes:bool ->
   radius:int ->
   accepts:(View.t -> bool) ->

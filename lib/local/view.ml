@@ -161,16 +161,43 @@ let layout ?scratch (inst : Instance.t) ~r v =
   | Table _ -> ());
   { ball; ball_dist; edges = !edges }
 
+(* The ports of view node [u], one per visible edge in local neighbor
+   order. A node with few visible edges scans its port row once per
+   edge; past [scan_limit] visible edges (a hub near the center) that
+   is quadratic in the degree, so the row is read once instead and
+   each entry is placed by binary search among the visible neighbors
+   sorted by instance node: O((d + k) log k) for k visible edges out
+   of degree d. *)
+let scan_limit = 8
+
+let ports_of (inst : Instance.t) ball graph u =
+  let k = Graph.degree graph u in
+  if k <= scan_limit then
+    Array.init k (fun i ->
+        Port.port_of inst.Instance.ports ball.(u)
+          ball.(Graph.nth_neighbor graph u i))
+  else begin
+    let nb i = ball.(Graph.nth_neighbor graph u i) in
+    let by_node = Array.init k Fun.id in
+    Array.sort (fun a b -> Int.compare (nb a) (nb b)) by_node;
+    let ports = Array.make k 0 in
+    Array.iteri
+      (fun p w ->
+        let lo = ref 0 and hi = ref k in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if nb by_node.(mid) < w then lo := mid + 1 else hi := mid
+        done;
+        if !lo < k && nb by_node.(!lo) = w then ports.(by_node.(!lo)) <- p + 1)
+      inst.Instance.ports.(ball.(u));
+    ports
+  end
+
 let of_layout (inst : Instance.t) ~r lay =
   let ball = lay.ball in
   let m = Array.length ball in
   let graph = Graph.of_edges m lay.edges in
-  let ports =
-    Array.init m (fun u ->
-        Array.init (Graph.degree graph u) (fun i ->
-            Port.port_of inst.Instance.ports ball.(u)
-              ball.(Graph.nth_neighbor graph u i)))
-  in
+  let ports = Array.init m (fun u -> ports_of inst ball graph u) in
   {
     radius = r;
     graph;

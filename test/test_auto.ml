@@ -105,22 +105,6 @@ let test_generators_generate () =
         = sorted_perms (Array.to_list (Auto.perms auto))))
     (corpus 5)
 
-let test_orbits_match_brute () =
-  List.iter
-    (fun g ->
-      let n = Graph.order g in
-      let brute = brute_aut g in
-      (* brute orbit id: minimum image of v across the group *)
-      let expect =
-        Array.init n (fun v ->
-            List.fold_left (fun acc p -> min acc p.(v)) v brute)
-      in
-      Alcotest.(check (array int))
-        (Printf.sprintf "orbits on %s" (Graph.to_string g))
-        expect
-        (Auto.orbits (Auto.of_graph g)))
-    (corpus 5)
-
 (* known groups: |Aut C5| = 10 (dihedral), |Aut K4| = 24, |Aut P4| = 2,
    |Aut K3,3| = 72, rigid example from the n=6 corpus *)
 let test_known_sizes () =
@@ -130,63 +114,66 @@ let test_known_sizes () =
   check_int "P4 reversal" 2 (size (Builders.path 4));
   check_int "K3,3" 72 (size (Builders.complete_bipartite 3 3))
 
-(* the lex_constraints quotient keeps exactly one representative per
-   orbit of labelings when combined with the exact-minimality filter —
-   sanity-checked here by counting: chain constraints alone leave a
-   superset of the minima, never cut a minimum, and the minima count
-   equals the number of labeling orbits (Burnside check) *)
-let test_constraints_sound () =
-  let alphabet = [ "a"; "b" ] in
+(* Every labeling of C5, K4, P5 and K3,3 over 2 and 3 symbols, as
+   alphabet ranks, with the graph's group and its trie along the
+   identity order. *)
+let stabilizer_cases f =
   List.iter
     (fun g ->
       let n = Graph.order g in
       let auto = Auto.of_graph g in
+      let order = Array.init n Fun.id in
+      let trie = Auto.prefix auto ~order in
+      List.iter
+        (fun m ->
+          let alphabet = List.init m string_of_int in
+          let what = Printf.sprintf "%s, %d symbols" (Graph.to_string g) m in
+          let count = Lcp_local.Labeling.count ~alphabet g in
+          f ~what ~auto ~trie ~count (fun k ->
+              Lcp_local.Labeling.iter_backtracking_ranked ~alphabet ~order g
+                ~prune:(fun _ _ _ -> false)
+                (fun _ rk -> k rk)))
+        [ 2; 3 ])
+    [
+      Builders.cycle 5;
+      Builders.complete 4;
+      Builders.path 5;
+      Builders.complete_bipartite 3 3;
+    ]
+
+(* the stabilizer walk counts exactly the automorphisms that fix each
+   complete labeling, checked against a scan of the whole group *)
+let test_stabilizer_brute () =
+  stabilizer_cases (fun ~what ~auto ~trie ~count:_ each ->
       let perms = Auto.perms auto in
-      let cs = Auto.lex_constraints auto ~order:(Array.init n Fun.id) in
-      let rank s = if s = "a" then 0 else 1 in
-      (* enumerate all labelings; classify minimality by brute force *)
-      let minima = ref 0 and survivors = ref 0 and orbits = ref 0 in
-      let seen = Hashtbl.create 64 in
-      Lcp_local.Labeling.iter_all ~alphabet g (fun lab ->
-          let key = Array.to_list lab in
-          let lab = Array.copy lab in
-          (* brute lex-minimality over the group *)
-          let minimal =
-            Array.for_all
-              (fun p ->
-                let img = Array.init n (fun v -> lab.(p.(v))) in
-                compare (Array.map rank lab) (Array.map rank img) <= 0)
-              perms
+      each (fun rk ->
+          let fixes p =
+            let ok = ref true in
+            Array.iteri (fun v r -> if rk.(p.(v)) <> r then ok := false) rk;
+            !ok
           in
-          if minimal then incr minima;
-          if not (Hashtbl.mem seen key) then begin
-            incr orbits;
-            Array.iter
-              (fun p ->
-                Hashtbl.replace seen
-                  (Array.to_list (Array.init n (fun v -> lab.(p.(v)))))
-                  ())
-              perms
-          end;
-          (* does the labeling satisfy every chain constraint? *)
-          let ok = ref true in
-          Array.iteri
-            (fun s es ->
-              List.iter
-                (fun e -> if rank lab.(s) < rank lab.(e) then ok := false)
-                es)
-            cs;
-          if !ok then incr survivors;
-          (* soundness: a constraint violation implies non-minimality *)
-          if not !ok then
-            check_bool "constraints only cut non-minima" false minimal);
-      check_bool "constraints keep every minimum" true (!survivors >= !minima);
-      (* distinct minima = orbit count: minima are canonical forms *)
-      check_int
-        (Printf.sprintf "one minimum per labeling orbit on %s"
-           (Graph.to_string g))
-        !orbits !minima)
-    [ Builders.cycle 4; Builders.cycle 5; Builders.complete 4; Builders.path 5 ]
+          let brute =
+            Array.fold_left (fun acc p -> if fixes p then acc + 1 else acc) 0 perms
+          in
+          let stab = Auto.stabilizer trie rk in
+          if stab <> brute then
+            Alcotest.failf "%s, ranks [%s]: stabilizer %d, group scan %d" what
+              (String.concat ";" (Array.to_list (Array.map string_of_int rk)))
+              stab brute))
+
+(* the orbit minima (the labelings the trie does not cut at the last
+   step), each weighted by its orbit size |Aut| / |Stab|, cover the
+   labeling space exactly once: the weights strong soundness counts
+   with *)
+let test_orbit_weights_cover () =
+  stabilizer_cases (fun ~what ~auto ~trie ~count each ->
+      let n = Auto.order auto in
+      let covered = ref 0 in
+      each (fun rk ->
+          if not (Auto.cuts trie rk (n - 1)) then
+            covered := !covered + (Auto.size auto / Auto.stabilizer trie rk));
+      check_int (Printf.sprintf "orbit weights cover the space on %s" what)
+        count !covered)
 
 (* prefix programs (the oracle scan in Lcp_oracle) decide minimality
    exactly once the labeling is complete: walking every program at
@@ -357,10 +344,10 @@ let suite =
   [
     case "group = brute force, all classes n <= 5" test_group_small;
     case "generators close to the group" test_generators_generate;
-    case "orbits = brute force" test_orbits_match_brute;
+    case "stabilizer walk = group scan" test_stabilizer_brute;
     case "known group sizes" test_known_sizes;
-    case "lex constraints: sound and exact up to minimality"
-      test_constraints_sound;
+    case "orbit minima weighted by orbit size cover the space"
+      test_orbit_weights_cover;
     case "prefix programs: exact minimality at complete labelings"
       test_prefix_programs_exact;
     slow_case "group = brute force, n = 6 (LCP_HEAVY)" test_group_n6;

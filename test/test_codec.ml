@@ -4,28 +4,47 @@ open Lcp
 open Helpers
 module Json = Lcp_obs.Json
 
+(* graphs travel inside instances: the graph member of an instance
+   document, decoded first *)
+let graph_roundtrip g =
+  Result.map
+    (fun inst -> inst.Instance.graph)
+    (Codec.instance_of_json (Codec.instance_to_json (Instance.make g)))
+
 let test_graph_roundtrip () =
   List.iter
     (fun g ->
-      match Codec.graph_of_json (Codec.graph_to_json g) with
+      match graph_roundtrip g with
       | Ok g' -> check_graph "roundtrip" g g'
       | Error e -> Alcotest.fail e)
     [ Graph.empty 0; Graph.empty 3; Builders.petersen (); Builders.grid 3 4;
       Builders.watermelon [ 2; 3; 4 ] ]
 
+(* a valid instance document on the 2-node path, its graph member
+   replaced *)
+let with_graph graph =
+  match Codec.instance_to_json (Instance.make (Builders.path 2)) with
+  | Json.Obj members ->
+      Json.Obj
+        (List.map (fun (k, v) -> if k = "graph" then (k, graph) else (k, v)) members)
+  | _ -> Alcotest.fail "instance_to_json: not an object"
+
 let test_graph_bad_json () =
-  let bad j = match Codec.graph_of_json j with Error _ -> true | Ok _ -> false in
+  let bad j =
+    match Codec.instance_of_json (with_graph j) with
+    | Error _ -> true
+    | Ok _ -> false
+  in
+  let edges es =
+    Json.List (List.map (fun (u, v) -> Json.List [ Json.Int u; Json.Int v ]) es)
+  in
+  check_bool "well-formed graph accepted" false
+    (bad (Json.Obj [ ("order", Json.Int 2); ("edges", edges [ (0, 1) ]) ]));
   check_bool "missing field" true (bad (Json.Obj [ ("order", Json.Int 2) ]));
   check_bool "self loop" true
-    (bad
-       (Json.Obj
-          [ ("order", Json.Int 2);
-            ("edges", Json.List [ Json.List [ Json.Int 0; Json.Int 0 ] ]) ]));
+    (bad (Json.Obj [ ("order", Json.Int 2); ("edges", edges [ (0, 0) ]) ]));
   check_bool "out of range" true
-    (bad
-       (Json.Obj
-          [ ("order", Json.Int 2);
-            ("edges", Json.List [ Json.List [ Json.Int 0; Json.Int 5 ] ]) ]))
+    (bad (Json.Obj [ ("order", Json.Int 2); ("edges", edges [ (0, 5) ]) ]))
 
 let test_instance_roundtrip () =
   let r = rng () in
@@ -58,14 +77,23 @@ let test_verdicts_json () =
   check_bool "decoder name" true
     (Result.bind (member "decoder" j) to_str = Ok "degree-one")
 
+(* Report.to_json is the one serializer of a report (lcp experiments
+   --json writes it): it round-trips through the parser and names the
+   row value "measured" *)
 let test_report_json () =
   let j =
-    Codec.report_to_json
+    Report.to_json
       { Report.id = "EX"; title = "t";
         rows = [ Report.check "c" true ~expected:"e" ~actual:"a" ] }
   in
   check_bool "parses back" true
-    (Json.of_string (Json.to_string j) = Ok j)
+    (Json.of_string (Json.to_string j) = Ok j);
+  let open Json in
+  let row =
+    Result.bind (member "rows" j) to_list |> Result.map List.hd
+  in
+  check_bool "row value under \"measured\"" true
+    (Result.bind (Result.bind row (member "measured")) to_str = Ok "a")
 
 let test_save_load () =
   let path = Filename.temp_file "lcp" ".json" in

@@ -81,23 +81,52 @@ let test_stats_accounting () =
   let _, misses' = Eval_cache.stats ec in
   check_int "replay decodes nothing new" misses misses'
 
+(* The center of star:8 sees all 9 nodes, so degree-one's 5 symbols
+   give it 5^9 keys, past the 2^18 a dense table holds: its verdicts
+   live in the Hashed store, while each leaf's 5^2 keys sit in a Dense
+   one. Both stores must answer as direct decoding does, on seeded
+   labelings and on mutations of the honest certificate (whose center
+   accepts), when first asked and again when the stores answer. *)
 let test_dense_limit_variants_agree () =
-  (* force the hashtable fallback with dense_limit = 0 and compare
-     against the dense table verdict for verdict equality *)
-  let dec = D_degree_one.decoder in
+  let suite = D_degree_one.suite in
+  let dec = suite.Decoder.dec in
   let alphabet = D_degree_one.alphabet in
-  let g = Builders.pendant (Builders.cycle 3) 0 in
+  let g = Builders.star 8 in
   let inst = Instance.make g in
-  let mk limit =
-    Eval_cache.create ~dense_limit:limit ~radius:dec.Decoder.radius
-      ~accepts:dec.Decoder.accepts ~alphabet inst
+  let n = Graph.order g in
+  let ec =
+    Eval_cache.create ~radius:dec.Decoder.radius ~accepts:dec.Decoder.accepts
+      ~alphabet inst
   in
-  let dense = mk (1 lsl 16) and hashed = mk 0 in
-  Labeling.iter_all ~alphabet g (fun lab ->
-      Alcotest.(check (array bool))
-        "dense = hashed"
-        (Eval_cache.verdicts dense lab)
-        (Eval_cache.verdicts hashed lab))
+  let honest = Option.get (suite.Decoder.prover inst) in
+  let rng = Random.State.make [| 26 |] in
+  let syms = Array.of_list alphabet in
+  let mutate () =
+    let lab = Array.copy honest in
+    for _ = 1 to 1 + Random.State.int rng 2 do
+      lab.(Random.State.int rng n) <- syms.(Random.State.int rng (Array.length syms))
+    done;
+    lab
+  in
+  let labs =
+    honest
+    :: List.init 400 (fun i ->
+           if i mod 2 = 0 then Labeling.random rng ~alphabet g else mutate ())
+  in
+  let check lab =
+    Alcotest.(check (array bool))
+      "cache = direct"
+      (Decoder.run dec (Instance.with_labels inst lab))
+      (Eval_cache.verdicts ec lab)
+  in
+  check_bool "the center accepts the honest labeling" true
+    (Eval_cache.verdicts ec honest).(0);
+  List.iter check labs;
+  let hits, _ = Eval_cache.stats ec in
+  List.iter check labs;
+  let hits', _ = Eval_cache.stats ec in
+  check_bool "the replay is answered from the stores" true
+    (hits' - hits = List.length labs * n)
 
 let test_out_of_alphabet_bypass () =
   (* the search's "?" placeholder outside the ball is fine; an
@@ -206,6 +235,22 @@ let check_layouts ~what (inst : Instance.t) ~r =
     in
     check_bool (what ^ ": view order") true (nodes = ball);
     check_bool (what ^ ": view dist") true (view.View.dist = dist);
+    (* every visible edge end's port against a scan of its instance
+       port row *)
+    Array.iteri
+      (fun u row ->
+        check_int (what ^ ": port row length")
+          (Graph.degree view.View.graph u)
+          (Array.length row);
+        Array.iteri
+          (fun i p ->
+            let w = ball.(Graph.nth_neighbor view.View.graph u i) in
+            let expect = Port.port_of inst.Instance.ports ball.(u) w in
+            if p <> expect then
+              Alcotest.failf "%s: port of %d toward %d is %d, row scan %d" what
+                ball.(u) w p expect)
+          row)
+      view.View.ports;
     (* shapes exist only for views of at most Canon.max_order nodes,
        whose edge masks fit an int *)
     if Array.length ball <= Lcp_engine.Canon.max_order then
@@ -251,7 +296,19 @@ let layout_differential ~count ~seed () =
             ~what:(Printf.sprintf "random %d (n=%d)" i (Instance.order inst))
             inst ~r)
         [ 1; 2; 3 ])
-    (layout_instances ~count ~seed)
+    (layout_instances ~count ~seed);
+  (* hubs with random ports and ids: a view centered on or next to a
+     hub has more visible edges at one node than View reads its port
+     row once per edge for; on a view's fringe the hub has one *)
+  List.iter
+    (fun (what, g) ->
+      let inst = Instance.random rng g in
+      List.iter (fun r -> check_layouts ~what inst ~r) [ 1; 2 ])
+    [
+      ("star:40", Builders.star 40);
+      ("friendship:20", Builders.friendship 20);
+      ("ba n=400 m=2", Random_graphs.preferential_attachment rng 400 ~m:2);
+    ]
 
 let test_layout_differential () = layout_differential ~count:10 ~seed:31 ()
 

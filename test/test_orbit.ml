@@ -156,22 +156,40 @@ let test_strong_soundness_exact_count () =
       Builders.star 4;
     ]
 
-(* a failing run must surface the identical failure instance on both
+(* A failing run must surface the identical failure instance on both
    paths: trivial2's everywhere-accepting decoder makes any non
-   1-colorable graph fail strong soundness at k = 1, and C6 has a big
-   automorphism group to quotient by *)
+   1-colorable graph fail strong soundness at k = 1, and these graphs
+   have groups of order 2 to 5,040 to quotient by. The quotiented run
+   counts the orbits of every minimum up to and including the failing
+   one, so its labelings_checked depends only on the group and the lex
+   order, not on how the symmetry cut is computed: the pins were
+   recorded with the previous cut (stabilizer-chain constraints plus a
+   scan of the whole group at each leaf) and must not move. *)
 let test_failing_case_identical () =
-  let inst = Instance.make (Builders.cycle 6) in
   let suite = D_trivial.suite ~k:2 in
   let fail_of = function
     | Checker.Pass _ -> None
     | Checker.Fail f -> Some (f.Checker.instance, f.Checker.detail)
   in
-  let on_v, _ = run_strong ~quotient:true suite ~k:1 [ inst ] in
-  let off_v, _ = run_strong ~quotient:false suite ~k:1 [ inst ] in
-  check_bool "both paths fail" true
-    ((not (Checker.is_pass on_v)) && not (Checker.is_pass off_v));
-  check_bool "failure instances identical" true (fail_of on_v = fail_of off_v)
+  List.iter
+    (fun (what, g, pin) ->
+      let inst = Instance.make g in
+      let on_v, on_c = run_strong ~quotient:true suite ~k:1 [ inst ] in
+      let off_v, _ = run_strong ~quotient:false suite ~k:1 [ inst ] in
+      check_bool (what ^ ": both paths fail") true
+        ((not (Checker.is_pass on_v)) && not (Checker.is_pass off_v));
+      check_bool (what ^ ": failure instances identical") true
+        (fail_of on_v = fail_of off_v);
+      check_int (what ^ ": labelings_checked") pin on_c)
+    [
+      ("C6", Builders.cycle 6, 43);
+      ("K3,3", Builders.complete_bipartite 3 3, 39);
+      ("P6", Builders.path 6, 7);
+      ("C8", Builders.cycle 8, 57);
+      ("K2,4", Builders.complete_bipartite 2 4, 66);
+      ("star 6", Builders.star 6, 666);
+      ("star 7", Builders.star 7, 2060);
+    ]
 
 (* quotient path composes with both verdict sources *)
 let test_strong_soundness_crossed () =

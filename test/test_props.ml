@@ -233,8 +233,8 @@ let suite = all
 let prop_graph_json_roundtrip =
   QCheck2.Test.make ~name:"graph JSON roundtrip" ~count:100 ~print:print_graph
     gen_graph (fun g ->
-      match Codec.graph_of_json (Codec.graph_to_json g) with
-      | Ok g' -> Graph.equal g g'
+      match Codec.instance_of_json (Codec.instance_to_json (Instance.make g)) with
+      | Ok inst -> Graph.equal g inst.Instance.graph
       | Error _ -> false)
 
 let prop_instance_json_roundtrip =
