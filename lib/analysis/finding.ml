@@ -21,14 +21,6 @@ let kind_to_string = function
   | Port_variance -> "port-variance"
   | Nondeterminism -> "nondeterminism"
 
-let kind_of_string = function
-  | "radius-violation" -> Some Radius_violation
-  | "id-taint" -> Some Id_taint
-  | "id-variance" -> Some Id_variance
-  | "port-variance" -> Some Port_variance
-  | "nondeterminism" -> Some Nondeterminism
-  | _ -> None
-
 let severity_to_string = function
   | Error -> "error"
   | Warning -> "warning"

@@ -32,7 +32,4 @@ val make : ?severity:severity -> kind -> decoder:string -> string -> t
 val is_violation : t -> bool
 (** [true] iff the severity is [Error]. *)
 
-val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-val severity_to_string : severity -> string
 val to_json : t -> Lcp_obs.Json.t

@@ -41,8 +41,6 @@ type report = {
   decoders : decoder_report list;  (** sorted by key *)
 }
 
-val schema_version : int
-
 val run :
   ?cfg:Lcp_obs.Run_cfg.t ->
   ?max_n:int ->

@@ -1,12 +1,10 @@
 open Lcp_local
 
 type eval = {
-  node : int;
   verdict : bool;
   max_depth : int;
   id_reads : int;
   port_reads : int;
-  label_nodes : int;
   label_bits : int;
 }
 
@@ -18,7 +16,7 @@ type measurement = {
   max_label_bits : int;
 }
 
-let summarize ~node ~verdict events =
+let summarize ~verdict events =
   let max_depth = ref (-1) in
   let id_reads = ref 0 in
   let port_reads = ref 0 in
@@ -43,12 +41,10 @@ let summarize ~node ~verdict events =
     events;
   let label_bits = Hashtbl.fold (fun _ bits acc -> acc + bits) label_tbl 0 in
   {
-    node;
     verdict;
     max_depth = !max_depth;
     id_reads = !id_reads;
     port_reads = !port_reads;
-    label_nodes = Hashtbl.length label_tbl;
     label_bits;
   }
 
@@ -57,13 +53,10 @@ let eval_node (dec : Lcp.Decoder.t) inst v =
   let verdict, events =
     View.Trace.record (fun () -> dec.Lcp.Decoder.accepts view)
   in
-  summarize ~node:v ~verdict events
-
-let run dec inst =
-  Array.init (Instance.order inst) (fun v -> eval_node dec inst v)
+  summarize ~verdict events
 
 let measure dec inst =
-  let evals = run dec inst in
+  let evals = Array.init (Instance.order inst) (eval_node dec inst) in
   {
     verdicts = Array.map (fun (e : eval) -> e.verdict) evals;
     observed_radius =

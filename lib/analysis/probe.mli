@@ -9,20 +9,6 @@
 
 open Lcp_local
 
-type eval = {
-  node : int;
-  verdict : bool;
-  max_depth : int;
-      (** deepest data access, as distance from the center; [-1] when
-          the evaluation read nothing *)
-  id_reads : int;  (** identifier accessor calls *)
-  port_reads : int;  (** port accessor calls *)
-  label_nodes : int;  (** distinct ball nodes whose certificate was read *)
-  label_bits : int;
-      (** total certificate bits consumed, counted once per ball node
-          (at the largest size seen there) *)
-}
-
 type measurement = {
   verdicts : bool array;  (** node-indexed, identical to [Decoder.run] *)
   observed_radius : int;  (** max of [max_depth] over all evaluations *)
@@ -34,8 +20,5 @@ type measurement = {
           taint/tightness metric *)
 }
 
-val run : Lcp.Decoder.t -> Instance.t -> eval array
-(** Trace every node, in node order. *)
-
 val measure : Lcp.Decoder.t -> Instance.t -> measurement
-(** Aggregate {!run} over the instance. *)
+(** Trace every node and aggregate the per-evaluation facts. *)

@@ -10,9 +10,6 @@
 
 open Lcp_local
 
-val bot : string
-val top : string
-
 val decoder : Decoder.t
 val prover : Instance.t -> Labeling.t option
 val alphabet : string list

@@ -16,9 +16,6 @@
     exhaustive soundness and strong soundness on small rings, hiding)
     are measured in experiment E20. *)
 
-open Lcp_local
-
 val decoder : Decoder.t
-val prover : Instance.t -> Labeling.t option
 val alphabet : string list
 val suite : Decoder.suite

@@ -10,11 +10,6 @@
 
 open Lcp_local
 
-val encode : q1:int -> c1:int -> q2:int -> c2:int -> string
-(** Certificate claiming: my port-1 edge arrives at the far end's port
-    [q1] and has color [c1]; my port-2 edge at far port [q2] with color
-    [c2]. *)
-
 val decoder : Decoder.t
 val prover : Instance.t -> Labeling.t option
 

@@ -19,9 +19,6 @@
     k-col with k >= 3 exists on this class is exactly the kind of
     question the paper leaves open. *)
 
-open Lcp_local
-
 val decoder : k:int -> Decoder.t
-val prover : k:int -> Instance.t -> Labeling.t option
 val alphabet : k:int -> string list
 val suite : k:int -> Decoder.suite

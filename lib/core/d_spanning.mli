@@ -13,8 +13,5 @@
     — like {!D_trivial} — maximally non-hiding, since the 2-coloring is
     written into every certificate. *)
 
-open Lcp_local
-
 val decoder : Decoder.t
-val prover : Instance.t -> Labeling.t option
 val suite : Decoder.suite

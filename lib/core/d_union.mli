@@ -8,9 +8,6 @@
     degree-one-certified part and a cycle-certified part with no edges
     in between, and strong soundness is inherited from both halves. *)
 
-open Lcp_local
-
 val decoder : Decoder.t
-val prover : Instance.t -> Labeling.t option
 val alphabet : string list
 val suite : Decoder.suite

@@ -48,10 +48,3 @@ let failure_nodes t inst =
   |> List.rev
 
 let extraction_succeeds t inst = failure_nodes t inst = []
-
-let success_fraction t inst =
-  let n = Instance.order inst in
-  if n = 0 then 1.0
-  else
-    let failures = List.length (failure_nodes t inst) in
-    float_of_int (n - failures) /. float_of_int n

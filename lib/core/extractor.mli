@@ -14,12 +14,10 @@ type t = {
   coloring : int array;
 }
 
-val of_coloring : Neighborhood.t -> int array -> t
-(** @raise Invalid_argument if the coloring is not proper on the
-    neighborhood graph. *)
-
 val of_verdict : Hiding.verdict -> t option
-(** [Some] exactly on [Colorable] verdicts. *)
+(** [Some] exactly on [Colorable] verdicts.
+    @raise Invalid_argument if a [Colorable] verdict's coloring is not
+    proper on its neighborhood graph. *)
 
 val extract : t -> Instance.t -> int array
 (** Per-node colors; a node whose view is unknown to the neighborhood
@@ -27,9 +25,3 @@ val extract : t -> Instance.t -> int array
 
 val extraction_succeeds : t -> Instance.t -> bool
 (** Did extraction produce a proper coloring with no [-1]s? *)
-
-val success_fraction : t -> Instance.t -> float
-(** Fraction of nodes that output a color consistent with all their
-    neighbors (the quantified-hiding measure the paper raises as future
-    work). *)
-

@@ -44,11 +44,3 @@ let check ?mode ?yes ~k dec instances =
 
 let is_hiding_on ~k dec instances =
   match check ~k dec instances with Hiding _ -> true | Colorable _ -> false
-
-let pp_verdict ppf = function
-  | Hiding { witness; nbhd } ->
-      Format.fprintf ppf "hiding (witness of %d views in %a)" (List.length witness)
-        Neighborhood.pp_summary nbhd
-  | Colorable { nbhd; _ } ->
-      Format.fprintf ppf "colorable neighborhood graph (%a): not hiding on this family"
-        Neighborhood.pp_summary nbhd

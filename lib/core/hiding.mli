@@ -40,5 +40,3 @@ val of_neighborhood : k:int -> Neighborhood.t -> verdict
 
 val is_hiding_on : k:int -> Decoder.t -> Instance.t list -> bool
 (** [true] exactly when {!check} returns [Hiding]. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -18,14 +18,12 @@ val lift : Neighborhood.t -> Instance.t -> int list -> int list option
 val is_non_backtracking_views : View.t list -> bool
 (** The Sec. 5.2 definition on a closed walk of views. *)
 
-val far_node : Graph.t -> r:int -> u:int -> v:int -> int option
-(** A node whose radius-r ball is disjoint from those of [u] and [v]
-    (distance [> 2r] from both) — the [v_mu'] of Lemma 5.4. *)
-
 val edge_expansion : Graph.t -> r:int -> u:int -> v:int -> int list option
 (** The Lemma 5.4 closed walk [W_e] for the edge [{u,v}]: start at [u],
     cross to [v], escape along an r-forgetful path, detour through a far
-    node, and return non-backtracking. The result is a closed
+    node [v_mu'] (one at distance [> 2r] from both [u] and [v], so its
+    radius-r ball is disjoint from theirs), and return
+    non-backtracking. The result is a closed
     non-backtracking walk through [u] and [v]; on a bipartite instance
     it is automatically even. *)
 

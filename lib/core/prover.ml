@@ -72,8 +72,6 @@ let completion_order balls =
   assert (!pos = n);
   order
 
-let ball_completion_order g ~r = completion_order (balls g ~r)
-
 (* Nodes whose entire radius-r ball lies within the first [i + 1]
    assigned nodes become checkable at step [i] of the given order. *)
 let coverage_schedule balls ~order =
@@ -289,8 +287,3 @@ let find_accepted ?cfg dec ~alphabet inst =
 let iter_accepted ?cfg dec ~alphabet inst f =
   (tables ?cfg ()).with_accepts dec ~alphabet inst (fun accepts ->
       iter_with ?cfg ~accepts ~group:None dec ~alphabet inst f)
-
-let count_accepted ?cfg dec ~alphabet inst =
-  let k = ref 0 in
-  iter_accepted ?cfg dec ~alphabet inst (fun _ -> incr k);
-  !k

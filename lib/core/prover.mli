@@ -29,8 +29,8 @@
     accepted labeling is automatically the minimum of its (Aut-closed)
     accepted set — witnesses and verdicts are bit-identical to the full
     search; only the work tally shrinks, with the cut branches reported
-    as [orbit_pruned_branches]. {!iter_accepted} / {!count_accepted}
-    enumerate {e all} accepted labelings and are never orbit-pruned.
+    as [orbit_pruned_branches]. {!iter_accepted}
+    enumerates {e all} accepted labelings and is never orbit-pruned.
 
     The reference paths the tables and the quotient are validated
     against — direct view extraction and the unquotiented search — are
@@ -75,20 +75,6 @@ val iter_accepted :
   unit
 (** All unanimously accepted labelings (the callback receives a fresh
     copy each time), in ball-completion search order. *)
-
-val count_accepted :
-  ?cfg:Lcp_obs.Run_cfg.t ->
-  Decoder.t ->
-  alphabet:string list ->
-  Instance.t ->
-  int
-
-val ball_completion_order : Lcp_graph.Graph.t -> r:int -> int array
-(** The search's assignment order: [order.(i)] is the node assigned
-    at step [i]. Repeatedly picks the center whose radius-[r] ball has
-    the fewest unassigned nodes left (ties to the smallest center) and
-    assigns its missing nodes in ascending order, so some ball is fully
-    labeled, hence checkable, as early as possible. *)
 
 val orbit_eligible : Decoder.t -> Instance.t -> bool
 (** Whether the automorphism-orbit quotient is sound for this decoder

@@ -48,12 +48,6 @@ let instance_success coloring (inst, classes) =
 let worst_case coloring classified =
   List.fold_left (fun acc ic -> min acc (instance_success coloring ic)) 1.0 classified
 
-let success_fraction ~k nbhd coloring inst =
-  ignore k;
-  match classify nbhd [ inst ] with
-  | [ ic ] -> instance_success coloring ic
-  | _ -> assert false
-
 let exhaustive ~k m classified =
   let coloring = Array.make m 0 in
   let best = ref (Array.copy coloring) in

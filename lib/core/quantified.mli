@@ -20,7 +20,9 @@ open Lcp_local
 type result = {
   best : int array;  (** the best extractor found: color per view class *)
   worst_case_success : float;
-      (** min over instances of its per-instance success fraction *)
+      (** min over instances of its per-instance success fraction; a
+          node whose view is unknown to the neighborhood graph counts
+          as a failure *)
   exact : bool;  (** true when the search space was enumerated fully *)
 }
 
@@ -36,11 +38,6 @@ val best_extractor :
     [k^|V|]; [restarts] (default 20) controls hill climbing. The
     instance list should be the (unanimously accepted) family the
     neighborhood graph was built from. *)
-
-val success_fraction :
-  k:int -> Neighborhood.t -> int array -> Instance.t -> float
-(** Success fraction of one extractor on one instance; nodes whose view
-    is unknown to the neighborhood graph count as failures. *)
 
 val hiding_level : result -> float
 (** [1 - worst_case_success]: the fraction of nodes the best-known

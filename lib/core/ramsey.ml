@@ -71,6 +71,7 @@ let reassign_by_rank view tuple =
 let decoder_type (dec : Decoder.t) ~shapes tuple =
   List.map (fun shape -> dec.Decoder.accepts (reassign_by_rank shape tuple)) shapes
 
+(* Memoized coloring of tuples by type. *)
 let type_color dec ~shapes =
   let table : (bool list, int) Hashtbl.t = Hashtbl.create 16 in
   let memo : (int list, int) Hashtbl.t = Hashtbl.create 64 in
@@ -92,13 +93,13 @@ let type_color dec ~shapes =
         Hashtbl.replace memo tuple c;
         c
   in
-  (color, fun () -> !next)
+  color
 
 let monochromatic_ids dec ~shapes ~universe ~size =
   let tuple_size =
     List.fold_left (fun acc v -> max acc (View.size v)) 1 shapes
   in
-  let color, _ = type_color dec ~shapes in
+  let color = type_color dec ~shapes in
   monochromatic_subset ~universe ~tuple_size ~size ~color
 
 let order_invariant_decoder (dec : Decoder.t) ~mono =

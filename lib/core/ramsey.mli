@@ -10,18 +10,6 @@
 
 open Lcp_local
 
-val combinations : int list -> int -> int list list
-(** All sorted [k]-subsets. *)
-
-val monochromatic_subset :
-  universe:int list ->
-  tuple_size:int ->
-  size:int ->
-  color:(int list -> int) ->
-  int list option
-(** A subset [Y] of the universe with [|Y| = size] such that all sorted
-    [tuple_size]-subsets of [Y] receive the same color; brute force. *)
-
 val arrows : n:int -> s:int -> t:int -> bool
 (** The graph-Ramsey arrow [n -> (s, t)]: every red/blue coloring of
     [K_n]'s edges contains a red [K_s] or blue [K_t]. Exhaustive over
@@ -33,22 +21,16 @@ val ramsey_number : s:int -> t:int -> int
 
 (** {1 The Lemma 6.2 reduction} *)
 
-val decoder_type :
-  Decoder.t -> shapes:View.t list -> int list -> bool list
-(** The type of a sorted identifier tuple: for each shape, reassign its
-    identifiers order-preservingly from the tuple (rank [j] receives the
-    tuple's [j]-th element) and record the decoder's verdict. The tuple
-    must be at least as large as every shape. *)
-
-val type_color :
-  Decoder.t -> shapes:View.t list -> (int list -> int) * (unit -> int)
-(** Memoized coloring of tuples by type; the second component reports
-    how many distinct types have been seen. *)
-
 val monochromatic_ids :
   Decoder.t -> shapes:View.t list -> universe:int list -> size:int -> int list option
-(** A monochromatic identifier set for the decoder-type coloring, with
-    tuple size equal to the largest shape. *)
+(** A set [Y] of [size] identifiers from the universe on which the
+    decoder's {e type} is constant: all sorted [t]-subsets of [Y], [t]
+    the size of the largest shape, get the same type. The type of a
+    sorted tuple records, for each shape, the decoder's verdict after
+    reassigning the shape's identifiers order-preservingly from the
+    tuple (rank [j] receives the tuple's [j]-th element). Brute force
+    over the [size]-subsets in lexicographic order; the first
+    monochromatic one is returned. *)
 
 val order_invariant_decoder : Decoder.t -> mono:int list -> Decoder.t
 (** The decoder [D'] of Lemma 6.2: remap the view's identifiers

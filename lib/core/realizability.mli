@@ -25,13 +25,6 @@ val compatible : View.t -> int -> View.t -> bool
     node of [mu1] shares its radius-1 view with any interior node of
     [mu2] carrying the same identifier. *)
 
-val ids_of : subgraph -> int list
-(** All identifiers occurring in the views, sorted. *)
-
-val occurrences : subgraph -> int -> int list
-(** Indices of the views in which the identifier occurs ([S(i)]'s node
-    set). *)
-
 type assignment = (int * View.t) list
 (** Chosen [mu_i] per identifier. *)
 

@@ -4,8 +4,7 @@ type entry = {
   contract : Decoder.contract;
 }
 
-let entry ?radius ?port_invariant key suite =
-  { key; suite; contract = Decoder.contract ?radius ?port_invariant suite.Decoder.dec }
+let entry key suite = { key; suite; contract = Decoder.contract suite.Decoder.dec }
 
 (* Port invariance is declared in each decoder module ([Decoder.make
    ~port_invariant:true]), only where the accepts function provably

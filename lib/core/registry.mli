@@ -12,12 +12,6 @@ type entry = {
   contract : Decoder.contract;  (** the claims the sanitizer enforces *)
 }
 
-val entry :
-  ?radius:int -> ?port_invariant:bool -> string -> Decoder.suite -> entry
-(** Build an entry whose contract derives from the suite's decoder (see
-    {!Decoder.contract}); exposed so tests can register deliberately
-    misbehaving decoders against chosen contracts. *)
-
 val all : entry list
 (** Every shipped decoder suite, in CLI listing order. *)
 

@@ -3,8 +3,6 @@ module Json = Lcp_obs.Json
 type row = { label : string; value : string; expected : string; ok : bool }
 type t = { id : string; title : string; rows : row list }
 
-let row ?(expected = "-") ?(ok = true) label value = { label; value; expected; ok }
-
 let check label ok ~expected ~actual = { label; value = actual; expected; ok }
 
 let passed t = List.for_all (fun r -> r.ok) t.rows

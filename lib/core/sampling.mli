@@ -111,8 +111,6 @@ val run :
 val with_build_wall_ns : report -> int -> report
 (** Stamp the graph-construction wall time measured by the caller. *)
 
-val schema_version : int
-
 val report_to_json : report -> Lcp_obs.Json.t
 (** Schema-versioned report, including derived [nodes_per_sec] /
     [edges_per_sec] / [probes_per_sec] rates and a [peak_rss_kb] note

@@ -297,8 +297,6 @@ let min_mask ?(init = max_int) ~n adj =
     best
   end
 
-let key_adj ~n adj = (canonical_mask ~n adj lsl 4) lor n
-
 let key g =
   let n = Graph.order g in
-  key_adj ~n (Chunk.adj_of_graph g)
+  (canonical_mask ~n (Chunk.adj_of_graph g) lsl 4) lor n

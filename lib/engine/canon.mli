@@ -82,10 +82,8 @@ val witnesses : n:int -> int array -> int * int array list
     discovery order (labels from [n-1] down, vertices of the label's
     cell ascending). *)
 
-val key_adj : n:int -> int array -> int
+val key : Graph.t -> int
 (** The canonical mask with the order packed into the low 4 bits —
     equal iff the graphs are isomorphic. (Replaces the historical
     ["n:mask"] string keys: an int compares and hashes without
     allocating.) *)
-
-val key : Graph.t -> int

@@ -7,7 +7,7 @@
 
     A checkpoint is a single schema-versioned JSON object, sealed by a
     [digest] member: the MD5 of the compact rendering of every other
-    member. {!of_json} (and so {!load}) refuses a file whose digest is
+    member. {!load} refuses a file whose digest is
     missing or does not match, so a hand-edited or corrupted counter
     cannot merge silently into a report. Its header
     (tag, order, connectivity filter, shard coordinates, and
@@ -28,10 +28,6 @@
     sharded sweep {!merge} into exactly the record an unsharded run
     would have written: that equality, rendered through
     {!report_json}, is the CI gate for the sharding layer. *)
-
-val schema_version : int
-(** Current on-disk schema: 2 (schema 1 had no digest). {!load}
-    rejects anything else. *)
 
 type enum = {
   candidates : int;
@@ -74,26 +70,22 @@ type policy = { path : string; resume : bool; tag : string }
     existing file at [path] should be continued (it is overwritten
     from scratch otherwise), and the tag to stamp into the header. *)
 
-val to_json : t -> Lcp_obs.Json.t
-(** The record's members followed by their [digest]. *)
-
-val of_json : Lcp_obs.Json.t -> (t, string) result
-(** Decode, after checking the schema version and then the digest: a
-    missing or mismatching digest is an [Error]. Members the record
-    does not carry are ignored once the digest covers them, so files
-    from before the header dropped its [strategy] member still load —
-    unless that member names an enumerator other than ["orderly"]. *)
-
 val save : ?now:int -> path:string -> t -> unit
-(** Atomic write: serialize to [path ^ ".tmp"], then rename over
+(** Atomic write: serialize to [path ^ ".tmp"] (the record's members
+    followed by their [digest]), then rename over
     [path] — a kill mid-write leaves the previous checkpoint intact
     (the same discipline {!Lcp_obs.Sink} uses). Stamps [saved_at]
     with [now] (default: the current epoch second), so every write
     doubles as a liveness heartbeat. *)
 
 val load : string -> (t, string) result
-(** Read and decode; I/O, parse, schema and digest errors all come back
-    as [Error] with a readable message that names [path]. *)
+(** Read and decode, after checking the schema version (currently 2;
+    schema 1 had no digest) and then the digest: I/O, parse, schema and
+    digest errors all come back as [Error] with a readable message that
+    names [path]. Members the record does not carry are ignored once
+    the digest covers them, so files from before the header dropped its
+    [strategy] member still load — unless that member names an
+    enumerator other than ["orderly"]. *)
 
 val header_mismatch : t -> t -> string option
 (** The first header field (tag, n, connectivity, shard

@@ -49,7 +49,6 @@ type t = {
   accepts : View.t -> bool;
   inst : Instance.t;
   radius : int;
-  sym : (string, int) Hashtbl.t;
   sigma : int;
   nodes : node_tab array;
   scope : scope option; (* None: no shape level *)
@@ -268,7 +267,7 @@ let create ?(shapes = false) ~radius ~accepts ~alphabet (inst : Instance.t) =
         in
         { globals; skeleton = None; store; shape; space; shared = None })
   in
-  { accepts; inst; radius; sym; sigma; nodes; scope; hits = 0; misses = 0 }
+  { accepts; inst; radius; sigma; nodes; scope; hits = 0; misses = 0 }
 
 (* Evaluate by swapping the candidate ball labels into the skeleton:
    structure, ports and ids are reused, only the label array is fresh. *)
@@ -350,28 +349,6 @@ let accepts_ranked t (lab : Labeling.t) ranks v =
           let verdict = miss t tab (-1) lab in
           Hashtbl.replace tbl key verdict;
           verdict)
-
-(* The string entry points rank the labeling first; a label outside the
-   alphabet (possible when a caller probes a labeling the adversary
-   alphabet does not cover) ranks -1, and a query whose ball holds one
-   bypasses the tables. *)
-let rank_all t (lab : Labeling.t) =
-  Array.map
-    (fun s -> match Hashtbl.find t.sym s with i -> i | exception Not_found -> -1)
-    lab
-
-let ranked_or_bypass t ranks lab v =
-  let tab = t.nodes.(v) in
-  if Array.exists (fun w -> ranks.(w) < 0) tab.globals then decode t tab lab
-  else accepts_ranked t lab ranks v
-
-let accepts t lab v = ranked_or_bypass t (rank_all t lab) lab v
-
-let verdicts t lab =
-  let ranks = rank_all t lab in
-  Array.init (Array.length t.nodes) (ranked_or_bypass t ranks lab)
-
-let ball t v = Array.copy t.nodes.(v).globals
 
 let stats t = (t.hits, t.misses)
 

@@ -25,8 +25,7 @@
     {e skeleton} ({!Lcp_local.View.mapi_labels}) and runs the decoder
     once. The skeleton (ball graph, ids, ports) is extracted at the
     node's first decode and kept; a node whose misses the shape level
-    answers never extracts one. Labels outside the alphabet bypass the
-    table (the query is answered correctly but never cached).
+    answers never extracts one.
 
     {b Shape tables.} Created with [~shapes:true] (only for decoders
     that are anonymous and port-invariant), a cache answers its misses
@@ -53,7 +52,7 @@
     sequence the hit/miss split is deterministic — per-instance tables
     are confined to whichever domain runs that instance, and a
     per-instance miss counts as a miss whether or not a shape table
-    answered it — so engine counters built from {!stats} are
+    answered it — so engine counters built from {!lease_stats} are
     independent of [jobs] and of what earlier searches left in the
     shape tables.
 
@@ -75,43 +74,27 @@ val create :
   t
 (** Lay out every node's ball and size its (empty) verdict table. No
     view is built here: each node extracts its skeleton at its first
-    decode (a miss the shape level does not answer, or a query
-    bypassing the table). A node's dense table holds at most [2^18]
+    decode (a miss the shape level does not answer). A node's dense table holds at most [2^18]
     keys (64 KiB); larger key spaces fall back to hashtables.
     Duplicate alphabet symbols are collapsed. [shapes] (default
     [false]) turns on the shape level described above; pass it only
     for a decoder whose verdicts ignore ids and ports.
     @raise Invalid_argument if [radius < 1]. *)
 
-val accepts : t -> Labeling.t -> int -> bool
-(** [accepts t lab v]: the decoder's verdict at node [v] under the
-    (possibly partial) labeling [lab] — every node of [v]'s ball must
-    carry a real label; slots outside the ball may hold anything
-    (e.g. the search's ["?"] placeholder). Memoized. *)
-
 val accepts_ranked : t -> Labeling.t -> int array -> int -> bool
-(** [accepts_ranked t lab ranks v]: {!accepts} for a search that keeps
-    the {!Lcp_local.Labeling.ranks} of its labels, [ranks.(w)] for
-    every node [w] of [v]'s ball. The key is packed from [ranks], so a
-    query hashes no string; [lab] is read only to decode a miss. Every
-    rank must come from the alphabet the cache was built with. *)
+(** [accepts_ranked t lab ranks v]: the decoder's verdict at node [v]
+    under the (possibly partial) labeling [lab], memoized. [ranks.(w)]
+    is the {!Lcp_local.Labeling.ranks} rank of [lab.(w)] for every node
+    [w] of [v]'s ball, so every node of the ball must carry a label
+    from the alphabet the cache was built with; slots outside the ball
+    may hold anything (e.g. the search's ["?"] placeholder). The key is
+    packed from [ranks], so a query hashes no string; [lab] is read
+    only to decode a miss. *)
 
 val shape_stats : unit -> int * int
 (** [(tables, entries)]: shape tables built and shape-table entries
     filled so far, summed over every domain of the process. Both only
     grow; a run reports its own share as the difference. *)
-
-val verdicts : t -> Labeling.t -> bool array
-(** All nodes' verdicts under a complete labeling — the memoized
-    equivalent of [Decoder.run], one table lookup per node. *)
-
-val ball : t -> int -> int array
-(** The instance nodes of [v]'s ball in view-local (dist, id) order —
-    the key dimensions of [v]'s table. Fresh copy. *)
-
-val stats : t -> int * int
-(** [(hits, misses)] accumulated so far. [misses] is the number of
-    distinct (node, ball-labeling) pairs actually decoded. *)
 
 (** {1 Cross-run sharing}
 
@@ -168,7 +151,8 @@ val lease_warm : lease -> bool
 val lease_stats : lease -> int * int
 (** [(hits, misses)] accumulated {e during this lease} — the delta
     since {!acquire}, so per-run counters stay independent of how warm
-    the pooled cache already was. *)
+    the pooled cache already was. [misses] counts the distinct
+    (node, ball-labeling) pairs actually decoded. *)
 
 val release : lease -> unit
 (** Return a pooled cache to the pool (no-op on private leases). Call

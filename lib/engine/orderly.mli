@@ -75,9 +75,6 @@ type tallies = {
   classes : int;  (** classes returned (after the [connected] filter) *)
 }
 
-val max_order : int
-(** Largest supported order (the {!Canon} edge-mask bound). *)
-
 val generate :
   ?jobs:int ->
   ?metrics:Lcp_obs.Metrics.t ->
@@ -94,4 +91,4 @@ val generate :
     [metrics], the two pool phases are recorded as child spans of the
     caller's open span: [extend] (every level, aggregated) and
     [min_mask].
-    @raise Invalid_argument when [n] exceeds {!max_order}. *)
+    @raise Invalid_argument when [n] exceeds {!Canon.max_order}. *)

@@ -60,28 +60,17 @@ val clear_cache : unit -> unit
     not [jobs], not the keep filter — so any two runs agree on which
     shard owns which class. *)
 
-val shard_of_key : shards:int -> int -> int
-(** Which of the [shards] slices owns a class key: a splitmix64-style
-    bit mix of the key, reduced mod [shards] — minimal edge masks are
-    heavily non-uniform, the mix spreads them evenly.
+val shard_of_class : shards:int -> Graph.t -> int
+(** Which of the [shards] slices owns a class: a splitmix64-style bit
+    mix of the class's key, reduced mod [shards] — minimal edge masks
+    are heavily non-uniform, the mix spreads them evenly. The
+    shard-key contract: a class is keyed by its representative's edge
+    mask ({!Chunk.wide_mask_of_graph}) — stable across processes and
+    orders up to {!Canon.max_order}, and ascending along the listing
+    (representatives are minimal-mask members, listed ascending).
     @raise Invalid_argument when [shards < 1]. *)
 
-val shard_of_class : shards:int -> Graph.t -> int
-(** [shard_of_key ~shards] of the class's key. The shard-key contract:
-    a class is keyed by its representative's edge mask
-    ({!Chunk.wide_mask_of_graph}) — stable across processes and orders
-    up to {!Canon.max_order}, and ascending along the listing
-    (representatives are minimal-mask members, listed ascending). *)
-
 (** {1 Sweeps} *)
-
-val small_sweep_cutoff : int
-(** Kept-class counts below this run on the calling domain with the
-    pool bypassed ([jobs] forced to 1): at n <= 5 scales the domain
-    spawn/join overhead exceeds the checking work itself
-    (BENCH_sweep.json showed the parallel n=5 sweep {e slower} than
-    sequential). Counters are jobs-invariant either way; the bypass
-    only removes wall-clock overhead. *)
 
 type mode =
   | Exhaustive

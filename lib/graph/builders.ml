@@ -16,15 +16,6 @@ let complete n =
   done;
   Graph.of_edges n !es
 
-let complete_bipartite a b =
-  let es = ref [] in
-  for u = 0 to a - 1 do
-    for v = a to a + b - 1 do
-      es := (u, v) :: !es
-    done
-  done;
-  Graph.of_edges (a + b) !es
-
 let grid rows cols =
   if rows < 1 || cols < 1 then invalid_arg "Builders.grid: need positive dims";
   let idx i j = (i * cols) + j in

@@ -12,9 +12,6 @@ val star : int -> Graph.t
 val complete : int -> Graph.t
 (** [complete n]: the clique K_n. *)
 
-val complete_bipartite : int -> int -> Graph.t
-(** [complete_bipartite a b]: K_{a,b}; part one is [0..a-1]. *)
-
 val grid : int -> int -> Graph.t
 (** [grid rows cols]: the rows x cols king-free grid; node [(i,j)] is
     [i * cols + j]. *)
@@ -65,12 +62,10 @@ val double_cover : Graph.t -> Graph.t
     arbitrary random graph. O(n + m): {!Graph.double_cover} writes the
     CSR rows directly. *)
 
-val random_gnp : Random.State.t -> int -> float -> Graph.t
-(** Erdos-Renyi G(n, p). Quadratic pair scan; for large sparse
-    instances use {!Random_graphs.gnp} (skip sampling, O(n + m)). *)
-
 val random_connected : Random.State.t -> int -> float -> Graph.t
-(** Random tree plus G(n,p) noise: connected by construction. *)
+(** Random tree plus G(n,p) noise (a quadratic pair scan): connected
+    by construction. For large sparse graphs use
+    {!Random_graphs.of_model}. *)
 
 val of_spec : string -> (Graph.t, string) result
 (** Parse the textual graph-spec grammar shared by the [lcp] CLI and

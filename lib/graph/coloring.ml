@@ -130,25 +130,3 @@ let k_color g ~k =
   end
 
 let is_k_colorable g ~k = k_color g ~k <> None
-
-let greedy g =
-  let n = Graph.order g in
-  let colors = Array.make n (-1) in
-  (* forbidden.(c) marks colors used by already-colored neighbors; at
-     most deg(v) <= n-1 of them, so the first free color is < n and a
-     single bool scratch array replaces the O(deg^2) List.mem scan *)
-  let forbidden = Array.make (max n 1) false in
-  for v = 0 to n - 1 do
-    Graph.iter_neighbors
-      (fun w -> if colors.(w) >= 0 then forbidden.(colors.(w)) <- true)
-      g v;
-    let c = ref 0 in
-    while forbidden.(!c) do
-      incr c
-    done;
-    colors.(v) <- !c;
-    Graph.iter_neighbors
-      (fun w -> if colors.(w) >= 0 then forbidden.(colors.(w)) <- false)
-      g v
-  done;
-  colors

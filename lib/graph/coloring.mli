@@ -28,7 +28,3 @@ val k_color : Graph.t -> k:int -> int array option
     [None]. Exact but exponential; intended for small graphs. *)
 
 val is_k_colorable : Graph.t -> k:int -> bool
-
-val greedy : Graph.t -> int array
-(** Greedy coloring in node order; uses at most [max_degree + 1]
-    colors. *)

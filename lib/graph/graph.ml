@@ -336,22 +336,6 @@ let induced g node_list =
     old_of_new;
   (Builder.graph b, old_of_new)
 
-let relabel g perm =
-  if Array.length perm <> g.n then invalid_arg "Graph.relabel: bad permutation";
-  let seen = Array.make g.n false in
-  Array.iter
-    (fun v ->
-      if v < 0 || v >= g.n || seen.(v) then
-        invalid_arg "Graph.relabel: not a permutation";
-      seen.(v) <- true)
-    perm;
-  let src, dst, m = arcs_of g in
-  for i = 0 to m - 1 do
-    src.(i) <- perm.(src.(i));
-    dst.(i) <- perm.(dst.(i))
-  done;
-  of_arcs g.n src dst m
-
 let nodes g = List.init g.n (fun i -> i)
 
 let fold_nodes f g init =
@@ -444,25 +428,12 @@ let is_tree g = is_connected g && size g = g.n - 1
    equality is plain array equality. *)
 let equal g h = g.n = h.n && g.offsets = h.offsets && g.adj = h.adj
 
-(* Preserves the historical order: by node count, then by the [(u, v)],
-   [u < v], lexicographically sorted edge list — which is exactly the
-   CSR iteration order — with a shorter list comparing below any
-   extension of it. *)
-let compare g h =
-  match Stdlib.compare g.n h.n with
-  | 0 ->
-      let eg = edges g and eh = edges h in
-      Stdlib.compare eg eh
-  | c -> c
-
 let pp ppf g =
   Format.fprintf ppf "@[<h>graph(n=%d; %a)@]" g.n
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
        (fun ppf (u, v) -> Format.fprintf ppf "%d-%d" u v))
     (edges g)
-
-let to_string g = Format.asprintf "%a" pp g
 
 let to_dot ?(name = "G") ?label g =
   let buf = Buffer.create 256 in

@@ -81,10 +81,6 @@ val induced : t -> int list -> t * int array
     (duplicates ignored, order preserved), together with the array
     mapping new indices to the original node ids. *)
 
-val relabel : t -> int array -> t
-(** [relabel g perm] renames node [v] to [perm.(v)]; [perm] must be a
-    permutation of [0 .. order g - 1]. *)
-
 (** {1 Observation}
 
     The [iter]/[fold]/[exists]/[nth] family traverses the flat CSR rows
@@ -180,12 +176,9 @@ val equal : t -> t -> bool
 (** Structural equality (same node count and edge set). O(n + m):
     the CSR form is canonical, so this is array equality. *)
 
-val compare : t -> t -> int
-
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val to_dot : ?name:string -> ?label:(int -> string) -> t -> string
 (** GraphViz rendering; [label] overrides the per-node label. *)

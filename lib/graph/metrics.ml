@@ -16,8 +16,6 @@ let bfs_dist g start =
   done;
   dist
 
-let dist g u v = (bfs_dist g u).(v)
-
 let ball g v r =
   let d = bfs_dist g v in
   Graph.fold_nodes (fun w acc -> if d.(w) <= r then w :: acc else acc) g []
@@ -30,10 +28,6 @@ let eccentricity g v =
 let diameter g =
   if Graph.order g <= 1 then 0
   else Graph.fold_nodes (fun v acc -> max acc (eccentricity g v)) g 0
-
-let radius g =
-  if Graph.order g <= 1 then 0
-  else Graph.fold_nodes (fun v acc -> min acc (eccentricity g v)) g max_int
 
 (* Shortest cycle through BFS from every node: for each BFS, a non-tree
    edge between nodes at depths d1, d2 closes a cycle of length

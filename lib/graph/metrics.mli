@@ -4,9 +4,6 @@ val bfs_dist : Graph.t -> int -> int array
 (** [bfs_dist g v] maps every node to its distance from [v];
     unreachable nodes get [max_int]. *)
 
-val dist : Graph.t -> int -> int -> int
-(** Pairwise distance; [max_int] when disconnected. *)
-
 val ball : Graph.t -> int -> int -> int list
 (** [ball g v r] is [N^r(v)]: the sorted nodes at distance at most [r]
     from [v] (the paper's closed r-neighborhood). *)
@@ -14,9 +11,6 @@ val ball : Graph.t -> int -> int -> int list
 val diameter : Graph.t -> int
 (** Max eccentricity; [0] for graphs with fewer than 2 nodes, [max_int]
     when disconnected. *)
-
-val radius : Graph.t -> int
-(** Min eccentricity over nodes; [0] for n <= 1. *)
 
 val girth : Graph.t -> int option
 (** Length of a shortest cycle, [None] for forests. *)

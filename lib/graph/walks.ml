@@ -12,8 +12,6 @@ let is_closed_walk g w =
       let last = List.nth w (List.length w - 1) in
       pairs_adjacent g w && Graph.mem_edge g last first
 
-let length w = List.length w
-
 let is_non_backtracking g w =
   let k = List.length w in
   if k < 3 then false
@@ -77,5 +75,3 @@ let splice walk pos insert =
   match after with
   | x :: rest -> before @ insert @ (x :: rest)
   | [] -> assert false
-
-let parity w = if List.length w mod 2 = 1 then `Odd else `Even

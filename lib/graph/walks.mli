@@ -9,9 +9,6 @@
 val is_walk : Graph.t -> int list -> bool
 val is_closed_walk : Graph.t -> int list -> bool
 
-val length : int list -> int
-(** Number of edges of the {e closed} walk = number of nodes listed. *)
-
 val is_non_backtracking : Graph.t -> int list -> bool
 (** No position of the closed walk has its predecessor equal to its
     successor (indices mod length). Walks of length < 3 are
@@ -26,6 +23,3 @@ val splice : int list -> int -> int list -> int list
 (** [splice walk pos insert]: the closed walk obtained by inserting the
     closed walk [insert] (which must start at [List.nth walk pos]) at
     position [pos]. *)
-
-val parity : int list -> [ `Odd | `Even ]
-(** Parity of a closed walk's length. *)

@@ -42,15 +42,21 @@ let of_array ?bound ids =
 let random rng ~bound g =
   let n = Graph.order g in
   if bound < n then invalid_arg "Ident.random: bound < order";
-  (* reservoir-free: shuffle a prefix of 1..bound *)
-  let pool = Array.init bound (fun i -> i + 1) in
-  for i = 0 to n - 1 do
-    let j = i + Random.State.int rng (bound - i) in
-    let tmp = pool.(i) in
-    pool.(i) <- pool.(j);
-    pool.(j) <- tmp
-  done;
-  { ids = Array.sub pool 0 n; bound }
+  (* The first n steps of a Fisher-Yates shuffle of the virtual array
+     1..bound: slot [j] holds [j + 1] until a swap displaces it, and
+     only displaced slots are stored, so memory is O(n) however large
+     [bound] is. [full_int] draws as [int] below 2^30 (the same ids for
+     a given seed) and past it as well. *)
+  let moved = Hashtbl.create (2 * n) in
+  let slot j = Option.value (Hashtbl.find_opt moved j) ~default:(j + 1) in
+  let ids =
+    Array.init n (fun i ->
+        let j = i + Random.State.full_int rng (bound - i) in
+        let id = slot j in
+        Hashtbl.replace moved j (slot i);
+        id)
+  in
+  { ids; bound }
 
 let id t v = t.ids.(v)
 

@@ -17,7 +17,9 @@ val of_array : ?bound:int -> int array -> t
     @raise Invalid_argument when invalid. *)
 
 val random : Random.State.t -> bound:int -> Graph.t -> t
-(** Uniform injective assignment into [1 .. bound]. *)
+(** Uniform injective assignment into [1 .. bound], in O(n) time and
+    memory for any [bound].
+    @raise Invalid_argument if [bound] is below the graph's order. *)
 
 val id : t -> int -> int
 val node_of_id : t -> int -> int option

@@ -21,7 +21,6 @@ val with_ids : t -> Ident.t -> t
 val with_ports : t -> Port.t -> t
 
 val order : t -> int
-val is_valid : t -> bool
 
 val random :
   Random.State.t -> ?bound:int -> ?labels:Labeling.t -> Graph.t -> t

@@ -3,7 +3,6 @@ open Lcp_graph
 type t = string array
 
 let const g s = Array.make (Graph.order g) s
-let of_list l = Array.of_list l
 
 let max_bits t = Array.fold_left (fun acc s -> max acc (8 * String.length s)) 0 t
 

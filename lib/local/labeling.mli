@@ -10,8 +10,6 @@ open Lcp_graph
 type t = string array
 
 val const : Graph.t -> string -> t
-val of_list : string list -> t
-
 val max_bits : t -> int
 (** Size of the largest certificate, in bits (8 bits per byte). *)
 

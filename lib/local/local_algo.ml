@@ -35,5 +35,3 @@ let is_order_invariant_on t inst ~trials rng =
     k = 0 || (same_outputs t inst (reidentify_order_preserving rng inst) && go (k - 1))
   in
   go trials
-
-let constant ~name ~radius o = { name; radius; run = (fun _ -> o) }

@@ -21,5 +21,3 @@ val is_order_invariant_on :
   'o t -> Instance.t -> trials:int -> Random.State.t -> bool
 (** Re-identify with random {e order-preserving} assignments into a
     larger id space; outputs must be unchanged at every node. *)
-
-val constant : name:string -> radius:int -> 'o -> 'o t

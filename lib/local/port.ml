@@ -85,19 +85,3 @@ let enumerate g =
         List.concat_map (fun c -> List.map (fun tl -> c :: tl) tails) choices
   in
   List.map Array.of_list (product per_node)
-
-let count g =
-  let rec fact n = if n <= 1 then 1 else n * fact (n - 1) in
-  Graph.fold_nodes (fun v acc -> acc * fact (Graph.degree g v)) g 1
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun v ns ->
-      Format.fprintf ppf "%d: %a@," v
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-           Format.pp_print_int)
-        (Array.to_list ns))
-    t;
-  Format.fprintf ppf "@]"

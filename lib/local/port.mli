@@ -31,8 +31,3 @@ val neighbor_at : t -> int -> int -> int
 val enumerate : Graph.t -> t list
 (** All port assignments of the graph (product over nodes of d(v)!
     permutations); small graphs only. *)
-
-val count : Graph.t -> int
-(** Number of port assignments (product of factorials). *)
-
-val pp : Format.formatter -> t -> unit

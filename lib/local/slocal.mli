@@ -15,8 +15,6 @@ type 'o t = {
           node [u] if it was already processed *)
 }
 
-val make : name:string -> radius:int -> (View.t -> 'o option array -> 'o) -> 'o t
-
 val execute : 'o t -> Instance.t -> order:int list -> 'o array
 (** Process the nodes in the given order (a permutation).
     @raise Invalid_argument otherwise. *)

@@ -218,8 +218,6 @@ let extract_all inst ~r =
   Array.init (Instance.order inst) (fun v ->
       of_layout inst ~r (layout ~scratch inst ~r v))
 
-let center _ = 0
-
 let center_id t =
   note_id t 0;
   t.ids.(0)
@@ -417,19 +415,6 @@ let key_anonymous t =
 
 let equal a b = key_identified a = key_identified b
 let compare a b = Stdlib.compare (key_identified a) (key_identified b)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>view r=%d center id=%d label=%S@,%a@,ids: %a@,dists: %a@]" t.radius
-    (center_id t) (center_label t) Graph.pp t.graph
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-       Format.pp_print_int)
-    (Array.to_list t.ids)
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-       Format.pp_print_int)
-    (Array.to_list t.dist)
 
 let to_dot t =
   Graph.to_dot t.graph ~name:"View" ~label:(fun u ->

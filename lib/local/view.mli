@@ -58,13 +58,6 @@ module Trace : sig
       and returns its result with the accesses in occurrence order.
       Nests: the enclosing recorder is restored afterwards (it does not
       see the inner trace), also on exceptions. *)
-
-  val active : unit -> bool
-  (** Is a recorder armed in the calling domain? *)
-
-  val label_bits : string -> int
-  (** Certificate size in bits as charged to [Label] events
-      ([8 * String.length]). *)
 end
 
 (** {1 Extraction} *)
@@ -98,9 +91,6 @@ val extract_all : Instance.t -> r:int -> t array
 (** Views of all nodes, indexed by node. *)
 
 (** {1 Center accessors} *)
-
-val center : t -> int
-(** Always [0]; provided for readability. *)
 
 val center_id : t -> int
 val center_label : t -> string
@@ -179,5 +169,4 @@ val key_anonymous : t -> string
     from the center (port-preserving rooted isomorphisms are rigid, so
     equal keys iff the views are isomorphic ignoring ids). *)
 
-val pp : Format.formatter -> t -> unit
 val to_dot : t -> string

@@ -28,16 +28,6 @@ let locked t f = Sync.with_lock t.lock f
 let mutating t f = locked t (fun () -> Sync.Var.touch t.guard; f ())
 let reading t f = locked t (fun () -> Sync.Var.observe t.guard; f ())
 
-let reset t =
-  mutating t (fun () ->
-      Hashtbl.reset t.counters;
-      Hashtbl.reset t.gauges;
-      Hashtbl.reset t.span_cells;
-      t.stack <- [])
-
-(* ------------------------------------------------------------------ *)
-(* counters and gauges                                                 *)
-
 let cell tbl name =
   match Hashtbl.find_opt tbl name with
   | Some r -> r
@@ -56,9 +46,6 @@ let counter t name =
       match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0)
 
 let set_gauge t name v = mutating t (fun () -> cell t.gauges name := v)
-
-let gauge t name =
-  reading t (fun () -> Option.map ( ! ) (Hashtbl.find_opt t.gauges name))
 
 let sorted_bindings tbl value =
   Hashtbl.fold (fun k v acc -> (k, value v) :: acc) tbl []
@@ -103,12 +90,6 @@ let with_span ?enter ?leave t name f =
   | exception e ->
       finish ();
       raise e
-
-let span t path =
-  reading t (fun () ->
-      Option.map
-        (fun c -> (c.entries, c.total_ns))
-        (Hashtbl.find_opt t.span_cells path))
 
 let spans t =
   reading t (fun () ->

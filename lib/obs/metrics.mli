@@ -23,8 +23,6 @@
 type t
 
 val create : unit -> t
-val reset : t -> unit
-(** Drop every counter, gauge and span. *)
 
 (** {1 Counters} — monotone sums, deterministic across [jobs]. *)
 
@@ -43,8 +41,6 @@ val counters : t -> (string * int) list
 (** {1 Gauges} — last-write-wins observations. *)
 
 val set_gauge : t -> string -> int -> unit
-val gauge : t -> string -> int option
-val gauges : t -> (string * int) list
 
 (** {1 Spans} — wall-clock intervals with a parent stack. *)
 
@@ -62,29 +58,21 @@ val with_span :
     popped) even when [f] raises. [enter path] fires before [f],
     [leave path wall_ns] after — the {!Sink} hook points. *)
 
-val span : t -> string -> (int * int) option
-(** [(count, total_wall_ns)] recorded under a span path, if any. *)
-
-val spans : t -> (string * (int * int)) list
-(** All spans as [(path, (count, total_wall_ns))], sorted by path. *)
-
 (** {1 Serialization} *)
 
-val schema_version : int
-(** Currently [2]. v2 renamed the engine's [masks_scanned] counter to
+val to_json : t -> Json.t
+(** [{ "schema_version"; "counters"; "gauges"; "spans" }] with every
+    key set sorted, so equal registries render byte-identically; a
+    span renders as [{ "entries"; "wall_ns" }]. The schema version is
+    currently [2]: v2 renamed the engine's [masks_scanned] counter to
     [candidates_generated] (enumeration strategies other than the mask
     scan count candidates that are not masks); the JSON layout is
     unchanged. *)
 
-val to_json : t -> Json.t
-(** [{ "schema_version"; "counters"; "gauges"; "spans" }] with every
-    key set sorted, so equal registries render byte-identically. *)
-
 val of_json : Json.t -> (t, string) result
 (** Inverse of {!to_json} (up to span-stack state, which is not
     serialized): [of_json (to_json t)] renders back to the same JSON.
-    Any [schema_version] other than {!schema_version} is an error
-    naming the version. *)
+    Any other [schema_version] is an error naming the version. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable dump (the stderr sink's flush format). *)

@@ -136,8 +136,6 @@ let disarm () =
   Mutex.unlock internal;
   out
 
-let armed () = Atomic.get armed_flag
-
 (* ------------------------------------------------------------------ *)
 (* mutexes and conditions                                              *)
 
@@ -197,11 +195,6 @@ module A = struct
     maybe_pause t.alabel;
     record A_write t.aid t.alabel;
     Atomic.set t.a v
-
-  let exchange t v =
-    maybe_pause t.alabel;
-    record A_write t.aid t.alabel;
-    Atomic.exchange t.a v
 
   let compare_and_set t old now =
     maybe_pause t.alabel;

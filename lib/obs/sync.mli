@@ -84,7 +84,6 @@ module A : sig
   val make : string -> 'a -> 'a t
   val get : 'a t -> 'a
   val set : 'a t -> 'a -> unit
-  val exchange : 'a t -> 'a -> 'a
   val compare_and_set : 'a t -> 'a -> 'a -> bool
   val fetch_and_add : int t -> int -> int
   val incr : int t -> unit
@@ -161,4 +160,3 @@ val disarm : unit -> event array
 (** Stop recording and return the session's trace in [seq] order.
     Events attempted by stragglers after [disarm] are dropped. *)
 
-val armed : unit -> bool

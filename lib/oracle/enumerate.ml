@@ -69,6 +69,18 @@ let isomorphic g h =
 (* Streaming isomorphism dedup: bucket by cheap invariants first, then
    pairwise isomorphism within the bucket. First-seen wins, so on
    mask-ordered input the representative is the minimal-mask member. *)
+let relabel g perm =
+  let n = Graph.order g in
+  if Array.length perm <> n then invalid_arg "Enumerate.relabel: bad permutation";
+  let seen = Array.make n false in
+  Array.iter
+    (fun v ->
+      if v < 0 || v >= n || seen.(v) then
+        invalid_arg "Enumerate.relabel: not a permutation";
+      seen.(v) <- true)
+    perm;
+  Graph.of_edges n (List.map (fun (u, v) -> (perm.(u), perm.(v))) (Graph.edges g))
+
 let dedup_iso () =
   let invariant g = (Graph.order g, Graph.size g, Graph.degree_counts g) in
   let buckets = Hashtbl.create 64 in

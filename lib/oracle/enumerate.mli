@@ -24,6 +24,12 @@ val iter_connected : int -> (Graph.t -> unit) -> unit
 val isomorphic : Graph.t -> Graph.t -> bool
 (** Backtracking isomorphism test over degree-compatible mappings. *)
 
+val relabel : Graph.t -> int array -> Graph.t
+(** [relabel g perm] renames node [v] to [perm.(v)]: an isomorphic
+    copy, the input of the invariance checks on canonical forms.
+    @raise Invalid_argument unless [perm] is a permutation of
+    [0 .. order g - 1]. *)
+
 val up_to_iso : Graph.t list -> Graph.t list
 (** One representative per isomorphism class: the first seen, so on
     mask-ordered input the minimal-mask member (order preserved).

@@ -134,17 +134,20 @@ let lease_run () =
   Eval_cache.set_sharing true;
   Fun.protect ~finally:(fun () -> Eval_cache.set_sharing false) @@ fun () ->
   let inst = Instance.make (Builders.path 4) in
+  let alphabet = [ "0"; "1" ] in
   let lab = Array.make 4 "0" in
+  let ranks = Array.map (Hashtbl.find (Labeling.ranks alphabet)) lab in
   let worker w () =
     for i = 1 to 8 do
       let key = Printf.sprintf "race/lease-%d" ((w + i) mod 2) in
       let l =
         Eval_cache.acquire ~key:(Lazy.from_val key) ~radius:1
           ~accepts:(fun _ -> true)
-          ~alphabet:[ "0"; "1" ] inst
+          ~alphabet inst
       in
       Eval_cache.lease_touch l;
-      if not (Eval_cache.accepts (Eval_cache.lease_cache l) lab 0) then
+      if not (Eval_cache.accepts_ranked (Eval_cache.lease_cache l) lab ranks 0)
+      then
         fail "lease-pool: decoder verdict changed";
       Eval_cache.lease_touch l;
       Eval_cache.release l

@@ -65,5 +65,4 @@ let close t =
       Sync.broadcast t.nonempty)
 
 let depth t = locked t (fun () -> Sync.Var.observe t.guard; Queue.length t.items)
-let capacity t = t.capacity
 let is_closed t = locked t (fun () -> Sync.Var.observe t.guard; t.closed)

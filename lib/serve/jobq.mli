@@ -25,5 +25,4 @@ val close : 'a t -> unit
     are still handed out. Idempotent. *)
 
 val depth : 'a t -> int
-val capacity : 'a t -> int
 val is_closed : 'a t -> bool

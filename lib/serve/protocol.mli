@@ -9,7 +9,7 @@
 
     Parsing is {e tolerant of unknown fields} (a newer client may send
     members this server ignores) and {e strict about the schema
-    version}: a [schema_version] other than {!schema_version} is
+    version}: a [schema_version] other than the current one (1) is
     rejected, an absent one is assumed current. The one exception to
     the tolerance: the retired options [eval_cache] and [orbit_prune],
     which once selected the reference search paths, are rejected by
@@ -17,8 +17,6 @@
     client asked for. *)
 
 module Json = Lcp_obs.Json
-
-val schema_version : int
 
 (** {1 Requests} *)
 

@@ -104,7 +104,6 @@ type t = {
   mutable accept_thread : Sync.thread_handle option;
 }
 
-let session t = t.session
 let metrics t = t.session.Session.metrics
 
 let fresh_id t = Sync.A.fetch_and_add t.next_id 1
@@ -347,7 +346,3 @@ let wait t =
   try Unix.unlink t.config.socket_path with Unix.Unix_error _ -> ()
 
 let stop t = initiate_shutdown t
-
-let run config =
-  let t = start config in
-  wait t

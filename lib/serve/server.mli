@@ -60,8 +60,4 @@ val stop : t -> unit
 (** Initiate shutdown, as if a [shutdown] request arrived. Idempotent;
     returns immediately — follow with {!wait}. *)
 
-val run : config -> unit
-(** [start] then [wait]. *)
-
-val session : t -> Session.t
 val metrics : t -> Lcp_obs.Metrics.t

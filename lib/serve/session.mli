@@ -70,10 +70,6 @@ val cfg_of_request :
     receives span/progress events iff the request asked for
     [progress]. *)
 
-val work_counter_names : string list
-(** The deterministic work counters (independent of [jobs] and of cache
-    temperature) reported under ["counters"] in job payloads. *)
-
 (** An in-process caller's shard workers for a coordinated [sweep]:
     what differs from the daemon's own (a private directory, workers
     forked from [limits.shard_bin] on the request's pool width, the

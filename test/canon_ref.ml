@@ -1,7 +1,8 @@
 (* The list-based Canon kept as a test oracle: the implementation
    that preceded the single branch-and-bound kernel in
-   lib/engine/canon.ml, verbatim apart from this header, the opens and
-   the cell argument of [collect_witnesses] (which gives [witnesses],
+   lib/engine/canon.ml, verbatim apart from this header, the opens,
+   bit counting through [Bits.fold_bits] and the cell argument of
+   [collect_witnesses] (which gives [witnesses],
    the refined-partition list, beside the one-cell [min_witnesses]).
    The differential tests in test_engine.ml check the kernel against
    it value for value, witness order included; test_auto checks the
@@ -10,7 +11,7 @@
 open Lcp_engine
 open Lcp_graph
 
-let popcount = Bits.popcount
+let popcount x = Bits.fold_bits (fun _ c -> c + 1) x 0
 
 (* Edge masks must fit an OCaml int (and [key] packs the order into 4
    extra bits): 11 * 10 / 2 = 55 mask bits + 4 order bits = 59 < 63. *)
@@ -42,13 +43,11 @@ let refine n adj =
     while (not !stable) && !rounds < n do
       incr rounds;
       for v = 0 to n - 1 do
-        let m = ref adj.(v) in
-        while !m <> 0 do
-          let b = !m land - !m in
-          let c = colors.(Bits.ntz b) in
-          counts.(c) <- counts.(c) + 1;
-          m := !m lxor b
-        done;
+        Bits.fold_bits
+          (fun u () ->
+            let c = colors.(u) in
+            counts.(c) <- counts.(c) + 1)
+          adj.(v) ();
         let h = ref (colors.(v) + 1) in
         for c = 0 to n - 1 do
           h := (!h * (n + 1)) + counts.(c);

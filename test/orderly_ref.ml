@@ -9,6 +9,8 @@
 
 open Lcp_engine
 
+let popcount x = Bits.fold_bits (fun _ c -> c + 1) x 0
+
 (* Aut(parent) acts on the neighborhood masks, and masks in one orbit
    give isomorphic children. A union-find over each generator's mask
    pairs, whose roots are the orbit minima. *)
@@ -48,8 +50,8 @@ let extend ~k parent_cmask =
       if not (Hashtbl.mem seen cmask) then begin
         Hashtbl.replace seen cmask ();
         incr classes;
-        let deg = Bits.popcount s in
-        if Array.for_all (fun row -> Bits.popcount row <= deg) child then begin
+        let deg = popcount s in
+        if Array.for_all (fun row -> popcount row <= deg) child then begin
           let cadj = Chunk.adj_of_mask (k + 1) cmask in
           let deleted = Array.init k (fun v -> cadj.(v) land lnot (1 lsl k)) in
           if Canon.canonical_mask ~n:k deleted = parent_cmask then

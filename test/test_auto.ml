@@ -53,10 +53,10 @@ let check_group_equals_brute max_n () =
       let brute = brute_aut g in
       let auto = Auto.of_graph g in
       check_int
-        (Printf.sprintf "|Aut| on %s" (Graph.to_string g))
+        (Printf.sprintf "|Aut| on %s" (graph_to_string g))
         (List.length brute) (Auto.size auto);
       check_bool
-        (Printf.sprintf "group elements on %s" (Graph.to_string g))
+        (Printf.sprintf "group elements on %s" (graph_to_string g))
         true
         (sorted_perms brute = sorted_perms (Array.to_list (Auto.perms auto))))
     (corpus max_n)
@@ -99,7 +99,7 @@ let test_generators_generate () =
         (gens = []);
       check_bool
         (Printf.sprintf "generators close to the full group on %s"
-           (Graph.to_string g))
+           (graph_to_string g))
         true
         (sorted_perms (closure (Graph.order g) gens)
         = sorted_perms (Array.to_list (Auto.perms auto))))
@@ -112,7 +112,7 @@ let test_known_sizes () =
   check_int "C5 dihedral" 10 (size (Builders.cycle 5));
   check_int "K4 symmetric" 24 (size (Builders.complete 4));
   check_int "P4 reversal" 2 (size (Builders.path 4));
-  check_int "K3,3" 72 (size (Builders.complete_bipartite 3 3))
+  check_int "K3,3" 72 (size (complete_bipartite 3 3))
 
 (* Every labeling of C5, K4, P5 and K3,3 over 2 and 3 symbols, as
    alphabet ranks, with the graph's group and its trie along the
@@ -127,7 +127,7 @@ let stabilizer_cases f =
       List.iter
         (fun m ->
           let alphabet = List.init m string_of_int in
-          let what = Printf.sprintf "%s, %d symbols" (Graph.to_string g) m in
+          let what = Printf.sprintf "%s, %d symbols" (graph_to_string g) m in
           let count = Lcp_local.Labeling.count ~alphabet g in
           f ~what ~auto ~trie ~count (fun k ->
               Lcp_local.Labeling.iter_backtracking_ranked ~alphabet ~order g
@@ -138,7 +138,7 @@ let stabilizer_cases f =
       Builders.cycle 5;
       Builders.complete 4;
       Builders.path 5;
-      Builders.complete_bipartite 3 3;
+      complete_bipartite 3 3;
     ]
 
 (* the stabilizer walk counts exactly the automorphisms that fix each
@@ -216,11 +216,11 @@ let test_prefix_programs_exact () =
           let cut = Lcp_oracle.Prefix_programs.cuts progs ~order rk (n - 1) in
           check_bool
             (Printf.sprintf "program cut = non-minimality on %s"
-               (Graph.to_string g))
+               (graph_to_string g))
             (not minimal) cut;
           check_bool
             (Printf.sprintf "trie cut = non-minimality on %s"
-               (Graph.to_string g))
+               (graph_to_string g))
             (not minimal)
             (Auto.cuts trie rk (n - 1))))
     [ Builders.cycle 4; Builders.cycle 5; Builders.complete 4; Builders.path 5 ]
@@ -229,7 +229,7 @@ let test_prefix_programs_exact () =
    labeling, not just complete ones: the search asks at every step, and
    any disagreement moves labelings_checked. Every prefix over a
    3-symbol rank alphabet is visited depth-first, in the identity
-   order, the prover's ball-completion order and a seeded shuffle. Rank
+   order, its reverse and a seeded shuffle. Rank
    entries of unassigned nodes keep whatever an earlier branch left
    there, as in the search, so reading past step [i] shows up as a
    mismatch. *)
@@ -245,7 +245,7 @@ let orders g =
   done;
   [
     ("identity", Array.init n Fun.id);
-    ("ball-completion", Lcp.Prover.ball_completion_order g ~r:1);
+    ("reversed", Array.init n (fun i -> n - 1 - i));
     ("shuffled", shuffled);
   ]
 
@@ -264,7 +264,7 @@ let check_trie_matches_programs g =
             let expect = Lcp_oracle.Prefix_programs.cuts progs ~order rk i in
             if Auto.cuts trie rk i <> expect then
               Alcotest.failf "%s, %s order, step %d, ranks [%s]: programs %b"
-                (Graph.to_string g) what i
+                (graph_to_string g) what i
                 (String.concat ";" (Array.to_list (Array.map string_of_int rk)))
                 expect;
             go (i + 1)
@@ -281,7 +281,7 @@ let test_trie_small () =
     @ [
         Builders.complete 7;
         Builders.cycle 8;
-        Builders.complete_bipartite 3 3;
+        complete_bipartite 3 3;
         Builders.petersen ();
       ])
 
@@ -333,9 +333,9 @@ let test_refined_group_small () =
     @ [
         ("petersen", Builders.petersen ());
         ("hypercube:3", Builders.hypercube 3);
-        ("K3,3", Builders.complete_bipartite 3 3);
-        ("K2,5", Builders.complete_bipartite 2 5);
-        ("K4,5", Builders.complete_bipartite 4 5);
+        ("K3,3", complete_bipartite 3 3);
+        ("K2,5", complete_bipartite 2 5);
+        ("K4,5", complete_bipartite 4 5);
       ])
 
 let test_refined_group_n8 () = if heavy_enabled then check_refined_classes 8

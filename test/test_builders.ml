@@ -33,7 +33,7 @@ let test_complete () =
   check_bool "4-regular" true (regular g 4)
 
 let test_complete_bipartite () =
-  let g = Builders.complete_bipartite 2 3 in
+  let g = complete_bipartite 2 3 in
   check_int "size" 6 (Graph.size g);
   check_bool "bipartite" true (Coloring.is_bipartite g);
   check_bool "no intra-part edge" false (Graph.mem_edge g 0 1)
@@ -108,7 +108,7 @@ let test_pendant () =
 
 let test_random_generators () =
   let r = rng () in
-  let g = Builders.random_gnp r 10 0.5 in
+  let g = gnp r 10 ~p:0.5 in
   check_int "gnp order" 10 (Graph.order g);
   (* with no G(n,p) noise, random_connected is its random tree *)
   let t = Builders.random_connected r 12 0. in

@@ -77,20 +77,21 @@ let test_verdicts_json () =
   check_bool "decoder name" true
     (Result.bind (member "decoder" j) to_str = Ok "degree-one")
 
-(* Report.to_json is the one serializer of a report (lcp experiments
-   --json writes it): it round-trips through the parser and names the
-   row value "measured" *)
+(* Report.battery_to_json is the one serializer of reports (lcp
+   experiments --json writes it): it round-trips through the parser and
+   names the row value "measured" *)
 let test_report_json () =
   let j =
-    Report.to_json
-      { Report.id = "EX"; title = "t";
-        rows = [ Report.check "c" true ~expected:"e" ~actual:"a" ] }
+    Report.battery_to_json
+      [ { Report.id = "EX"; title = "t";
+          rows = [ Report.check "c" true ~expected:"e" ~actual:"a" ] } ]
   in
   check_bool "parses back" true
     (Json.of_string (Json.to_string j) = Ok j);
   let open Json in
+  let report = Result.bind (member "reports" j) to_list |> Result.map List.hd in
   let row =
-    Result.bind (member "rows" j) to_list |> Result.map List.hd
+    Result.bind (Result.bind report (member "rows")) to_list |> Result.map List.hd
   in
   check_bool "row value under \"measured\"" true
     (Result.bind (Result.bind row (member "measured")) to_str = Ok "a")

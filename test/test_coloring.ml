@@ -82,13 +82,6 @@ let test_k_color_components () =
   | Some c -> check_bool "3-colors all" true (Coloring.is_proper_k g ~k:3 c)
   | None -> Alcotest.fail "3-colorable"
 
-let test_greedy () =
-  let g = Builders.petersen () in
-  let c = Coloring.greedy g in
-  check_bool "proper" true (Coloring.is_proper g c);
-  check_bool "at most Delta+1 colors" true
-    (Array.for_all (fun x -> x <= Graph.max_degree g) c)
-
 let suite =
   [
     case "is_proper" test_is_proper;
@@ -101,5 +94,4 @@ let suite =
     case "odd closed walk check" test_odd_closed_walk_check;
     case "k_color" test_k_color;
     case "k_color per component" test_k_color_components;
-    case "greedy" test_greedy;
   ]

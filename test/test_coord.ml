@@ -106,20 +106,25 @@ let test_backoff_capped () =
 (* the small-sweep pool bypass                                         *)
 
 let test_small_sweep_bypass () =
-  check_bool "cutoff is positive" true (Sweep.small_sweep_cutoff > 0);
-  (* n=5 keeps 11 classes, far under the cutoff: the wide-jobs run must
-     take the sequential path yet report identical counters *)
+  (* n=5 has 21 connected classes, far under the sweep's pool cutoff:
+     a wide-jobs run must check every class on the calling domain *)
+  let caller = Domain.self () in
+  let elsewhere = Atomic.make 0 in
+  Sweep.clear_cache ();
+  ignore
+    (Sweep.run ~cfg:(Run_cfg.make ~jobs:8 ()) ~n:5
+       ~check:(fun _ ->
+         if Domain.self () <> caller then Atomic.incr elsewhere;
+         None)
+       ());
+  check_int "every class checked on the calling domain" 0 (Atomic.get elsewhere);
+  (* ... yet report identical counters *)
   let counters jobs =
     Sweep.clear_cache ();
     let cfg = Run_cfg.make ~jobs () in
     (Lcp.Checker.soundness_sweep ~cfg (suite_of "degree-one") ~n:5)
       .Sweep.counters
   in
-  check_bool "n=5 kept is under the cutoff" true
-    (let cfg = Run_cfg.make ~jobs:1 () in
-     Sweep.clear_cache ();
-     let s = Lcp.Checker.soundness_sweep ~cfg (suite_of "degree-one") ~n:5 in
-     s.Sweep.counters.Sweep.kept < Sweep.small_sweep_cutoff);
   check_bool "counters are jobs-invariant through the bypass" true
     (counters 1 = counters 8)
 

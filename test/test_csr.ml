@@ -26,7 +26,7 @@ let agreement_graphs () =
     k4 ();
     Builders.petersen ();
     Builders.star 5;
-    Builders.random_gnp (rng ()) 12 0.4;
+    gnp (rng ()) 12 ~p:0.4;
   ]
 
 let test_traversal_agreement () =
@@ -89,9 +89,9 @@ let test_rank_and_predicates () =
 let ports g = Array.init (Graph.order g) (Graph.neighbors_array g)
 
 let test_port_order_relabel () =
-  let g = Builders.random_gnp (rng ()) 10 0.4 in
+  let g = gnp (rng ()) 10 ~p:0.4 in
   let perm = [| 3; 1; 4; 0; 9; 2; 6; 8; 7; 5 |] in
-  let h = Graph.relabel g perm in
+  let h = Lcp_oracle.Enumerate.relabel g perm in
   Array.iter
     (fun row ->
       Array.iteri
@@ -216,7 +216,7 @@ let test_random_graphs_deterministic () =
    else about how the edges are stored) must not change which edges a
    seed draws. *)
 let test_gnp_pinned_edges () =
-  let g = Random_graphs.gnp (Random.State.make [| 5 |]) 12 ~p:0.3 in
+  let g = gnp (Random.State.make [| 5 |]) 12 ~p:0.3 in
   check_bool "gnp n=12 p=0.3 seed 5: pinned edge set" true
     (Graph.edges g
     = [
@@ -236,7 +236,7 @@ let test_gnp_pinned_edges () =
   (* 2,015 edges drawn against an expected 1,990: past an
      [expected + 16] hint, so a builder sized that way regrows its
      edge arrays mid-build, which must not change the edges either *)
-  let over = Random_graphs.gnp (Random.State.make [| 4 |]) 200 ~p:0.1 in
+  let over = gnp (Random.State.make [| 4 |]) 200 ~p:0.1 in
   Buffer.clear buf;
   Graph.iter_edges (fun u v -> Buffer.add_string buf (Printf.sprintf "%d-%d," u v)) over;
   check_int "gnp n=200 p=0.1 seed 4: edge count" 2_015 (Graph.size over);
@@ -279,7 +279,7 @@ let test_double_cover_lifted_edges () =
   for n = 0 to 40 do
     List.iter
       (fun p ->
-        let g = Random_graphs.gnp rng n ~p in
+        let g = gnp rng n ~p in
         List.iter
           (fun g ->
             check_graph
@@ -406,7 +406,7 @@ let test_sampling_one_prover_call () =
       check_int (model ^ ": one prover call") 1 !calls)
     [
       ("gnp", gnp_avg_degree 3 300 4.);
-      ("tree", Random_graphs.tree (Random.State.make [| 3 |]) 300);
+      ("tree", random_tree (Random.State.make [| 3 |]) 300);
     ]
 
 (* A bipartite model graph is its own yes-instance: soundness does not

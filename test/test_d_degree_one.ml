@@ -55,8 +55,8 @@ let test_prover_hides_at_leaf () =
   let inst = Instance.make g in
   match D_degree_one.prover inst with
   | Some lab ->
-      let bots = Array.to_list lab |> List.filter (fun s -> s = D_degree_one.bot) in
-      let tops = Array.to_list lab |> List.filter (fun s -> s = D_degree_one.top) in
+      let bots = Array.to_list lab |> List.filter (fun s -> s = "B") in
+      let tops = Array.to_list lab |> List.filter (fun s -> s = "T") in
       check_int "one bot" 1 (List.length bots);
       check_int "one top" 1 (List.length tops);
       check_bool "accepted" true

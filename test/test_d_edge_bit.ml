@@ -20,8 +20,8 @@ let test_one_bit () =
     (Array.for_all (fun s -> String.length s = 1) i.Instance.labels)
 
 let test_prover_refuses () =
-  check_bool "odd ring" true (D_edge_bit.prover (Instance.make (c5 ())) = None);
-  check_bool "path" true (D_edge_bit.prover (Instance.make (Builders.path 5)) = None)
+  check_bool "odd ring" true (D_edge_bit.suite.Decoder.prover (Instance.make (c5 ())) = None);
+  check_bool "path" true (D_edge_bit.suite.Decoder.prover (Instance.make (Builders.path 5)) = None)
 
 let test_flip_detected () =
   (* flipping one bit breaks the alternation system in some window *)
@@ -59,7 +59,7 @@ let test_random_ports_completeness () =
   for _ = 1 to 5 do
     let g = Builders.cycle 8 in
     let inst = Instance.make g ~ports:(Port.random r g) in
-    match D_edge_bit.prover inst with
+    match D_edge_bit.suite.Decoder.prover inst with
     | Some lab ->
         check_bool "accepted under random ports" true
           (Decoder.accepts_all dec (Instance.with_labels inst lab))

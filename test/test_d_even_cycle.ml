@@ -66,9 +66,8 @@ let test_degree_check () =
 let test_monochromatic_rejected () =
   (* all edges color 0: c1 = c2 is malformed at every node *)
   let g = Builders.cycle 4 in
-  let lab = Array.make 4 (D_even_cycle.encode ~q1:2 ~c1:0 ~q2:1 ~c2:0) in
-  ignore lab;
-  (* encode enforces nothing; the decoder's parser must reject c1 = c2 *)
+  (* "1:q1:c1:2:q2:c2" with c1 = c2: the decoder's parser must reject it *)
+  let lab = Array.make 4 "1:2:0:2:1:0" in
   let i = Instance.make g ~labels:lab in
   check_bool "monochromatic rejected" false
     (Array.exists (fun b -> b) (Decoder.run dec i))

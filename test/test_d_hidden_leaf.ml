@@ -13,7 +13,7 @@ let test_k2_matches_degree_one_on_honest () =
   List.iter
     (fun g ->
       let inst = Instance.make g in
-      match (D_degree_one.prover inst, D_hidden_leaf.prover ~k:2 inst) with
+      match (D_degree_one.prover inst, (D_hidden_leaf.suite ~k:2).Decoder.prover inst) with
       | Some l1, Some l2 ->
           let i1 = Instance.with_labels inst l1 in
           let i2 = Instance.with_labels inst l2 in
@@ -50,8 +50,8 @@ let test_prover_k3 () =
   let g = Builders.pendant (Builders.cycle 5) 0 in
   let inst = Instance.make g in
   check_bool "k=2 prover refuses (not bipartite)" true
-    (D_hidden_leaf.prover ~k:2 inst = None);
-  match D_hidden_leaf.prover ~k:3 inst with
+    ((D_hidden_leaf.suite ~k:2).Decoder.prover inst = None);
+  match (D_hidden_leaf.suite ~k:3).Decoder.prover inst with
   | Some lab ->
       check_bool "k=3 accepted" true
         (Decoder.accepts_all (D_hidden_leaf.decoder ~k:3) (Instance.with_labels inst lab))

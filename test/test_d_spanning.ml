@@ -14,7 +14,7 @@ let test_honest_accepted () =
       Graph.disjoint_union (Builders.path 3) (Builders.cycle 4) ]
 
 let test_prover_refuses_odd () =
-  check_bool "C5" true (D_spanning.prover (Instance.make (c5 ())) = None)
+  check_bool "C5" true (D_spanning.suite.Decoder.prover (Instance.make (c5 ())) = None)
 
 let test_root_identity_checked () =
   (* a lone node claiming distance 0 must carry the root id *)

@@ -18,7 +18,7 @@ let test_tagged_completeness () =
 let test_mixed_tags_rejected () =
   let p = certify_exn D_union.suite (Builders.path 5) in
   let lab = Array.copy p.Instance.labels in
-  lab.(2) <- "2:" ^ D_even_cycle.encode ~q1:1 ~c1:0 ~q2:1 ~c2:1;
+  lab.(2) <- "2:1:1:0:2:1:1";
   let tampered = Instance.with_labels p lab in
   let verdicts = Decoder.run dec tampered in
   check_bool "node 2 rejected" false verdicts.(2);
@@ -32,14 +32,14 @@ let test_untagged_rejected () =
 let test_prover_prefers_h1 () =
   (* the pendant cycle is in H1 only *)
   let g = Builders.pendant (Builders.cycle 4) 0 in
-  match D_union.prover (Instance.make g) with
+  match D_union.suite.Decoder.prover (Instance.make g) with
   | Some lab -> check_bool "tag 1" true (lab.(0).[0] = '1')
   | None -> Alcotest.fail "H1 member certifiable"
 
 let test_prover_refuses () =
-  check_bool "C5 refused" true (D_union.prover (Instance.make (c5 ())) = None);
+  check_bool "C5 refused" true (D_union.suite.Decoder.prover (Instance.make (c5 ())) = None);
   check_bool "theta refused (outside H)" true
-    (D_union.prover (Instance.make (Builders.theta 2 2 2)) = None)
+    (D_union.suite.Decoder.prover (Instance.make (Builders.theta 2 2 2)) = None)
 
 let test_alphabet_tagged () =
   check_bool "all tagged or junk" true

@@ -29,24 +29,26 @@ let test_bits_popcount () =
     done;
     !c
   in
-  check_int "popcount 0" 0 (Bits.popcount 0);
-  check_int "popcount max_int" 62 (Bits.popcount max_int);
+  (* fold_bits finds each set bit through the table popcount *)
+  let popcount x = Bits.fold_bits (fun _ c -> c + 1) x 0 in
+  check_int "popcount 0" 0 (popcount 0);
+  check_int "popcount max_int" 62 (popcount max_int);
   for x = 0 to 4096 do
-    check_int "popcount vs naive (low)" (naive x) (Bits.popcount x);
+    check_int "popcount vs naive (low)" (naive x) (popcount x);
     let hi = x * 0x40021 lxor (x lsl 40) in
-    check_int "popcount vs naive (wide)" (naive hi) (Bits.popcount hi)
+    check_int "popcount vs naive (wide)" (naive hi) (popcount hi)
   done
 
 let test_bits_ntz_fold () =
-  for i = 0 to 62 do
-    check_int "ntz of a single bit" i (Bits.ntz (1 lsl i))
-  done;
-  check_int "ntz picks the lowest bit" 3 (Bits.ntz 0b1011000);
   let bits m = List.rev (Bits.fold_bits (fun i acc -> i :: acc) m []) in
+  for i = 0 to 62 do
+    check_bool "ntz of a single bit" true (bits (1 lsl i) = [ i ])
+  done;
+  check_int "ntz picks the lowest bit" 3 (List.hd (bits 0b1011000));
   check_bool "fold_bits lists set bits ascending" true
     (bits 0b1011001 = [ 0; 3; 4; 6 ]);
   check_bool "fold_bits on 0" true (bits 0 = []);
-  check_int "fold_bits count = popcount" (Bits.popcount 0xdeadbeef)
+  check_int "fold_bits count = popcount" 24
     (Bits.fold_bits (fun _ acc -> acc + 1) 0xdeadbeef 0)
 
 (* ------------------------------------------------------------------ *)
@@ -87,7 +89,7 @@ let test_canon_iso_invariant () =
       List.iter
         (fun p ->
           check_int "key invariant under relabeling" k
-            (Canon.key (Graph.relabel g p)))
+            (Canon.key (Lcp_oracle.Enumerate.relabel g p)))
         perms)
     (Enumerate.connected_up_to_iso 5)
 
@@ -105,7 +107,7 @@ let test_canonical_graph () =
     Chunk.graph_of_mask n (Canon.canonical_mask ~n (Chunk.adj_of_graph g))
   in
   let c5 = Builders.cycle 5 in
-  let shuffled = Graph.relabel c5 [| 3; 0; 4; 1; 2 |] in
+  let shuffled = Lcp_oracle.Enumerate.relabel c5 [| 3; 0; 4; 1; 2 |] in
   check_graph "canonical representative is stable"
     (canonical c5) (canonical shuffled);
   check_bool "representative stays isomorphic" true
@@ -116,12 +118,12 @@ let test_min_mask_exact () =
      literal scan of the whole 4-node space *)
   let least = Hashtbl.create 16 in
   for mask = 0 to Mask_scan.space 4 - 1 do
-    let key = Canon.key_adj ~n:4 (Chunk.adj_of_mask 4 mask) in
+    let key = Canon.canonical_mask ~n:4 (Chunk.adj_of_mask 4 mask) in
     if not (Hashtbl.mem least key) then Hashtbl.replace least key mask
   done;
   for mask = 0 to Mask_scan.space 4 - 1 do
     let adj = Chunk.adj_of_mask 4 mask in
-    let key = Canon.key_adj ~n:4 adj in
+    let key = Canon.canonical_mask ~n:4 adj in
     check_int "min_mask = least member of the class"
       (Hashtbl.find least key)
       (Canon.min_mask ~n:4 adj)
@@ -215,7 +217,7 @@ let twin_rich =
   @ List.map (fun n -> (Printf.sprintf "K_%d" n, Builders.complete n)) [ 2; 5; 8 ]
   @ List.map
       (fun (a, b) ->
-        (Printf.sprintf "K_{%d,%d}" a b, Builders.complete_bipartite a b))
+        (Printf.sprintf "K_{%d,%d}" a b, complete_bipartite a b))
       [ (1, 1); (2, 3); (3, 3); (2, 6); (4, 4) ]
   @ List.map (fun n -> (Printf.sprintf "star %d" n, Builders.star n)) [ 3; 5; 7 ]
 
@@ -523,21 +525,21 @@ let test_sweep_keep_filter () =
 (* sharding and checkpoints                                            *)
 
 let test_shard_partition () =
-  (* record which classes each shard actually checks: the K slices must
-     partition the unsharded stream exactly, and each class must land
-     on the shard shard_of_key names *)
+  (* record which classes each shard actually checks, with the shard
+     shard_of_class names: the K slices must partition the unsharded
+     stream exactly, and each class must land on its named shard *)
+  let k = 3 in
   let collect ?shard () =
     let seen = ref [] in
     ignore
       (Sweep.run ~cfg:(cfg 1) ?shard ~n:6
          ~check:(fun g ->
-           seen := Chunk.wide_mask_of_graph g :: !seen;
+           seen := (Chunk.wide_mask_of_graph g, Sweep.shard_of_class ~shards:k g) :: !seen;
            None)
          ());
     List.sort compare !seen
   in
   let full = collect () in
-  let k = 3 in
   let parts = List.init k (fun i -> collect ~shard:(i, k) ()) in
   check_bool "shards union to the full stream" true
     (List.sort compare (List.concat parts) = full);
@@ -548,9 +550,7 @@ let test_shard_partition () =
   List.iteri
     (fun i p ->
       List.iter
-        (fun key ->
-          check_int "shard_of_key owns its classes" i
-            (Sweep.shard_of_key ~shards:k key))
+        (fun (_, owner) -> check_int "shard_of_class owns its classes" i owner)
         p)
     parts;
   (* shard counters are jobs-invariant, like everything else *)

@@ -23,6 +23,19 @@ let edge_bit = D_edge_bit.decoder
 (* ------------------------------------------------------------------ *)
 (* table invariants                                                    *)
 
+(* A fresh private cache: with sharing off, [acquire] builds one, and
+   [lease_stats] counts from its creation. *)
+let fresh ?shapes ~radius ~accepts ~alphabet inst =
+  Eval_cache.acquire ~key:(lazy "") ?shapes ~radius ~accepts ~alphabet inst
+
+(* The table's verdict vector under a complete labeling over
+   [alphabet], one ranked query per node. *)
+let verdicts l ~alphabet lab =
+  let rank = Labeling.ranks alphabet in
+  let ranks = Array.map (Hashtbl.find rank) lab in
+  Array.init (Array.length lab)
+    (Eval_cache.accepts_ranked (Eval_cache.lease_cache l) lab ranks)
+
 let test_verdicts_match_decoder_run () =
   (* every complete labeling: the table's verdict vector is
      Decoder.run's, bit for bit. degree-one on two 4-node shapes
@@ -38,15 +51,14 @@ let test_verdicts_match_decoder_run () =
         dec.Decoder.accepts view
       in
       let ec =
-        Eval_cache.create ~shapes ~radius:dec.Decoder.radius ~accepts ~alphabet
-          inst
+        fresh ~shapes ~radius:dec.Decoder.radius ~accepts ~alphabet inst
       in
       Labeling.iter_all ~alphabet inst.Instance.graph (fun lab ->
           let direct = Decoder.run dec (Instance.with_labels inst lab) in
           Alcotest.(check (array bool))
             (dec.Decoder.name ^ ": memoized = direct") direct
-            (Eval_cache.verdicts ec lab));
-      let _, misses = Eval_cache.stats ec in
+            (verdicts ec ~alphabet lab));
+      let _, misses = Eval_cache.lease_stats ec in
       if not shapes then
         check_int (dec.Decoder.name ^ ": every miss decodes") misses !decodes)
     [
@@ -62,23 +74,23 @@ let test_stats_accounting () =
   let g = Builders.cycle 4 in
   let inst = Instance.make g in
   let ec =
-    Eval_cache.create ~radius:dec.Decoder.radius ~accepts:dec.Decoder.accepts
-      ~alphabet inst
+    fresh ~radius:dec.Decoder.radius ~accepts:dec.Decoder.accepts ~alphabet inst
   in
-  check_int "fresh table" 0 (fst (Eval_cache.stats ec) + snd (Eval_cache.stats ec));
+  check_int "fresh table" 0
+    (fst (Eval_cache.lease_stats ec) + snd (Eval_cache.lease_stats ec));
   let queries = ref 0 in
   Labeling.iter_all ~alphabet g (fun lab ->
-      ignore (Eval_cache.verdicts ec lab);
+      ignore (verdicts ec ~alphabet lab);
       queries := !queries + Graph.order g);
-  let hits, misses = Eval_cache.stats ec in
+  let hits, misses = Eval_cache.lease_stats ec in
   check_int "every query is a hit or a miss" !queries (hits + misses);
   (* a radius-1 ball on C4 has 3 nodes: at most 5^3 distinct keys *)
   check_bool "misses bounded by the key space" true
     (misses <= Graph.order g * 125);
   (* replaying the same queries adds only hits *)
   Labeling.iter_all ~alphabet g (fun lab ->
-      ignore (Eval_cache.verdicts ec lab));
-  let _, misses' = Eval_cache.stats ec in
+      ignore (verdicts ec ~alphabet lab));
+  let _, misses' = Eval_cache.lease_stats ec in
   check_int "replay decodes nothing new" misses misses'
 
 (* The center of star:8 sees all 9 nodes, so degree-one's 5 symbols
@@ -95,8 +107,7 @@ let test_dense_limit_variants_agree () =
   let inst = Instance.make g in
   let n = Graph.order g in
   let ec =
-    Eval_cache.create ~radius:dec.Decoder.radius ~accepts:dec.Decoder.accepts
-      ~alphabet inst
+    fresh ~radius:dec.Decoder.radius ~accepts:dec.Decoder.accepts ~alphabet inst
   in
   let honest = Option.get (suite.Decoder.prover inst) in
   let rng = Random.State.make [| 26 |] in
@@ -117,57 +128,16 @@ let test_dense_limit_variants_agree () =
     Alcotest.(check (array bool))
       "cache = direct"
       (Decoder.run dec (Instance.with_labels inst lab))
-      (Eval_cache.verdicts ec lab)
+      (verdicts ec ~alphabet lab)
   in
   check_bool "the center accepts the honest labeling" true
-    (Eval_cache.verdicts ec honest).(0);
+    (verdicts ec ~alphabet honest).(0);
   List.iter check labs;
-  let hits, _ = Eval_cache.stats ec in
+  let hits, _ = Eval_cache.lease_stats ec in
   List.iter check labs;
-  let hits', _ = Eval_cache.stats ec in
+  let hits', _ = Eval_cache.lease_stats ec in
   check_bool "the replay is answered from the stores" true
     (hits' - hits = List.length labs * n)
-
-let test_out_of_alphabet_bypass () =
-  (* the search's "?" placeholder outside the ball is fine; an
-     off-alphabet label inside the ball is answered but not cached.
-     Each cache is fresh, so its first query takes the bypass and
-     extracts the skeletons the later table misses reuse; with the
-     shape level on, and for the radius-2 edge-bit decoder, which has
-     none *)
-  let rng = Random.State.make [| 13 |] in
-  List.iter
-    (fun (dec, alphabet, shapes, inst) ->
-      let what = Printf.sprintf "%s, shapes %b" dec.Decoder.name shapes in
-      let direct lab = Decoder.run dec (Instance.with_labels inst lab) in
-      let ec =
-        Eval_cache.create ~shapes ~radius:dec.Decoder.radius
-          ~accepts:dec.Decoder.accepts ~alphabet inst
-      in
-      let n = Instance.order inst in
-      let junk = Array.make n "junk-symbol" in
-      Alcotest.(check (array bool))
-        (what ^ ": bypass answers correctly")
-        (direct junk) (Eval_cache.verdicts ec junk);
-      let hits, misses = Eval_cache.stats ec in
-      check_int (what ^ ": bypass queries count neither hits nor misses") 0
-        (hits + misses);
-      let first = List.hd alphabet in
-      let mixed =
-        Array.init n (fun v -> if v = 0 then "junk-symbol" else first)
-      in
-      Alcotest.(check (array bool))
-        (what ^ ": partial bypass answers correctly")
-        (direct mixed) (Eval_cache.verdicts ec mixed);
-      Labeling.iter_all ~alphabet inst.Instance.graph (fun lab ->
-          Alcotest.(check (array bool))
-            (what ^ ": table after bypass = direct") (direct lab)
-            (Eval_cache.verdicts ec lab)))
-    [
-      (degree_one, D_degree_one.alphabet, false, Instance.make (Builders.path 3));
-      (degree_one, D_degree_one.alphabet, true, Instance.make (Builders.path 3));
-      (edge_bit, D_edge_bit.alphabet, false, Instance.random rng (Builders.cycle 6));
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* the ball layout against an independent reference                    *)
@@ -203,14 +173,11 @@ let shape_mask edges =
   List.fold_left (fun m (a, b) -> m lor (1 lsl ((b * (b - 1) / 2) + a))) 0 edges
 
 (* Every node of [inst] at radius [r]: the layout with and without a
-   scratch array, the extracted view mapped back to nodes, and the
-   acceptance table's ball all agree with the reference. *)
+   scratch array and the extracted view mapped back to nodes agree with
+   the reference. *)
 let check_layouts ~what (inst : Instance.t) ~r =
   let n = Instance.order inst in
   let scratch = Array.make n (-1) in
-  let ec =
-    Eval_cache.create ~radius:r ~accepts:(fun _ -> true) ~alphabet:[ "0" ] inst
-  in
   for v = 0 to n - 1 do
     let what = Printf.sprintf "%s, r=%d, node %d" what r v in
     let ball, dist, edges = reference_layout inst ~r v in
@@ -255,8 +222,7 @@ let check_layouts ~what (inst : Instance.t) ~r =
        whose edge masks fit an int *)
     if Array.length ball <= Lcp_engine.Canon.max_order then
       check_int (what ^ ": shape key") (shape_mask edges)
-        (shape_mask (Graph.edges view.View.graph));
-    check_bool (what ^ ": Eval_cache.ball") true (Eval_cache.ball ec v = ball)
+        (shape_mask (Graph.edges view.View.graph))
   done
 
 (* Seeded instances of order 9..14 with random ids (bound n^2) and
@@ -268,11 +234,11 @@ let layout_instances ~count ~seed =
       let n = 9 + (i mod 6) in
       let g =
         match i mod 5 with
-        | 0 -> Random_graphs.tree rng n
-        | 1 -> Random_graphs.gnp rng n ~p:0.3
+        | 0 -> random_tree rng n
+        | 1 -> gnp rng n ~p:0.3
         | 2 -> Random_graphs.preferential_attachment rng n ~m:2
         | 3 -> Result.get_ok (Random_graphs.of_model rng ~nodes:n "grid")
-        | _ -> Builders.double_cover (Random_graphs.gnp rng ((n + 1) / 2) ~p:0.5)
+        | _ -> Builders.double_cover (gnp rng ((n + 1) / 2) ~p:0.5)
       in
       Instance.random rng g)
 
@@ -467,7 +433,6 @@ let suite =
       test_verdicts_match_decoder_run;
     case "hit/miss accounting" test_stats_accounting;
     case "dense and hashed stores agree" test_dense_limit_variants_agree;
-    case "out-of-alphabet labels bypass the table" test_out_of_alphabet_bypass;
     case "registry cross-check, n <= 5 corpus" test_registry_small_corpus;
     case "strong soundness: memoized = direct" test_strong_soundness_paths_agree;
     slow_case "sweep counters, jobs x eval-cache crossed"

@@ -22,8 +22,7 @@ let test_extract_proper () =
       let colors = Extractor.extract ex inst in
       check_bool "no failures" true (Array.for_all (fun c -> c >= 0) colors);
       check_bool "proper" true (Coloring.is_proper inst.Instance.graph colors);
-      check_bool "succeeds" true (Extractor.extraction_succeeds ex inst);
-      check_bool "fraction 1.0" true (Extractor.success_fraction ex inst = 1.0))
+      check_bool "succeeds" true (Extractor.extraction_succeeds ex inst))
     insts
 
 let test_unknown_views_fail () =
@@ -34,18 +33,17 @@ let test_unknown_views_fail () =
   in
   let colors = Extractor.extract ex stranger in
   check_bool "all unknown" true (Array.for_all (fun c -> c = -1) colors);
-  check_bool "fails" false (Extractor.extraction_succeeds ex stranger);
-  check_bool "fraction 0" true (Extractor.success_fraction ex stranger = 0.0)
+  check_bool "fails" false (Extractor.extraction_succeeds ex stranger)
 
+(* a Colorable verdict carrying an improper coloring is refused *)
 let test_of_coloring_validates () =
   let insts = [ certify_exn trivial (Builders.path 4) ] in
   let nbhd = Neighborhood.build trivial.Decoder.dec insts in
   let bad = Array.make (Neighborhood.order nbhd) 0 in
-  if Neighborhood.size nbhd > 0 then (
-    try
-      ignore (Extractor.of_coloring nbhd bad);
-      Alcotest.fail "expected improper coloring failure"
-    with Invalid_argument _ -> ())
+  check_bool "V has an edge" true (Neighborhood.size nbhd > 0);
+  match Extractor.of_verdict (Hiding.Colorable { coloring = bad; nbhd }) with
+  | _ -> Alcotest.fail "expected improper coloring failure"
+  | exception Invalid_argument _ -> ()
 
 let test_of_verdict_none_on_hiding () =
   let fam =

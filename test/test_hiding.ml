@@ -67,13 +67,6 @@ let test_k3_colorable_direction () =
         (Coloring.is_proper_k nbhd.Neighborhood.graph ~k:4 coloring)
   | Hiding.Hiding _ -> Alcotest.fail "trivial 4-col is not hiding at k=4"
 
-let test_pp () =
-  let suite = D_trivial.suite ~k:2 in
-  let i = certify_exn suite (Builders.path 4) in
-  let v = Hiding.check ~k:2 suite.Decoder.dec [ i ] in
-  check_bool "prints" true
-    (String.length (Format.asprintf "%a" Hiding.pp_verdict v) > 0)
-
 let suite =
   [
     case "trivial LCP not hiding" test_trivial_not_hiding;
@@ -81,5 +74,4 @@ let suite =
     case "is_hiding_on" test_is_hiding_on;
     case "k=3 views give k=2 witness" test_k3_witness_shrink;
     case "k=3 colorable direction" test_k3_colorable_direction;
-    case "verdict printing" test_pp;
   ]

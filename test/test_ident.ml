@@ -29,6 +29,41 @@ let test_random () =
   check_bool "valid" true (Ident.is_valid g ids);
   check_int "bound kept" 81 ids.Ident.bound
 
+(* Seeded draws are pinned: a seed, bound and graph keep drawing the
+   same ids. *)
+let test_random_pinned () =
+  let draw seed bound g =
+    Array.to_list (Ident.random (Random.State.make [| seed |]) ~bound g).Ident.ids
+  in
+  Alcotest.(check int_list) "path 6, bound 20, seed 1" [ 15; 19; 13; 7; 17; 20 ]
+    (draw 1 20 (Builders.path 6));
+  Alcotest.(check int_list) "grid 3x3, bound 81"
+    [ 71; 26; 75; 80; 74; 7; 9; 46; 40 ]
+    (draw 987654321 81 (Builders.grid 3 3));
+  Alcotest.(check int_list) "cycle 5, bound 5, seed 7" [ 1; 5; 2; 3; 4 ]
+    (draw 7 5 (Builders.cycle 5));
+  Alcotest.(check int_list) "path 10, bound 100, seed 42"
+    [ 65; 57; 52; 6; 68; 77; 91; 24; 51; 98 ]
+    (draw 42 100 (Builders.path 10));
+  let i = Instance.random (Random.State.make [| 3 |]) (Builders.cycle 8) in
+  Alcotest.(check int_list) "Instance.random, cycle 8, seed 3, bound n^2"
+    [ 64; 2; 54; 52; 16; 3; 1; 51 ]
+    (Array.to_list i.Instance.ids.Ident.ids)
+
+(* The default bound n^2 is 6.25e10 here: past Random.State.int's 2^30
+   and far too large to materialize. *)
+let test_random_large_bound () =
+  let n = 250_000 in
+  let i = Instance.random (Random.State.make [| 5 |]) (Graph.empty n) in
+  let ids = i.Instance.ids in
+  check_int "bound n^2" (n * n) ids.Ident.bound;
+  let sorted = Array.copy ids.Ident.ids in
+  Array.sort compare sorted;
+  check_int "n ids" n (Array.length sorted);
+  check_bool "in [1, bound]" true (sorted.(0) >= 1 && sorted.(n - 1) <= n * n);
+  check_bool "distinct" true
+    (Array.for_all Fun.id (Array.init (n - 1) (fun k -> sorted.(k) < sorted.(k + 1))))
+
 let test_lookup () =
   let ids = Ident.of_array [| 5; 2; 9 |] in
   check_int "id" 2 (Ident.id ids 1);
@@ -67,7 +102,7 @@ let test_validate_differential () =
       (Ident.is_valid g { Ident.ids; bound })
   in
   for n = 0 to 30 do
-    let g = Random_graphs.gnp rng n ~p:0.2 in
+    let g = gnp rng n ~p:0.2 in
     List.iter
       (fun bound ->
         let ids = (Ident.random rng ~bound g).Ident.ids in
@@ -115,6 +150,8 @@ let suite =
     case "canonical" test_canonical;
     case "of_array validation" test_of_array_validation;
     case "random" test_random;
+    case "random ids pinned on seeded cases" test_random_pinned;
+    case "random at n = 250,000 with bound n^2" test_random_large_bound;
     case "lookup" test_lookup;
     case "order-preserving remap" test_order_preserving_remap;
     case "enumerate" test_enumerate;

@@ -4,7 +4,7 @@ open Helpers
 
 let test_make_defaults () =
   let i = Instance.make (Builders.path 3) in
-  check_bool "valid" true (Instance.is_valid i);
+  check_bool "valid" true (instance_valid i);
   check_int "order" 3 (Instance.order i);
   Alcotest.(check string) "default labels" "" i.Instance.labels.(0)
 
@@ -29,7 +29,7 @@ let test_with () =
 
 let test_random () =
   let i = Instance.random (rng ()) (Builders.grid 3 3) in
-  check_bool "valid" true (Instance.is_valid i);
+  check_bool "valid" true (instance_valid i);
   check_int "poly bound" 81 i.Instance.ids.Ident.bound
 
 let suite =

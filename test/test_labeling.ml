@@ -4,8 +4,7 @@ open Helpers
 
 let test_const_of_list () =
   let g = Builders.path 3 in
-  Alcotest.(check (array string)) "const" [| "x"; "x"; "x" |] (Labeling.const g "x");
-  Alcotest.(check (array string)) "of_list" [| "a"; "b" |] (Labeling.of_list [ "a"; "b" ])
+  Alcotest.(check (array string)) "const" [| "x"; "x"; "x" |] (Labeling.const g "x")
 
 let test_max_bits () =
   check_int "bits" 24 (Labeling.max_bits [| "a"; "abc"; "" |]);

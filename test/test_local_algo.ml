@@ -40,7 +40,7 @@ let test_order_invariant () =
     (Local_algo.is_order_invariant_on id_algo i ~trials:15 (rng ()))
 
 let test_constant () =
-  let a = Local_algo.constant ~name:"c" ~radius:1 42 in
+  let a = Local_algo.make ~name:"c" ~radius:1 (fun _ -> 42) in
   let i = Instance.make (Builders.path 3) in
   Alcotest.(check int_list) "constants" [ 42; 42; 42 ]
     (Array.to_list (Local_algo.run_all a i))

@@ -6,13 +6,17 @@ open Helpers
 let wm = Builders.watermelon [ 6; 6 ]
 let theta = Builders.theta 4 4 4
 
+(* the expansion detours through a node whose radius-r ball is disjoint
+   from those of u and v (the v_mu' of Lemma 5.4) *)
 let test_far_node () =
-  (match Nb_walks.far_node wm ~r:1 ~u:2 ~v:3 with
+  (match Nb_walks.edge_expansion wm ~r:1 ~u:2 ~v:3 with
   | Some w ->
-      check_bool "far from u" true (Metrics.dist wm w 2 > 2);
-      check_bool "far from v" true (Metrics.dist wm w 3 > 2)
+      check_bool "passes a node far from u and v" true
+        (List.exists
+           (fun x -> (Metrics.bfs_dist wm x).(2) > 2 && (Metrics.bfs_dist wm x).(3) > 2)
+           w)
   | None -> Alcotest.fail "C12 has far nodes");
-  check_bool "K4 has none" true (Nb_walks.far_node (k4 ()) ~r:1 ~u:0 ~v:1 = None)
+  check_bool "K4 has none" true (Nb_walks.edge_expansion (k4 ()) ~r:1 ~u:0 ~v:1 = None)
 
 let test_edge_expansion () =
   match Nb_walks.edge_expansion wm ~r:1 ~u:2 ~v:3 with

@@ -97,8 +97,8 @@ let test_registry_heavy_corpus () =
   if not heavy_enabled then ()
   else cross_check_registry ~max_n:6 ~budget:400_000 ()
 
-(* iter/count_accepted enumerate the full accepted set and must never
-   be quotiented: the count equals a brute-force count over the whole
+(* iter_accepted enumerates the full accepted set and must never be
+   quotiented: its count equals a brute-force count over the whole
    space *)
 let test_count_accepted_never_pruned () =
   List.iter
@@ -108,9 +108,9 @@ let test_count_accepted_never_pruned () =
       let alphabet = suite.Decoder.adversary_alphabet inst in
       check_int
         (Printf.sprintf "count_accepted = full-space count on %s"
-           (Graph.to_string g))
+           (graph_to_string g))
         (Oracle.count_accepted suite.Decoder.dec ~alphabet inst)
-        (Prover.count_accepted ~cfg:(seq_cfg ()) suite.Decoder.dec ~alphabet
+        (count_accepted ~cfg:(seq_cfg ()) suite.Decoder.dec ~alphabet
            inst))
     [ Builders.cycle 4; Builders.cycle 5; Builders.complete 4 ]
 
@@ -142,17 +142,17 @@ let test_strong_soundness_exact_count () =
       check_bool "verdict identical" (Checker.is_pass off_v)
         (Checker.is_pass on_v);
       check_int
-        (Printf.sprintf "labelings_checked identical on %s" (Graph.to_string g))
+        (Printf.sprintf "labelings_checked identical on %s" (graph_to_string g))
         off_c on_c;
       if Checker.is_pass on_v then
         check_int
-          (Printf.sprintf "checked = |alphabet|^n on %s" (Graph.to_string g))
+          (Printf.sprintf "checked = |alphabet|^n on %s" (graph_to_string g))
           space on_c)
     [
       Builders.cycle 5;
       Builders.cycle 6;
       Builders.complete 4;
-      Builders.complete_bipartite 2 3;
+      complete_bipartite 2 3;
       Builders.star 4;
     ]
 
@@ -183,10 +183,10 @@ let test_failing_case_identical () =
       check_int (what ^ ": labelings_checked") pin on_c)
     [
       ("C6", Builders.cycle 6, 43);
-      ("K3,3", Builders.complete_bipartite 3 3, 39);
+      ("K3,3", complete_bipartite 3 3, 39);
       ("P6", Builders.path 6, 7);
       ("C8", Builders.cycle 8, 57);
-      ("K2,4", Builders.complete_bipartite 2 4, 66);
+      ("K2,4", complete_bipartite 2 4, 66);
       ("star 6", Builders.star 6, 666);
       ("star 7", Builders.star 7, 2060);
     ]

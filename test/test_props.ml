@@ -30,8 +30,8 @@ let gen_instance =
     let rng = Random.State.make [| seed |] in
     return (Instance.random rng g))
 
-let print_graph = Graph.to_string
-let print_instance i = Graph.to_string i.Instance.graph
+let print_graph = Helpers.graph_to_string
+let print_instance i = print_graph i.Instance.graph
 
 (* -- properties ---------------------------------------------------- *)
 
@@ -56,13 +56,6 @@ let prop_k_color_proper =
       match Coloring.k_color g ~k:3 with
       | Some c -> Coloring.is_proper_k g ~k:3 c
       | None -> not (Coloring.is_bipartite g))
-
-let prop_greedy_bound =
-  QCheck2.Test.make ~name:"greedy uses at most max degree + 1 colors" ~count:200
-    ~print:print_graph gen_graph (fun g ->
-      let c = Coloring.greedy g in
-      Coloring.is_proper g c
-      && Array.for_all (fun x -> x <= Graph.max_degree g) c)
 
 let prop_diameter_vs_order =
   QCheck2.Test.make ~name:"diameter < order for connected graphs" ~count:200
@@ -185,7 +178,7 @@ let prop_isomorphic_relabel =
     ~print:print_graph gen_graph (fun g ->
       let n = Graph.order g in
       let perm = Array.init n (fun i -> (i + 1) mod n) in
-      Lcp_oracle.Enumerate.isomorphic g (Graph.relabel g perm))
+      Lcp_oracle.Enumerate.isomorphic g (Lcp_oracle.Enumerate.relabel g perm))
 
 let prop_splice_parity =
   QCheck2.Test.make ~name:"splicing an even detour preserves walk parity"
@@ -209,7 +202,6 @@ let all =
       prop_two_color_proper;
       prop_odd_cycle_complements_two_color;
       prop_k_color_proper;
-      prop_greedy_bound;
       prop_diameter_vs_order;
       prop_ball_matches_dist;
       prop_view_well_formed;

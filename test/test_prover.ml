@@ -29,13 +29,13 @@ let test_count_accepted () =
   (* P2 with alphabet {0,1,junk}: accepted labelings are 01 and 10 *)
   let i = Instance.make (Builders.path 2) in
   check_int "two proper colorings" 2
-    (Prover.count_accepted trivial.Decoder.dec
+    (count_accepted trivial.Decoder.dec
        ~alphabet:(trivial.Decoder.adversary_alphabet i)
        i);
   (* C4: proper 2-colorings of a 4-cycle: 2 *)
   let c = Instance.make (c4 ()) in
   check_int "C4" 2
-    (Prover.count_accepted trivial.Decoder.dec
+    (count_accepted trivial.Decoder.dec
        ~alphabet:(trivial.Decoder.adversary_alphabet c)
        c)
 
@@ -47,7 +47,7 @@ let test_count_matches_brute_force () =
       if Decoder.accepts_all trivial.Decoder.dec (Instance.with_labels i (Array.copy lab))
       then incr brute);
   check_int "pruned = brute force" !brute
-    (Prover.count_accepted trivial.Decoder.dec ~alphabet i)
+    (count_accepted trivial.Decoder.dec ~alphabet i)
 
 let test_iter_accepted_fresh_arrays () =
   let i = Instance.make (Builders.path 2) in
@@ -64,7 +64,7 @@ let test_degree_one_accepted_count () =
      (0,1), (1,0) *)
   let i = Instance.make (Builders.path 2) in
   check_int "four accepted" 4
-    (Prover.count_accepted D_degree_one.decoder ~alphabet:D_degree_one.alphabet i)
+    (count_accepted D_degree_one.decoder ~alphabet:D_degree_one.alphabet i)
 
 let suite =
   [

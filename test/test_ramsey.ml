@@ -3,42 +3,42 @@ open Lcp_local
 open Lcp
 open Helpers
 
+(* Ramsey's internal steps (subset enumeration, tuple types, their
+   memoized coloring) are observed through [monochromatic_ids]. On the
+   one-node shape, tuples are single identifiers, and a decoder that
+   reads the center's identifier colors them directly. *)
+let one_node = [ View.extract (Instance.make (Graph.of_edges 1 [])) ~r:1 0 ]
+
+let id_decoder ?(calls = ref 0) name f =
+  Decoder.make ~name ~radius:1 ~anonymous:false (fun view ->
+      incr calls;
+      f (View.center_id view))
+
+let accept_all = id_decoder "accept-all" (fun _ -> true)
+let odd_id ?calls () = id_decoder ?calls "odd-id" (fun i -> i mod 2 = 1)
+
 let test_combinations () =
-  check_int "C(4,2)" 6 (List.length (Ramsey.combinations [ 1; 2; 3; 4 ] 2));
-  check_int "C(5,0)" 1 (List.length (Ramsey.combinations [ 1; 2; 3; 4; 5 ] 0));
-  check_int "C(3,4)" 0 (List.length (Ramsey.combinations [ 1; 2; 3 ] 4));
-  check_bool "sorted members" true
-    (List.for_all
-       (fun c -> c = List.sort Stdlib.compare c)
-       (Ramsey.combinations [ 1; 2; 3; 4; 5 ] 3))
+  (* every subset is monochromatic under a constant type, so the first
+     size-subset of the sorted universe comes back *)
+  let mono dec universe size =
+    Ramsey.monochromatic_ids dec ~shapes:one_node ~universe ~size
+  in
+  Alcotest.(check (option int_list)) "first 2-subset" (Some [ 1; 2 ])
+    (mono accept_all [ 4; 2; 3; 1 ] 2);
+  Alcotest.(check (option int_list)) "0-subset" (Some []) (mono accept_all [ 1; 2; 3 ] 0);
+  Alcotest.(check (option int_list)) "no 4-subset of 3" None
+    (mono accept_all [ 1; 2; 3 ] 4);
+  (* subsets are tried in lexicographic order *)
+  Alcotest.(check (option int_list)) "first odd triple" (Some [ 1; 3; 5 ])
+    (mono (odd_id ()) (List.init 7 (fun i -> i + 1)) 3)
 
 let test_monochromatic_subset () =
-  (* color pairs by sum parity: {1,3,5,7} is monochromatic *)
-  let color = function [ a; b ] -> (a + b) mod 2 | _ -> assert false in
-  (match
-     Ramsey.monochromatic_subset ~universe:[ 1; 2; 3; 4; 5; 6; 7 ] ~tuple_size:2
-       ~size:4 ~color
-   with
-  | Some ys ->
-      check_bool "monochromatic" true
-        (List.for_all (fun t -> color t = color (List.filteri (fun i _ -> i < 2) ys))
-           (Ramsey.combinations ys 2))
-  | None -> Alcotest.fail "same-parity quadruple exists");
-  (* rainbow coloring has no monochromatic pair set of size 3 *)
-  let tbl = Hashtbl.create 16 in
-  let next = ref 0 in
-  let rainbow t =
-    match Hashtbl.find_opt tbl t with
-    | Some c -> c
-    | None ->
-        incr next;
-        Hashtbl.replace tbl t !next;
-        !next
-  in
-  check_bool "rainbow has none" true
-    (Ramsey.monochromatic_subset ~universe:[ 1; 2; 3; 4 ] ~tuple_size:2 ~size:3
-       ~color:rainbow
-    = None)
+  let universe = List.init 7 (fun i -> i + 1) in
+  Alcotest.(check (option int_list)) "the four odd ids" (Some [ 1; 3; 5; 7 ])
+    (Ramsey.monochromatic_ids (odd_id ()) ~shapes:one_node ~universe ~size:4);
+  (* four odd and three even ids: no 5-set has one parity *)
+  Alcotest.(check (option int_list)) "none of size 5" None
+    (Ramsey.monochromatic_ids (odd_id ()) ~shapes:one_node ~universe ~size:5)
 
 let test_arrows () =
   check_bool "6 -> (3,3)" true (Ramsey.arrows ~n:6 ~s:3 ~t:3);
@@ -61,21 +61,25 @@ let shapes () =
   Array.to_list (View.extract_all good ~r:1) @ Array.to_list (View.extract_all bad ~r:1)
 
 let test_decoder_type () =
+  (* on multiples of 3 quirky accepts every shape, so all tuples share
+     a type; 3 in a center position changes the type of a tuple *)
   let shapes = shapes () in
-  let ty = Ramsey.decoder_type quirky ~shapes [ 1; 2; 4; 5 ] in
-  check_int "one bit per shape" (List.length shapes) (List.length ty);
-  (* a tuple containing a multiple of 3 in a center position changes
-     the type *)
-  let ty3 = Ramsey.decoder_type quirky ~shapes [ 3; 6; 9; 12 ] in
-  check_bool "quirk visible" true (ty <> ty3)
+  Alcotest.(check (option int_list)) "multiples of 3 are monochromatic"
+    (Some [ 3; 6; 9; 12 ])
+    (Ramsey.monochromatic_ids quirky ~shapes ~universe:[ 3; 6; 9; 12 ] ~size:4);
+  Alcotest.(check (option int_list)) "quirk visible" None
+    (Ramsey.monochromatic_ids quirky ~shapes ~universe:[ 1; 2; 3; 4 ] ~size:4)
 
 let test_type_color_memo () =
-  let shapes = shapes () in
-  let color, count = Ramsey.type_color quirky ~shapes in
-  let c1 = color [ 1; 2; 4; 5 ] in
-  check_int "memoized" c1 (color [ 1; 2; 4; 5 ]);
-  ignore (color [ 3; 6; 9; 12 ]);
-  check_bool "at least two types" true (count () >= 2)
+  (* the brute force meets each single-id tuple in many subsets, but
+     decodes it at most once per shape *)
+  let calls = ref 0 in
+  ignore
+    (Ramsey.monochromatic_ids (odd_id ~calls ()) ~shapes:one_node
+       ~universe:(List.init 7 (fun i -> i + 1))
+       ~size:5);
+  check_bool "at most one decode per tuple and shape" true
+    (!calls > 0 && !calls <= 7)
 
 let test_monochromatic_ids_and_reduction () =
   let shapes = shapes () in

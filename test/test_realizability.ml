@@ -44,12 +44,25 @@ let test_ids_and_occurrences () =
   let nbhd = Neighborhood.build accept_all insts in
   let cyc = Option.get (Neighborhood.odd_cycle nbhd) in
   let h = Realizability.of_neighborhood nbhd cyc in
-  Alcotest.(check int_list) "all five ids" [ 1; 2; 3; 4; 5 ] (Realizability.ids_of h);
+  (* the witness assigns one view to every id occurring in H, and that
+     view is compatible with each of the id's occurrences *)
+  let assignment = Option.get (Realizability.realizable h) in
+  Alcotest.(check int_list) "all five ids" [ 1; 2; 3; 4; 5 ]
+    (List.sort compare (List.map fst assignment));
   List.iter
-    (fun i ->
-      check_int "each id occurs in 3 views of the cycle" 3
-        (List.length (Realizability.occurrences h i)))
-    (Realizability.ids_of h)
+    (fun (i, mu) ->
+      let occurrences =
+        List.filter_map
+          (fun view -> Option.map (fun u -> (view, u)) (View.find_by_id view i))
+          (Array.to_list h.Realizability.views)
+      in
+      check_int "each id occurs in 3 views of the cycle" 3 (List.length occurrences);
+      List.iter
+        (fun (view, u) ->
+          check_bool "compatible with every occurrence" true
+            (Realizability.compatible view u mu))
+        occurrences)
+    assignment
 
 let full_pipeline () =
   let insts = rotation_instances () in
@@ -79,7 +92,7 @@ let test_realize_gbad () =
       check_int "C5 nodes" 5 (Graph.order g);
       check_int "C5 edges" 5 (Graph.size g);
       check_bool "odd cycle" false (Coloring.is_bipartite g);
-      check_bool "valid instance" true (Instance.is_valid realization.Realizability.instance);
+      check_bool "valid instance" true (instance_valid realization.Realizability.instance);
       check_bool "centers accepted" true
         (Realizability.centers_accepted accept_all h realization)
   | Error e -> Alcotest.fail ("gluing failed: " ^ e)

@@ -8,7 +8,7 @@ let sample =
     title = "sample";
     rows =
       [
-        Report.row "plain" "value";
+        Report.check "plain" true ~expected:"-" ~actual:"value";
         Report.check "good" true ~expected:"yes" ~actual:"yes";
         Report.check "bad" false ~expected:"yes" ~actual:"no";
       ];
@@ -16,11 +16,13 @@ let sample =
 
 let test_passed () =
   check_bool "fails with a bad row" false (Report.passed sample);
-  let ok = { sample with Report.rows = [ Report.row "a" "b" ] } in
+  let ok =
+    { sample with Report.rows = [ Report.check "a" true ~expected:"-" ~actual:"b" ] }
+  in
   check_bool "passes" true (Report.passed ok)
 
 let test_pp () =
-  let s = Format.asprintf "%a" Report.pp sample in
+  let s = Format.asprintf "%a" Report.pp_all [ sample ] in
   check_bool "mentions FAIL" true
     (Helpers.contains ~needle:"FAIL" s);
   check_bool "mentions MISMATCH" true (Helpers.contains ~needle:"MISMATCH" s)
@@ -36,7 +38,11 @@ let test_summary () =
     (Helpers.contains ~needle:"EX" (Report.summary_line sample))
 
 let test_json () =
-  let j = Report.to_json sample in
+  let j =
+    match Json.member "reports" (Report.battery_to_json [ sample ]) with
+    | Ok (Json.List [ j ]) -> j
+    | _ -> Alcotest.fail "one report expected"
+  in
   check_bool "id field" true (Json.member "id" j = Ok (Json.String "EX"));
   check_bool "passed field" true (Json.member "passed" j = Ok (Json.Bool false));
   (match Json.member "rows" j with

@@ -114,13 +114,13 @@ let random_instances ~count ~seed =
       let n = 9 + (i mod 3) in
       let g =
         match i mod 5 with
-        | 0 -> Random_graphs.tree rng n
-        | 1 -> Random_graphs.gnp rng n ~p:0.3
+        | 0 -> random_tree rng n
+        | 1 -> gnp rng n ~p:0.3
         | 2 -> Random_graphs.preferential_attachment rng n ~m:2
         | 3 ->
             Result.get_ok
               (Random_graphs.of_model rng ~nodes:(10 + (i mod 2)) "grid")
-        | _ -> Builders.double_cover (Random_graphs.gnp rng 5 ~p:0.5)
+        | _ -> Builders.double_cover (gnp rng 5 ~p:0.5)
       in
       if i mod 2 = 0 then Instance.make g else Instance.random rng g)
 
@@ -235,8 +235,8 @@ let test_n8_pins () =
       check_int "eval_cache_misses" 6_895_682 (c "eval_cache_misses");
       check_int "orbit_pruned_branches" 1_266_460 (c "orbit_pruned_branches");
       ( Metrics_obs.counters m,
-        Metrics_obs.gauge m "eval_cache/shape_tables",
-        Metrics_obs.gauge m "eval_cache/shape_entries" )
+        metrics_gauge m "eval_cache/shape_tables",
+        metrics_gauge m "eval_cache/shape_entries" )
     in
     let first, _, _ = sweep () in
     let second, tables, entries = sweep () in

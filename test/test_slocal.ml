@@ -57,14 +57,19 @@ let test_of_local_algo () =
 let test_prev_outputs_visible () =
   (* a node that copies the first processed neighbor's output *)
   let copycat =
-    Slocal.make ~name:"copy" ~radius:1 (fun view prev ->
-        let g = view.View.graph in
-        match
-          List.filter_map (fun w -> prev.(w))
-            (Array.to_list (Graph.neighbors_array g 0))
-        with
-        | c :: _ -> c + 1
-        | [] -> 0)
+    {
+      Slocal.name = "copy";
+      radius = 1;
+      step =
+        (fun view prev ->
+          let g = view.View.graph in
+          match
+            List.filter_map (fun w -> prev.(w))
+              (Array.to_list (Graph.neighbors_array g 0))
+          with
+          | c :: _ -> c + 1
+          | [] -> 0);
+    }
   in
   let inst = Instance.make (Builders.path 4) in
   let out = Slocal.execute copycat inst ~order:[ 0; 1; 2; 3 ] in

@@ -10,7 +10,6 @@ let test_extract_ball () =
   let i = labeled_c6 () in
   let v = View.extract i ~r:1 0 in
   check_int "ball size" 3 (View.size v);
-  check_int "center is local 0" 0 (View.center v);
   check_int "center dist" 0 (View.distance v 0);
   check_int "center id" 1 (View.center_id v);
   Alcotest.(check string) "center label" "a" (View.center_label v);

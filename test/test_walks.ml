@@ -61,10 +61,6 @@ let test_splice_rejects () =
      Alcotest.fail "expected mismatch failure"
    with Invalid_argument _ -> ())
 
-let test_parity () =
-  check_bool "odd" true (Walks.parity [ 0; 1; 2 ] = `Odd);
-  check_bool "even" true (Walks.parity [ 0; 1; 2; 3 ] = `Even)
-
 let suite =
   [
     case "is_walk" test_is_walk;
@@ -74,5 +70,4 @@ let suite =
     case "nb search in theta" test_nb_search_theta;
     case "splice" test_splice;
     case "splice rejects bad insert" test_splice_rejects;
-    case "parity" test_parity;
   ]
