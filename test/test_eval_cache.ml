@@ -139,6 +139,56 @@ let test_dense_limit_variants_agree () =
   check_bool "the replay is answered from the stores" true
     (hits' - hits = List.length labs * n)
 
+(* The search queries a node as soon as its ball is assigned, while
+   every other slot still holds the "?" placeholder and a stale rank.
+   Per node, on a fresh cache: the query under such a partial labeling
+   (placeholder outside the ball, rank -1 there) decodes the miss and
+   answers as direct decoding of a complete labeling that agrees on
+   the ball; the complete labeling's query then hits with the same
+   verdict. Degree-one with and without the shape level, and the
+   radius-2 edge-bit decoder, whose balls leave nodes of C8 out. *)
+let test_outside_ball_ignored () =
+  let rng = Random.State.make [| 13 |] in
+  List.iter
+    (fun (dec, alphabet, shapes, inst) ->
+      let what = Printf.sprintf "%s, shapes %b" dec.Decoder.name shapes in
+      let n = Instance.order inst in
+      let rank = Labeling.ranks alphabet in
+      for _ = 1 to 20 do
+        let lab = Labeling.random rng ~alphabet inst.Instance.graph in
+        let direct = Decoder.run dec (Instance.with_labels inst lab) in
+        let ec =
+          fresh ~shapes ~radius:dec.Decoder.radius
+            ~accepts:dec.Decoder.accepts ~alphabet inst
+        in
+        let c = Eval_cache.lease_cache ec in
+        for v = 0 to n - 1 do
+          let what = Printf.sprintf "%s, node %d" what v in
+          let ball = (View.layout inst ~r:dec.Decoder.radius v).View.ball in
+          let partial = Array.make n "?" and ranks = Array.make n (-1) in
+          Array.iter
+            (fun w ->
+              partial.(w) <- lab.(w);
+              ranks.(w) <- Hashtbl.find rank lab.(w))
+            ball;
+          let _, misses = Eval_cache.lease_stats ec in
+          check_bool (what ^ ": partial = direct") direct.(v)
+            (Eval_cache.accepts_ranked c partial ranks v);
+          let hits, misses' = Eval_cache.lease_stats ec in
+          check_int (what ^ ": the partial query decodes") (misses + 1) misses';
+          let full = Array.map (Hashtbl.find rank) lab in
+          check_bool (what ^ ": complete = direct") direct.(v)
+            (Eval_cache.accepts_ranked c lab full v);
+          check_int (what ^ ": the complete query hits") (hits + 1)
+            (fst (Eval_cache.lease_stats ec))
+        done
+      done)
+    [
+      (degree_one, D_degree_one.alphabet, false, Instance.make (Builders.path 5));
+      (degree_one, D_degree_one.alphabet, true, Instance.make (Builders.path 5));
+      (edge_bit, D_edge_bit.alphabet, false, Instance.random rng (Builders.cycle 8));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* the ball layout against an independent reference                    *)
 
@@ -433,6 +483,7 @@ let suite =
       test_verdicts_match_decoder_run;
     case "hit/miss accounting" test_stats_accounting;
     case "dense and hashed stores agree" test_dense_limit_variants_agree;
+    case "slots outside the ball are ignored" test_outside_ball_ignored;
     case "registry cross-check, n <= 5 corpus" test_registry_small_corpus;
     case "strong soundness: memoized = direct" test_strong_soundness_paths_agree;
     slow_case "sweep counters, jobs x eval-cache crossed"
