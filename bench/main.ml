@@ -876,8 +876,6 @@ let series_coord ~fast () =
           with
           Lcp_serve.Coordinator.workers;
           executor = Lcp_serve.Coordinator.Subprocess { bin };
-          poll_s = 0.01;
-          backoff_base_s = 0.01;
           inject_kill;
         }
       in

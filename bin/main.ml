@@ -805,8 +805,8 @@ let sweep_cmd =
       & opt (some seconds) None
       & info [ "stall-s" ] ~docv:"S"
           ~doc:
-            "Coordinated mode: a worker that has run longer than $(docv) \
-             seconds without refreshing its checkpoint heartbeat is declared \
+            "Coordinated mode: a worker whose checkpoint has not advanced \
+             for $(docv) seconds, by the coordinator's clock, is declared \
              wedged, killed and restarted (default 120; must be positive \
              and finite).")
   in

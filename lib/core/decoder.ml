@@ -33,15 +33,11 @@ type contract = {
   declared_port_invariant : bool;
 }
 
-let contract ?radius ?port_invariant t =
-  let declared_radius = Option.value radius ~default:t.radius in
-  if declared_radius < 1 || declared_radius > t.radius then
-    invalid_arg "Decoder.contract: declared radius outside [1; view radius]";
+let contract t =
   {
-    declared_radius;
+    declared_radius = t.radius;
     declared_anonymous = t.anonymous;
-    declared_port_invariant =
-      Option.value port_invariant ~default:t.port_invariant;
+    declared_port_invariant = t.port_invariant;
   }
 
 type suite = {

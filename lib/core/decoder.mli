@@ -67,11 +67,9 @@ type contract = {
           assignment (with certificates held fixed) *)
 }
 
-val contract : ?radius:int -> ?port_invariant:bool -> t -> contract
-(** The decoder's declared contract: radius defaults to the extraction
-    radius, anonymity to the decoder's [anonymous] flag, port
-    invariance to the decoder's [port_invariant] flag.
-    @raise Invalid_argument if [radius] is not in [1 .. t.radius]. *)
+val contract : t -> contract
+(** The decoder's declared contract: its extraction radius and its
+    [anonymous] and [port_invariant] flags. *)
 
 (** {1 LCP bundles} *)
 

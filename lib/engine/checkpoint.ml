@@ -164,11 +164,8 @@ let of_json j =
 (* ------------------------------------------------------------------ *)
 (* disk discipline: write-to-tmp then rename, same as Sink             *)
 
-let save ?now ~path t =
-  let saved_at =
-    match now with Some s -> s | None -> int_of_float (Unix.time ())
-  in
-  let t = { t with saved_at } in
+let save ~path t =
+  let t = { t with saved_at = int_of_float (Unix.time ()) } in
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   Fun.protect

@@ -61,8 +61,8 @@ type t = {
   saved_at : int;
       (** heartbeat: epoch seconds at the moment {!save} wrote the
           file, 0 when unknown (in-memory records that were never
-          saved, {!merge} results). A supervisor watching the file treats a stale
-          [saved_at] on a live process as a stalled worker. *)
+          saved, {!merge} results). A supervisor times a change of
+          [(completed, saved_at)] by its own clock, as a heartbeat. *)
 }
 
 type policy = { path : string; resume : bool; tag : string }
@@ -70,13 +70,13 @@ type policy = { path : string; resume : bool; tag : string }
     existing file at [path] should be continued (it is overwritten
     from scratch otherwise), and the tag to stamp into the header. *)
 
-val save : ?now:int -> path:string -> t -> unit
+val save : path:string -> t -> unit
 (** Atomic write: serialize to [path ^ ".tmp"] (the record's members
     followed by their [digest]), then rename over
     [path] — a kill mid-write leaves the previous checkpoint intact
     (the same discipline {!Lcp_obs.Sink} uses). Stamps [saved_at]
-    with [now] (default: the current epoch second), so every write
-    doubles as a liveness heartbeat. *)
+    with the current epoch second, so every write doubles as a
+    liveness heartbeat. *)
 
 val load : string -> (t, string) result
 (** Read and decode, after checking the schema version (currently 2;
@@ -92,10 +92,6 @@ val header_mismatch : t -> t -> string option
     count, enumeration tallies) on which the two checkpoints disagree,
     or [None] when they describe the same sweep. {!Sweep} uses it to
     refuse a foreign resume; {!merge} uses it across shards. *)
-
-val timestamp_utc : int -> string
-(** Render a [saved_at] heartbeat as an ISO-8601 UTC instant
-    ("2026-08-09T12:34:56Z"), or ["unknown"] for 0. *)
 
 val merge : t list -> (t, string) result
 (** Fold the per-shard checkpoints of one sweep into the unsharded

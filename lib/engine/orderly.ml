@@ -200,8 +200,9 @@ let generate ?(jobs = 1) ?metrics ~connected n =
       let parents = !level in
       let per_parent =
         span "extend" (fun () ->
-            Pool.run ?metrics ~jobs (Array.length parents) (fun i ->
-                extend ~k parents.(i)))
+            let count = Array.length parents in
+            Pool.run ?metrics ~jobs:(Pool.effective_jobs ~jobs count) count
+              (fun i -> extend ~k parents.(i)))
       in
       let acc = ref [] in
       Array.iter
@@ -225,7 +226,8 @@ let generate ?(jobs = 1) ?metrics ~connected n =
        class, results in class order whatever [jobs] *)
     let reps =
       span "min_mask" (fun () ->
-          Pool.map ?metrics ~jobs
+          Pool.map ?metrics
+            ~jobs:(Pool.effective_jobs ~jobs (List.length kept))
             (fun cmask ->
               Canon.min_mask ~init:cmask ~n (Chunk.adj_of_mask n cmask))
             (Array.of_list kept))

@@ -2,6 +2,10 @@ module Sync = Lcp_obs.Sync
 
 let default_jobs () = Domain.recommended_domain_count ()
 
+(* BENCH_sweep.json: n=5 par_wall > seq_wall, as spawning and joining
+   domains dwarfs a few hundred microseconds of light tasks *)
+let effective_jobs ~jobs count = if count < 64 then 1 else jobs
+
 (* Run [worker w] (which reports its exception instead of raising) on
    this domain (index 0) plus [extra] spawned domains (indices 1..);
    join everything, then re-raise the first exception observed. The

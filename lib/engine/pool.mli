@@ -21,6 +21,11 @@
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
+val effective_jobs : jobs:int -> int -> int
+(** The width for [count] light tasks (the sweep's enumeration levels
+    and class checks): [1] below 64, where spawning domains costs more
+    than the work, else [jobs]. Results never depend on the width. *)
+
 val run :
   ?metrics:Lcp_obs.Metrics.t -> jobs:int -> int -> (int -> 'a) -> 'a array
 (** [run ~jobs count f] computes [f i] for every [i < count] on up to

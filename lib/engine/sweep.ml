@@ -142,16 +142,6 @@ type 'c summary = {
 
 module M = Lcp_obs.Metrics
 
-(* Below this many kept classes the domain pool costs more than the
-   work (BENCH_sweep.json: n=5 par_wall > seq_wall): spawn/join of N
-   domains dwarfs a few hundred microseconds of checking. [Pool.run]
-   with [jobs = 1] runs sequentially on the calling domain with zero
-   spawns, and every sweep counter is jobs-invariant by construction,
-   so the bypass changes wall-clock only. *)
-let small_sweep_cutoff = 64
-
-let effective_jobs ~jobs ~kept = if kept < small_sweep_cutoff then 1 else jobs
-
 exception Checkpoint_mismatch of string
 
 let mismatch fmt = Printf.ksprintf (fun msg -> raise (Checkpoint_mismatch msg)) fmt
@@ -229,7 +219,7 @@ let run_checkpointed ~cfg ~jobs ~connected ~n ~shards ~shard ~e
     M.counter cfg.R.metrics "labelings_checked" - state.Checkpoint.labelings
   in
   let chunk = max 32 (4 * jobs) in
-  let pool_jobs = effective_jobs ~jobs ~kept in
+  let pool_jobs = Pool.effective_jobs ~jobs kept in
   let st = ref state in
   if (not !st.Checkpoint.complete) || not resumed then
     Checkpoint.save ~path:policy.Checkpoint.path !st;
@@ -342,7 +332,7 @@ let run ?(cfg = R.default) ?(mode = Exhaustive)
                 | None ->
                     let verdicts =
                       Pool.run ~metrics:cfg.R.metrics
-                        ~jobs:(effective_jobs ~jobs ~kept) kept (fun i ->
+                        ~jobs:(Pool.effective_jobs ~jobs kept) kept (fun i ->
                           check targets.(i))
                     in
                     let violations = ref 0 and first = ref None in
@@ -359,7 +349,7 @@ let run ?(cfg = R.default) ?(mode = Exhaustive)
                 let checked = Sync.A.make "engine/sweep.checked" 0 in
                 let hit =
                   Pool.search ~metrics:cfg.R.metrics
-                    ~jobs:(effective_jobs ~jobs ~kept) kept (fun i ->
+                    ~jobs:(Pool.effective_jobs ~jobs kept) kept (fun i ->
                       Sync.A.incr checked;
                       check targets.(i))
                 in

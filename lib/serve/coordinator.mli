@@ -1,54 +1,25 @@
 (** The sweep coordinator: one job in, K supervised shard workers out,
-    one merged report back — the layer that turns PR 9's manual
-    "launch K shells and babysit them" recipe into a fault-tolerant
-    orchestrator, and the parallelism story past a single domain pool
-    on the road to n = 10.
+    one merged report back.
 
-    The coordinator partitions a sweep with the engine's deterministic
-    class-key partition ({!Lcp_engine.Sweep.shard_of_key}; nothing to
-    compute up front — each worker filters its own slice), runs one
-    worker per shard up to a [workers] cap, and supervises them
-    through the only state that matters: the shard checkpoint files
-    the workers atomically rewrite after every chunk
-    ({!Lcp_engine.Checkpoint}).
+    Shard [I] is a forked [bin sweep DECODER --shards K --shard I
+    --checkpoint DIR/shard-I.json --resume] worker (the engine's
+    class-key partition, {!Lcp_engine.Sweep.shard_of_key}, decides its
+    slice), at most [workers] at a time; a daemon coordinating a sweep
+    forks the same workers on its host. {!run} is the effect loop of
+    the pure policy {!Supervise}: every 50 ms it reaps exited workers,
+    reads each unfinished shard's checkpoint once, feeds what it saw
+    to {!Supervise.step} on its own clock (which times the heartbeats)
+    and performs the spawns, kills, abort or merge that [step] returns.
+    A restarted worker resumes from its last completed chunk.
 
-    {b Supervision state machine.} Each shard is [Pending] (waiting
-    for a worker slot and its backoff deadline), [Running], or
-    [Finished]. A running worker is polled for exit. On any
-    termination the checkpoint file is the judgement: {e complete}
-    checkpoint = shard done (even if the worker was killed after its
-    final chunk, and even if it exited 1 because the shard saw
-    violations); anything else = crash, and the
-    shard goes back to [Pending] with capped exponential backoff
-    ({!backoff_s}) — the restarted worker [--resume]s from the last
-    completed chunk, so work is lost only back to the previous
-    checkpoint write. A worker that exits 2 (usage error) aborts the
-    whole run: retrying a malformed invocation can only fail again.
-    After [max_restarts] failed restarts of one shard the run aborts.
+    The merged report is byte-identical to the unsharded run's,
+    whatever happened to the workers: that is CI's [cmp] gate.
 
-    {b Liveness / heartbeat contract.} Every checkpoint write stamps
-    [saved_at]. A worker that has been running longer than [stall_s]
-    {e and} whose checkpoint heartbeat is older than [stall_s] is
-    declared wedged, SIGKILLed, and restarted through the normal crash
-    path. Workers therefore need no extra liveness plumbing — durable
-    progress {e is} the heartbeat.
-
-    {b Workers.} The one executor, [Subprocess], forks [bin sweep
-    DECODER --shards K --shard I --checkpoint ... --resume] children
-    (default: the current executable). A daemon that coordinates a
-    sweep forks the same children on its own host.
-
-    {b Determinism.} The merged checkpoint — and [report], its
-    {!Lcp_engine.Checkpoint.report_json} rendering — is byte-identical
-    to the unsharded run's, regardless of worker deaths or restarts:
-    that is the CI [cmp] gate, inherited from the sharding layer.
-
-    Observability: counters [coord/shards_launched] /
-    [coord/restarts] (materialized at 0), gauges
-    [coord/classes_done], [coord/shards_done],
-    [coord/shard<i>/completed], [coord/shard<i>/attempts], span
-    [coord], and progress lines for every supervision event, all into
-    the caller's cfg. *)
+    Observability: counters [coord/shards_launched] and
+    [coord/restarts] (materialized at 0), gauges [coord/classes_done],
+    [coord/shards_done], [coord/shard<i>/completed] and
+    [coord/shard<i>/attempts], span [coord], and progress lines, all
+    into the caller's cfg. *)
 
 type executor =
   | Subprocess of { bin : string }
@@ -66,19 +37,13 @@ type config = {
           at [shard-<i>.json]. Reusing a dir resumes its finished and
           partial shards; a dir from a {e different} sweep makes the
           workers exit 2 and the run abort. *)
-  poll_s : float;  (** supervision poll interval *)
   stall_s : float;  (** heartbeat staleness before a worker is wedged *)
-  backoff_base_s : float;
-  backoff_max_s : float;
   max_restarts : int;  (** per-shard restart budget *)
   inject_kill : int option;
-      (** test/CI fault injection: this shard's first worker runs with
-          [--max-chunks 1] and is SIGKILLed if a poll finds it running
-          with its checkpoint on disk. Either way it leaves an
-          incomplete checkpoint and the shard is restarted exactly
-          once — provided the shard spans more than one checkpoint
-          chunk (more than 32 classes at [jobs <= 8]); a one-chunk
-          shard can finish before any poll and is not restarted. *)
+      (** fault injection for tests and CI: this shard's first worker
+          runs with [--max-chunks 1] and is SIGKILLed if a poll finds it
+          running with a checkpoint, so a shard of more than one chunk
+          (32 classes at [jobs <= 8]) is restarted exactly once. *)
   on_spawn : shard:int -> attempt:int -> pid:int -> unit;
       (** observation hook, called after every worker launch *)
 }
@@ -86,13 +51,7 @@ type config = {
 val default_config :
   decoder:string -> n:int -> shards:int -> dir:string -> config
 (** Subprocess executor on [Sys.executable_name], [workers = shards],
-    [jobs = 1], 50ms poll, 120s stall, backoff 0.25s doubling to 8s,
-    5 restarts, no injection. *)
-
-val backoff_s : config -> attempt:int -> float
-(** Delay before launching [attempt] (1-based): 0 for the first
-    attempt, then [backoff_base_s * 2^(attempt-2)] capped at
-    [backoff_max_s]. *)
+    [jobs = 1], 120s stall, 5 restarts, no injection. *)
 
 val shard_path : dir:string -> int -> string
 (** [dir/shard-<i>.json], the checkpoint file of shard [i]. *)

@@ -24,7 +24,7 @@ let lint ?(max_n = 3) ?(samples = 3) entries =
 (* A registry entry around a promise-free suite: the sanitizer checks
    decoder contracts, not soundness, so the bundle parts can be
    trivial. *)
-let bad_entry ?radius ?port_invariant key dec =
+let bad_entry ?contract key dec =
   {
     Registry.key;
     suite =
@@ -35,7 +35,7 @@ let bad_entry ?radius ?port_invariant key dec =
         adversary_alphabet = (fun _ -> [ "0"; "1"; Decoder.junk ]);
         cert_bits = (fun _ -> 1);
       };
-    contract = Decoder.contract ?radius ?port_invariant dec;
+    contract = Option.value contract ~default:(Decoder.contract dec);
   }
 
 (* Requests radius-2 views but is registered with a declared radius of
@@ -48,7 +48,9 @@ let deep_reader =
       done;
       !ok)
 
-let deep_entry = bad_entry ~radius:1 "bad-deep-reader" deep_reader
+let deep_entry =
+  bad_entry "bad-deep-reader" deep_reader
+    ~contract:{ (Decoder.contract deep_reader) with declared_radius = 1 }
 
 (* Claims anonymity but branches on the raw identifier. *)
 let id_peeker =
@@ -62,7 +64,10 @@ let port_peeker =
   Decoder.make ~name:"bad-port-peeker" ~radius:1 ~anonymous:true (fun view ->
       List.for_all (fun (_, _, fp) -> fp = 1) (View.center_neighbors view))
 
-let port_entry = bad_entry ~port_invariant:true "bad-port-peeker" port_peeker
+let port_entry =
+  bad_entry "bad-port-peeker" port_peeker
+    ~contract:
+      { (Decoder.contract port_peeker) with declared_port_invariant = true }
 
 (* ------------------------------------------------------------------ *)
 (* trace plumbing                                                      *)

@@ -1,7 +1,7 @@
-(* The sweep coordinator: backoff policy, subprocess supervision with
-   injected worker kills, the incomplete-shard merge refusal, a live
-   daemon coordinating a sweep server-side, and the small-sweep pool
-   bypass. The load-bearing assertion throughout: the coordinated
+(* The sweep coordinator: its supervision policy on a seeded
+   simulator, subprocess supervision with injected worker kills, the
+   incomplete-shard merge refusal, a live daemon coordinating a sweep
+   server-side, and the small-sweep pool bypass. The load-bearing assertion throughout: the coordinated
    merged report is byte-identical to the unsharded run's, whatever
    happened to the workers along the way. *)
 
@@ -71,36 +71,417 @@ let run_exn config =
   | Error msg -> Alcotest.fail msg
 
 (* ------------------------------------------------------------------ *)
-(* pure policy                                                         *)
+(* the supervision policy on virtual time                              *)
+
+(* A seeded simulator: it drives [Supervise.step] exactly as
+   [Coordinator.run]'s loop does (a Tick, then for each unfinished
+   shard either the reap of its exited worker or one checkpoint read)
+   against scripted workers on a virtual clock whose ticks are at
+   most 0.08 s apart, and checks every action against an independent
+   model of the policy. *)
+
+module S = Lcp_serve.Supervise
+
+let heavy = Sys.getenv_opt "LCP_HEAVY" <> None
+
+(* The restart schedule, written out independently of the policy:
+   attempt 1 at once, then 0.25 s doubling, capped at 8 s. *)
+let expected_backoff attempt =
+  if attempt = 1 then 0.
+  else Float.min 8. (0.25 *. (2. ** float_of_int (attempt - 2)))
+
+(* One simulated worker: a chunk save after each gap (the first timed
+   from its spawn), then [ending] [linger] seconds after the last save,
+   or never ([None]: hung). *)
+type script = { gaps : float list; ending : S.status option; linger : float }
+
+type worker = {
+  attempt : int;
+  mutable saves : float list;  (* absolute clock times, ascending *)
+  mutable last : float;  (* spawn or the last save so far *)
+  mutable exit : (float * S.status) option;
+}
+
+type sim = {
+  outcome : (unit, string) result;
+  spawns : (int * int * float) list;  (* shard, attempt, clock *)
+  restarts : int;
+  stall_kills : int;
+  injected : int;
+}
+
+let show = function
+  | S.Exit c -> Printf.sprintf "exit %d" c
+  | S.Signal s -> Printf.sprintf "signal %d" s
+
+let sim_ck =
+  {
+    Checkpoint.tag = "sim";
+    n = 0;
+    connected_only = true;
+    shards = 1;
+    shard = 0;
+    enum = { candidates = 0; connected = 0; classes = 0; dedup_hits = 0 };
+    kept = 0;
+    completed = 0;
+    last_key = -1;
+    checked = 0;
+    passed = 0;
+    violations = 0;
+    violating_keys = [];
+    labelings = 0;
+    complete = false;
+    saved_at = 0;
+  }
+
+let simulate ~label ?(kept = fun _ -> 2) ?(done_at_start = fun _ -> false)
+    ?(next_tick = fun t -> t +. 0.05) ~shards ~workers ~stall_s
+    ~max_restarts ~inject_kill script =
+  let fail fmt =
+    Printf.ksprintf (fun m -> Alcotest.fail (label ^ ": " ^ m)) fmt
+  in
+  let kept = Array.init shards kept in
+  (* the shard checkpoints on the simulated disk; [saved_at] is
+     truncated to whole seconds as [Checkpoint.save] does *)
+  let save i ~completed ~at =
+    Some
+      {
+        sim_ck with
+        Checkpoint.shards;
+        shard = i;
+        kept = kept.(i);
+        completed;
+        complete = completed = kept.(i);
+        saved_at = int_of_float at;
+      }
+  in
+  let disk =
+    Array.init shards (fun i ->
+        if done_at_start i then save i ~completed:kept.(i) ~at:0. else None)
+  in
+  let completed i =
+    match disk.(i) with Some ck -> ck.Checkpoint.completed | None -> 0
+  in
+  let live = Array.make shards None and attempts = Array.make shards 0 in
+  let finished = Array.make shards false in
+  let crashed_at = Array.make shards 0. in
+  let now = ref 0. and outcome = ref None and spawns = ref [] in
+  let crashes = ref 0 and stall_kills = ref 0 and injected = ref 0 in
+  let rec advance i w =
+    match w.saves with
+    | at :: rest when at <= !now ->
+        w.saves <- rest;
+        w.last <- at;
+        disk.(i) <- save i ~completed:(completed i + 1) ~at;
+        advance i w
+    | _ -> ()
+  in
+  let alive w = match w.exit with Some (e, _) -> e > !now | None -> true in
+  let launch i attempt ~preempt =
+    let sc = script ~shard:i ~attempt ~remaining:(kept.(i) - completed i) in
+    let gaps = List.filteri (fun k _ -> k < kept.(i) - completed i) sc.gaps in
+    (* [--max-chunks 1]: one chunk save, then exit 0 *)
+    let gaps, ending =
+      match gaps with
+      | g :: _ :: _ when preempt -> ([ g ], Some (S.Exit 0))
+      | _ -> (gaps, sc.ending)
+    in
+    let t = ref !now in
+    let saves = List.map (fun g -> t := !t +. g; !t) gaps in
+    let exit = Option.map (fun st -> (!t +. sc.linger, st)) ending in
+    { attempt; saves; last = !now; exit }
+  in
+  let perform ~aborting = function
+    | S.Spawn { shard = i; attempt; preempt } ->
+        if finished.(i) then fail "shard %d relaunched after it finished" i;
+        if live.(i) <> None then fail "shard %d launched while its worker lives" i;
+        if attempt <> attempts.(i) + 1 then
+          fail "shard %d: attempt %d after %d" i attempt attempts.(i);
+        if attempt > max_restarts + 1 then
+          fail "shard %d: attempt %d breaks a budget of %d restarts" i attempt
+            max_restarts;
+        if attempt > 1 && !now < crashed_at.(i) +. expected_backoff attempt -. 1e-9
+        then
+          fail "shard %d: attempt %d at %.3f s, before its backoff from %.3f s" i
+            attempt !now crashed_at.(i);
+        if preempt <> (inject_kill = Some i && attempt = 1) then
+          fail "shard %d: attempt %d with preempt %b" i attempt preempt;
+        if Array.fold_left (fun n w -> if w = None then n else n + 1) 0 live >= workers
+        then fail "more than %d workers at once" workers;
+        attempts.(i) <- attempt;
+        spawns := (i, attempt, !now) :: !spawns;
+        live.(i) <- Some (launch i attempt ~preempt)
+    | S.Kill { shard = i; _ } -> (
+        match live.(i) with
+        | None -> fail "kill of shard %d, which has no worker" i
+        | Some w ->
+            if not aborting then begin
+              if not (alive w) then fail "kill of shard %d's exited worker" i;
+              if inject_kill = Some i && w.attempt = 1 && disk.(i) <> None then
+                incr injected
+              else if !now -. w.last > stall_s then incr stall_kills
+              else
+                fail "shard %d killed %.3f s after its last save (stall_s %.2f)"
+                  i (!now -. w.last) stall_s
+            end;
+            if alive w then begin
+              w.exit <- Some (!now, S.Signal 9);
+              w.saves <- []
+            end)
+    | S.Abort reason ->
+        Array.iteri
+          (fun i w ->
+            match w with
+            | Some w when alive w -> fail "the abort left shard %d running" i
+            | _ -> ())
+          live;
+        outcome := Some (Error reason)
+    | S.Merge cks ->
+        Array.iteri
+          (fun i f -> if not f then fail "merge before shard %d finished" i)
+          finished;
+        if List.map (fun ck -> (ck.Checkpoint.shard, ck.complete)) cks
+           <> List.init shards (fun i -> (i, true))
+        then fail "the merge is not one complete checkpoint per shard";
+        outcome := Some (Ok ())
+  in
+  let st = ref (S.init ~shards ~workers ~stall_s ~max_restarts ~inject_kill) in
+  let feed ev =
+    let next, actions = S.step !st ev in
+    st := next;
+    if !outcome <> None && actions <> [] then fail "actions after the run ended";
+    let aborting = List.exists (function S.Abort _ -> true | _ -> false) actions in
+    List.iter (perform ~aborting) actions;
+    aborting
+  in
+  while !outcome = None do
+    if !now > 3600. then fail "the run did not end";
+    ignore (feed (S.Tick !now));
+    for i = 0 to shards - 1 do
+      match ((S.shards !st).(i).S.phase, live.(i)) with
+      | S.Done _, _ -> ()
+      | _ when !outcome <> None -> ()
+      | S.Running _, None -> fail "shard %d runs without a worker" i
+      | S.Running _, Some w ->
+          advance i w;
+          (match w.exit with
+          | Some (e, status) when e <= !now ->
+              live.(i) <- None;
+              let complete = completed i = kept.(i) in
+              let fatal =
+                (not complete) && (status = S.Exit 2 || w.attempt > max_restarts)
+              in
+              if complete then finished.(i) <- true
+              else if not fatal then begin
+                incr crashes;
+                crashed_at.(i) <- !now
+              end;
+              if feed (S.Exited { shard = i; status; ck = disk.(i) }) <> fatal then
+                fail "shard %d attempt %d ended (%s, complete %b): abort must be %b"
+                  i w.attempt (show status) complete fatal
+          | _ ->
+              ignore (feed (S.Observed { shard = i; ck = disk.(i) }));
+              (* the first tick more than stall_s after the beat kills,
+                 and a beat is seen at most one tick after its save *)
+              if alive w && !now -. w.last > stall_s +. 0.2 then
+                fail "shard %d silent for %.3f s and not killed" i (!now -. w.last))
+      | S.Pending _, Some _ -> fail "shard %d is pending with a live worker" i
+      | S.Pending _, None -> ignore (feed (S.Observed { shard = i; ck = disk.(i) }))
+    done;
+    now := next_tick !now
+  done;
+  if S.restarts !st <> !crashes then
+    fail "%d restarts counted for %d retried crashes" (S.restarts !st) !crashes;
+  if !injected > 1 then fail "the fault was injected %d times" !injected;
+  {
+    outcome = Option.get !outcome;
+    spawns = List.rev !spawns;
+    restarts = !crashes;
+    stall_kills = !stall_kills;
+    injected = !injected;
+  }
+
+let fast = { gaps = []; ending = Some (S.Exit 0); linger = 0.001 }
+
+(* every save [gap] seconds apart, exit 0 right after the last *)
+let steady gap ~remaining =
+  { fast with gaps = List.init remaining (fun _ -> gap) }
 
 let test_backoff_capped () =
-  let c =
-    {
-      (Coordinator.default_config ~decoder:"degree-one" ~n:5 ~shards:2
-         ~dir:"unused")
-      with
-      Coordinator.backoff_base_s = 0.25;
-      backoff_max_s = 8.;
-    }
+  (* one shard whose every worker dies at once: the spawns trace the
+     whole schedule, on a 0.05 s tick *)
+  let r =
+    simulate ~label:"backoff" ~shards:1 ~workers:1 ~stall_s:120.
+      ~max_restarts:10 ~inject_kill:None (fun ~shard:_ ~attempt:_ ~remaining:_ ->
+        { fast with ending = Some (S.Exit 1); linger = 0. })
   in
-  check_bool "attempt 1 launches immediately" true
-    (Coordinator.backoff_s c ~attempt:1 = 0.);
-  check_bool "attempt 2 waits the base" true
-    (Coordinator.backoff_s c ~attempt:2 = 0.25);
-  check_bool "attempt 3 doubles" true
-    (Coordinator.backoff_s c ~attempt:3 = 0.5);
-  check_bool "attempt 4 doubles again" true
-    (Coordinator.backoff_s c ~attempt:4 = 1.0);
-  check_bool "large attempts are capped" true
-    (Coordinator.backoff_s c ~attempt:40 = 8.);
-  check_bool "backoff never decreases" true
-    (let rec mono prev k =
-       k > 12
-       ||
-       let b = Coordinator.backoff_s c ~attempt:k in
-       b >= prev && mono b (k + 1)
-     in
-     mono 0. 1)
+  check_bool "the budget ran out" true
+    (match r.outcome with
+    | Error msg -> contains ~needle:"failed 11 times" msg
+    | Ok () -> false);
+  let times = List.map (fun (_, _, t) -> t) r.spawns in
+  check_int "one launch per attempt" 11 (List.length times);
+  check_bool "attempt 1 launches immediately" true (List.hd times = 0.);
+  List.iteri
+    (fun k (prev, t) ->
+      let b = expected_backoff (k + 2) in
+      check_bool
+        (Printf.sprintf "attempt %d waits %.2f s, within one tick" (k + 2) b)
+        true
+        (t -. prev >= b -. 1e-9 && t -. prev < b +. 0.05 +. 1e-9))
+    (List.combine
+       (List.filteri (fun k _ -> k < 10) times)
+       (List.tl times))
+
+let merged r = r.outcome = Ok ()
+
+let test_sim_scripted () =
+  (* two shards on two workers, the default budget *)
+  let sim ?kept ?(stall_s = 120.) ?inject_kill label script =
+    simulate ~label ?kept ~shards:2 ~workers:2 ~stall_s ~max_restarts:5
+      ~inject_kill script
+  in
+  (* a hung worker is killed after stall_s and its shard restarted *)
+  let r =
+    sim ~stall_s:0.3 "hung" (fun ~shard ~attempt ~remaining ->
+        if shard = 0 && attempt = 1 then { fast with gaps = [ 0.01 ]; ending = None }
+        else steady 0.01 ~remaining)
+  in
+  check_bool "hung: merged" true (merged r);
+  check_int "hung: one stall kill" 1 r.stall_kills;
+  check_int "hung: one restart" 1 r.restarts;
+  (* exit 1 before the last chunk, then success *)
+  let r =
+    sim "exit 1" (fun ~shard ~attempt ~remaining ->
+        if shard = 1 && attempt = 1 then
+          { gaps = [ 0.1 ]; ending = Some (S.Exit 1); linger = 0.1 }
+        else steady 0.1 ~remaining)
+  in
+  check_bool "exit 1 then success: merged, one restart" true
+    (merged r && r.restarts = 1 && List.length r.spawns = 3);
+  (* exit 2 aborts at once, killing the other worker, with no restart *)
+  let r =
+    sim "exit 2" (fun ~shard ~attempt:_ ~remaining ->
+        if shard = 1 then { fast with ending = Some (S.Exit 2) }
+        else steady 1. ~remaining)
+  in
+  check_bool "exit 2: aborted as a usage error" true
+    (match r.outcome with
+    | Error msg -> contains ~needle:"exited 2" msg
+    | Ok () -> false);
+  check_int "exit 2: no restart" 0 r.restarts;
+  check_int "exit 2: no relaunch" 2 (List.length r.spawns);
+  (* a complete checkpoint is done whatever the exit *)
+  List.iter
+    (fun status ->
+      let r =
+        sim "complete" (fun ~shard:_ ~attempt:_ ~remaining ->
+            { (steady 0.01 ~remaining) with ending = Some status })
+      in
+      check_bool
+        (Printf.sprintf "complete + %s: merged without a restart" (show status))
+        true
+        (merged r && r.restarts = 0))
+    [ S.Exit 1; S.Exit 2; S.Signal 9 ];
+  (* the injected kill lands mid-chunk: the restart resumes after the
+     one saved chunk *)
+  let r =
+    sim ~kept:(fun _ -> 3) ~inject_kill:0 "mid-chunk" (fun ~shard:_ ~attempt:_ ~remaining ->
+        { (steady 0.02 ~remaining) with linger = 0.5 })
+  in
+  check_bool "mid-chunk kill: merged after one restart" true
+    (merged r && r.injected = 1 && r.restarts = 1);
+  (* an injected shard that exits before any tick: its one-chunk budget
+     still leaves an incomplete checkpoint, so it restarts once *)
+  let r =
+    sim ~inject_kill:1 "fast injected" (fun ~shard:_ ~attempt:_ ~remaining ->
+        steady 0.001 ~remaining)
+  in
+  check_bool "fast injected shard: one restart, never killed" true
+    (merged r && r.restarts = 1 && r.injected = 0 && List.length r.spawns = 3);
+  (* heartbeats: saves just under stall_s never kill (checkpoint
+     seconds are truncated, so only the loop's clock can tell); saves
+     one tick and more over stall_s do *)
+  List.iter
+    (fun stall_s ->
+      let run gap =
+        sim ~kept:(fun _ -> 8) ~stall_s
+          (Printf.sprintf "heartbeat %.2f/%.2f" gap stall_s)
+          (fun ~shard:_ ~attempt ~remaining ->
+            steady (if attempt = 1 then gap else 0.01) ~remaining)
+      in
+      let under = run (stall_s -. 0.001) and over = run (stall_s +. 0.15) in
+      check_bool
+        (Printf.sprintf "saves every %.3f s, stall_s %.2f: no kill" (stall_s -. 0.001)
+           stall_s)
+        true
+        (merged under && under.stall_kills = 0 && under.restarts = 0);
+      check_bool
+        (Printf.sprintf "saves every %.2f s, stall_s %.2f: killed, restarted"
+           (stall_s +. 0.15) stall_s)
+        true
+        (merged over && over.stall_kills = 2 && over.restarts = 2))
+    [ 0.3; 1.0 ]
+
+(* A seeded schedule: a random cluster of 1-5 shards and faults drawn
+   per worker launch. *)
+let random_schedule seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n and float x = Random.State.float rng x in
+  let shards = 1 + int 5 in
+  let stall_s = [| 0.3; 0.45; 1.0 |].(int 3) in
+  let jitter = int 2 = 0 in
+  let gap kind () =
+    match kind with
+    | `Under -> float stall_s
+    | `Over -> stall_s *. (1. +. float 0.5)
+    | `Fast -> float 0.002
+  in
+  let saves k kind = List.init k (fun _ -> gap kind ()) in
+  let script ~shard:_ ~attempt:_ ~remaining =
+    match int 20 with
+    | k when k < 7 ->
+        let ending = [| S.Exit 0; S.Exit 1; S.Exit 2; S.Signal 9 |].(int 4) in
+        { gaps = saves remaining `Under; ending = Some ending; linger = float 0.01 }
+    | k when k < 9 -> { fast with gaps = saves remaining `Over }
+    | k when k < 12 ->
+        let ending = [| S.Exit 1; S.Exit 3; S.Signal 6; S.Signal 9 |].(int 4) in
+        { gaps = saves (int (max 1 remaining)) `Under; ending = Some ending; linger = float 0.5 }
+    | 12 -> { fast with ending = Some (S.Exit 2) }
+    | k when k < 15 -> { gaps = saves (int (remaining + 1)) `Under; ending = None; linger = 0. }
+    | _ -> { fast with gaps = saves remaining `Fast }
+  in
+  simulate ~label:(Printf.sprintf "seed %d" seed)
+    ~kept:(fun _ -> 1 + int 4)
+    ~done_at_start:(fun _ -> int 8 = 0)
+    ~next_tick:(fun t -> t +. 0.05 +. if jitter then float 0.03 else 0.)
+    ~shards ~workers:(1 + int (shards + 1)) ~stall_s ~max_restarts:(int 6)
+    ~inject_kill:(if int 3 = 0 then Some (int shards) else None)
+    script
+
+let test_sim_schedules () =
+  let aborted needle r =
+    match r.outcome with Error m -> contains ~needle m | Ok () -> false
+  in
+  (* every path the invariants guard must be taken *)
+  let paths =
+    [
+      ("merge", merged);
+      ("abort on exit 2", aborted "exited 2");
+      ("exhaust a restart budget", aborted "giving up");
+      ("merge after restarts", fun r -> merged r && r.restarts > 0);
+      ("kill a stalled worker", fun r -> r.stall_kills > 0);
+      ("inject the kill", fun r -> r.injected > 0);
+    ]
+  in
+  let taken = Array.make (List.length paths) 0 in
+  for seed = 1 to if heavy then 500_000 else 10_000 do
+    let r = random_schedule seed in
+    List.iteri (fun k (_, p) -> if p r then taken.(k) <- taken.(k) + 1) paths
+  done;
+  List.iteri
+    (fun k (name, _) -> check_bool ("some schedules " ^ name) true (taken.(k) > 0))
+    paths
 
 (* ------------------------------------------------------------------ *)
 (* the small-sweep pool bypass                                         *)
@@ -112,21 +493,30 @@ let test_small_sweep_bypass () =
   let elsewhere = Atomic.make 0 in
   Sweep.clear_cache ();
   ignore
-    (Sweep.run ~cfg:(Run_cfg.make ~jobs:8 ()) ~n:5
+    (Sweep.run ~cfg:(Run_cfg.make ~jobs:4 ()) ~n:5
        ~check:(fun _ ->
          if Domain.self () <> caller then Atomic.incr elsewhere;
          None)
        ());
   check_int "every class checked on the calling domain" 0 (Atomic.get elsewhere);
-  (* ... yet report identical counters *)
-  let counters jobs =
+  (* ... and so does the enumeration: every pool task of a 4-domain
+     sweep, level by level and the representative pass, lands on
+     worker 0; the counters match the 1-domain sweep's *)
+  let sweep jobs =
     Sweep.clear_cache ();
     let cfg = Run_cfg.make ~jobs () in
-    (Lcp.Checker.soundness_sweep ~cfg (suite_of "degree-one") ~n:5)
-      .Sweep.counters
+    let s = Lcp.Checker.soundness_sweep ~cfg (suite_of "degree-one") ~n:5 in
+    let tasks w =
+      Lcp_obs.Metrics.counter cfg.Run_cfg.metrics
+        (Printf.sprintf "pool/worker%d/tasks" w)
+    in
+    (s.Sweep.counters, tasks)
   in
+  let counters4, tasks = sweep 4 in
+  check_bool "tasks recorded on worker 0" true (tasks 0 > 0);
+  check_int "no task on workers 1-3" 0 (tasks 1 + tasks 2 + tasks 3);
   check_bool "counters are jobs-invariant through the bypass" true
-    (counters 1 = counters 8)
+    (fst (sweep 1) = counters4)
 
 (* ------------------------------------------------------------------ *)
 (* subprocess supervision                                              *)
@@ -138,7 +528,6 @@ let test_subprocess_matches_unsharded () =
       (Coordinator.default_config ~decoder:"degree-one" ~n:6 ~shards:2 ~dir)
       with
       Coordinator.executor = Coordinator.Subprocess { bin = lcp_bin };
-      poll_s = 0.01;
     }
   in
   let o = run_exn config in
@@ -156,8 +545,6 @@ let test_kill_restart_recovers () =
       (Coordinator.default_config ~decoder:"degree-one" ~n:7 ~shards:2 ~dir)
       with
       Coordinator.executor = Coordinator.Subprocess { bin = lcp_bin };
-      poll_s = 0.01;
-      backoff_base_s = 0.01;
       inject_kill = Some 0;
       on_spawn =
         (fun ~shard ~attempt ~pid:_ -> spawns := (shard, attempt) :: !spawns);
@@ -178,10 +565,11 @@ let test_kill_restart_recovers () =
     (Json.to_string_pretty o.Coordinator.report)
 
 (* The injection cannot miss a worker that finishes between two polls:
-   here each n=6 shard worker runs well under one 0.5 s poll interval,
-   so no poll finds the target running, and its one-chunk budget
-   (every n=6 shard spans two 32-class chunks) still leaves an
-   incomplete checkpoint for the reap path to restart. *)
+   each n=6 shard worker runs about as long as one 50 ms poll, and
+   whether or not a poll finds the target running, its one-chunk
+   budget (every n=6 shard spans two 32-class chunks) leaves an
+   incomplete checkpoint to restart. The simulator pins the path where
+   the target exits before any poll. *)
 let test_kill_restart_fast_shard () =
   with_dir @@ fun dir ->
   let config =
@@ -189,8 +577,6 @@ let test_kill_restart_fast_shard () =
       (Coordinator.default_config ~decoder:"degree-one" ~n:6 ~shards:2 ~dir)
       with
       Coordinator.executor = Coordinator.Subprocess { bin = lcp_bin };
-      poll_s = 0.5;
-      backoff_base_s = 0.01;
       inject_kill = Some 1;
     }
   in
@@ -362,8 +748,6 @@ let test_usage_error_worker_aborts () =
       (Coordinator.default_config ~decoder:"degree-one" ~n:6 ~shards:2 ~dir)
       with
       Coordinator.executor = Coordinator.Subprocess { bin = lcp_bin };
-      poll_s = 0.01;
-      backoff_base_s = 0.01;
     }
   in
   (match Coordinator.run ~cfg config with
@@ -394,4 +778,10 @@ let suite =
       test_daemon_runs_coordinated_sweep;
     slow_case "a worker's usage error aborts the run, no restart"
       test_usage_error_worker_aborts;
+    case "sim: hang, exit 1, exit 2, complete exits, mid-chunk and fast \
+          injected kills, heartbeats at stall_s 0.3 and 1"
+      test_sim_scripted;
+    case "sim: 10,000 seeded schedules (500,000 under LCP_HEAVY) keep \
+          every supervision invariant"
+      test_sim_schedules;
   ]
