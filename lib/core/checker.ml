@@ -116,10 +116,11 @@ let check_strong (suite : Decoder.suite) ~k inst lab =
    When the quotient yields a group (the decoder's verdicts are
    Aut-invariant and the graph is not rigid), the loop quotients the
    labeling space by Aut(G) with the certificate search's own cut: the
-   prefix trie (Auto.prefix along the identity order, the order
-   Labeling.iter_all uses) cuts every partial labeling with no
-   orbit-minimal completion, and at the last step it cuts exactly the
-   labelings that are not orbit minima. Each surviving minimum is
+   walk of the prefix trie (Auto.prefix along the identity order, the
+   order Labeling.iter_all uses), resumed from step to step, cuts
+   every partial labeling with no orbit-minimal completion, and a
+   complete labeling survives every step exactly when it is an orbit
+   minimum. Each surviving minimum is
    counted with its orbit size |Aut| / |Stab(L)|, the stabilizer
    counted by a walk of the same trie. The weights over the minima
    partition the space, so on passing runs [checked] equals |Σ|^n
@@ -169,8 +170,9 @@ let strong_soundness_with ?cfg ~source ~quotient (suite : Decoder.suite) ~k
             | Some auto ->
                 let size = Lcp_engine.Auto.size auto in
                 let trie = Lcp_engine.Auto.prefix auto ~order in
+                let w = Lcp_engine.Auto.walk trie in
                 Labeling.iter_backtracking_ranked ~alphabet ~order g
-                  ~prune:(fun i _ rk -> Lcp_engine.Auto.cuts trie rk i)
+                  ~prune:(fun i _ rk -> Lcp_engine.Auto.step w rk i)
                   (fun lab rk ->
                     check_labeling
                       ~weight:(size / Lcp_engine.Auto.stabilizer trie rk)

@@ -207,39 +207,43 @@ let iter_with ?tally ?cfg ~accepts ~group dec ~alphabet (inst : Instance.t) f =
   let balls = balls g ~r in
   let order = completion_order balls in
   let schedule = coverage_schedule balls ~order in
-  (* the prefix-minimality trie along the ball-completion order; none
-     when there is no group to quotient by *)
-  let sym =
-    Option.map (fun auto -> Lcp_engine.Auto.prefix auto ~order) group
+  (* a newly covered ball is the only thing that can change a verdict *)
+  let rejects i lab rk =
+    let centers = schedule.(i) in
+    let cut = ref false and j = ref 0 in
+    while (not !cut) && !j < Array.length centers do
+      if not (accepts lab rk centers.(!j)) then cut := true;
+      incr j
+    done;
+    !cut
   in
+  let count () = match tally with Some t -> incr t | None -> () in
   (* symmetry breaking: cut a branch as soon as some automorphism
      provably maps every completion to a lex-smaller labeling — only
-     non-orbit-minimal labelings are lost. Cuts are tallied locally
-     and flushed into the metrics in one batch at the end: a per-cut
+     non-orbit-minimal labelings are lost. The walk of the
+     prefix-minimality trie along the ball-completion order is resumed
+     from step to step; the search calls the prune in the walk's
+     protocol (step i only below an uncut step i-1), so the walk's
+     answers are the from-root ones. Cuts are tallied locally and
+     flushed into the metrics in one batch at the end: a per-cut
      [Run_cfg.count] would take the registry lock inside the hottest
      loop of the search. *)
   let sym_cuts = ref 0 in
-  let prune i lab rk =
-    (match tally with Some t -> incr t | None -> ());
-    if
-      match sym with
-      | Some trie -> Lcp_engine.Auto.cuts trie rk i
-      | None -> false
-    then begin
-      incr sym_cuts;
-      true
-    end
-    else begin
-      (* a newly covered ball is the only thing that can change a
-         verdict *)
-      let centers = schedule.(i) in
-      let cut = ref false and j = ref 0 in
-      while (not !cut) && !j < Array.length centers do
-        if not (accepts lab rk centers.(!j)) then cut := true;
-        incr j
-      done;
-      !cut
-    end
+  let prune =
+    match group with
+    | None ->
+        fun i lab rk ->
+          count ();
+          rejects i lab rk
+    | Some auto ->
+        let w = Lcp_engine.Auto.walk (Lcp_engine.Auto.prefix auto ~order) in
+        fun i lab rk ->
+          count ();
+          if Lcp_engine.Auto.step w rk i then begin
+            incr sym_cuts;
+            true
+          end
+          else rejects i lab rk
   in
   let run () =
     Labeling.iter_backtracking_ranked ~alphabet ~order g ~prune (fun lab _ ->

@@ -81,8 +81,9 @@ let generators t =
    it and follow each other by those subtree ends, sorted by
    (activation, s, e), so a sibling scan at step i stops at the first
    child activated after i. A program can end at an inner node: the
-   programs it is a prefix of hang below its last pair. *)
-type prefix = int array
+   programs it is a prefix of hang below its last pair. [steps] is the
+   order's length, the number of steps a search takes. *)
+type prefix = { nodes : int array; steps : int }
 
 let prefix t ~order =
   let n = t.n in
@@ -159,25 +160,120 @@ let prefix t ~order =
       depth := len.(k))
     rows;
   close_from 0;
-  nodes
+  { nodes; steps = n }
 
-(* Preorder walk of the sibling run [c, stop): cut on a compare-greater
-   node, descend through a compare-equal one, move on otherwise; the
-   run ends at the first node activated after step i. Top-level and
-   non-allocating: the search calls it at every step. *)
-let rec walk nodes rk i c stop =
+(* The walk state: the search's trie walk, resumed step by step.
+
+   A from-root walk at step i descends through compare-equal nodes,
+   stops each sibling scan at the first child activated after i, and
+   cuts on the first node comparing greater. Under the backtracking
+   protocol step i follows a step i-1 that did not cut on the same
+   prefix, so every node activated before i compares as it did then
+   and none of them compares greater: only the nodes the step-(i-1)
+   walk stopped at, activated at i, and whatever they lead to can cut.
+   The walk state keeps those stops, the sibling runs [c, stop) that
+   the walks so far broke off at c, bucketed by the activation of c,
+   so step i scans bucket i alone. A run scanned at step i stops in
+   turn at a child activated later and goes into that child's bucket,
+   never into bucket i.
+
+   The runs sit on one trail, three ints each (c, stop, the previous
+   run of the same bucket), and [heads.(j)] is bucket j's newest run.
+   Step i first drops the runs pushed since step i last began (the
+   search came back to step i with another symbol, or from deeper),
+   which restores the buckets as step i-1 left them; a cut drops the
+   runs its own scan pushed, since the search will not descend. Along
+   one path each trie node starts at most one run, so the trail never
+   holds more than the trie's nodes plus the root run. [depth] is the
+   number of steps done without a cut on the current path: step i is
+   valid only when i <= depth. *)
+type walk = {
+  trie : int array;
+  heads : int array; (* heads.(j): bucket j's newest run, -1 if empty *)
+  runs : int array; (* the trail *)
+  marks : int array; (* marks.(i): runs on the trail when step i began *)
+  mutable top : int; (* runs on the trail *)
+  mutable depth : int;
+}
+
+(* Indices into [runs], [heads] and [trie] are in range by
+   construction (the trail bound above, activations below [steps]), so
+   the walk's inner loop reads and writes them unchecked. *)
+let push w c stop =
+  let k = 3 * w.top and j = Array.unsafe_get w.trie (2 * c) lsr 9 in
+  Array.unsafe_set w.runs k c;
+  Array.unsafe_set w.runs (k + 1) stop;
+  Array.unsafe_set w.runs (k + 2) (Array.unsafe_get w.heads j);
+  Array.unsafe_set w.heads j w.top;
+  w.top <- w.top + 1
+
+let undo w mark =
+  while w.top > mark do
+    w.top <- w.top - 1;
+    let k = 3 * w.top in
+    let c = Array.unsafe_get w.runs k in
+    Array.unsafe_set w.heads
+      (Array.unsafe_get w.trie (2 * c) lsr 9)
+      (Array.unsafe_get w.runs (k + 2))
+  done
+
+let walk p =
+  let count = Array.length p.nodes / 2 in
+  let w =
+    {
+      trie = p.nodes;
+      heads = Array.make (max p.steps 1) (-1);
+      runs = Array.make (3 * (count + 1)) 0;
+      marks = Array.make p.steps 0;
+      top = 0;
+      depth = 0;
+    }
+  in
+  if count > 0 then push w 0 count;
+  w
+
+(* Preorder walk of the sibling run [c, stop) at step i: cut on a
+   compare-greater node, descend through a compare-equal one, move on
+   otherwise; the run breaks off at the first node activated after i,
+   which keeps the rest of it in that node's bucket. Top-level and
+   allocation-free: the search calls it at every step. *)
+let rec scan w rk i c stop =
   c < stop
   &&
-  let key = Array.unsafe_get nodes (2 * c) in
-  key lsr 9 <= i
-  &&
-  let a = rk.((key lsr 4) land 15) and b = rk.(key land 15) in
-  a > b
-  ||
-  let past = Array.unsafe_get nodes ((2 * c) + 1) in
-  (a = b && walk nodes rk i (c + 1) past) || walk nodes rk i past stop
+  let key = Array.unsafe_get w.trie (2 * c) in
+  if key lsr 9 > i then begin
+    push w c stop;
+    false
+  end
+  else
+    let a = rk.((key lsr 4) land 15) and b = rk.(key land 15) in
+    a > b
+    ||
+    let past = Array.unsafe_get w.trie ((2 * c) + 1) in
+    (a = b && scan w rk i (c + 1) past) || scan w rk i past stop
 
-let cuts p rk i = walk p rk i 0 (Array.length p / 2)
+(* the runs of one bucket, newest first, from run r on *)
+let rec scan_bucket w rk i r =
+  r >= 0
+  &&
+  let k = 3 * r in
+  scan w rk i (Array.unsafe_get w.runs k) (Array.unsafe_get w.runs (k + 1))
+  || scan_bucket w rk i (Array.unsafe_get w.runs (k + 2))
+
+let step w rk i =
+  if i > w.depth then
+    invalid_arg "Auto.step: step i must follow an uncut step i - 1";
+  if i < w.depth then undo w w.marks.(i);
+  w.marks.(i) <- w.top;
+  if scan_bucket w rk i w.heads.(i) then begin
+    undo w w.marks.(i);
+    w.depth <- i;
+    true
+  end
+  else begin
+    w.depth <- i + 1;
+    false
+  end
 
 (* Preorder walk of the sibling run [c, stop) adding up the programs
    that end on a compare-equal path: every automorphism but the
@@ -193,4 +289,4 @@ let rec fixing nodes rk c stop acc =
     in
     fixing nodes rk past stop acc
 
-let stabilizer p rk = fixing p rk 0 (Array.length p / 2) 1
+let stabilizer p rk = fixing p.nodes rk 0 (Array.length p.nodes / 2) 1

@@ -11,10 +11,11 @@
     quotiented searches use (the certificate search and exhaustive
     strong soundness):
 
-    - {!prefix} / {!cuts}: symmetry breaking for a backtracking
-      labeling search — a per-step test that cuts a partial labeling
-      only if {e no} completion of it is lexicographically minimal in
-      its Aut-orbit, and that is exact on complete labelings.
+    - {!prefix} / {!walk} / {!step}: symmetry breaking for a
+      backtracking labeling search — a per-step test that cuts a
+      partial labeling only if {e no} completion of it is
+      lexicographically minimal in its Aut-orbit, and that is exact on
+      complete labelings.
       Restricting a search to orbit minima is sound for any decoder
       whose per-node verdict is invariant under the graph's
       automorphisms (anonymous {e and} port-invariant decoders: the
@@ -57,7 +58,7 @@ val is_trivial : t -> bool
 val perms : t -> int array array
 (** Every automorphism as a vertex→vertex permutation, each exactly
     once, in a deterministic but unspecified order (the refined
-    search's discovery order). {!cuts} and {!stabilizer} depend only
+    search's discovery order). {!step} and {!stabilizer} depend only
     on the group as a set; which transversal representatives
     {!generators} returns follows this order, the group they generate
     does not. The array and its rows are owned by [t]: do not
@@ -86,21 +87,48 @@ val prefix : t -> order:int array -> prefix
     [|Aut(G)| * n] scratch array of packed pair keys, so no
     per-automorphism array is allocated. *)
 
-val cuts : prefix -> int array -> int -> bool
-(** [cuts p ranks i] with steps [0..i] assigned and [ranks.(v)] the
-    alphabet rank of node [v]'s label (entries of unassigned nodes are
-    never read): whether some automorphism [p] provably sends every
-    completion of the partial labeling to a lexicographically smaller
-    one — walking [p]'s program over the pairs whose steps are both
-    assigned, all ranks equal so far and then [rank(s) > rank(e)].
-    [rank(s) < rank(e)] or an unassigned step ends that walk
-    inconclusively. The trie walks every program at once: it descends
-    only through pairs whose ranks compare equal, stops a sibling scan
-    at the first pair activated after [i], and answers [true] at the
-    first pair comparing greater — an existential over the group, so
-    the answer does not depend on the order of {!perms}. Cutting never
-    loses an orbit minimum, and once [i = n - 1] the answer is exactly
-    "the labeling is not minimal in its orbit". Allocates nothing. *)
+type walk
+(** One search's walk of a {!prefix} trie, resumed from step to step
+    (see {!step}). Mutable; one per search, on one domain. *)
+
+val walk : prefix -> walk
+(** A walk with no step taken yet. Allocates about [1.5] times the
+    trie. *)
+
+val step : walk -> int array -> int -> bool
+(** [step w ranks i], called by a backtracking search after it assigns
+    step [i] ([ranks.(v)] is the alphabet rank of node [v]'s label;
+    entries of unassigned nodes are never read): whether some
+    automorphism [p] provably sends every completion of the partial
+    labeling to a lexicographically smaller one. Walking [p]'s program
+    over the pairs whose steps are both assigned, the ranks are equal
+    so far and then [rank(s) > rank(e)]; [rank(s) < rank(e)] or an
+    unassigned step ends that walk inconclusively. The trie walks every
+    program at once, an existential over the group, so the answer does
+    not depend on the order of {!perms}. Cutting never loses an orbit
+    minimum, and a complete labeling is cut at some step iff it is not
+    the minimum of its orbit.
+
+    {b Protocol.} The walk follows the search's path: step [i] may be
+    taken only when steps [0..i-1] of the current prefix were taken in
+    turn and none of them cut, as
+    {!Lcp_local.Labeling.iter_backtracking_ranked} does when its
+    [prune] returns [true] exactly on a cut: every symbol at a step,
+    descending only where the step did not cut, then backtracking.
+    Repeating a step (another symbol) or going back to an earlier one
+    is always allowed, and step [0] starts the walk afresh. Then the
+    answer at step [i] is exactly that of a walk of the whole trie
+    from its root: no pair activated before [i] compares differently
+    than at step [i-1], where none compared greater, so a cut can only
+    come from a pair activated at [i]. [w] keeps the places where the
+    walks so far stopped at a pair activated later, bucketed by that
+    step, and step [i] scans bucket [i] alone, pushing the places it
+    stops at onto a trail that is undone when the search comes back to
+    step [i]. A step costs the pairs it activates, not the whole
+    compare-equal part of the trie.
+    @raise Invalid_argument if step [i - 1] was not taken, or cut, on
+    the current path (one int compare); the walk then stays as it
+    was. Allocates nothing. *)
 
 val stabilizer : prefix -> int array -> int
 (** [stabilizer p ranks] with every node assigned: [|Stab(L)|], the

@@ -11,12 +11,17 @@ open Lcp_local
 
    is a finite function with |alphabet|^|ball v| entries. The table for
    node v memoizes it, keyed by the ranks of the ball labels packed as
-   a base-|Σ| integer. Misses are evaluated by swapping the candidate
+   a base-|Σ| integer, and is allocated at the node's first query: a
+   search asks only the nodes whose balls it completes, about half of
+   them in an n=8 sweep. Misses are evaluated by swapping the candidate
    labels into a view skeleton extracted once per node, at its first
    decode — no per-query BFS, sorting or graph construction. A node
    whose misses the shape level answers never extracts one. *)
 
 type store =
+  | Unbuilt
+      (* no query yet: the table is allocated at the node's first
+         query, so a node the search never asks costs none *)
   | Dense of Bytes.t
       (* two bits per key (see [slot]); used when the key space fits
          [dense_limit] bytes at four keys a byte *)
@@ -30,11 +35,13 @@ type node_tab = {
       (* globals.(u) = instance node behind local view node u *)
   mutable skeleton : View.t option;
       (* extracted at the node's first decode; labels swapped per miss *)
-  store : store;
+  mutable store : store;
   shape : int;
       (* the view's shape (order and local edge mask, packed); -1 when
          the shape level is off for this node *)
-  space : int; (* |Σ|^m, the size of the node's shape table *)
+  space : int;
+      (* |Σ|^m, the size of the node's verdict and shape tables; -1
+         when it overflows an int *)
   mutable shared : Bytes.t option;
       (* the node's shape table on the domain using the cache, resolved
          at the node's first miss ([Some Bytes.empty]: none to use);
@@ -249,15 +256,7 @@ let create ?(shapes = false) ~radius ~accepts ~alphabet (inst : Instance.t) =
         let lay = View.layout ~scratch inst ~r:radius v in
         let globals = lay.View.ball in
         let m = Array.length globals in
-        let space = pow_opt sigma m in
-        let store =
-          match space with
-          | Some space when table_bytes space <= dense_limit ->
-              Dense (make_table space)
-          | Some _ -> Hashed (Hashtbl.create 1024)
-          | None -> Keyed (Hashtbl.create 1024)
-        in
-        let space = Option.value space ~default:(-1) in
+        let space = Option.value (pow_opt sigma m) ~default:(-1) in
         let shape =
           if
             scope <> None && m <= Canon.max_order && space > 0
@@ -265,7 +264,7 @@ let create ?(shapes = false) ~radius ~accepts ~alphabet (inst : Instance.t) =
           then shape_of lay
           else -1
         in
-        { globals; skeleton = None; store; shape; space; shared = None })
+        { globals; skeleton = None; store = Unbuilt; shape; space; shared = None })
   in
   { accepts; inst; radius; sigma; nodes; scope; hits = 0; misses = 0 }
 
@@ -322,9 +321,18 @@ let hit t verdict =
   t.hits <- t.hits + 1;
   verdict
 
-let accepts_ranked t (lab : Labeling.t) ranks v =
+(* The node's verdict table, sized by the [dense_limit] rule. *)
+let build_store space =
+  if space < 0 then Keyed (Hashtbl.create 1024)
+  else if table_bytes space <= dense_limit then Dense (make_table space)
+  else Hashed (Hashtbl.create 1024)
+
+let rec accepts_ranked t (lab : Labeling.t) ranks v =
   let tab = t.nodes.(v) in
   match tab.store with
+  | Unbuilt ->
+      tab.store <- build_store tab.space;
+      accepts_ranked t lab ranks v
   | Dense table -> (
       let key = pack t tab ranks in
       match slot table key with

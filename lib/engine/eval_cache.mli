@@ -14,11 +14,19 @@
       records the local-to-global node map (label-independent, because
       the local order ignores labels) and, with [~shapes:true], the
       node's view shape;
-    - sizes a verdict table over the ball's labeling space: a dense
-      byte table when [|alphabet|^|ball|] is at most [2^18], a
-      hashtable on a packed int key when it does not, and a hashtable
+    - sizes the node's verdict table over the ball's labeling space: a
+      dense two-bit table when [|alphabet|^|ball|] is at most [2^18],
+      a hashtable on a packed int key when it is not, and a hashtable
       on a textual key in the (pathological) regime where base-|Σ|
       packing overflows an int.
+
+    {b Table lifetime.} A node's verdict table is allocated at the
+    node's first query, not by [create]: a search asks only the nodes
+    whose balls it completes, and an n=8 degree-one sweep queries about
+    half of its nodes. Once allocated, a table lives as long as the
+    cache and keeps every verdict it was given, so a pooled cache
+    answers a repeated query on any domain without a decode, whatever
+    that domain's shape tables hold.
 
     A query packs the ball's label ranks as a base-|Σ| integer and
     looks the verdict up; a miss swaps the labels into the node's view
@@ -72,10 +80,12 @@ val create :
   alphabet:string list ->
   Instance.t ->
   t
-(** Lay out every node's ball and size its (empty) verdict table. No
-    view is built here: each node extracts its skeleton at its first
-    decode (a miss the shape level does not answer). A node's dense table holds at most [2^18]
-    keys (64 KiB); larger key spaces fall back to hashtables.
+(** Lay out every node's ball and compute its verdict table's size. No
+    view and no table is built here: each node allocates its table at
+    its first query and extracts its skeleton at its first decode (a
+    miss the shape level does not answer). A node's dense table holds
+    at most [2^18] keys (64 KiB); larger key spaces fall back to
+    hashtables.
     Duplicate alphabet symbols are collapsed. [shapes] (default
     [false]) turns on the shape level described above; pass it only
     for a decoder whose verdicts ignore ids and ports.

@@ -161,16 +161,25 @@ let test_stabilizer_brute () =
               (String.concat ";" (Array.to_list (Array.map string_of_int rk)))
               stab brute))
 
-(* the orbit minima (the labelings the trie does not cut at the last
-   step), each weighted by its orbit size |Aut| / |Stab|, cover the
-   labeling space exactly once: the weights strong soundness counts
-   with *)
+(* A complete labeling through the walk state, steps 0..n-1 in turn,
+   stopping at the first cut, as a search reaches a leaf. A cut at some
+   step is the from-root walk's answer at the last step: the labeling
+   is not the minimum of its orbit. Step 0 starts the walk afresh, so
+   one walk serves every labeling. *)
+let walk_cuts w ~n rk =
+  let rec go i = i < n && (Auto.step w rk i || go (i + 1)) in
+  go 0
+
+(* the orbit minima (the labelings no step of the walk cuts), each
+   weighted by its orbit size |Aut| / |Stab|, cover the labeling space
+   exactly once: the weights strong soundness counts with *)
 let test_orbit_weights_cover () =
   stabilizer_cases (fun ~what ~auto ~trie ~count each ->
       let n = Auto.order auto in
+      let w = Auto.walk trie in
       let covered = ref 0 in
       each (fun rk ->
-          if not (Auto.cuts trie rk (n - 1)) then
+          if not (walk_cuts w ~n rk) then
             covered := !covered + (Auto.size auto / Auto.stabilizer trie rk));
       check_int (Printf.sprintf "orbit weights cover the space on %s" what)
         count !covered)
@@ -179,10 +188,11 @@ let test_orbit_weights_cover () =
    exactly once the labeling is complete: walking every program at
    i = n-1 cuts L iff some automorphism sends L to a lexicographically
    smaller labeling, i.e. iff L is not the minimum of its orbit; so
-   does the production trie. (On partial labelings the walk is merely
-   sound — it breaks off at the first undecided step — and the trie
-   differential below holds the trie to the programs there;
-   exactness at the leaves pins the program construction itself.) *)
+   does the production trie's walk, cutting at some step of 0..n-1.
+   (On partial labelings the walk is merely sound — it breaks off at
+   the first undecided step — and the differentials below hold the
+   walk to the programs there; exactness at the leaves pins the
+   program construction itself.) *)
 let test_prefix_programs_exact () =
   let alphabet = [ "a"; "b" ] in
   List.iter
@@ -192,7 +202,7 @@ let test_prefix_programs_exact () =
       let perms = Auto.perms auto in
       let order = Array.init n Fun.id in
       let progs = Lcp_oracle.Prefix_programs.make auto ~order in
-      let trie = Auto.prefix auto ~order in
+      let w = Auto.walk (Auto.prefix auto ~order) in
       (* sorted by activation step, as documented *)
       let act prog =
         let s, e = prog.(0) in
@@ -221,18 +231,19 @@ let test_prefix_programs_exact () =
           check_bool
             (Printf.sprintf "trie cut = non-minimality on %s"
                (graph_to_string g))
-            (not minimal)
-            (Auto.cuts trie rk (n - 1))))
+            (not minimal) (walk_cuts w ~n rk)))
     [ Builders.cycle 4; Builders.cycle 5; Builders.complete 4; Builders.path 5 ]
 
-(* The trie must agree with the per-program scan on every partial
+(* The trie's walk must agree with the per-program scan on every partial
    labeling, not just complete ones: the search asks at every step, and
    any disagreement moves labelings_checked. Every prefix over a
    3-symbol rank alphabet is visited depth-first, in the identity
-   order, its reverse and a seeded shuffle. Rank
-   entries of unassigned nodes keep whatever an earlier branch left
-   there, as in the search, so reading past step [i] shows up as a
-   mismatch. *)
+   order, its reverse and a seeded shuffle. The walk state follows the
+   visit while no step has cut; below a cut it is not asked (its
+   protocol), and the prefix counts as cut, which the program scan
+   must confirm (a cut prefix's extensions are all cut). Rank entries
+   of unassigned nodes keep whatever an earlier branch left there, as
+   in the search, so reading past step [i] shows up as a mismatch. *)
 let orders g =
   let n = Graph.order g in
   let shuffled = Array.init n Fun.id in
@@ -254,41 +265,122 @@ let check_trie_matches_programs g =
   let auto = Auto.of_graph g in
   List.iter
     (fun (what, order) ->
-      let trie = Auto.prefix auto ~order in
+      let w = Auto.walk (Auto.prefix auto ~order) in
       let progs = Lcp_oracle.Prefix_programs.make auto ~order in
       let rk = Array.init n (fun v -> 2 - (v mod 3)) in
-      let rec go i =
+      (* [cut]: some earlier step of this prefix cut *)
+      let rec go i cut =
         if i < n then
           for r = 0 to 2 do
             rk.(order.(i)) <- r;
             let expect = Lcp_oracle.Prefix_programs.cuts progs ~order rk i in
-            if Auto.cuts trie rk i <> expect then
+            let got = cut || Auto.step w rk i in
+            if got <> expect then
               Alcotest.failf "%s, %s order, step %d, ranks [%s]: programs %b"
                 (graph_to_string g) what i
                 (String.concat ";" (Array.to_list (Array.map string_of_int rk)))
                 expect;
-            go (i + 1)
+            go (i + 1) got
           done
       in
-      go 0)
+      go 0 false)
     (orders g)
 
-let test_trie_small () =
-  List.iter check_trie_matches_programs
-    (List.concat_map
-       (fun n -> Lcp_engine.Sweep.iso_classes ~connected:true n)
-       [ 1; 2; 3; 4; 5; 6 ]
-    @ [
-        Builders.complete 7;
-        Builders.cycle 8;
-        complete_bipartite 3 3;
-        Builders.petersen ();
-      ])
+(* The walk state under the search's own protocol, as Prover drives
+   it: every symbol at each step, descend only where the step did not
+   cut, backtrack. The same walk runs the search twice, the second time
+   from a fresh step 0 after the first ended deep in the tree. In the
+   first run a seeded coin also rejects one in four uncut prefixes, as
+   a failed acceptance check does, so the search backtracks past steps
+   the walk completed. Every step must answer as the program scan. *)
+let check_walk_protocol g =
+  let n = Graph.order g in
+  let auto = Auto.of_graph g in
+  List.iter
+    (fun (what, order) ->
+      let w = Auto.walk (Auto.prefix auto ~order) in
+      let progs = Lcp_oracle.Prefix_programs.make auto ~order in
+      let rng = Random.State.make [| n; Graph.size g; 7 |] in
+      let rk = Array.init n (fun v -> 2 - (v mod 3)) in
+      let search ~reject =
+        let rec go i =
+          if i < n then
+            for r = 0 to 2 do
+              rk.(order.(i)) <- r;
+              let expect = Lcp_oracle.Prefix_programs.cuts progs ~order rk i in
+              let got = Auto.step w rk i in
+              if got <> expect then
+                Alcotest.failf "%s, %s order, step %d, ranks [%s]: programs %b"
+                  (graph_to_string g) what i
+                  (String.concat ";"
+                     (Array.to_list (Array.map string_of_int rk)))
+                  expect;
+              if not (got || (reject && Random.State.int rng 4 = 0)) then
+                go (i + 1)
+            done
+        in
+        go 0
+      in
+      search ~reject:true;
+      search ~reject:false)
+    (orders g)
+
+let trie_corpus () =
+  List.concat_map
+    (fun n -> Lcp_engine.Sweep.iso_classes ~connected:true n)
+    [ 1; 2; 3; 4; 5; 6 ]
+  @ [
+      Builders.complete 7;
+      Builders.cycle 8;
+      complete_bipartite 3 3;
+      Builders.petersen ();
+    ]
+
+let test_trie_small () = List.iter check_trie_matches_programs (trie_corpus ())
 
 let test_trie_n7 () =
   if heavy_enabled then
     List.iter check_trie_matches_programs
       (Lcp_engine.Sweep.iso_classes ~connected:true 7)
+
+let test_walk_protocol_small () = List.iter check_walk_protocol (trie_corpus ())
+
+let test_walk_protocol_n7 () =
+  if heavy_enabled then
+    List.iter check_walk_protocol
+      (Lcp_engine.Sweep.iso_classes ~connected:true 7)
+
+(* A step outside the protocol raises instead of answering from a
+   frontier that does not belong to the prefix: a step whose previous
+   step was never taken, or cut. On K4 along the identity order, ranks
+   [1; 0] at steps 0, 1 are cut at step 1 by the transposition of
+   nodes 0 and 1, and ranks [1; 1; 1] are cut at no step. *)
+let test_walk_out_of_protocol () =
+  let auto = Auto.of_graph (Builders.complete 4) in
+  let w = Auto.walk (Auto.prefix auto ~order:[| 0; 1; 2; 3 |]) in
+  let rk = [| 1; 0; 0; 0 |] in
+  let raises what i =
+    match Auto.step w rk i with
+    | exception Invalid_argument _ -> ()
+    | cut ->
+        Alcotest.failf "%s: step %d answered %b instead of raising" what i cut
+  in
+  raises "fresh walk" 1;
+  check_bool "step 0 does not cut" false (Auto.step w rk 0);
+  raises "step 1 not taken" 2;
+  check_bool "step 1 cuts" true (Auto.step w rk 1);
+  raises "step 1 cut" 2;
+  raises "step 1 cut, still" 3;
+  rk.(1) <- 1;
+  check_bool "step 1 again, another symbol" false (Auto.step w rk 1);
+  raises "step 2 skipped" 3;
+  rk.(2) <- 1;
+  check_bool "step 2 after an uncut step 1" false (Auto.step w rk 2);
+  rk.(1) <- 0;
+  check_bool "back to step 1, a cutting symbol" true (Auto.step w rk 1);
+  raises "step 1 cut below a deeper path" 2;
+  check_bool "back to step 0" false (Auto.step w rk 0);
+  raises "step 1 not taken since step 0" 2
 
 (* The refined harvest (Canon.witnesses over the 1-WL cells) against
    the one-cell group: every relabeling achieving the one-cell minimum
@@ -358,4 +450,13 @@ let suite =
       test_refined_group_small;
     slow_case "refined group = one-cell group, n = 8 (LCP_HEAVY)"
       test_refined_group_n8;
+    case
+      "walk state = program scan under the search protocol, n <= 6 and \
+       named graphs"
+      test_walk_protocol_small;
+    slow_case
+      "walk state = program scan under the search protocol, n = 7 \
+       (LCP_HEAVY)"
+      test_walk_protocol_n7;
+    case "walk state: an out-of-protocol step raises" test_walk_out_of_protocol;
   ]

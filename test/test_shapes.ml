@@ -174,7 +174,12 @@ let test_differential_heavy () =
    released and leased on domain B by the unquotiented one, which asks
    for ball labelings the orbit cuts spared A. A node keeps the shape
    table its first miss resolved, so B's misses must resolve again and
-   build B's own tables: answered from A's, B would build none. *)
+   build B's own tables: answered from A's, B would build none. A third
+   lease, on a fresh domain C, repeats A's search: every query must hit
+   the per-instance tables the cache kept from A, without a miss and
+   without filling a shape-table entry. A cache that kept only which
+   keys were seen, and took their verdicts from the shape tables, would
+   decode them again on C, whose shape tables are empty. *)
 let test_lease_crosses_domains () =
   let suite = D_degree_one.suite in
   let dec = suite.Decoder.dec in
@@ -192,20 +197,27 @@ let test_lease_crosses_domains () =
       in
       let search quotient =
         let cfg = seq_cfg () in
-        let tables0, _ = Lcp_engine.Eval_cache.shape_stats () in
+        let tables0, entries0 = Lcp_engine.Eval_cache.shape_stats () in
         let witness, _ =
           Prover.search_with ~cfg ~source:(Prover.tables ~cfg ()) ~quotient dec
             ~alphabet inst
         in
-        let tables1, _ = Lcp_engine.Eval_cache.shape_stats () in
+        let tables1, entries1 = Lcp_engine.Eval_cache.shape_stats () in
         let c = Metrics_obs.counter cfg.Run_cfg.metrics in
-        (witness, c "eval_cache_misses", c "eval_cache_shared_hits", tables1 - tables0)
+        ( witness,
+          c "eval_cache_misses",
+          c "eval_cache_shared_hits",
+          tables1 - tables0,
+          entries1 - entries0 )
       in
-      let wa, _, warm_a, built_a =
+      let wa, _, warm_a, built_a, _ =
         on_domain (fun () -> search Prover.orbit_group)
       in
-      let wb, misses_b, warm_b, built_b =
+      let wb, misses_b, warm_b, built_b, _ =
         on_domain (fun () -> search (fun _ _ -> None))
+      in
+      let wc, misses_c, warm_c, _, filled_c =
+        on_domain (fun () -> search Prover.orbit_group)
       in
       check_bool (what ^ ": domain A witness = oracle") true (wa = direct);
       check_bool (what ^ ": domain B witness = oracle") true (wb = direct);
@@ -214,7 +226,11 @@ let test_lease_crosses_domains () =
       check_bool (what ^ ": domain A builds shape tables") true (built_a > 0);
       check_bool (what ^ ": domain B misses") true (misses_b > 0);
       check_bool (what ^ ": domain B builds its own shape tables") true
-        (built_b > 0))
+        (built_b > 0);
+      check_bool (what ^ ": domain C witness = oracle") true (wc = direct);
+      check_int (what ^ ": domain C leases it warm") 1 warm_c;
+      check_int (what ^ ": domain C misses nothing") 0 misses_c;
+      check_int (what ^ ": domain C fills no shape-table entry") 0 filled_c)
     [ ("C6", Builders.cycle 6); ("K4", Builders.complete 4) ]
 
 (* ------------------------------------------------------------------ *)
