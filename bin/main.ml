@@ -405,7 +405,7 @@ let compare_widths ?placement ~metrics_out req =
    [Session]; only combinations of local-only flags are checked here. *)
 let run_sweep decoder sweep opts compare shard checkpoint_path resume
     merge_files merge_out workers coordinator stall_s max_restarts
-    inject_kill max_chunks checkpoint_dir metrics_out =
+    inject_kill max_chunks checkpoint_dir classes metrics_out =
   if merge_files <> [] then run_sweep_merge merge_files merge_out
   else begin
     let usage fmt = Printf.ksprintf failwith fmt in
@@ -428,6 +428,24 @@ let run_sweep decoder sweep opts compare shard checkpoint_path resume
       usage "--resume needs --checkpoint FILE";
     refuse ~unless:(checkpoint_path = None) "--checkpoint"
       [ (compare, "--compare") ];
+    (* --compare clears the class cache, so it would enumerate anyway *)
+    refuse ~unless:(classes = None) "--classes"
+      [
+        (coordinated, "--workers"); (coordinator <> None, "--coordinator");
+        (compare, "--compare");
+      ];
+    Option.iter
+      (fun path ->
+        match Lcp_engine.Listing.load path with
+        | Error msg -> usage "--classes: %s" msg
+        | Ok l when l.Lcp_engine.Listing.n <> sweep.n || not l.connected ->
+            usage "--classes: %s lists %s on %d nodes, not the connected \
+                   classes on %d"
+              path
+              (if l.connected then "the connected classes" else "every class")
+              l.n sweep.n
+        | Ok l -> Lcp_engine.Sweep.install l)
+      classes;
     let sweep =
       if coordinated && sweep.shards = 1 then { sweep with shards = workers }
       else sweep
@@ -823,6 +841,14 @@ let sweep_cmd =
        let supervision restart it (once, for a shard of more than one \
        chunk)."
   in
+  let classes =
+    opt_string [ "classes" ]
+      "Sweep the class listing in $(docv) instead of enumerating: the \
+       file a coordinator writes once per run ($(b,DIR/classes.json)) \
+       and passes to every shard worker. A missing, truncated or \
+       edited listing, or one for another order, is a usage error \
+       (exit 2) naming $(docv); nothing runs."
+  in
   let max_chunks =
     count_opt 1 [ "max-chunks" ]
       "Stop after $(docv) checkpoint chunk writes, leaving a valid \
@@ -841,7 +867,7 @@ let sweep_cmd =
       const run_sweep $ decoder $ sweep_flags $ opts_term $ compare $ shard
       $ checkpoint $ resume $ merge $ merge_out $ workers $ coordinator
       $ stall_s $ max_restarts $ inject_kill $ max_chunks $ checkpoint_dir
-      $ metrics_out_arg)
+      $ classes $ metrics_out_arg)
 
 let lint_cmd =
   let decoders =

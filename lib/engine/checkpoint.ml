@@ -48,11 +48,6 @@ let enum_json e =
       ("dedup_hits", Json.Int e.dedup_hits);
     ]
 
-(* The integrity digest: MD5 of the compact rendering of every other
-   member, in file order. It catches edits and corruption, not forgery. *)
-let digest members =
-  Digest.to_hex (Digest.string (Json.to_string (Json.Obj members)))
-
 let body t =
   [
     ("schema_version", Json.Int schema_version);
@@ -75,10 +70,6 @@ let body t =
     ("saved_at", Json.Int t.saved_at);
   ]
 
-let to_json t =
-  let members = body t in
-  Json.Obj (members @ [ ("digest", Json.String (digest members)) ])
-
 let ( let* ) = Json.( let* )
 
 let field_int j k =
@@ -100,20 +91,12 @@ let enum_of_json j =
   let* dedup_hits = field_int j "dedup_hits" in
   Ok { candidates; connected; classes; dedup_hits }
 
-let check_digest j =
-  let* stored = field_str j "digest" in
-  match j with
-  | Json.Obj members
-    when digest (List.filter (fun (k, _) -> k <> "digest") members) = stored ->
-      Ok ()
-  | _ -> Error "checkpoint digest mismatch: the file was edited or corrupted"
-
 let of_json j =
   let* v = field_int j "schema_version" in
   if v <> schema_version then
     Error (Printf.sprintf "checkpoint schema %d, expected %d" v schema_version)
   else
-    let* () = check_digest j in
+    let* () = Sealed.check ~what:"checkpoint" j in
     (* files from before the header dropped [strategy] still carry it;
        a mask-scan file's tallies are not an orderly sweep's *)
     let* () =
@@ -162,29 +145,14 @@ let of_json j =
       }
 
 (* ------------------------------------------------------------------ *)
-(* disk discipline: write-to-tmp then rename, same as Sink             *)
+(* disk                                                                *)
 
 let save ~path t =
-  let t = { t with saved_at = int_of_float (Unix.time ()) } in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (to_json t));
-      output_char oc '\n');
-  Sys.rename tmp path
+  Sealed.save ~path (body { t with saved_at = int_of_float (Unix.time ()) })
 
 let load path =
-  match
-    In_channel.with_open_text path (fun ic -> In_channel.input_all ic)
-  with
-  | exception Sys_error msg -> Error msg
-  | raw ->
-      Result.map_error
-        (fun msg -> Printf.sprintf "%s: %s" path msg)
-        (let* j = Json.of_string raw in
-         of_json j)
+  Result.bind (Sealed.read path) (fun j ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (of_json j))
 
 (* ------------------------------------------------------------------ *)
 (* shard merging                                                       *)

@@ -5,9 +5,9 @@
     break" and "an n = 8 sweep fits in whatever slices the machine
     grants you".
 
-    A checkpoint is a single schema-versioned JSON object, sealed by a
-    [digest] member: the MD5 of the compact rendering of every other
-    member. {!load} refuses a file whose digest is
+    A checkpoint is a single schema-versioned JSON object, sealed
+    ({!Sealed}) by a [digest] member: the MD5 of the compact rendering
+    of every other member. {!load} refuses a file whose digest is
     missing or does not match, so a hand-edited or corrupted counter
     cannot merge silently into a report. Its header
     (tag, order, connectivity filter, shard coordinates, and

@@ -6,12 +6,16 @@ module R = Lcp_obs.Run_cfg
 
 (* The orderly generator: work proportional to the class count, not
    the mask space. Representatives are the minimal-mask members of
-   their classes ({!Canon.min_mask}), ascending. *)
+   their classes ({!Canon.min_mask}), ascending. The listing must pass
+   {!Listing.make}'s checks, the A001349 accounting gate among them,
+   before any sweep runs on it. *)
 let enumerate_classes ~cfg ~connected n =
   let masks, tallies =
     Orderly.generate ~jobs:cfg.R.jobs ~metrics:cfg.R.metrics ~connected n
   in
-  (List.map (Chunk.graph_of_mask n) masks, tallies)
+  match Listing.make ~n ~connected tallies masks with
+  | Ok _ -> (List.map (Chunk.graph_of_mask n) masks, tallies)
+  | Error msg -> raise (Listing.Mismatch ("sweep enumeration: " ^ msg))
 
 (* ------------------------------------------------------------------ *)
 (* the cross-sweep class cache
@@ -78,6 +82,22 @@ let classes_cached ~cfg ~connected n =
 
 let iso_classes ?(cfg = R.default) ?(connected = true) n =
   fst (classes_cached ~cfg ~connected n)
+
+(* The cache keeps graphs, not masks: only a coordinator needs the
+   masks back, once per run. The entry passed [Listing.make] when it
+   was enumerated or installed, so this [make] cannot fail. *)
+let listing ?(cfg = R.default) ?(connected = true) n =
+  let reps, e = classes_cached ~cfg ~connected n in
+  let masks = List.map Chunk.wide_mask_of_graph reps in
+  match Listing.make ~n ~connected e masks with
+  | Ok l -> l
+  | Error msg -> raise (Listing.Mismatch msg)
+
+let install (l : Listing.t) =
+  let entry = (List.map (Chunk.graph_of_mask l.n) l.masks, l.tallies) in
+  Sync.with_lock cache_lock (fun () ->
+      Sync.Var.touch cache_guard;
+      Hashtbl.replace cache (l.n, l.connected) entry)
 
 let cache_stats () = (Sync.A.get hits, Sync.A.get misses)
 

@@ -41,7 +41,21 @@ val iso_classes :
     [true]: connected graphs only), in ascending mask order, memoized
     across calls per [(n, connected)]. Reports cache traffic and the
     listing's enumeration tallies into [cfg] on every call, cached or
-    not, so counters do not depend on cache temperature. *)
+    not, so counters do not depend on cache temperature.
+    @raise Listing.Mismatch when a fresh enumeration fails
+    {!Listing.make}'s checks (the A001349 accounting gate among
+    them). *)
+
+val listing : ?cfg:Lcp_obs.Run_cfg.t -> ?connected:bool -> int -> Listing.t
+(** The same cached listing as {!iso_classes}, as minimal masks with
+    the tallies of its enumeration: what a coordinator writes for its
+    shard workers ({!Listing.save}). Reports into [cfg] as
+    {!iso_classes} does. *)
+
+val install : Listing.t -> unit
+(** Put a listing read from outside ({!Listing.load}) into the class
+    cache under its [(n, connected)], replacing any entry there: the
+    sweeps that follow hit the cache and enumerate nothing. *)
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of the cross-sweep iso-class cache, process-wide

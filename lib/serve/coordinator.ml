@@ -1,6 +1,8 @@
 module Json = Lcp_obs.Json
 module R = Lcp_obs.Run_cfg
 module Checkpoint = Lcp_engine.Checkpoint
+module Listing = Lcp_engine.Listing
+module Sweep = Lcp_engine.Sweep
 
 type executor = Subprocess of { bin : string }
 
@@ -36,6 +38,7 @@ let default_config ~decoder ~n ~shards ~dir =
 let poll_s = 0.05
 
 let shard_path ~dir i = Filename.concat dir (Printf.sprintf "shard-%d.json" i)
+let classes_path ~dir = Filename.concat dir "classes.json"
 
 (* A preempted worker ([--max-chunks 1], the injected fault) cannot
    finish a shard of two or more chunks however fast it runs, so the
@@ -50,6 +53,7 @@ let worker_argv c ~bin i ~preempt =
       "--shard"; string_of_int i;
       "--checkpoint"; shard_path ~dir:c.dir i;
       "--resume";
+      "--classes"; classes_path ~dir:c.dir;
     |]
     (if preempt then [| "--max-chunks"; "1" |] else [||])
 
@@ -121,6 +125,37 @@ let report_progress cfg (st : S.t) ~last_line =
     R.progress cfg line
   end
 
+(* The workers' stdout pipes, one read end per running worker. A
+   worker never writes much (its response object, once), but its exit
+   closes the write end, so EOF on the read end wakes the loop the
+   moment a worker exits instead of at the next tick. *)
+type pipes = { fds : Unix.file_descr option array; hung_up : bool array }
+
+let close_pipe p i =
+  Option.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    p.fds.(i);
+  p.fds.(i) <- None
+
+(* Sleep until a worker writes or exits, or [timeout] passes; drain and
+   discard what was written, and mark the pipes at EOF as hung up. *)
+let await p ~timeout =
+  let open_fds = List.filter_map Fun.id (Array.to_list p.fds) in
+  match Unix.select open_fds [] [] timeout with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | readable, _, _ ->
+      let buf = Bytes.create 4096 in
+      Array.iteri
+        (fun i fd ->
+          match fd with
+          | Some fd when List.mem fd readable ->
+              if Unix.read fd buf 0 (Bytes.length buf) = 0 then begin
+                close_pipe p i;
+                p.hung_up.(i) <- true
+              end
+          | _ -> ())
+        p.fds
+
 let run ?(cfg = R.default) c =
   if c.shards < 1 then invalid_arg "Coordinator.run: shards must be >= 1";
   if c.workers < 1 then invalid_arg "Coordinator.run: workers must be >= 1";
@@ -128,7 +163,24 @@ let run ?(cfg = R.default) c =
   if not (Sys.file_exists c.dir) then Unix.mkdir c.dir 0o755;
   R.span cfg "coord" (fun () ->
       let t0 = Lcp_obs.Clock.now_s () in
-      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      (* one listing for every worker, enumerated on the cores they are
+         about to use (no more domains than the machine has cores),
+         under a private cfg so the caller's counters stay those of the
+         supervision alone *)
+      let jobs = min (c.workers * c.jobs) (Lcp_engine.Pool.default_jobs ()) in
+      R.span cfg "listing" (fun () ->
+          Listing.save ~path:(classes_path ~dir:c.dir)
+            (Sweep.listing ~cfg:(R.make ~jobs ()) c.n));
+      let devnull =
+        Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0
+      in
+      let p =
+        { fds = Array.make c.shards None; hung_up = Array.make c.shards false }
+      in
+      Fun.protect ~finally:(fun () ->
+          Array.iteri (fun i _ -> close_pipe p i) p.fds;
+          try Unix.close devnull with Unix.Unix_error _ -> ())
+      @@ fun () ->
       let (Subprocess { bin }) = c.executor in
       let pids = Array.make c.shards 0 in
       let st =
@@ -141,7 +193,16 @@ let run ?(cfg = R.default) c =
       let perform = function
         | S.Spawn { shard; attempt; preempt } ->
             let argv = worker_argv c ~bin shard ~preempt in
-            pids.(shard) <- Unix.create_process bin argv devnull devnull devnull;
+            let rd, wr = Unix.pipe ~cloexec:true () in
+            (match Unix.create_process bin argv devnull wr devnull with
+            | pid -> pids.(shard) <- pid
+            | exception e ->
+                Unix.close rd;
+                Unix.close wr;
+                raise e);
+            Unix.close wr;
+            p.fds.(shard) <- Some rd;
+            p.hung_up.(shard) <- false;
             c.on_spawn ~shard ~attempt ~pid:pids.(shard)
         | S.Kill { shard; reason } -> (
             R.progress cfg
@@ -176,20 +237,24 @@ let run ?(cfg = R.default) c =
                  chunk and exits in between is judged by that save *)
               let path = shard_path ~dir:c.dir i in
               let ck () = Result.to_option (Checkpoint.load path) in
-              let exited status = S.Exited { shard = i; status; ck = ck () } in
+              let exited status =
+                close_pipe p i;
+                S.Exited { shard = i; status; ck = ck () }
+              in
+              (* a hung-up pipe means the worker is exiting: wait for it *)
+              let flags = if p.hung_up.(i) then [] else [ Unix.WNOHANG ] in
               feed
                 (match phase with
                 | S.Running _ -> (
-                    match Unix.waitpid [ Unix.WNOHANG ] pids.(i) with
+                    match Unix.waitpid flags pids.(i) with
                     | 0, _ -> S.Observed { shard = i; ck = ck () }
                     | _, Unix.WEXITED code -> exited (S.Exit code)
                     | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> exited (S.Signal s))
                 | _ -> S.Observed { shard = i; ck = ck () })
         done;
         report_progress cfg !st ~last_line;
-        if !result = None then Unix.sleepf poll_s
+        if !result = None then await p ~timeout:poll_s
       done;
-      (try Unix.close devnull with Unix.Unix_error _ -> ());
       let report i =
         let s = shard i in
         let wall_s =

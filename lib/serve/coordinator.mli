@@ -1,16 +1,26 @@
 (** The sweep coordinator: one job in, K supervised shard workers out,
     one merged report back.
 
-    Shard [I] is a forked [bin sweep DECODER --shards K --shard I
-    --checkpoint DIR/shard-I.json --resume] worker (the engine's
-    class-key partition, {!Lcp_engine.Sweep.shard_of_key}, decides its
-    slice), at most [workers] at a time; a daemon coordinating a sweep
-    forks the same workers on its host. {!run} is the effect loop of
-    the pure policy {!Supervise}: every 50 ms it reaps exited workers,
-    reads each unfinished shard's checkpoint once, feeds what it saw
-    to {!Supervise.step} on its own clock (which times the heartbeats)
-    and performs the spawns, kills, abort or merge that [step] returns.
-    A restarted worker resumes from its last completed chunk.
+    The class listing is enumerated once per run: before the first
+    spawn, {!run} takes it from {!Lcp_engine.Sweep.listing} on
+    [workers * jobs] domains (at most one per core) and writes it to
+    [DIR/classes.json] ({!Lcp_engine.Listing.save}). Shard [I] is then
+    a forked
+    [bin sweep DECODER --shards K --shard I --checkpoint
+    DIR/shard-I.json --resume --classes DIR/classes.json] worker (the
+    engine's class-key partition, {!Lcp_engine.Sweep.shard_of_class},
+    decides its slice), at most [workers] at a time; a daemon
+    coordinating a sweep forks the same workers on its host.
+
+    {!run} is the effect loop of the pure policy {!Supervise}. Each
+    worker's stdout is a pipe the loop drains; it waits on those pipes
+    for at most 50 ms, so a worker's exit (EOF on its pipe) wakes it at
+    once, and otherwise a tick every 50 ms times heartbeats and stalls.
+    On each wake it reaps exited workers, reads each unfinished shard's
+    checkpoint once, feeds what it saw to {!Supervise.step} on its own
+    clock and performs the spawns, kills, abort or merge that [step]
+    returns. A restarted worker resumes from its last completed chunk
+    and reads the same listing.
 
     The merged report is byte-identical to the unsharded run's,
     whatever happened to the workers: that is CI's [cmp] gate.
@@ -18,8 +28,10 @@
     Observability: counters [coord/shards_launched] and
     [coord/restarts] (materialized at 0), gauges [coord/classes_done],
     [coord/shards_done], [coord/shard<i>/completed] and
-    [coord/shard<i>/attempts], span [coord], and progress lines, all
-    into the caller's cfg. *)
+    [coord/shard<i>/attempts], spans [coord] and [coord/listing], and
+    progress lines, all into the caller's cfg. The enumeration reports
+    into a private cfg, so the caller's counters are the
+    supervision's alone. *)
 
 type executor =
   | Subprocess of { bin : string }
@@ -34,9 +46,10 @@ type config = {
   executor : executor;
   dir : string;
       (** checkpoint directory (created if missing); shard [i] lives
-          at [shard-<i>.json]. Reusing a dir resumes its finished and
-          partial shards; a dir from a {e different} sweep makes the
-          workers exit 2 and the run abort. *)
+          at [shard-<i>.json], the class listing at [classes.json]
+          (rewritten by every run). Reusing a dir resumes its finished
+          and partial shards; a dir from a {e different} sweep makes
+          the workers exit 2 and the run abort. *)
   stall_s : float;  (** heartbeat staleness before a worker is wedged *)
   max_restarts : int;  (** per-shard restart budget *)
   inject_kill : int option;
@@ -82,4 +95,6 @@ val run : ?cfg:Lcp_obs.Run_cfg.t -> config -> (outcome, string) result
     failures; partial shard checkpoints stay in [dir] so a rerun with
     the same config resumes instead of restarting.
     @raise Invalid_argument on a malformed config (non-positive
-    shards/workers/jobs). *)
+    shards/workers/jobs).
+    @raise Lcp_engine.Listing.Mismatch when the enumeration fails the
+    listing's checks (the A001349 accounting gate). *)

@@ -518,7 +518,7 @@ let execute ?placement t (req : Protocol.request) cfg =
     | payload ->
         absorb t cfg;
         (Protocol.Done, None, payload)
-    | exception Usage msg ->
+    | exception (Usage msg | Lcp_engine.Listing.Mismatch msg) ->
         absorb t cfg;
         (Protocol.Failed, Some ("usage: " ^ msg), Json.Null)
     | exception e ->

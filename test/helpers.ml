@@ -83,5 +83,32 @@ let metrics_span m path =
       | Ok e, Ok w -> Some (e, w)
       | _ -> None)
 
+(* The built lcp binary: the test executable lives in
+   _build/default/test/ next to _build/default/bin/main.exe. *)
+let lcp_bin =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/main.exe"
+
+let slurp path = In_channel.with_open_bin path In_channel.input_all
+
+(* Run [lcp args...] to completion: (exit code, stdout, stderr). *)
+let run_lcp args =
+  let out = Filename.temp_file "lcp-test-run" ".out"
+  and err = Filename.temp_file "lcp-test-run" ".err" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out; err ])
+  @@ fun () ->
+  let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let stdin = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let o = fd out and e = fd err in
+  let pid = Unix.create_process lcp_bin (Array.of_list (lcp_bin :: args)) stdin o e in
+  List.iter Unix.close [ stdin; o; e ];
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> 128 + s
+  in
+  (code, slurp out, slurp err)
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f

@@ -12,32 +12,7 @@ module Json = Lcp_obs.Json
 module Protocol = Lcp_serve.Protocol
 module Session = Lcp_serve.Session
 
-(* the test executable lives in _build/default/test/ next to
-   _build/default/bin/main.exe *)
-let lcp_bin =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/main.exe"
-
-let slurp path = In_channel.with_open_bin path In_channel.input_all
-
-(* Run [lcp args...] to completion: (exit code, stdout, stderr). *)
-let run args =
-  let out = Filename.temp_file "lcp-test-cli" ".out"
-  and err = Filename.temp_file "lcp-test-cli" ".err" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ out; err ])
-  @@ fun () ->
-  let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let stdin = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let o = fd out and e = fd err in
-  let pid = Unix.create_process lcp_bin (Array.of_list (lcp_bin :: args)) stdin o e in
-  List.iter Unix.close [ stdin; o; e ];
-  let code =
-    match snd (Unix.waitpid [] pid) with
-    | Unix.WEXITED c -> c
-    | Unix.WSIGNALED s | Unix.WSTOPPED s -> 128 + s
-  in
-  (code, slurp out, slurp err)
+let run = run_lcp
 
 let socket = Filename.concat (Filename.get_temp_dir_name ()) "lcp-test-cli-serve.sock"
 
@@ -73,6 +48,10 @@ let table =
     ([ "sweep"; "degree-one"; "-n"; "3"; "--max-chunks"; "1" ], 2);
     ([ "sweep"; "degree-one"; "-n"; "3"; "--workers"; "2"; "--compare" ], 2);
     ([ "sweep"; "degree-one"; "-n"; "4"; "--workers"; "2"; "--remote"; "/tmp/x.sock" ], 2);
+    (* a listing that is not there, or beside a flag that would not read it *)
+    ([ "sweep"; "degree-one"; "-n"; "4"; "--classes"; "/nonexistent/classes.json" ], 2);
+    ([ "sweep"; "degree-one"; "-n"; "4"; "--workers"; "2"; "--classes"; "c.json" ], 2);
+    ([ "sweep"; "degree-one"; "-n"; "4"; "--compare"; "--classes"; "c.json" ], 2);
     ([ "lint"; "trivial2"; "--max-n"; "3"; "--samples"; "1" ], 0);
     ([ "lint"; "nosuch" ], 2);
     ([ "check"; "degree-one"; "nonsense:9" ], 2);

@@ -1,7 +1,9 @@
 (* The sweep coordinator: its supervision policy on a seeded
    simulator, subprocess supervision with injected worker kills, the
    incomplete-shard merge refusal, a live daemon coordinating a sweep
-   server-side, and the small-sweep pool bypass. The load-bearing assertion throughout: the coordinated
+   server-side, the class listing it hands its workers (and every way
+   a worker refuses a bad one), and the small-sweep pool bypass. The
+   load-bearing assertion throughout: the coordinated
    merged report is byte-identical to the unsharded run's, whatever
    happened to the workers along the way. *)
 
@@ -10,6 +12,8 @@ module Json = Lcp_obs.Json
 module Run_cfg = Lcp_obs.Run_cfg
 module Sweep = Lcp_engine.Sweep
 module Checkpoint = Lcp_engine.Checkpoint
+module Listing = Lcp_engine.Listing
+module Orderly = Lcp_engine.Orderly
 module Coordinator = Lcp_serve.Coordinator
 module Protocol = Lcp_serve.Protocol
 module Server = Lcp_serve.Server
@@ -17,11 +21,6 @@ module Session = Lcp_serve.Session
 module Client = Lcp_serve.Client
 
 let check_str = Alcotest.(check string)
-
-(* the real binary the coordinator forks; the test executable lives in
-   _build/default/test/ next to _build/default/bin/main.exe *)
-let lcp_bin =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/main.exe"
 
 let fresh_dir =
   let counter = ref 0 in
@@ -65,8 +64,22 @@ let reference_report ~decoder ~n =
   | Error e -> Alcotest.fail e
   | Ok ck -> Json.to_string_pretty (Checkpoint.report_json ck)
 
+(* [f ()], checking that it leaves no fd open and no child unreaped:
+   the coordinator closes every worker pipe and reaps every worker on
+   merge, restart and abort. *)
+let leaves_nothing_behind f =
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = fds () in
+  let r = f () in
+  check_int "no fd left open" before (fds ());
+  check_bool "no child left unreaped" true
+    (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+    | _ -> false);
+  r
+
 let run_exn config =
-  match Coordinator.run config with
+  match leaves_nothing_behind (fun () -> Coordinator.run config) with
   | Ok o -> o
   | Error msg -> Alcotest.fail msg
 
@@ -564,12 +577,13 @@ let test_kill_restart_recovers () =
     (reference_report ~decoder:"degree-one" ~n:7)
     (Json.to_string_pretty o.Coordinator.report)
 
-(* The injection cannot miss a worker that finishes between two polls:
-   each n=6 shard worker runs about as long as one 50 ms poll, and
-   whether or not a poll finds the target running, its one-chunk
-   budget (every n=6 shard spans two 32-class chunks) leaves an
-   incomplete checkpoint to restart. The simulator pins the path where
-   the target exits before any poll. *)
+(* The injection cannot miss a worker that finishes before the loop
+   sees it running: an n=6 shard worker on a handed-down listing exits
+   within a few milliseconds, often before the loop's first checkpoint
+   read, and whether or not a read finds the target running, its
+   one-chunk budget (every n=6 shard spans two 32-class chunks) leaves
+   an incomplete checkpoint to restart. The simulator pins the path
+   where the target exits before any tick. *)
 let test_kill_restart_fast_shard () =
   with_dir @@ fun dir ->
   let config =
@@ -586,6 +600,200 @@ let test_kill_restart_fast_shard () =
   check_str "merged report survives the injection byte-for-byte"
     (reference_report ~decoder:"degree-one" ~n:6)
     (Json.to_string_pretty o.Coordinator.report)
+
+(* ------------------------------------------------------------------ *)
+(* the class listing handed to the workers                             *)
+
+let test_listing_round_trip () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "classes.json" in
+  for n = 1 to 7 do
+    List.iter
+      (fun connected ->
+        let masks, tallies = Orderly.generate ~connected n in
+        Sweep.clear_cache ();
+        Listing.save ~path (Sweep.listing ~cfg:(Run_cfg.make ~jobs:1 ()) ~connected n);
+        match Listing.load path with
+        | Error e -> Alcotest.fail e
+        | Ok l ->
+            let what = Printf.sprintf "n=%d connected=%b" n connected in
+            check_bool (what ^ ": masks") true (l.Listing.masks = masks);
+            check_bool (what ^ ": tallies") true (l.Listing.tallies = tallies);
+            check_bool (what ^ ": header") true
+              (l.Listing.n = n && l.Listing.connected = connected))
+      [ true; false ]
+  done
+
+let write path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* A listing file rewritten through [f] on its members and sealed
+   again (the digest: MD5 of the other members' compact rendering), so
+   only the checks behind the seal can refuse it. *)
+let resealed good f =
+  match Json.of_string good with
+  | Ok (Json.Obj members) ->
+      let members = f (List.remove_assoc "digest" members) in
+      let digest = Digest.to_hex (Digest.string (Json.to_string (Json.Obj members))) in
+      Json.to_string_pretty (Json.Obj (members @ [ ("digest", Json.String digest) ]))
+      ^ "\n"
+  | _ -> Alcotest.fail "a listing is a JSON object"
+
+let map_member key f members =
+  List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) members
+
+let map_masks f =
+  map_member "masks" (function
+    | Json.List l -> Json.List (f l)
+    | _ -> Alcotest.fail "masks is a list")
+
+(* The n=5 shard worker of a coordinated run, on [classes]; its
+   checkpoint [ck] starts at class 0, so any run would rewrite it. *)
+let with_listing_worker f =
+  with_dir @@ fun dir ->
+  let good = Filename.concat dir "classes.json" in
+  Listing.save ~path:good (Sweep.listing ~cfg:(Run_cfg.make ~jobs:1 ()) 5);
+  let ck = Coordinator.shard_path ~dir 0 in
+  ignore
+    (Lcp.Checker.soundness_sweep ~cfg:(Run_cfg.make ~jobs:1 ())
+       (suite_of "degree-one") ~n:5
+       ~checkpoint:{ Checkpoint.path = ck; resume = false; tag = "degree-one" });
+  (match Checkpoint.load ck with
+  | Ok c ->
+      Checkpoint.save ~path:ck
+        {
+          c with
+          Checkpoint.completed = 0;
+          last_key = -1;
+          checked = 0;
+          passed = 0;
+          violations = 0;
+          violating_keys = [];
+          labelings = 0;
+          complete = false;
+        }
+  | Error e -> Alcotest.fail e);
+  let worker classes =
+    run_lcp
+      [
+        "sweep"; "degree-one"; "-n"; "5"; "-j"; "1"; "--checkpoint"; ck;
+        "--resume"; "--classes"; classes;
+      ]
+  in
+  f ~dir ~good ~ck ~worker
+
+(* [worker] on a listing with [content] exits 2 naming the file, prints
+   no verdict and leaves the checkpoint byte-unchanged. *)
+let refused ~dir ~ck ~worker ?(needle = "") what content =
+  let bad = Filename.concat dir "bad.json" in
+  write bad content;
+  let before = slurp ck in
+  let code, out, err = worker bad in
+  check_int (what ^ ": exit 2") 2 code;
+  check_bool (what ^ ": the error names the file") true (contains ~needle:bad err);
+  check_bool (what ^ ": the error says why") true (contains ~needle err);
+  check_bool (what ^ ": nothing printed") true (out = "");
+  check_bool (what ^ ": checkpoint byte-unchanged") true (slurp ck = before)
+
+let test_bad_listing_refused () =
+  with_listing_worker @@ fun ~dir ~good ~ck ~worker ->
+  let refused = refused ~dir ~ck ~worker in
+  let bytes = slurp good in
+  for k = 0 to String.length bytes - 1 do
+    refused (Printf.sprintf "truncated at byte %d" k) (String.sub bytes 0 k)
+  done;
+  (* a digit of the first mask, one bit flipped *)
+  let at = String.index_from bytes (Option.get (String.index_opt bytes '[')) '1' in
+  refused ~needle:"digest" "one flipped byte"
+    (String.mapi (fun i c -> if i = at then Char.chr (Char.code c lxor 1) else c) bytes);
+  refused ~needle:"masks" "resealed, a mask dropped"
+    (resealed bytes (map_masks List.tl));
+  refused ~needle:"ascending" "resealed, two masks swapped"
+    (resealed bytes
+       (map_masks (function a :: b :: rest -> b :: a :: rest | l -> l)));
+  let listing ~connected n =
+    Listing.save ~path:(Filename.concat dir "other.json")
+      (Sweep.listing ~cfg:(Run_cfg.make ~jobs:1 ()) ~connected n);
+    slurp (Filename.concat dir "other.json")
+  in
+  refused ~needle:"on 6 nodes" "the n=6 listing" (listing ~connected:true 6);
+  refused ~needle:"every class" "the all-graphs listing"
+    (listing ~connected:false 5);
+  (* the good listing runs: the checkpoint would have shown a run *)
+  let before = slurp ck in
+  let code, out, _ = worker good in
+  check_int "the good listing runs" 0 code;
+  check_bool "its verdict is printed" true (contains ~needle:"\"pass\"" out);
+  check_bool "and the checkpoint advanced" true (slurp ck <> before)
+
+(* Every worker of a coordinated run reads the coordinator's listing
+   and enumerates nothing: a wrapper around the binary gives each
+   worker a --metrics-out file, whose class cache must have hit and
+   whose spans must hold no enumeration. *)
+let test_workers_read_listing () =
+  with_dir @@ fun dir ->
+  let wrapper = Filename.concat dir "lcp-wrapper.sh" in
+  write wrapper
+    (Printf.sprintf "#!/bin/sh\nexec %s \"$@\" --metrics-out %s/worker-$$.metrics\n"
+       (Filename.quote lcp_bin) (Filename.quote dir));
+  Unix.chmod wrapper 0o755;
+  let config =
+    {
+      (Coordinator.default_config ~decoder:"degree-one" ~n:6 ~shards:2 ~dir)
+      with
+      Coordinator.executor = Coordinator.Subprocess { bin = wrapper };
+    }
+  in
+  let o = run_exn config in
+  check_str "merged report == unsharded report"
+    (reference_report ~decoder:"degree-one" ~n:6)
+    (Json.to_string_pretty o.Coordinator.report);
+  check_bool "the listing is in the checkpoint dir" true
+    (Sys.file_exists (Filename.concat dir "classes.json"));
+  let metrics =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".metrics")
+  in
+  check_int "one metrics file per worker" 2 (List.length metrics);
+  List.iter
+    (fun f ->
+      let m =
+        match Json.of_string (slurp (Filename.concat dir f)) with
+        | Ok j -> j
+        | Error e -> Alcotest.fail e
+      in
+      let counter name =
+        match Result.bind (Json.member "counters" m) (Json.member name) with
+        | Ok (Json.Int v) -> v
+        | _ -> Alcotest.fail (f ^ ": no counter " ^ name)
+      in
+      check_int (f ^ ": the class cache hit") 1 (counter "cache_hits");
+      check_int (f ^ ": and never missed") 0 (counter "cache_misses");
+      check_bool (f ^ ": no enumeration span") false
+        (contains ~needle:"enumerate" (Json.to_string m)))
+    metrics
+
+(* The accounting gate: a connected class count other than A001349(n)
+   refuses the listing, in memory and from a file whose counts were
+   all lowered together and resealed. *)
+let test_accounting_gate () =
+  let masks, t = Orderly.generate ~connected:true 5 in
+  let short =
+    { t with Orderly.connected_classes = 20; classes = 20 }
+  in
+  (match Listing.make ~n:5 ~connected:true short (List.tl masks) with
+  | Ok _ -> Alcotest.fail "a listing of 20 connected classes on 5 nodes was accepted"
+  | Error msg ->
+      check_bool "the gate names A001349" true (contains ~needle:"A001349(5) = 21" msg));
+  with_listing_worker @@ fun ~dir ~good ~ck ~worker ->
+  let lower = function Json.Int i -> Json.Int (i - 1) | j -> j in
+  refused ~dir ~ck ~worker ~needle:"A001349" "resealed, a class short everywhere"
+    (resealed (slurp good) (fun members ->
+         members |> map_masks List.tl |> map_member "count" lower
+         |> map_member "tallies" (function
+              | Json.Obj ts ->
+                  Json.Obj
+                    (map_member "classes" lower (map_member "connected_classes" lower ts))
+              | j -> j)))
 
 (* ------------------------------------------------------------------ *)
 (* deterministic preemption and the merge refusal                      *)
@@ -714,7 +922,29 @@ let test_daemon_runs_coordinated_sweep () =
             | _ -> Alcotest.fail "coordinator payload lacks restarts")
         | Error e -> Alcotest.fail e
       in
-      check_int "clean daemon run needs no restarts" 0 restarts
+      check_int "clean daemon run needs no restarts" 0 restarts;
+      (* the listing is enumerated under a private cfg: the response
+         reports the supervision's counters alone, as before workers
+         were handed a listing *)
+      let pinned key names =
+        check_str (key ^ " object unchanged")
+          (Json.to_string
+             (Json.Obj (List.map (fun name -> (name, Json.Int 0)) names)))
+          (match Json.member key resp.Protocol.result with
+          | Ok j -> Json.to_string j
+          | Error e -> Alcotest.fail e)
+      in
+      pinned "counters"
+        [
+          "labelings_checked"; "orbit_pruned_branches"; "candidates_generated";
+          "connected"; "classes"; "dedup_hits"; "kept"; "checked"; "passed";
+          "violations";
+        ];
+      pinned "cache"
+        [
+          "cache_hits"; "cache_misses"; "eval_cache_hits"; "eval_cache_misses";
+          "eval_cache_shared_hits";
+        ]
 
 (* A worker that exits 2 (usage error) aborts the run instead of being
    restarted: here every restart would resume the same foreign
@@ -750,7 +980,7 @@ let test_usage_error_worker_aborts () =
       Coordinator.executor = Coordinator.Subprocess { bin = lcp_bin };
     }
   in
-  (match Coordinator.run ~cfg config with
+  (match leaves_nothing_behind (fun () -> Coordinator.run ~cfg config) with
   | Ok _ -> Alcotest.fail "a foreign checkpoint must abort the run"
   | Error msg ->
       check_bool "the abort names the usage error" true
@@ -784,4 +1014,12 @@ let suite =
     case "sim: 10,000 seeded schedules (500,000 under LCP_HEAVY) keep \
           every supervision invariant"
       test_sim_schedules;
+    case "listing: write then read gives Orderly's masks and tallies, n=1..7"
+      test_listing_round_trip;
+    slow_case "listing: a truncated, edited or foreign one exits 2, checkpoint untouched"
+      test_bad_listing_refused;
+    slow_case "listing: the A001349 accounting gate refuses a short count"
+      test_accounting_gate;
+    slow_case "listing: every coordinated worker reads it, none enumerates"
+      test_workers_read_listing;
   ]
