@@ -60,7 +60,7 @@ let run_check decoder_name graph_spec trials seed =
   let suite = parse_suite decoder_name in
   let g = parse_graph graph_spec in
   let inst = Instance.make g in
-  let rng = Random.State.make [| seed |] in
+  let rng = Run_cfg.rng (Run_cfg.make ?seed ()) in
   let ok = ref true in
   Format.printf "decoder %s on %s (n=%d, bipartite=%b, in promise class=%b)@."
     decoder_name graph_spec (Graph.order g)
@@ -438,12 +438,10 @@ let run_sweep decoder sweep opts compare shard checkpoint_path resume
       (fun path ->
         match Lcp_engine.Listing.load path with
         | Error msg -> usage "--classes: %s" msg
-        | Ok l when l.Lcp_engine.Listing.n <> sweep.n || not l.connected ->
-            usage "--classes: %s lists %s on %d nodes, not the connected \
-                   classes on %d"
-              path
-              (if l.connected then "the connected classes" else "every class")
-              l.n sweep.n
+        | Ok l when l.Lcp_engine.Listing.n <> sweep.n ->
+            usage "--classes: %s lists the connected classes on %d nodes, \
+                   not on %d"
+              path l.n sweep.n
         | Ok l -> Lcp_engine.Sweep.install l)
       classes;
     let sweep =
@@ -901,11 +899,10 @@ let check_cmd =
   let trials =
     count_arg 1 2000 [ "trials" ] "Randomized adversary trials."
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ]) in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Check an LCP's properties on one graph (e.g. lcp check degree-one path:6).")
-    Term.(const run_check $ decoder $ graph $ trials $ seed)
+    Term.(const run_check $ decoder $ graph $ trials $ seed_arg)
 
 let sample_cmd =
   let decoder =

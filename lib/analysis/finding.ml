@@ -26,8 +26,7 @@ let severity_to_string = function
   | Warning -> "warning"
   | Info -> "info"
 
-let make ?(severity = Error) kind ~decoder detail =
-  { kind; severity; decoder; detail }
+let make kind ~decoder detail = { kind; severity = Error; decoder; detail }
 
 let is_violation f = f.severity = Error
 

@@ -25,8 +25,8 @@ type t = {
   detail : string;  (** human-readable evidence (instance, node, sample) *)
 }
 
-val make : ?severity:severity -> kind -> decoder:string -> string -> t
-(** [severity] defaults to [Error] — every current kind is a breach of a
+val make : kind -> decoder:string -> string -> t
+(** A finding of severity [Error]: every current kind is a breach of a
     declared contract. *)
 
 val is_violation : t -> bool

@@ -235,7 +235,7 @@ let invariance_check ~checker dec ~trials rng instances =
 (* ------------------------------------------------------------------ *)
 (* engine sweeps: soundness over the whole n-node graph space          *)
 
-let soundness_sweep_with ?cfg ?shard ?checkpoint ?on_chunk ?max_chunks
+let sweep_with ?cfg ?shard ?checkpoint ?on_chunk ?max_chunks
     ?(early_exit = false) ~source ~quotient (suite : Decoder.suite) ~n =
   let mode =
     if early_exit then Lcp_engine.Sweep.Search_counterexample
@@ -274,11 +274,13 @@ let soundness_sweep_with ?cfg ?shard ?checkpoint ?on_chunk ?max_chunks
       | Some lab -> Some (Instance.with_labels inst lab))
     ()
 
+let soundness_sweep_with ?cfg ~source ~quotient suite ~n =
+  sweep_with ?cfg ~source ~quotient suite ~n
+
 let soundness_sweep ?cfg ?shard ?checkpoint ?on_chunk ?max_chunks ?early_exit
     suite ~n =
-  soundness_sweep_with ?cfg ?shard ?checkpoint ?on_chunk ?max_chunks
-    ?early_exit ~source:(Prover.tables ?cfg ()) ~quotient:Prover.orbit_group
-    suite ~n
+  sweep_with ?cfg ?shard ?checkpoint ?on_chunk ?max_chunks ?early_exit
+    ~source:(Prover.tables ?cfg ()) ~quotient:Prover.orbit_group suite ~n
 
 let verdict_of_sweep (s : Instance.t Lcp_engine.Sweep.summary) =
   match s.Lcp_engine.Sweep.counterexample with

@@ -81,19 +81,14 @@ val soundness_sweep :
 
 val soundness_sweep_with :
   ?cfg:Lcp_obs.Run_cfg.t ->
-  ?shard:int * int ->
-  ?checkpoint:Lcp_engine.Checkpoint.policy ->
-  ?on_chunk:(completed:int -> total:int -> unit) ->
-  ?max_chunks:int ->
-  ?early_exit:bool ->
   source:Prover.source ->
   quotient:Prover.quotient ->
   Decoder.suite ->
   n:int ->
   Instance.t Lcp_engine.Sweep.summary
-(** The driver behind {!soundness_sweep}: each class's certificate
-    search runs {!Prover.search_with} on the given verdict source and
-    quotient. *)
+(** A whole, exhaustive {!soundness_sweep} whose certificate searches
+    run {!Prover.search_with} on the given verdict source and quotient:
+    the hook the reference paths plug into. *)
 
 val verdict_of_sweep : Instance.t Lcp_engine.Sweep.summary -> verdict
 (** Collapse a {!soundness_sweep} summary into a {!verdict}. *)

@@ -36,11 +36,11 @@ let of_neighborhood ~k nbhd =
       in
       Hiding { witness; nbhd })
 
-let check ?mode ?yes ~k dec instances =
+let check ?yes ~k dec instances =
   let yes =
     match yes with Some f -> f | None -> fun g -> Coloring.is_k_colorable g ~k
   in
-  of_neighborhood ~k (Neighborhood.build ?mode ~yes dec instances)
+  of_neighborhood ~k (Neighborhood.build ~yes dec instances)
 
 let is_hiding_on ~k dec instances =
   match check ~k dec instances with Hiding _ -> true | Colorable _ -> false

@@ -25,7 +25,6 @@ type verdict =
           non-hiding when the family was exhaustive *)
 
 val check :
-  ?mode:Neighborhood.mode ->
   ?yes:(Lcp_graph.Graph.t -> bool) ->
   k:int ->
   Decoder.t ->

@@ -285,9 +285,8 @@ let search_accepted ?cfg dec ~alphabet inst =
   search_with ?cfg ~source:(tables ?cfg ()) ~quotient:orbit_group dec
     ~alphabet inst
 
-let find_accepted ?cfg dec ~alphabet inst =
-  fst (search_accepted ?cfg dec ~alphabet inst)
+let find_accepted dec ~alphabet inst = fst (search_accepted dec ~alphabet inst)
 
-let iter_accepted ?cfg dec ~alphabet inst f =
-  (tables ?cfg ()).with_accepts dec ~alphabet inst (fun accepts ->
-      iter_with ?cfg ~accepts ~group:None dec ~alphabet inst f)
+let iter_accepted dec ~alphabet inst f =
+  (tables ()).with_accepts dec ~alphabet inst (fun accepts ->
+      iter_with ~accepts ~group:None dec ~alphabet inst f)

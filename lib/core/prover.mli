@@ -40,7 +40,6 @@
 open Lcp_local
 
 val find_accepted :
-  ?cfg:Lcp_obs.Run_cfg.t ->
   Decoder.t ->
   alphabet:string list ->
   Instance.t ->
@@ -67,7 +66,6 @@ val search_accepted :
     ineligible — and never changes the witness. *)
 
 val iter_accepted :
-  ?cfg:Lcp_obs.Run_cfg.t ->
   Decoder.t ->
   alphabet:string list ->
   Instance.t ->

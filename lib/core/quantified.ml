@@ -106,7 +106,10 @@ let rec pow_capped b e cap =
     let r = pow_capped b (e - 1) cap in
     if r > cap / b then cap + 1 else r * b
 
-let best_extractor ?(exact_limit = 200_000) ?(restarts = 20) ?rng ~k nbhd instances =
+let exact_limit = 200_000
+let restarts = 20
+
+let best_extractor ~k nbhd instances =
   let m = Neighborhood.order nbhd in
   let classified = classify nbhd instances in
   if m = 0 then { best = [||]; worst_case_success = 1.0; exact = true }
@@ -115,7 +118,7 @@ let best_extractor ?(exact_limit = 200_000) ?(restarts = 20) ?rng ~k nbhd instan
     { best; worst_case_success = score; exact = true }
   end
   else begin
-    let rng = match rng with Some r -> r | None -> Random.State.make [| 7 |] in
+    let rng = Random.State.make [| 7 |] in
     let best, score = hill_climb ~k ~restarts rng m classified in
     { best; worst_case_success = score; exact = false }
   end

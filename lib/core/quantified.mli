@@ -26,18 +26,11 @@ type result = {
   exact : bool;  (** true when the search space was enumerated fully *)
 }
 
-val best_extractor :
-  ?exact_limit:int ->
-  ?restarts:int ->
-  ?rng:Random.State.t ->
-  k:int ->
-  Neighborhood.t ->
-  Instance.t list ->
-  result
-(** [exact_limit] (default [200_000]) caps the exhaustive search size
-    [k^|V|]; [restarts] (default 20) controls hill climbing. The
-    instance list should be the (unanimously accepted) family the
-    neighborhood graph was built from. *)
+val best_extractor : k:int -> Neighborhood.t -> Instance.t list -> result
+(** Exhaustive search over the [k^|V|] extractors when there are at
+    most [200_000] of them; seeded hill climbing from 20 random
+    restarts otherwise. The instance list should be the (unanimously
+    accepted) family the neighborhood graph was built from. *)
 
 val hiding_level : result -> float
 (** [1 - worst_case_success]: the fraction of nodes the best-known

@@ -12,7 +12,6 @@ type enum = {
 type t = {
   tag : string;
   n : int;
-  connected_only : bool;
   shards : int;
   shard : int;
   enum : enum;
@@ -53,7 +52,7 @@ let body t =
     ("schema_version", Json.Int schema_version);
     ("tag", Json.String t.tag);
     ("n", Json.Int t.n);
-    ("connected", Json.Bool t.connected_only);
+    ("connected", Json.Bool true);
     ("shards", Json.Int t.shards);
     ("shard", Json.Int t.shard);
     ("enum", enum_json t.enum);
@@ -107,7 +106,12 @@ let of_json j =
     in
     let* tag = field_str j "tag" in
     let* n = field_int j "n" in
-    let* connected_only = field_bool j "connected" in
+    let* connected = field_bool j "connected" in
+    let* () =
+      if connected then Ok ()
+      else Error "checkpoint of an all-graphs sweep (\"connected\": false); \
+                  only connected sweeps load"
+    in
     let* shards = field_int j "shards" in
     let* shard = field_int j "shard" in
     let* ej = Json.member "enum" j in
@@ -128,7 +132,6 @@ let of_json j =
       {
         tag;
         n;
-        connected_only;
         shards;
         shard;
         enum;
@@ -163,7 +166,6 @@ let load path =
 let header_mismatch a b =
   if a.tag <> b.tag then Some "tag"
   else if a.n <> b.n then Some "n"
-  else if a.connected_only <> b.connected_only then Some "connected"
   else if a.shards <> b.shards then Some "shards"
   else if a.enum <> b.enum then Some "enumeration tallies"
   else None
@@ -230,7 +232,7 @@ let report_json t =
       ("schema_version", Json.Int schema_version);
       ("tag", Json.String t.tag);
       ("n", Json.Int t.n);
-      ("connected", Json.Bool t.connected_only);
+      ("connected", Json.Bool true);
       ("enum", enum_json t.enum);
       ("kept", Json.Int t.kept);
       ("checked", Json.Int t.checked);

@@ -10,9 +10,9 @@
     of every other member. {!load} refuses a file whose digest is
     missing or does not match, so a hand-edited or corrupted counter
     cannot merge silently into a report. Its header
-    (tag, order, connectivity filter, shard coordinates, and
-    the shard-independent enumeration tallies) pins down {e which}
-    sweep the counters belong to; {!Sweep} refuses to resume from a
+    (tag, order, shard coordinates, and the shard-independent
+    enumeration tallies) pins down {e which} sweep the counters belong
+    to; {!Sweep} refuses to resume from a
     checkpoint whose header or class stream disagrees with the run it
     is asked to continue. Progress is tracked positionally — [completed]
     classes of the [kept] shard-local targets, cross-checked against
@@ -43,7 +43,6 @@ type enum = {
 type t = {
   tag : string;  (** caller identity, e.g. the decoder key *)
   n : int;
-  connected_only : bool;
   shards : int;  (** total shard count; 1 = unsharded *)
   shard : int;  (** this run's shard index, [0 <= shard < shards] *)
   enum : enum;
@@ -85,11 +84,13 @@ val load : string -> (t, string) result
     names [path]. Members the record does not carry are ignored once
     the digest covers them, so files from before the header dropped its
     [strategy] member still load — unless that member names an
-    enumerator other than ["orderly"]. *)
+    enumerator other than ["orderly"]. Every sweep covers the connected
+    classes, so {!save} writes ["connected": true] and a file whose
+    [connected] is [false] is an [Error] too. *)
 
 val header_mismatch : t -> t -> string option
-(** The first header field (tag, n, connectivity, shard
-    count, enumeration tallies) on which the two checkpoints disagree,
+(** The first header field (tag, n, shard count, enumeration
+    tallies) on which the two checkpoints disagree,
     or [None] when they describe the same sweep. {!Sweep} uses it to
     refuse a foreign resume; {!merge} uses it across shards. *)
 

@@ -227,7 +227,7 @@ let shape_table t tab =
 (* ------------------------------------------------------------------ *)
 (* per-instance tables                                                 *)
 
-let create ?(shapes = false) ~radius ~accepts ~alphabet (inst : Instance.t) =
+let build_cache ~shapes ~radius ~accepts ~alphabet (inst : Instance.t) =
   if radius < 1 then invalid_arg "Eval_cache.create: radius must be >= 1";
   let sym = Labeling.ranks alphabet in
   let sigma = Hashtbl.length sym in
@@ -267,6 +267,8 @@ let create ?(shapes = false) ~radius ~accepts ~alphabet (inst : Instance.t) =
         { globals; skeleton = None; store = Unbuilt; shape; space; shared = None })
   in
   { accepts; inst; radius; sigma; nodes; scope; hits = 0; misses = 0 }
+
+let create = build_cache ~shapes:false
 
 (* Evaluate by swapping the candidate ball labels into the skeleton:
    structure, ports and ids are reused, only the label array is fresh. *)
@@ -422,7 +424,7 @@ let private_lease cache =
   { cache; warm = false; base_hits = 0; base_misses = 0; slot = None }
 
 let acquire ~key ?(shapes = false) ~radius ~accepts ~alphabet inst =
-  let build () = create ~shapes ~radius ~accepts ~alphabet inst in
+  let build () = build_cache ~shapes ~radius ~accepts ~alphabet inst in
   (* a key names the verdict function only as far as the caller can
      spell it; a pooled cache built for another closure, or with the
      other shape setting, is never handed out under it *)

@@ -8,12 +8,13 @@
     for every full labeling that agrees on the ball. An [Eval_cache.t]
     evaluates each pair once.
 
-    Per node of the instance, [create]:
+    Per node of the instance, a cache's construction ({!create}, or
+    {!acquire} building one):
     - lays out the radius-[r] ball ({!Lcp_local.View.layout}: the
       bounded BFS, the (dist, id) local order, the visible edges) and
       records the local-to-global node map (label-independent, because
-      the local order ignores labels) and, with [~shapes:true], the
-      node's view shape;
+      the local order ignores labels) and, when {!acquire} asks for
+      [~shapes:true], the node's view shape;
     - sizes the node's verdict table over the ball's labeling space: a
       dense two-bit table when [|alphabet|^|ball|] is at most [2^18],
       a hashtable on a packed int key when it is not, and a hashtable
@@ -35,7 +36,7 @@
     node's first decode and kept; a node whose misses the shape level
     answers never extracts one.
 
-    {b Shape tables.} Created with [~shapes:true] (only for decoders
+    {b Shape tables.} Acquired with [~shapes:true] (only for decoders
     that are anonymous and port-invariant), a cache answers its misses
     from a second level shared by every instance the domain sees: one
     dense byte table of [|Σ|^m] entries per (verdict closure, radius,
@@ -74,7 +75,6 @@ open Lcp_local
 type t
 
 val create :
-  ?shapes:bool ->
   radius:int ->
   accepts:(View.t -> bool) ->
   alphabet:string list ->
@@ -86,9 +86,8 @@ val create :
     miss the shape level does not answer). A node's dense table holds
     at most [2^18] keys (64 KiB); larger key spaces fall back to
     hashtables.
-    Duplicate alphabet symbols are collapsed. [shapes] (default
-    [false]) turns on the shape level described above; pass it only
-    for a decoder whose verdicts ignore ids and ports.
+    Duplicate alphabet symbols are collapsed. The cache has no shape
+    level; {!acquire} builds one that has.
     @raise Invalid_argument if [radius < 1]. *)
 
 val accepts_ranked : t -> Labeling.t -> int array -> int -> bool
@@ -148,9 +147,12 @@ val acquire :
 (** Obtain a cache for [key]: the pooled one when sharing is enabled,
     the key is present and not currently leased (a {e warm} lease);
     a freshly built one otherwise (pooled under [key] when sharing is
-    enabled and the key was absent, private otherwise). A pooled cache
-    built for another [accepts] closure or another [shapes] setting is
-    never handed out: the acquire gets a private cache instead. [key]
+    enabled and the key was absent, private otherwise). [shapes]
+    (default [false]) turns on the shape level described above; pass it
+    only for a decoder whose verdicts ignore ids and ports. A pooled
+    cache built for another [accepts] closure or another [shapes]
+    setting is never handed out: the acquire gets a private cache
+    instead. [key]
     is forced only when sharing is enabled, so a one-shot run never
     builds it. *)
 

@@ -2,7 +2,6 @@ module Json = Lcp_obs.Json
 
 type t = {
   n : int;
-  connected : bool;
   tallies : Orderly.tallies;
   masks : int list;
 }
@@ -15,6 +14,10 @@ let schema_version = 1
 let connected_graphs =
   [| 1; 1; 1; 2; 6; 21; 112; 853; 11117; 261080; 11716571; 1006700565 |]
 
+(* A000088: all graphs on n = 0..11 unlabeled nodes. *)
+let all_graphs =
+  [| 1; 1; 2; 4; 11; 34; 156; 1044; 12346; 274668; 12005168; 1018997864 |]
+
 let rec ascending ~bound ~prev i = function
   | [] -> Ok ()
   | m :: rest ->
@@ -24,29 +27,26 @@ let rec ascending ~bound ~prev i = function
         Error (Printf.sprintf "masks are not ascending at position %d" i)
       else ascending ~bound ~prev:m (i + 1) rest
 
-let make ~n ~connected (tallies : Orderly.tallies) masks =
+let make ~n (tallies : Orderly.tallies) masks =
   let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  let count = List.length masks in
   if n < 1 || n > Canon.max_order then
     fail "order %d is outside 1..%d" n Canon.max_order
   else if tallies.connected_classes <> connected_graphs.(n) then
     fail "%d connected classes on %d nodes, but A001349(%d) = %d"
       tallies.connected_classes n n connected_graphs.(n)
+  else if tallies.classes_all <> all_graphs.(n) then
+    fail "%d classes on %d nodes, but A000088(%d) = %d" tallies.classes_all n
+      n all_graphs.(n)
+  else if tallies.classes <> tallies.connected_classes then
+    fail "the tallies count %d classes, but their connected filter keeps %d"
+      tallies.classes tallies.connected_classes
+  else if count <> tallies.classes then
+    fail "%d masks, but the tallies count %d classes" count tallies.classes
   else
-    let kept =
-      if connected then tallies.connected_classes else tallies.classes_all
-    in
-    let count = List.length masks in
-    if tallies.classes <> kept then
-      fail "the tallies count %d classes, but their %s filter keeps %d"
-        tallies.classes
-        (if connected then "connected" else "all-graphs")
-        kept
-    else if count <> tallies.classes then
-      fail "%d masks, but the tallies count %d classes" count tallies.classes
-    else
-      Result.map
-        (fun () -> { n; connected; tallies; masks })
-        (ascending ~bound:(1 lsl Chunk.slots n) ~prev:(-1) 0 masks)
+    Result.map
+      (fun () -> { n; tallies; masks })
+      (ascending ~bound:(1 lsl Chunk.slots n) ~prev:(-1) 0 masks)
 
 let tallies_json (e : Orderly.tallies) =
   Json.Obj
@@ -63,7 +63,7 @@ let save ~path t =
     [
       ("schema_version", Json.Int schema_version);
       ("n", Json.Int t.n);
-      ("connected", Json.Bool t.connected);
+      ("connected", Json.Bool true);
       ("tallies", tallies_json t.tallies);
       ("count", Json.Int (List.length t.masks));
       ("masks", Json.List (List.map (fun m -> Json.Int m) t.masks));
@@ -83,6 +83,11 @@ let of_json j =
     let* () = Sealed.check ~what:"class listing" j in
     let* n = int_member "n" j in
     let* connected = Result.bind (Json.member "connected" j) Json.to_bool in
+    let* () =
+      if connected then Ok ()
+      else Error "an all-graphs listing (\"connected\": false); only \
+                  connected listings load"
+    in
     let* tj = Json.member "tallies" j in
     let* candidates = int_member "candidates" tj in
     let* dedup_hits = int_member "dedup_hits" tj in
@@ -97,7 +102,7 @@ let of_json j =
         (Printf.sprintf "count %d, but %d masks are listed" count
            (List.length masks))
     else
-      make ~n ~connected
+      make ~n
         { candidates; dedup_hits; classes_all; connected_classes; classes }
         masks
 

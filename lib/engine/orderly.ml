@@ -172,7 +172,7 @@ let extend ~k parent_cmask =
     space,
     space - !classes )
 
-let generate ?(jobs = 1) ?metrics ~connected n =
+let generate ?(jobs = 1) ?metrics n =
   if n < 0 then invalid_arg "Orderly.generate: negative order";
   if n > max_order then
     invalid_arg
@@ -219,7 +219,6 @@ let generate ?(jobs = 1) ?metrics ~connected n =
     let is_conn m = Chunk.is_connected_adj (Chunk.adj_of_mask n m) in
     let conn = List.filter is_conn all in
     let connected_classes = List.length conn in
-    let kept = if connected then conn else all in
     (* representatives: the exact minimal mask of each class — the one
        the ascending mask scan keeps — seeded with the canonical mask
        (a member, hence an upper bound) for pruning; one pool task per
@@ -227,10 +226,10 @@ let generate ?(jobs = 1) ?metrics ~connected n =
     let reps =
       span "min_mask" (fun () ->
           Pool.map ?metrics
-            ~jobs:(Pool.effective_jobs ~jobs (List.length kept))
+            ~jobs:(Pool.effective_jobs ~jobs connected_classes)
             (fun cmask ->
               Canon.min_mask ~init:cmask ~n (Chunk.adj_of_mask n cmask))
-            (Array.of_list kept))
+            (Array.of_list conn))
       |> Array.to_list
       |> List.sort (fun (a : int) b -> compare a b)
     in

@@ -61,7 +61,9 @@
     Intermediate levels necessarily include disconnected classes (a
     connected graph's canonical parent may be disconnected); the
     connectivity filter runs on the final level only, where it is a
-    class property. *)
+    class property. The final level's full class count is still
+    tallied ([classes_all]), so an accounting gate can check the
+    all-graphs level too ({!Listing.make}). *)
 
 type tallies = {
   candidates : int;
@@ -72,19 +74,18 @@ type tallies = {
           of the same parent, orbit members included *)
   classes_all : int;  (** classes at the final level, before the filter *)
   connected_classes : int;  (** connected classes at the final level *)
-  classes : int;  (** classes returned (after the [connected] filter) *)
+  classes : int;  (** classes returned: the connected ones *)
 }
 
 val generate :
   ?jobs:int ->
   ?metrics:Lcp_obs.Metrics.t ->
-  connected:bool ->
   int ->
   int list * tallies
-(** [generate ~connected n] returns the minimal edge mask of every
-    isomorphism class on [n] nodes (restricted to connected classes
-    when [connected]), in ascending mask order — bit-identical to the
-    listing the exhaustive mask scan keeps, at a fraction of the work.
+(** [generate n] returns the minimal edge mask of every connected
+    isomorphism class on [n] nodes, in ascending mask order —
+    bit-identical to the listing the exhaustive mask scan keeps, at a
+    fraction of the work.
     Each level's parents, and then the final level's classes (one
     {!Canon.min_mask} each), fan out over a {!Pool} of [jobs] domains
     (default 1); results and tallies are independent of [jobs]. With

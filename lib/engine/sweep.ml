@@ -7,13 +7,13 @@ module R = Lcp_obs.Run_cfg
 (* The orderly generator: work proportional to the class count, not
    the mask space. Representatives are the minimal-mask members of
    their classes ({!Canon.min_mask}), ascending. The listing must pass
-   {!Listing.make}'s checks, the A001349 accounting gate among them,
-   before any sweep runs on it. *)
-let enumerate_classes ~cfg ~connected n =
+   {!Listing.make}'s checks, the A001349 and A000088 accounting gates
+   among them, before any sweep runs on it. *)
+let enumerate_classes ~cfg n =
   let masks, tallies =
-    Orderly.generate ~jobs:cfg.R.jobs ~metrics:cfg.R.metrics ~connected n
+    Orderly.generate ~jobs:cfg.R.jobs ~metrics:cfg.R.metrics n
   in
-  match Listing.make ~n ~connected tallies masks with
+  match Listing.make ~n tallies masks with
   | Ok _ -> (List.map (Chunk.graph_of_mask n) masks, tallies)
   | Error msg -> raise (Listing.Mismatch ("sweep enumeration: " ^ msg))
 
@@ -32,7 +32,7 @@ let enumerate_classes ~cfg ~connected n =
 
 module Sync = Lcp_obs.Sync
 
-let cache : (int * bool, Graph.t list * Orderly.tallies) Hashtbl.t =
+let cache : (int, Graph.t list * Orderly.tallies) Hashtbl.t =
   Hashtbl.create 16
 
 let cache_lock = Sync.mutex "engine/sweep.cache"
@@ -44,16 +44,15 @@ let misses = Sync.A.make "engine/sweep.cache_misses" 0
    [cfg]: cache traffic, plus the enumeration tallies of the listing it
    returns — cached or not — so counters stay deterministic in [jobs]
    and in cache temperature alike. *)
-let classes_cached ~cfg ~connected n =
+let classes_cached ~cfg n =
   (* materialize both cache counters so an all-hit (or all-miss) run
      serializes the same key set as any other *)
   R.count cfg ~by:0 "cache_hits";
   R.count cfg ~by:0 "cache_misses";
-  let key = (n, connected) in
   let cached =
     Sync.with_lock cache_lock (fun () ->
         Sync.Var.observe cache_guard;
-        Hashtbl.find_opt cache key)
+        Hashtbl.find_opt cache n)
   in
   (match cached with Some _ -> Sync.A.incr hits | None -> Sync.A.incr misses);
   let ((_, e) as entry) =
@@ -67,11 +66,11 @@ let classes_cached ~cfg ~connected n =
            duplicated computation on a race is deterministic anyway *)
         let entry =
           R.span cfg "enumerate" (fun () ->
-              enumerate_classes ~cfg ~connected n)
+              enumerate_classes ~cfg n)
         in
         Sync.with_lock cache_lock (fun () ->
             Sync.Var.touch cache_guard;
-            if not (Hashtbl.mem cache key) then Hashtbl.replace cache key entry);
+            if not (Hashtbl.mem cache n) then Hashtbl.replace cache n entry);
         entry
   in
   R.count cfg ~by:e.Orderly.candidates "candidates_generated";
@@ -80,16 +79,15 @@ let classes_cached ~cfg ~connected n =
   R.count cfg ~by:e.Orderly.dedup_hits "dedup_hits";
   entry
 
-let iso_classes ?(cfg = R.default) ?(connected = true) n =
-  fst (classes_cached ~cfg ~connected n)
+let iso_classes ?(cfg = R.default) n = fst (classes_cached ~cfg n)
 
 (* The cache keeps graphs, not masks: only a coordinator needs the
    masks back, once per run. The entry passed [Listing.make] when it
    was enumerated or installed, so this [make] cannot fail. *)
-let listing ?(cfg = R.default) ?(connected = true) n =
-  let reps, e = classes_cached ~cfg ~connected n in
+let listing ?(cfg = R.default) n =
+  let reps, e = classes_cached ~cfg n in
   let masks = List.map Chunk.wide_mask_of_graph reps in
-  match Listing.make ~n ~connected e masks with
+  match Listing.make ~n e masks with
   | Ok l -> l
   | Error msg -> raise (Listing.Mismatch msg)
 
@@ -97,7 +95,7 @@ let install (l : Listing.t) =
   let entry = (List.map (Chunk.graph_of_mask l.n) l.masks, l.tallies) in
   Sync.with_lock cache_lock (fun () ->
       Sync.Var.touch cache_guard;
-      Hashtbl.replace cache (l.n, l.connected) entry)
+      Hashtbl.replace cache l.n entry)
 
 let cache_stats () = (Sync.A.get hits, Sync.A.get misses)
 
@@ -177,7 +175,7 @@ let mismatch fmt = Printf.ksprintf (fun msg -> raise (Checkpoint_mismatch msg)) 
    re-running [check] on the smallest violating key (that rerun lands
    in the metrics {e after} the final checkpoint write, so on-disk
    counters stay bit-identical to an uninterrupted run's). *)
-let run_checkpointed ~cfg ~jobs ~connected ~n ~shards ~shard ~e
+let run_checkpointed ~cfg ~jobs ~n ~shards ~shard ~e
     ~targets ~kept ~check ~on_chunk ~max_chunks (policy : Checkpoint.policy) =
   let enum =
     {
@@ -191,7 +189,6 @@ let run_checkpointed ~cfg ~jobs ~connected ~n ~shards ~shard ~e
     {
       Checkpoint.tag = policy.Checkpoint.tag;
       n;
-      connected_only = connected;
       shards;
       shard;
       enum;
@@ -307,8 +304,7 @@ let run_checkpointed ~cfg ~jobs ~connected ~n ~shards ~shard ~e
   (s.Checkpoint.checked, s.Checkpoint.passed, s.Checkpoint.violations,
    counterexample)
 
-let run ?(cfg = R.default) ?(mode = Exhaustive)
-    ?(connected = true) ?shard ?checkpoint
+let run ?(cfg = R.default) ?(mode = Exhaustive) ?shard ?checkpoint
     ?(on_chunk = fun ~completed:_ ~total:_ -> ()) ?max_chunks
     ?(keep = fun _ -> true) ~n ~check () =
   (match shard with
@@ -326,7 +322,7 @@ let run ?(cfg = R.default) ?(mode = Exhaustive)
   R.span cfg "sweep" (fun () ->
       let t0 = Lcp_obs.Clock.now_s () in
       let jobs = cfg.R.jobs in
-      let reps, e = classes_cached ~cfg ~connected n in
+      let reps, e = classes_cached ~cfg n in
       let shards, shard_ix =
         match shard with None -> (1, 0) | Some (i, k) -> (k, i)
       in
@@ -346,7 +342,7 @@ let run ?(cfg = R.default) ?(mode = Exhaustive)
             | Exhaustive -> (
                 match checkpoint with
                 | Some policy ->
-                    run_checkpointed ~cfg ~jobs ~connected ~n ~shards
+                    run_checkpointed ~cfg ~jobs ~n ~shards
                       ~shard:shard_ix ~e ~targets ~kept ~check ~on_chunk
                       ~max_chunks policy
                 | None ->

@@ -34,19 +34,17 @@ open Lcp_graph
 
 (** {1 Cached isomorphism classes} *)
 
-val iso_classes :
-  ?cfg:Lcp_obs.Run_cfg.t -> ?connected:bool -> int -> Graph.t list
+val iso_classes : ?cfg:Lcp_obs.Run_cfg.t -> int -> Graph.t list
 (** One representative (the one with the smallest edge mask) per
-    isomorphism class of graphs on [n] nodes ([connected] defaults to
-    [true]: connected graphs only), in ascending mask order, memoized
-    across calls per [(n, connected)]. Reports cache traffic and the
-    listing's enumeration tallies into [cfg] on every call, cached or
-    not, so counters do not depend on cache temperature.
+    isomorphism class of connected graphs on [n] nodes, in ascending
+    mask order, memoized across calls per [n]. Reports cache traffic
+    and the listing's enumeration tallies into [cfg] on every call,
+    cached or not, so counters do not depend on cache temperature.
     @raise Listing.Mismatch when a fresh enumeration fails
-    {!Listing.make}'s checks (the A001349 accounting gate among
-    them). *)
+    {!Listing.make}'s checks (the A001349 and A000088 accounting gates
+    among them). *)
 
-val listing : ?cfg:Lcp_obs.Run_cfg.t -> ?connected:bool -> int -> Listing.t
+val listing : ?cfg:Lcp_obs.Run_cfg.t -> int -> Listing.t
 (** The same cached listing as {!iso_classes}, as minimal masks with
     the tallies of its enumeration: what a coordinator writes for its
     shard workers ({!Listing.save}). Reports into [cfg] as
@@ -54,7 +52,7 @@ val listing : ?cfg:Lcp_obs.Run_cfg.t -> ?connected:bool -> int -> Listing.t
 
 val install : Listing.t -> unit
 (** Put a listing read from outside ({!Listing.load}) into the class
-    cache under its [(n, connected)], replacing any entry there: the
+    cache under its [n], replacing any entry there: the
     sweeps that follow hit the cache and enumerate nothing. *)
 
 val cache_stats : unit -> int * int
@@ -130,7 +128,6 @@ exception Checkpoint_mismatch of string
 val run :
   ?cfg:Lcp_obs.Run_cfg.t ->
   ?mode:mode ->
-  ?connected:bool ->
   ?shard:int * int ->
   ?checkpoint:Checkpoint.policy ->
   ?on_chunk:(completed:int -> total:int -> unit) ->
@@ -140,7 +137,7 @@ val run :
   check:(Graph.t -> 'c option) ->
   unit ->
   'c summary
-(** Sweep the [n]-node space: enumerate + dedup (cached, via
+(** Sweep the connected [n]-node graphs: enumerate + dedup (cached, via
     {!iso_classes}), filter the representatives
     through [keep] (which must be isomorphism-invariant — it runs on
     one representative per class), and run [check] on each kept class

@@ -35,13 +35,11 @@ let with_ports t ports =
 
 let order t = Graph.order t.graph
 
-let random rng ?bound ?labels graph =
+let random rng graph =
   let n = Graph.order graph in
-  let bound = Option.value ~default:(max 1 (n * n)) bound in
   make graph
     ~ports:(Port.random rng graph)
-    ~ids:(Ident.random rng ~bound graph)
-    ?labels
+    ~ids:(Ident.random rng ~bound:(max 1 (n * n)) graph)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a@,%a@,labels: %a@]" Graph.pp t.graph Ident.pp t.ids

@@ -22,9 +22,8 @@ val with_ports : t -> Port.t -> t
 
 val order : t -> int
 
-val random :
-  Random.State.t -> ?bound:int -> ?labels:Labeling.t -> Graph.t -> t
-(** Random ports and ids (default bound [n^2], covering the paper's
-    poly(n) regime). *)
+val random : Random.State.t -> Graph.t -> t
+(** Random ports and ids (bound [n^2], covering the paper's poly(n)
+    regime), empty labels. *)
 
 val pp : Format.formatter -> t -> unit

@@ -44,5 +44,5 @@ val connected_up_to_iso : int -> Graph.t list
 val brute_classes : connected:bool -> int -> Graph.t list
 (** One minimal-mask representative per isomorphism class on [n]
     nodes (connected graphs only when [connected]), ascending mask
-    order: the listing [Lcp_engine.Sweep.iso_classes ~connected n]
+    order: with [connected], the listing [Lcp_engine.Sweep.iso_classes n]
     returns. *)

@@ -118,7 +118,7 @@ let sweep_cache_run () =
   let cfg = R.make ~jobs:1 () in
   let worker () =
     for _ = 1 to 2 do
-      let classes = Sweep.iso_classes ~cfg ~connected:true 5 in
+      let classes = Sweep.iso_classes ~cfg 5 in
       if List.length classes <> 21 then
         fail "sweep-cache: wrong class count for n=5"
     done

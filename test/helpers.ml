@@ -59,9 +59,9 @@ let certify_exn suite g =
 
 (* The number of labelings over [alphabet] that every node accepts,
    counted through the production enumerator. *)
-let count_accepted ?cfg dec ~alphabet inst =
+let count_accepted dec ~alphabet inst =
   let k = ref 0 in
-  Lcp.Prover.iter_accepted ?cfg dec ~alphabet inst (fun _ -> incr k);
+  Lcp.Prover.iter_accepted dec ~alphabet inst (fun _ -> incr k);
   !k
 
 (* A registry's gauge and span, read back from its JSON rendering: a

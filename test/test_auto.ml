@@ -42,9 +42,11 @@ let brute_aut g =
 
 let sorted_perms ps = List.sort compare (List.map Array.to_list ps)
 
+(* every class on 1..max_n nodes, disconnected ones included: the
+   mask-scan oracle's listing *)
 let corpus max_n =
   List.concat_map
-    (fun n -> Lcp_engine.Sweep.iso_classes ~connected:false n)
+    (fun n -> Lcp_oracle.Mask_scan.iso_classes ~connected:false n)
     (List.init max_n (fun i -> i + 1))
 
 let check_group_equals_brute max_n () =
@@ -327,7 +329,7 @@ let check_walk_protocol g =
 
 let trie_corpus () =
   List.concat_map
-    (fun n -> Lcp_engine.Sweep.iso_classes ~connected:true n)
+    (fun n -> Lcp_engine.Sweep.iso_classes n)
     [ 1; 2; 3; 4; 5; 6 ]
   @ [
       Builders.complete 7;
@@ -340,15 +342,13 @@ let test_trie_small () = List.iter check_trie_matches_programs (trie_corpus ())
 
 let test_trie_n7 () =
   if heavy_enabled then
-    List.iter check_trie_matches_programs
-      (Lcp_engine.Sweep.iso_classes ~connected:true 7)
+    List.iter check_trie_matches_programs (Lcp_engine.Sweep.iso_classes 7)
 
 let test_walk_protocol_small () = List.iter check_walk_protocol (trie_corpus ())
 
 let test_walk_protocol_n7 () =
   if heavy_enabled then
-    List.iter check_walk_protocol
-      (Lcp_engine.Sweep.iso_classes ~connected:true 7)
+    List.iter check_walk_protocol (Lcp_engine.Sweep.iso_classes 7)
 
 (* A step outside the protocol raises instead of answering from a
    frontier that does not belong to the prefix: a step whose previous
@@ -411,7 +411,7 @@ let check_refined_classes n =
       check_refined_group
         (Printf.sprintf "n=%d class %d" n mask)
         ~n (Lcp_engine.Chunk.adj_of_mask n mask))
-    (fst (Lcp_engine.Orderly.generate ~connected:false n))
+    (fst (Orderly_ref.generate ~connected:false n))
 
 let test_refined_group_small () =
   for n = 0 to 7 do

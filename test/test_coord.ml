@@ -131,7 +131,6 @@ let sim_ck =
   {
     Checkpoint.tag = "sim";
     n = 0;
-    connected_only = true;
     shards = 1;
     shard = 0;
     enum = { candidates = 0; connected = 0; classes = 0; dedup_hits = 0 };
@@ -608,20 +607,16 @@ let test_listing_round_trip () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "classes.json" in
   for n = 1 to 7 do
-    List.iter
-      (fun connected ->
-        let masks, tallies = Orderly.generate ~connected n in
-        Sweep.clear_cache ();
-        Listing.save ~path (Sweep.listing ~cfg:(Run_cfg.make ~jobs:1 ()) ~connected n);
-        match Listing.load path with
-        | Error e -> Alcotest.fail e
-        | Ok l ->
-            let what = Printf.sprintf "n=%d connected=%b" n connected in
-            check_bool (what ^ ": masks") true (l.Listing.masks = masks);
-            check_bool (what ^ ": tallies") true (l.Listing.tallies = tallies);
-            check_bool (what ^ ": header") true
-              (l.Listing.n = n && l.Listing.connected = connected))
-      [ true; false ]
+    let masks, tallies = Orderly.generate n in
+    Sweep.clear_cache ();
+    Listing.save ~path (Sweep.listing ~cfg:(Run_cfg.make ~jobs:1 ()) n);
+    match Listing.load path with
+    | Error e -> Alcotest.fail e
+    | Ok l ->
+        let what = Printf.sprintf "n=%d" n in
+        check_bool (what ^ ": masks") true (l.Listing.masks = masks);
+        check_bool (what ^ ": tallies") true (l.Listing.tallies = tallies);
+        check_int (what ^ ": header") n l.Listing.n
   done
 
 let write path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
@@ -710,14 +705,11 @@ let test_bad_listing_refused () =
   refused ~needle:"ascending" "resealed, two masks swapped"
     (resealed bytes
        (map_masks (function a :: b :: rest -> b :: a :: rest | l -> l)));
-  let listing ~connected n =
-    Listing.save ~path:(Filename.concat dir "other.json")
-      (Sweep.listing ~cfg:(Run_cfg.make ~jobs:1 ()) ~connected n);
-    slurp (Filename.concat dir "other.json")
-  in
-  refused ~needle:"on 6 nodes" "the n=6 listing" (listing ~connected:true 6);
-  refused ~needle:"every class" "the all-graphs listing"
-    (listing ~connected:false 5);
+  let other = Filename.concat dir "other.json" in
+  Listing.save ~path:other (Sweep.listing ~cfg:(Run_cfg.make ~jobs:1 ()) 6);
+  refused ~needle:"on 6 nodes" "the n=6 listing" (slurp other);
+  refused ~needle:"all-graphs" "resealed, \"connected\": false"
+    (resealed bytes (map_member "connected" (fun _ -> Json.Bool false)));
   (* the good listing runs: the checkpoint would have shown a run *)
   let before = slurp ck in
   let code, out, _ = worker good in
@@ -772,28 +764,68 @@ let test_workers_read_listing () =
         (contains ~needle:"enumerate" (Json.to_string m)))
     metrics
 
-(* The accounting gate: a connected class count other than A001349(n)
-   refuses the listing, in memory and from a file whose counts were
-   all lowered together and resealed. *)
+(* The accounting gates: a connected class count other than
+   A001349(n), or a full class count at the final level other than
+   A000088(n), refuses the listing, in memory and from a file whose
+   counts were lowered together and resealed. *)
+let lower = function Json.Int i -> Json.Int (i - 1) | j -> j
+
+let map_tallies f =
+  map_member "tallies" (function Json.Obj ts -> Json.Obj (f ts) | j -> j)
+
 let test_accounting_gate () =
-  let masks, t = Orderly.generate ~connected:true 5 in
-  let short =
-    { t with Orderly.connected_classes = 20; classes = 20 }
-  in
-  (match Listing.make ~n:5 ~connected:true short (List.tl masks) with
-  | Ok _ -> Alcotest.fail "a listing of 20 connected classes on 5 nodes was accepted"
-  | Error msg ->
-      check_bool "the gate names A001349" true (contains ~needle:"A001349(5) = 21" msg));
+  let masks, t = Orderly.generate 5 in
+  List.iter
+    (fun (tallies, masks, needle) ->
+      match Listing.make ~n:5 tallies masks with
+      | Ok _ -> Alcotest.fail ("a listing the gate should refuse was accepted: " ^ needle)
+      | Error msg -> check_bool ("the gate names " ^ needle) true (contains ~needle msg))
+    [
+      ( { t with Orderly.connected_classes = 20; classes = 20 },
+        List.tl masks,
+        "A001349(5) = 21" );
+      ({ t with Orderly.classes_all = 33 }, masks, "A000088(5) = 34");
+    ];
   with_listing_worker @@ fun ~dir ~good ~ck ~worker ->
-  let lower = function Json.Int i -> Json.Int (i - 1) | j -> j in
   refused ~dir ~ck ~worker ~needle:"A001349" "resealed, a class short everywhere"
     (resealed (slurp good) (fun members ->
          members |> map_masks List.tl |> map_member "count" lower
-         |> map_member "tallies" (function
-              | Json.Obj ts ->
-                  Json.Obj
-                    (map_member "classes" lower (map_member "connected_classes" lower ts))
-              | j -> j)))
+         |> map_tallies (fun ts ->
+                map_member "classes" lower (map_member "connected_classes" lower ts))));
+  refused ~dir ~ck ~worker ~needle:"A000088" "resealed, a class short at the last level"
+    (resealed (slurp good) (map_tallies (map_member "classes_all" lower)))
+
+(* A checkpoint that says it covers every graph, disconnected ones
+   included, is foreign to every sweep: resealed so that only that
+   member differs, both --resume and --merge refuse it with exit 2,
+   naming the file (--resume in its error response, --merge on
+   stderr), and neither touches it. *)
+let test_all_graphs_checkpoint_refused () =
+  with_dir @@ fun dir ->
+  let good = Filename.concat dir "good.json" in
+  ignore
+    (Lcp.Checker.soundness_sweep ~cfg:(Run_cfg.make ~jobs:1 ())
+       (suite_of "degree-one") ~n:5
+       ~checkpoint:{ Checkpoint.path = good; resume = false; tag = "degree-one" });
+  let bad = Filename.concat dir "bad.json" in
+  write bad
+    (resealed (slurp good) (map_member "connected" (fun _ -> Json.Bool false)));
+  let before = slurp bad in
+  List.iter
+    (fun (what, args) ->
+      let code, out, err = run_lcp args in
+      let said = out ^ err in
+      check_int (what ^ ": exit 2") 2 code;
+      check_bool (what ^ ": the error names the file") true (contains ~needle:bad said);
+      check_bool (what ^ ": the error says why") true
+        (contains ~needle:"all-graphs" said);
+      check_bool (what ^ ": no verdict") false (contains ~needle:"\"pass\"" said);
+      check_bool (what ^ ": checkpoint byte-unchanged") true (slurp bad = before))
+    [
+      ( "--resume",
+        [ "sweep"; "degree-one"; "-n"; "5"; "-j"; "1"; "--checkpoint"; bad; "--resume" ] );
+      ("--merge", [ "sweep"; "--merge"; bad ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* deterministic preemption and the merge refusal                      *)
@@ -1018,8 +1050,11 @@ let suite =
       test_listing_round_trip;
     slow_case "listing: a truncated, edited or foreign one exits 2, checkpoint untouched"
       test_bad_listing_refused;
-    slow_case "listing: the A001349 accounting gate refuses a short count"
+    slow_case "listing: the A001349 accounting gate refuses a short count, \
+               and the A000088 gate a short count at the last level"
       test_accounting_gate;
     slow_case "listing: every coordinated worker reads it, none enumerates"
       test_workers_read_listing;
+    slow_case "checkpoint: \"connected\": false is refused by --resume and --merge"
+      test_all_graphs_checkpoint_refused;
   ]

@@ -172,7 +172,7 @@ let check_masks_against_ref ~what ~n adj =
    order) equal the oracle's *)
 let check_canon_against_ref ~relabelings n =
   let st = Random.State.make [| 13; n |] in
-  let masks, _ = Orderly.generate ~connected:false n in
+  let masks, _ = Orderly_ref.generate ~connected:false n in
   List.iter
     (fun mask ->
       let listed = Chunk.adj_of_mask n mask in
@@ -250,7 +250,7 @@ let test_canon_twin_rich () =
 let test_canon_scratch_per_domain () =
   (* the kernel's scratch is per domain: concurrent calls on pool
      domains agree with the sequential ones *)
-  let masks = Array.of_list (fst (Orderly.generate ~connected:false 6)) in
+  let masks = Array.of_list (fst (Orderly_ref.generate ~connected:false 6)) in
   let run jobs =
     Pool.run ~jobs (Array.length masks) (fun i ->
         let adj = Chunk.adj_of_mask 6 masks.(i) in
@@ -261,25 +261,23 @@ let test_canon_scratch_per_domain () =
 (* ------------------------------------------------------------------ *)
 (* Orderly vs the unscreened extension (Orderly_ref)                    *)
 
-(* same listing, same tallies, connected or not *)
+(* same listing, same tallies (the all-graphs level's [classes_all]
+   among them) *)
 let check_orderly_against_ref n =
-  List.iter
-    (fun connected ->
-      let what = Printf.sprintf "n=%d connected=%b" n connected in
-      let masks, t = Orderly.generate ~connected n in
-      let ref_masks, ref_t = Orderly_ref.generate ~connected n in
-      if masks <> ref_masks then
-        Alcotest.failf "listing differs from the unscreened reference, %s" what;
-      check_int ("candidates, " ^ what) ref_t.Orderly.candidates
-        t.Orderly.candidates;
-      check_int ("dedup hits, " ^ what) ref_t.Orderly.dedup_hits
-        t.Orderly.dedup_hits;
-      check_int ("classes_all, " ^ what) ref_t.Orderly.classes_all
-        t.Orderly.classes_all;
-      check_int ("connected classes, " ^ what) ref_t.Orderly.connected_classes
-        t.Orderly.connected_classes;
-      check_int ("classes, " ^ what) ref_t.Orderly.classes t.Orderly.classes)
-    [ true; false ]
+  let what = Printf.sprintf "n=%d" n in
+  let masks, t = Orderly.generate n in
+  let ref_masks, ref_t = Orderly_ref.generate ~connected:true n in
+  if masks <> ref_masks then
+    Alcotest.failf "listing differs from the unscreened reference, %s" what;
+  check_int ("candidates, " ^ what) ref_t.Orderly.candidates
+    t.Orderly.candidates;
+  check_int ("dedup hits, " ^ what) ref_t.Orderly.dedup_hits
+    t.Orderly.dedup_hits;
+  check_int ("classes_all, " ^ what) ref_t.Orderly.classes_all
+    t.Orderly.classes_all;
+  check_int ("connected classes, " ^ what) ref_t.Orderly.connected_classes
+    t.Orderly.connected_classes;
+  check_int ("classes, " ^ what) ref_t.Orderly.classes t.Orderly.classes
 
 let test_orderly_matches_ref () =
   for n = 0 to 7 do
@@ -337,24 +335,26 @@ let test_pool_exception_propagates () =
 let connected_counts = [ (1, 1); (2, 1); (3, 2); (4, 6); (5, 21); (6, 112) ]
 let all_counts = [ (1, 1); (2, 2); (3, 4); (4, 11); (5, 34); (6, 156) ]
 
-let classes_with ~connected n =
+let classes_with n =
   Sweep.clear_cache ();
-  Sweep.iso_classes ~cfg:(cfg 2) ~connected n
+  Sweep.iso_classes ~cfg:(cfg 2) n
+
+(* the final level's full class count, which orderly tallies but does
+   not list *)
+let classes_all n = (snd (Orderly.generate n)).Orderly.classes_all
 
 let test_orderly_matches_mask_scan () =
-  List.iter
-    (fun connected ->
-      for n = 1 to 6 do
-        let o = classes_with ~connected n in
-        let m = Mask_scan.iso_classes ~cfg:(cfg 2) ~connected n in
-        check_int
-          (Printf.sprintf "class count n=%d connected=%b" n connected)
-          (List.length m) (List.length o);
-        List.iter2
-          (fun a b -> check_graph "identical representative" a b)
-          o m
-      done)
-    [ true; false ];
+  for n = 1 to 6 do
+    let o = classes_with n in
+    let m = Mask_scan.iso_classes ~cfg:(cfg 2) n in
+    check_int (Printf.sprintf "class count n=%d" n) (List.length m)
+      (List.length o);
+    List.iter2 (fun a b -> check_graph "identical representative" a b) o m;
+    check_int
+      (Printf.sprintf "all-graphs class count n=%d" n)
+      (List.length (Mask_scan.iso_classes ~cfg:(cfg 2) ~connected:false n))
+      (classes_all n)
+  done;
   Sweep.clear_cache ()
 
 let test_orderly_oeis_counts () =
@@ -363,14 +363,11 @@ let test_orderly_oeis_counts () =
       check_int
         (Printf.sprintf "A001349 n=%d" n)
         expected
-        (List.length (classes_with ~connected:true n)))
+        (List.length (classes_with n)))
     connected_counts;
   List.iter
     (fun (n, expected) ->
-      check_int
-        (Printf.sprintf "A000088 n=%d" n)
-        expected
-        (List.length (classes_with ~connected:false n)))
+      check_int (Printf.sprintf "A000088 n=%d" n) expected (classes_all n))
     all_counts;
   Sweep.clear_cache ()
 
@@ -379,7 +376,7 @@ let test_orderly_oeis_counts () =
 let check_orderly_tallies =
   List.iter
     (fun (n, candidates, dedup) ->
-      let _, t = Orderly.generate ~connected:true n in
+      let _, t = Orderly.generate n in
       check_int (Printf.sprintf "candidates n=%d" n) candidates
         t.Orderly.candidates;
       check_int (Printf.sprintf "dedup hits n=%d" n) dedup t.Orderly.dedup_hits)
@@ -403,7 +400,7 @@ let test_orderly_tallies_n8 () = check_orderly_tallies [ (8, 144_922, 59_944) ]
 
 let test_orderly_deterministic_in_jobs () =
   let gen jobs =
-    let masks, t = Orderly.generate ~jobs ~connected:true 6 in
+    let masks, t = Orderly.generate ~jobs 6 in
     (masks, t.Orderly.candidates, t.Orderly.dedup_hits, t.Orderly.classes)
   in
   let base = gen 1 in
@@ -427,9 +424,10 @@ let test_iso_classes_counts () =
         expected
         (List.length (Sweep.iso_classes ~cfg:(cfg 2) n)))
     connected_counts;
-  (* including disconnected graphs: 11 classes on 4 nodes *)
+  (* including disconnected graphs, as the listing's tallies count
+     them: 11 classes on 4 nodes *)
   check_int "all classes n=4" 11
-    (List.length (Sweep.iso_classes ~cfg:(cfg 2) ~connected:false 4))
+    (Sweep.listing ~cfg:(cfg 2) 4).Listing.tallies.Orderly.classes_all
 
 let test_iso_classes_deterministic () =
   Sweep.clear_cache ();
@@ -760,7 +758,7 @@ let test_n8_frontier () =
       (List.length (Sweep.iso_classes ~cfg:c 8));
     check_enum_tallies c ~candidates:144_922 ~dedup:59_944;
     check_int "12346 classes on 8 nodes" 12346
-      (List.length (Sweep.iso_classes ~cfg:(cfg 0) ~connected:false 8));
+      (Sweep.listing ~cfg:(cfg 0) 8).Listing.tallies.Orderly.classes_all;
     Sweep.clear_cache ()
   end
 

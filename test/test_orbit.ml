@@ -110,8 +110,7 @@ let test_count_accepted_never_pruned () =
         (Printf.sprintf "count_accepted = full-space count on %s"
            (graph_to_string g))
         (Oracle.count_accepted suite.Decoder.dec ~alphabet inst)
-        (count_accepted ~cfg:(seq_cfg ()) suite.Decoder.dec ~alphabet
-           inst))
+        (count_accepted suite.Decoder.dec ~alphabet inst))
     [ Builders.cycle 4; Builders.cycle 5; Builders.complete 4 ]
 
 (* ------------------------------------------------------------------ *)

@@ -67,11 +67,22 @@ let test_unknown_views_count_as_failures () =
   check_bool "all fail" true (res.Quantified.worst_case_success = 0.0)
 
 let test_hill_climb_path () =
-  (* force the heuristic path with a tiny exact limit; the result is a
+  (* a neighborhood graph of at least 18 views has more than 200,000
+     2-colorings, which forces the heuristic path; the result is a
      legal extractor and a sane fraction *)
-  let nbhd, fam = even_cycle_setup () in
-  let res = Quantified.best_extractor ~exact_limit:2 ~restarts:4 ~k:2 nbhd fam in
+  let suite = D_trivial.suite ~k:2 in
+  let fam =
+    List.filter_map
+      (fun g -> Decoder.certify suite (Instance.make g))
+      [ Builders.path 6; Builders.cycle 6; Builders.star 3; Builders.star 4;
+        Builders.grid 3 3 ]
+  in
+  let nbhd = Neighborhood.build suite.Decoder.dec fam in
+  check_bool "at least 18 views" true (Neighborhood.order nbhd >= 18);
+  let res = Quantified.best_extractor ~k:2 nbhd fam in
   check_bool "heuristic" true (not res.Quantified.exact);
+  check_int "one color per view" (Neighborhood.order nbhd)
+    (Array.length res.Quantified.best);
   check_bool "fraction in range" true
     (res.Quantified.worst_case_success >= 0.0 && res.Quantified.worst_case_success <= 1.0)
 
